@@ -12,6 +12,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
 from .adhm import count_codim2_ideals_f2, count_hilbert_orbits_f2_n2
 from .convolution import (FiniteKernel, convolve, convolve_via_pullback,
@@ -71,17 +72,21 @@ def check_dimension_formulas(seed):
 
 @_timed(5.0)
 def check_hecke_relation(seed):
-    for q in (2, 3):
-        h = hecke_algebra(2, q)
-        if h["num_orbits"] != 2:
-            return False, f"n=2 q={q}: {h['num_orbits']} orbits"
-        rel = h["relation"]
-        if (rel["T_coeff"], rel["unit_coeff"]) != (q - 1, q):
-            return False, f"n=2 q={q}: relation {rel}"
-    h3 = hecke_algebra(3, 2)
-    if h3["num_orbits"] != 6:
-        return False, f"n=3 q=2: {h3['num_orbits']} orbits"
-    return True, "T^2=(q-1)T+q for q=2,3; 6 orbits for GL3(F2)"
+    for n, q in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2)):
+        h = hecke_algebra(n, q)
+        c, u, k = h["constants"], h["unit_index"], h["num_orbits"]
+        if k != factorial(n):
+            return False, f"n={n} q={q}: {k} orbits"
+        if n == 2 and h["relation"] != {"T_coeff": q - 1, "unit_coeff": q}:
+            return False, f"n=2 q={q}: relation {h['relation']}"
+        # simple orbits s: q flags in relative position s to a fixed flag
+        simple = [s for s in range(k) if c[s][s][u] == q]
+        want = [[(q - 1) * (m == s) + q * (m == u) for m in range(k)]
+                for s in simple]
+        if len(simple) != n - 1 or [c[s][s] for s in simple] != want:
+            return False, f"n={n} q={q}: T_s^2 = (q-1)T_s + q fails"
+    return True, ("n! orbits and T_s^2=(q-1)T_s+q for (n, q) = (2, 2), "
+                  "(2, 3), (3, 2), (3, 3), (4, 2)")
 
 
 # 3 -- character-theoretic quivers -------------------------------------

@@ -230,8 +230,7 @@ def _poly_roots(poly, f):
         den = lcm(*[x.denominator for x in fracs]) if fracs else 1
         ints = [int(x * den) for x in fracs]
         lead, const = ints[-1], ints[0]
-        if const == 0:
-            return [f.zero()]
+
         def divisors(n):
             n = abs(n)
             return [d for d in range(1, n + 1) if n % d == 0]
@@ -247,8 +246,11 @@ def _poly_roots(poly, f):
             out = [f.mul(c, f.zeta_pow(k)) for c in out for k in range(f.m)]
         return out
 
-    # candidates of the original polynomial cover every deflation stage
-    # (each remaining root is still a root of the original)
+    while len(cur) > 1 and f.is_zero(cur[0]):  # candidates need cur[0] != 0
+        roots.append(f.zero())
+        cur = cur[1:]
+    # candidates of the stripped polynomial cover every deflation stage
+    # (each remaining root is still a root of it)
     cand = candidates(cur) if len(cur) > 2 else []
     while len(cur) > 1:
         if len(cur) == 2:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .fields import Field, FieldError, PrimeField, QQ
+from .fields import Field, PrimeField, QQ
 from .linalg import Mat
 
 
@@ -58,13 +58,6 @@ class FiniteKernel:
 
 def identity_kernel(x: FinSet, field: Field = QQ) -> FiniteKernel:
     return FiniteKernel(x, x, Mat.identity(field, len(x)))
-
-
-def indicator_kernel(x1: FinSet, x2: FinSet, pairs, field: Field = QQ):
-    """Kernel of the correspondence {(x2, x1)} subset X2 x X1."""
-    m = [[field.from_int(int((b, a) in pairs or (b, a) in set(pairs)))
-          for a in x1.labels] for b in x2.labels]
-    return FiniteKernel(x1, x2, Mat(field, m))
 
 
 def apply_kernel(k: FiniteKernel, f: dict) -> dict:
@@ -194,24 +187,6 @@ def symmetric_group(n: int) -> FiniteGroup:
     return FiniteGroup(table, tuple("".join(map(str, p)) for p in perms))
 
 
-def group_from_permutations(perms) -> FiniteGroup:
-    """Group generated as a closed set of permutations (tuples); must
-    already be closed under composition."""
-    perms = sorted(set(perms))
-    idx = {p: k for k, p in enumerate(perms)}
-    n = len(perms[0])
-    table = []
-    for p in perms:
-        row = []
-        for q in perms:
-            comp = tuple(p[q[i]] for i in range(n))
-            if comp not in idx:
-                raise ConvError("permutation set is not closed")
-            row.append(idx[comp])
-        table.append(tuple(row))
-    return FiniteGroup(tuple(table), tuple(str(p) for p in perms))
-
-
 def validate_action(g: FiniteGroup, x: FinSet, action: dict):
     """action[(g, x)] -> x; checks identity and compatibility."""
     e = g.identity
@@ -234,19 +209,24 @@ class OrbitAlgebra:
     constants: list       # c[i][j][k]
     unit_index: int
 
-    def orbit_of(self, pair):
-        for k, o in enumerate(self.orbits):
-            if pair in o:
-                return k
-        raise ConvError("pair not covered by any orbit")
+
+def _orbit_constants(points, reps, orbit_of):
+    """Structure constants c[i][j][k] = #{b : orbit_of(a, b) = i,
+    orbit_of(b, c) = j} of the orbit basis, counted at the representative
+    pair (a, c) = reps[k] of each orbit: one pass over the points per
+    target orbit."""
+    n_orb = len(reps)
+    constants = [[[0] * n_orb for _ in range(n_orb)] for _ in range(n_orb)]
+    for k, (a, c) in enumerate(reps):
+        for b in points:
+            constants[orbit_of(a, b)][orbit_of(b, c)][k] += 1
+    return constants
 
 
-def invariant_algebra(g: FiniteGroup, x: FinSet, action: dict,
-                      check: bool = True) -> OrbitAlgebra:
+def invariant_algebra(g: FiniteGroup, x: FinSet, action: dict) -> OrbitAlgebra:
     """Orbit-basis presentation of the G-invariant convolution subalgebra
     of kernels on X x X, under the diagonal action."""
-    if check:
-        validate_action(g, x, action)
+    validate_action(g, x, action)
     pairs = [(a, b) for a in x.labels for b in x.labels]
     seen = set()
     orbits = []
@@ -265,21 +245,9 @@ def invariant_algebra(g: FiniteGroup, x: FinSet, action: dict,
     for k, o in enumerate(orbits):
         for pr in o:
             member[pr] = k
-    n_orb = len(orbits)
-    constants = [[[0] * n_orb for _ in range(n_orb)] for _ in range(n_orb)]
-    for i in range(n_orb):
-        for j in range(n_orb):
-            # value at one representative of each target orbit
-            done = set()
-            for (a, c) in [min(o, key=lambda pr: (lab_idx[pr[0]], lab_idx[pr[1]]))
-                           for o in orbits]:
-                k = member[(a, c)]
-                if k in done:
-                    continue
-                done.add(k)
-                cnt = sum(1 for b in x.labels
-                          if (a, b) in orbits[i] and (b, c) in orbits[j])
-                constants[i][j][k] = cnt
+    reps = [min(o, key=lambda pr: (lab_idx[pr[0]], lab_idx[pr[1]]))
+            for o in orbits]
+    constants = _orbit_constants(x.labels, reps, lambda a, b: member[(a, b)])
     diag = frozenset((a, a) for a in x.labels)
     unit = orbits.index(diag)
     return OrbitAlgebra(x, orbits, constants, unit)
@@ -338,92 +306,117 @@ def algebra_center_dim(constants) -> int:
 
 # -- flag varieties over F_q and Hecke algebras ------------------------
 
-def _all_vectors(q, n):
-    return list(product(range(q), repeat=n))
+# Cap on the flag pairs, [n]_q! * n!, whose relative position
+# hecke_algebra computes; (n, q) = (4, 3) needs 2080 * 24 = 49920.
+HECKE_WORK_CAP = 50_000
 
 
-def _rref_key(field, vecs):
-    """Canonical key of the span of row vectors over F_q."""
-    m = Mat.from_ints(field, [list(v) for v in vecs])
-    rank, _, red = m.rref()
-    return tuple(tuple(int(x) for x in red.data[r]) for r in range(rank))
+def _pivot(row):
+    return next(c for c, x in enumerate(row) if x)
 
 
 def complete_flags(n: int, q: int):
-    """All complete flags in F_q^n, as tuples of canonical subspace keys
-    of dimensions 1..n-1 (each key a tuple of reduced-echelon row tuples)."""
-    field = PrimeField(q)
-    vectors = [v for v in _all_vectors(q, n) if any(v)]
-    if n == 1:
-        return [()]
-    out = set()
+    """All complete flags in F_q^n, sorted, as tuples of canonical subspace
+    keys of dimensions 1..n-1 (each key a tuple of reduced-echelon row
+    tuples). Each flag is built once: the subspaces of dimension k + 1 that
+    contain V are V + <v>, one for each line <v> of the coordinate subspace
+    on the non-pivot columns of V, which is a complement of V."""
+    PrimeField(q)  # raises FieldError unless q is prime
+    flags = []
 
     def extend(chain):
         if len(chain) == n - 1:
-            out.add(tuple(chain))
+            flags.append(tuple(chain))
             return
-        current = [list(r) for r in chain[-1]] if chain else []
-        for v in vectors:
-            key = _rref_key(field, current + [list(v)])
-            if len(key) == len(chain) + 1:
-                extend(chain + [key])
+        key = chain[-1] if chain else ()
+        free = [c for c in range(n) if c not in {_pivot(r) for r in key}]
+        for k, c in enumerate(free):  # lines whose first nonzero column is c
+            for tail in product(range(q), repeat=len(free) - k - 1):
+                v = [0] * n
+                v[c] = 1
+                for c2, x in zip(free[k + 1:], tail):
+                    v[c2] = x
+                rows = [tuple((x - r[c] * y) % q for x, y in zip(r, v))
+                        for r in key] + [tuple(v)]
+                extend(chain + [tuple(sorted(rows, key=_pivot))])
 
     extend([])
-    return sorted(out)
+    return sorted(flags)
 
 
-def gl_elements(n: int, q: int):
-    """All invertible n x n matrices over F_q."""
-    field = PrimeField(q)
-    out = []
-    for entries in product(range(q), repeat=n * n):
-        m = Mat.from_ints(field, [list(entries[r * n:(r + 1) * n])
-                                  for r in range(n)])
-        if not field.is_zero(m.det()):
-            out.append(m)
+def _adapted_basis(flag):
+    """g_1..g_{n-1} with G_j = G_{j-1} + <g_j>: from each key, the row
+    whose pivot column is new."""
+    out, old = [], set()
+    for key in flag:
+        out.append(next(r for r in key if _pivot(r) not in old))
+        old = {_pivot(r) for r in key}
     return out
+
+
+def _relative_position(f, g, q):
+    """Rank matrix dim(F_i & G_j) = i + j - rank(F_i + G_j), 0 < i, j < n,
+    of the flag f (keys) and the flag with adapted basis g: one elimination
+    per i adds g_1, g_2, ... to the reduced rows of F_i."""
+    out = []
+    for i, key in enumerate(f, 1):
+        basis = [(_pivot(r), r) for r in key]
+        for j, v in enumerate(g, 1):
+            for p, r in basis:
+                if v[p]:
+                    v = [(x - v[p] * y) % q for x, y in zip(v, r)]
+            if any(v):
+                inv = pow(v[_pivot(v)], -1, q)
+                basis.append((_pivot(v), [x * inv % q for x in v]))
+            out.append(i + j - len(basis))
+    return tuple(out)
 
 
 def hecke_algebra(n: int, q: int) -> dict:
     """Convolution algebra of GL_n(F_q)-orbits on pairs of complete flags.
 
-    Returns the orbit count (expected |S_n|), the structure constants over
-    the rationals, and for n = 2 the quadratic relation satisfied by the
-    off-diagonal orbit.
+    The orbit of a pair is its relative position, the rank matrix
+    dim(F_i & G_j); there are n! of them (Bruhat). GL_n(F_q) is transitive
+    on flags, so one pass over the flags b against the least flag f0 gives
+    each orbit k with its least pair (f0, b_k), and the structure constants
+    are c[i][j][k] = #{b : pos(f0, b) = i, pos(b, b_k) = j}.
+
+    Returns the flag count [n]_q!, the orbit count, the constants, the
+    unit (diagonal) orbit index 0, and for n = 2 the quadratic relation.
+    Raises ConvError, before any flag is built, unless n >= 2, q >= 2 and
+    [n]_q! * n! <= HECKE_WORK_CAP, which accepts q <= 24989, 19 and 3 at
+    n = 2, 3 and 4; `qv` exits 2 on it. A q that is not prime raises
+    FieldError.
     """
-    if n not in (2, 3) or q not in (2, 3):
-        raise ConvError("desk-scale bounds: n in {2,3}, q in {2,3}")
-    field = PrimeField(q)
+    if n < 2 or q < 2:
+        raise ConvError("hecke_algebra needs n >= 2 and q >= 2")
+    work = 1
+    for k in range(1, n + 1):  # [n]_q! * n!, stopping once over the cap
+        work *= k * sum(q ** e for e in range(k))
+        if work > HECKE_WORK_CAP:
+            raise ConvError(f"hecke_algebra({n}, {q}): [n]_q! * n! flag "
+                            f"pairs exceed the cap of {HECKE_WORK_CAP}")
     flags = complete_flags(n, q)
-    flag_idx = {fl: k for k, fl in enumerate(flags)}
+    bases = [_adapted_basis(fl) for fl in flags]
+    index, reps, from_f0 = {}, [], []
+    for b, g in enumerate(bases):
+        pos = _relative_position(flags[0], g, q)
+        if pos not in index:
+            index[pos] = len(reps)
+            reps.append((0, b))
+        from_f0.append(index[pos])
 
-    def act(g: Mat, fl):
-        chain = []
-        for key in fl:
-            imgs = []
-            for row in key:
-                col = g @ Mat.column(field, [field.from_int(c) for c in row])
-                imgs.append([int(col.data[r][0]) for r in range(n)])
-            chain.append(_rref_key(field, imgs))
-        return tuple(chain)
+    def orbit_of(a, b):
+        if a == 0:
+            return from_f0[b]
+        return index[_relative_position(flags[a], bases[b], q)]
 
-    perms = sorted({tuple(flag_idx[act(g, fl)] for fl in flags)
-                    for g in gl_elements(n, q)})
-    gperm = group_from_permutations(perms)
-    x = finset([f"f{k}" for k in range(len(flags))])
-    action = {(hk, f"f{k}"): f"f{perms[hk][k]}"
-              for hk in range(len(perms)) for k in range(len(flags))}
-    inv = invariant_algebra(gperm, x, action, check=False)
+    c = _orbit_constants(range(len(flags)), reps, orbit_of)
     result = {"n": n, "q": q, "num_flags": len(flags),
-              "num_orbits": len(inv.orbits),
-              "constants": inv.constants,
-              "unit_index": inv.unit_index}
-    if n == 2 and len(inv.orbits) == 2:
-        t = 1 - inv.unit_index
-        c = inv.constants
-        # T * T = c[t][t][t] T + c[t][t][unit] 1
-        result["relation"] = {"T_coeff": c[t][t][t],
-                              "unit_coeff": c[t][t][inv.unit_index]}
+              "num_orbits": len(reps), "constants": c, "unit_index": 0}
+    if n == 2:
+        # T * T = c[1][1][1] T + c[1][1][0] 1
+        result["relation"] = {"T_coeff": c[1][1][1], "unit_coeff": c[1][1][0]}
     return result
 
 

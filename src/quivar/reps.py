@@ -8,7 +8,7 @@ finite-field brute-force enumerator serves as an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import Field, FieldError, PrimeField

@@ -4,7 +4,7 @@ classification, and weight bookkeeping with a Freudenthal oracle."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -168,10 +168,6 @@ def weight_of(q: Quiver, v: dict, w: dict) -> dict:
     idx = q.vertex_index
     return {i: w[i] - sum(c[idx[i]][idx[j]] * v[j] for j in q.vertices)
             for i in q.vertices}
-
-
-def highest_weight(q: Quiver, w: dict) -> dict:
-    return check_dimvector(q, w)
 
 
 def is_dominant(weight: dict) -> bool:

@@ -14,7 +14,8 @@ CRITERIA = [
     (acceptance.check_dimension_formulas,
      "1: closed-form dimensions (jordan 2v; one-vertex 2k(r-k))"),
     (acceptance.check_hecke_relation,
-     "2: flag convolution T^2=(q-1)T+q, 6 orbits for GL3(F2)"),
+     "2: flag convolution T^2=(q-1)T+q, 6 orbits for GL3(F2) and GL3(F3), "
+     "24 for GL4(F2)"),
     (acceptance.check_mckay_tables,
      "3: cyclic doubles, BD2 -> affine D4, C delta = 0"),
     (acceptance.check_stability_oracle,

@@ -102,6 +102,33 @@ def test_joint_spectrum_nilpotent_and_triangular():
     assert joint_spectrum(x2, y2) == [(Fraction(1), Fraction(3))] * 2
 
 
+@pytest.mark.parametrize("xs, ys", [
+    ([0, 3, -1], [1, 2, 4]),
+    ([0, 0, 2, -5], [0, 6, 3, 0]),
+])
+def test_joint_spectrum_zero_eigenvalue(xs, ys):
+    # eigenvalue 0 beside distinct nonzero ones: the characteristic
+    # polynomial has a factor t but still splits over Q
+    n = len(xs)
+    upper = qmat([[int(r == c) + (r + c if r < c else 0) for c in range(n)]
+                  for r in range(n)])
+    lower = qmat([[int(r >= c) for c in range(n)] for r in range(n)])
+    p = upper @ lower
+    pinv = p.solve(Mat.identity(QQ, n))
+
+    def conj(diag):
+        d = qmat([[diag[r] if r == c else 0 for c in range(n)]
+                  for r in range(n)])
+        return p @ d @ pinv
+
+    x, y = conj(xs), conj(ys)
+    want = sorted(zip(map(Fraction, xs), map(Fraction, ys)), key=str)
+    spec = joint_spectrum(x, y)
+    assert spec == want
+    for (a, b), t in power_traces(x, y, 3).items():
+        assert t == sum(ex ** a * ey ** b for ex, ey in want)
+
+
 def test_joint_spectrum_non_split_signaled():
     # x^2 = -1 has no rational roots
     x = qmat([[0, -1], [1, 0]])

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -40,6 +42,31 @@ def test_builtin_quiver_names(report):
 def test_hecke_relation_text(report):
     rep = report("conv", "hecke", "--n", "2", "--q", "2")
     assert rep["results"]["relation_text"] == "T^2 = 1*T + 2*Id"
+
+
+# sha256 of the stdout of the earlier implementation, which enumerated
+# GL_n(F_q) and partitioned flag pairs into its orbits ((3, 3) with its
+# size bound lifted)
+@pytest.mark.parametrize("n, q, digest", [
+    ("2", "2", "83a29fe85af75c0c8079f40f8eeb5c07cb7c8e4615153ee63f5596bb0a59d385"),
+    ("2", "3", "d2c8f1965a22413789eb9851c854575d61c068ff54edf547ee8a842067ccc0fe"),
+    ("3", "2", "b2a8e899ece59bb3e46b4f2372a96cf47d1daa1fa4b64918640e1b1fa997c529"),
+    ("3", "3", "c40d1c7c80c2be6ce74a1096d42cf7b6d2fd70a07b5dc66471e4c1f79f7cb328"),
+])
+def test_hecke_report_pinned(capsys, n, q, digest):
+    assert run(["conv", "hecke", "--n", n, "--q", q]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args", [
+    ["--n", "0"], ["--n", "1"], ["--n", "5", "--q", "3"],
+    ["--n", "2", "--q", "4"], ["--n", "2", "--q", "1000000007"],
+])
+def test_hecke_refusals(report, args):
+    t0 = time.perf_counter()
+    assert report("conv", "hecke", *args, expect_code=2) is None
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_roots_gg(report):

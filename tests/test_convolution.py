@@ -1,6 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -11,7 +12,7 @@ from quivar.convolution import (ConvError, Correspondence, FiniteGroup,
                                 diagonal_corr, expand_in_basis, finset,
                                 graded_product_check, group_algebra,
                                 group_algebra_matches_invariant,
-                                group_from_permutations, hecke_algebra,
+                                hecke_algebra,
                                 identity_kernel, invariant_algebra,
                                 pullback, pushforward, symmetric_group)
 from quivar.fields import PrimeField, QQ
@@ -97,11 +98,6 @@ def test_symmetric_group_structure():
                 assert s3.mul(s3.mul(a, b), c) == s3.mul(a, s3.mul(b, c))
 
 
-def test_group_from_permutations_closure_required():
-    with pytest.raises(ConvError):
-        group_from_permutations([(0, 1, 2), (1, 0, 2), (1, 2, 0)])
-
-
 def test_group_algebra_delta_product():
     s3 = symmetric_group(3)
     ga = group_algebra(s3)
@@ -167,9 +163,71 @@ def test_hecke_unit_and_integrality():
             assert all(x >= 0 for x in c[i][j])
 
 
-def test_hecke_bounds():
-    with pytest.raises(ConvError):
-        hecke_algebra(4, 2)
+def _q_factorial(n, q):
+    out = 1
+    for k in range(1, n + 1):
+        out *= sum(q ** e for e in range(k))
+    return out
+
+
+def _hecke_mul(c, x, y):
+    m = len(c)
+    return [sum(x[i] * y[j] * c[i][j][k] for i in range(m) for j in range(m))
+            for k in range(m)]
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+def test_hecke_properties(n, q):
+    h = hecke_algebra(n, q)
+    c, u, m = h["constants"], h["unit_index"], h["num_orbits"]
+    perms = list(permutations(range(n)))
+    assert m == len(perms) == len(c)
+    assert h["num_flags"] == _q_factorial(n, q)
+    basis = [[int(k == i) for k in range(m)] for i in range(m)]
+    for i in range(m):
+        assert c[u][i] == basis[i] and c[i][u] == basis[i]
+    # c[w][j][unit] is nonzero only for j = w^-1, where it counts the flags
+    # in relative position w to a fixed flag: q^length(w)
+    sizes = []
+    for i in range(m):
+        hits = [c[i][j][u] for j in range(m) if c[i][j][u]]
+        assert len(hits) == 1
+        sizes.append(hits[0])
+
+    def length(w):
+        return sum(w[a] > w[b] for a, b in combinations(range(n), 2))
+
+    assert Counter(sizes) == Counter(q ** length(w) for w in perms)
+    # T_u T_v is one basis element T_w exactly when l(uv) = l(u) + l(v),
+    # and then q^l(w) = q^l(u) q^l(v)
+    single = [(sizes[i] * sizes[j], c[i][j].index(1))
+              for i in range(m) for j in range(m)
+              if sorted(c[i][j]) == [0] * (m - 1) + [1]]
+    assert all(sizes[k] == size for size, k in single)
+    assert len(single) == sum(
+        length(tuple(u[v[a]] for a in range(n))) == length(u) + length(v)
+        for u in perms for v in perms)
+    simple = [s for s in range(m) if sizes[s] == q]
+    assert len(simple) == n - 1
+    for s in simple:
+        assert _hecke_mul(c, basis[s], basis[s]) == \
+            [(q - 1) * a + q * b for a, b in zip(basis[s], basis[u])]
+    # distant simple reflections commute; adjacent ones (n - 2 pairs) braid
+    adjacent = 0
+    for s, t in combinations(simple, 2):
+        st = _hecke_mul(c, basis[s], basis[t])
+        ts = _hecke_mul(c, basis[t], basis[s])
+        if st != ts:
+            adjacent += 1
+            assert _hecke_mul(c, st, basis[s]) == _hecke_mul(c, ts, basis[t])
+    assert adjacent == n - 2
+
+
+def test_hecke_refuses_outside_cap():
+    for n, q in [(0, 2), (1, 2), (2, 1), (5, 2), (4, 5), (3, 23),
+                 (2, 1000000007)]:
+        with pytest.raises(ConvError):
+            hecke_algebra(n, q)
 
 
 def test_graded_product_check():
