@@ -192,10 +192,12 @@ def _char_poly(m: Mat):
 
 
 def _poly_roots(poly, f):
-    """Roots in the field with multiplicity, or None when the polynomial
-    does not split. Rational-root extraction over Q; exhaustive search
-    over prime fields; only rational roots are attempted over cyclotomic
-    fields (no extensions are synthesized)."""
+    """Roots in the field with multiplicity, or None when the search finds
+    no root of a nonlinear factor. Rational-root extraction over Q and
+    exhaustive search over prime fields, where None means the polynomial
+    does not split; over cyclotomic fields only rational multiples of
+    roots of unity are tried, for rational coefficients, so None there
+    decides nothing."""
     roots = []
     cur = list(poly)
 
@@ -274,7 +276,8 @@ def joint_spectrum(x: Mat, y: Mat):
     """Multiset of eigenvalue pairs of a commuting pair, via iterated
     common generalized-eigenspace extraction (simultaneous
     triangularization). Raises when a characteristic polynomial does not
-    split over the coefficient field."""
+    split over Q or F_p, and over Q(zeta_m) when the eigenvalue search
+    finds no root."""
     if not commutator(x, y).is_zero():
         raise AdhmError("matrices do not commute")
     f = x.field
@@ -292,6 +295,10 @@ def joint_spectrum(x: Mat, y: Mat):
         poly = _char_poly(xm)
         roots = _poly_roots(poly, f)
         if roots is None:
+            if isinstance(f, CyclotomicField):
+                raise AdhmError("eigenvalue search over Q(zeta_m) is "
+                                "unsupported beyond rational multiples of "
+                                f"roots of unity: {poly}")
             raise AdhmError(f"characteristic polynomial does not split: {poly}")
         out = []
         seen = set()

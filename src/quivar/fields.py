@@ -9,7 +9,11 @@ with elements stored as plain immutable Python values:
                       coefficients w.r.t. ``1, z, ..., z^(phi(m)-1)`` reduced
                       modulo the m-th cyclotomic polynomial.
 
-No floating point anywhere; rank decisions downstream rely on exactness.
+Phi_m comes from integer long division, Phi_m = (x^m - 1) / prod(Phi_d :
+d | m, d < m), and a single table of zeta^j for j < m serves products,
+reduction and powers, since zeta^m = 1. Primality of p is decided by
+deterministic Miller-Rabin. No floating point anywhere and no dependency
+outside the standard library; rank decisions downstream rely on exactness.
 """
 
 from __future__ import annotations
@@ -21,14 +25,34 @@ class FieldError(ValueError):
     """Raised on invalid field parameters or cross-field operations."""
 
 
+# Miller-Rabin to the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; refuses n it cannot decide exactly."""
+    if n >= _MR_LIMIT:
+        raise FieldError(f"{n} exceeds the exact primality bound {_MR_LIMIT}")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -205,11 +229,22 @@ def _poly_divmod(a, b):
 
 
 def cyclotomic_coeffs(m: int):
-    """Integer coefficients of the m-th cyclotomic polynomial, low degree first."""
-    from sympy import Poly, cyclotomic_poly, symbols
-
-    x = symbols("x")
-    return [int(c) for c in reversed(Poly(cyclotomic_poly(m, x), x).all_coeffs())]
+    """Integer coefficients of the m-th cyclotomic polynomial, low degree
+    first: Phi_d = (x^d - 1) / prod(Phi_e : e | d, e < d) for each d | m in
+    increasing order, by exact long division by monic divisors in Z[x]."""
+    phi = {}
+    for d in (d for d in range(1, m + 1) if m % d == 0):
+        num = [-1] + [0] * (d - 1) + [1]
+        for e, den in phi.items():
+            if d % e == 0:
+                quo = [0] * (len(num) - len(den) + 1)
+                for k in reversed(range(len(quo))):
+                    c = quo[k] = num[k + len(den) - 1]
+                    for i, b in enumerate(den):
+                        num[k + i] -= c * b
+                num = quo
+        phi[d] = num
+    return phi[m]
 
 
 class CyclotomicField(Field):
@@ -220,27 +255,21 @@ class CyclotomicField(Field):
             raise FieldError("cyclotomic index must be >= 1")
         self.m = m
         phi = cyclotomic_coeffs(m)
-        self.degree = len(phi) - 1
+        d = self.degree = len(phi) - 1
         self._phi = phi
-        # x^(deg+k) reduced mod Phi_m, for products of two reduced elements
-        self._powers = self._power_table(2 * self.degree - 1)
-        # zeta^j for j = 0..m-1, used by conjugation
-        self._zeta_pows = self._power_table(max(m - 1, 0))
-
-    def _power_table(self, upto):
-        d = self.degree
+        # zeta^j for j = 0..m-1, reduced mod Phi_m; zeta^m = 1 makes it
+        # cover every power, indexed by j % m
         table = []
-        for k in range(upto + 1):
+        for k in range(m):
             if k < d:
                 table.append(tuple(Fraction(int(i == k)) for i in range(d)))
             else:
                 # x^k = x * x^(k-1), reduced via x^d = -(phi_0 + ... + phi_{d-1} x^{d-1})
                 prev = table[k - 1]
-                shifted = [Fraction(0)] + list(prev[: d - 1])
                 top = prev[d - 1]
-                red = [shifted[i] - top * self._phi[i] for i in range(d)]
-                table.append(tuple(red))
-        return table
+                table.append(tuple((prev[i - 1] if i else 0) - top * phi[i]
+                                   for i in range(d)))
+        self._zeta_pows = table
 
     def from_int(self, n):
         return tuple([Fraction(n)] + [Fraction(0)] * (self.degree - 1))
@@ -255,24 +284,13 @@ class CyclotomicField(Field):
             c = Fraction(c)
             if c == 0:
                 continue
-            for i, pi in enumerate(self._power(k)):
+            for i, pi in enumerate(self._zeta_pows[k % self.m]):
                 out[i] += c * pi
         return tuple(out)
 
-    def _power(self, k):
-        d = self.degree
-        while k >= len(self._powers):
-            prev = self._powers[-1]
-            shifted = [Fraction(0)] + list(prev[: d - 1])
-            top = prev[d - 1]
-            self._powers.append(
-                tuple(shifted[i] - top * self._phi[i] for i in range(d))
-            )
-        return self._powers[k]
-
     def zeta(self):
         """The distinguished primitive m-th root of unity."""
-        return tuple(self._zeta_pows[1 % self.m]) if self.m > 1 else self.one()
+        return self.zeta_pow(1)
 
     def zeta_pow(self, j: int):
         return self._zeta_pows[j % self.m]
@@ -292,7 +310,7 @@ class CyclotomicField(Field):
         out = [Fraction(0)] * d
         for k, c in enumerate(prod):
             if c != 0:
-                pk = self._powers[k]
+                pk = self._zeta_pows[k % self.m]
                 for i in range(d):
                     out[i] += c * pk[i]
         return tuple(out)

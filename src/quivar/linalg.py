@@ -126,9 +126,6 @@ class Mat:
         return Mat(self.field, [[self.data[i][j] for j in col_idx] for i in row_idx],
                    len(row_idx), len(col_idx))
 
-    def col(self, j):
-        return Mat(self.field, [[r[j]] for r in self.data], self.rows, 1)
-
     # -- elimination ---------------------------------------------------
     def rref(self):
         """Reduced row-echelon form.
@@ -178,11 +175,6 @@ class Mat:
             cols.append(v)
         return Mat(f, list(zip(*cols)) if cols else [[] for _ in range(self.cols)],
                    self.cols, len(cols))
-
-    def image_basis(self):
-        """Columns of the original matrix at the pivot positions of its RREF."""
-        _, pivots, _ = self.rref()
-        return self.submatrix(range(self.rows), pivots)
 
     def solve(self, b: "Mat"):
         """One solution x of self @ x = b, or None if inconsistent."""

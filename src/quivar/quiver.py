@@ -6,7 +6,6 @@ indexed accordingly, which keeps serialization stable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -250,8 +249,3 @@ def quiver_from_json(d: dict) -> Quiver:
                 tuple(Edge(e["name"], e["tail"], e["head"]) for e in d["edges"]),
                 d.get("provenance", {}))
     return qq
-
-
-def load_quiver(path: str) -> Quiver:
-    with open(path) as fh:
-        return quiver_from_json(json.load(fh))

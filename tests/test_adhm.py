@@ -137,6 +137,28 @@ def test_joint_spectrum_non_split_signaled():
         joint_spectrum(x, y)
 
 
+def test_joint_spectrum_rational_non_split_says_so():
+    # x^2 + 1 is irreducible over Q: the rational-root search is complete
+    x = qmat([[0, -1], [1, 0]])
+    with pytest.raises(AdhmError, match="does not split"):
+        joint_spectrum(x, Mat.zeros(QQ, 2, 2))
+
+
+@pytest.mark.parametrize("case", ["zeta_and_one", "sqrt_minus_3"])
+def test_joint_spectrum_cyclotomic_search_refusal(case):
+    # both characteristic polynomials split over Q(zeta_3), but the roots
+    # are beyond the search, which must say so rather than "does not split"
+    f = CyclotomicField(3)
+    z = f.zeta()
+    s = f.add(f.one(), f.add(z, z))  # 1 + 2 zeta = sqrt(-3)
+    assert f.mul(s, s) == f.from_int(-3)
+    a, b = {"zeta_and_one": (z, f.one()), "sqrt_minus_3": (s, f.neg(s))}[case]
+    x = Mat(f, [[a, f.zero()], [f.zero(), b]], 2, 2)
+    with pytest.raises(AdhmError, match="unsupported") as err:
+        joint_spectrum(x, Mat.identity(f, 2))
+    assert "does not split" not in str(err.value)
+
+
 def test_joint_spectrum_splits_over_cyclotomic():
     f = CyclotomicField(4)
     i = f.zeta()

@@ -96,6 +96,34 @@ def test_mckay_build(report):
     assert sorted(rep["results"]["delta"].values()) == [1, 1, 1, 1, 2]
 
 
+# sha256 of the stdout of the earlier implementation, which took Phi_m
+# from sympy and matched the McKay graph against a catalog with networkx
+@pytest.mark.parametrize("group, digest", [
+    ("cyclic:1", "b00be37b9d0b624ecb557e2ca269e024f2b5453fdfb53685f6ef5fe1512c55ae"),
+    ("cyclic:5", "e088814d20c39cec28bcbc8fac412861156c7333087694b785342d0f0ffc6a7b"),
+    ("bd:2", "a77cbae135554fed77f2ac795157e8b9d4cb1e142c9c9a488a878a5c3006dcf4"),
+    ("bd:5", "89c25cab32468b53b27916f7827831fb564801d01cae663d474882cdc3d8499c"),
+    ("bt", "9459729c5af51b3521f0fb8506fc4c641e1fdd999b32e59729afb5129a56fef9"),
+    ("bo", "63626ff53fe986653252f22d8dbf87e11cc5ace1febeeb27e16cb9c5484e4ddc"),
+    ("bi", "25b61b7803c5ee4754a983230aaf82fac5a454e45c65909310645dff52803506"),
+])
+def test_mckay_report_pinned(capsys, group, digest):
+    assert run(["mckay", "build", "--group", group]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_prime_beyond_exact_bound_is_exit_2(report, tmp_path):
+    # 2^89 - 1 is prime, but beyond the bound where the test is exact
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps({
+        "field": {"kind": "prime", "p": 2 ** 89 - 1}, "n": 1,
+        "x": [[0]], "y": [[0]], "i": [1], "j": [0]}))
+    t0 = time.perf_counter()
+    assert report("adhm", "check", "--data", str(path), expect_code=2) is None
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_rep_pipeline(report, tmp_path):
     rep_path = tmp_path / "rep.json"
     rep_path.write_text(json.dumps({

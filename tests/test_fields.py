@@ -1,9 +1,11 @@
+import time
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 
 from quivar.fields import (CyclotomicField, FieldError, PrimeField, QQ,
-                           cyclotomic_coeffs, field_from_spec)
+                           _is_prime, cyclotomic_coeffs, field_from_spec)
 
 
 def test_rationals_roundtrip():
@@ -40,6 +42,70 @@ def test_cyclotomic_polynomial_degrees():
     assert len(cyclotomic_coeffs(8)) - 1 == 4
     assert len(cyclotomic_coeffs(5)) - 1 == 4
     assert len(cyclotomic_coeffs(12)) - 1 == 4
+
+
+def _zpoly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_divisor_product_and_degree():
+    # prod over d | m of Phi_d is x^m - 1, and deg Phi_m = phi(m)
+    for m in range(1, 201):
+        prod = [1]
+        for d in range(1, m + 1):
+            if m % d == 0:
+                prod = _zpoly_mul(prod, cyclotomic_coeffs(d))
+        assert prod == [-1] + [0] * (m - 1) + [1], m
+        totient = sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
+        assert len(cyclotomic_coeffs(m)) - 1 == totient, m
+
+
+def test_cyclotomic_105_has_coefficient_minus_two():
+    # the least m with a coefficient outside {-1, 0, 1}
+    c = cyclotomic_coeffs(105)
+    assert min(c) == -2 and c.count(-2) == 2
+    assert all(set(cyclotomic_coeffs(m)) <= {-1, 0, 1} for m in range(1, 105))
+
+
+def test_from_coeffs_reduces_by_zeta_m():
+    # a coefficient list of length 3m equals its fold by zeta^m = 1
+    for m in (1, 2, 3, 5, 7, 8, 9, 12, 15):
+        f = CyclotomicField(m)
+        coeffs = [Fraction((7 * k) % 11 - 5, 1 + k % 3) for k in range(3 * m)]
+        folded = [sum(coeffs[j::m], Fraction(0)) for j in range(m)]
+        assert f.from_coeffs(coeffs) == f.from_coeffs(folded)
+        acc = f.zero()
+        for k, c in enumerate(coeffs):
+            acc = f.add(acc, f.mul(f.from_fraction(c), f.zeta_pow(k)))
+        assert f.from_coeffs(coeffs) == acc
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(100_000):
+        trial = n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+        assert _is_prime(n) == trial, n
+
+
+@pytest.mark.parametrize("n", [561, 41041, 3215031751, 3825123056546413051])
+def test_strong_pseudoprimes_rejected(n):
+    assert not _is_prime(n)
+    with pytest.raises(FieldError):
+        PrimeField(n)
+
+
+def test_large_prime_accepted_fast():
+    t0 = time.perf_counter()
+    assert PrimeField(2 ** 61 - 1).p == 2 ** 61 - 1
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_prime_beyond_exact_bound_refused():
+    with pytest.raises(FieldError, match="primality bound"):
+        PrimeField(2 ** 89 - 1)
 
 
 def test_cyclotomic_zeta_order():

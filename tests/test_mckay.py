@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -87,6 +88,95 @@ def test_z2_cartan_example():
 def test_identify_rejects_non_ade():
     with pytest.raises(McKayError):
         identify_affine_ade([[0, 3], [3, 0]])
+
+
+def doubled(n, edges):
+    """Doubled adjacency matrix: a loop adds 2 on the diagonal."""
+    a = [[0] * n for _ in range(n)]
+    for i, j in edges:
+        if i == j:
+            a[i][i] += 2
+        else:
+            a[i][j] += 1
+            a[j][i] += 1
+    return a
+
+
+def path(n):
+    return [(k, k + 1) for k in range(n - 1)]
+
+
+def cycle(n):
+    return [(k, (k + 1) % n) for k in range(n)]
+
+
+def star(*arms):
+    """Tree with centre 0 and one path arm per entry, of that many vertices."""
+    edges, nxt = [], 1
+    for size in arms:
+        prev = 0
+        for _ in range(size):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return nxt, edges
+
+
+def d_affine(n):
+    """D~(n-1): a central path of n-4 vertices with a fork at each end."""
+    m = n - 4
+    return path(m) + [(m, 0), (m + 1, 0), (m + 2, m - 1), (m + 3, m - 1)]
+
+
+# the affine ADE diagrams, as (vertex count, edge list), named by type
+AFFINE_CATALOG = {"A~0": (1, [(0, 0)]), "A~1": (2, [(0, 1), (0, 1)])}
+AFFINE_CATALOG.update({f"A~{n - 1}": (n, cycle(n)) for n in range(3, 10)})
+AFFINE_CATALOG.update({f"D~{n - 1}": (n, d_affine(n)) for n in range(5, 10)})
+AFFINE_CATALOG.update({
+    "E~6": (7, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6)]),
+    "E~7": (8, path(7) + [(3, 7)]),
+    "E~8": (9, path(8) + [(2, 8)]),
+})
+
+
+def relabel(a, perm):
+    return [[a[perm[i]][perm[j]] for j in range(len(a))] for i in range(len(a))]
+
+
+@pytest.mark.parametrize("name", sorted(AFFINE_CATALOG))
+def test_identify_names_catalog_under_relabelling(name):
+    n, edges = AFFINE_CATALOG[name]
+    a = doubled(n, edges)
+    rng = random.Random(name)
+    for _ in range(8):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert identify_affine_ade(relabel(a, perm)) == name
+
+
+NON_AFFINE = {
+    "A5": doubled(5, path(5)),
+    "D6": doubled(6, path(4) + [(3, 4), (3, 5)]),
+    "E6": doubled(*star(1, 2, 2)),
+    "E7": doubled(*star(1, 2, 3)),
+    "E8": doubled(*star(1, 2, 4)),
+    "arms-2-2-3": doubled(*star(2, 2, 3)),
+    "arms-1-3-4": doubled(*star(1, 3, 4)),
+    "arms-1-2-6": doubled(*star(1, 2, 6)),
+    "K_1,5": doubled(*star(1, 1, 1, 1, 1)),
+    "cycle-with-chord": doubled(5, cycle(5) + [(0, 2)]),
+    "triangle-with-pendant": doubled(4, cycle(3) + [(0, 3)]),
+    "path-with-loop": doubled(3, path(3) + [(0, 0)]),
+    "quadruple-loop": [[4]],
+    "triple-edge": [[0, 3], [3, 0]],
+    "asymmetric": [[0, 1, 1], [1, 0, 1], [1, 0, 0]],
+    "two-triangles": doubled(6, cycle(3) + [(3, 4), (4, 5), (5, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_AFFINE))
+def test_identify_refuses_non_affine(name):
+    with pytest.raises(McKayError):
+        identify_affine_ade(NON_AFFINE[name])
 
 
 def test_corrupted_table_rejected():

@@ -1,0 +1,37 @@
+"""The package runs on the standard library alone."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+PROBE = """
+import sys
+import quivar.cli
+from quivar.fields import CyclotomicField
+from quivar.mckay import table_by_name, verify_ade
+assert verify_ade(table_by_name("bi"))["type"] == "E~8"
+CyclotomicField(12)
+print(sorted(m for m in ("sympy", "networkx") if m in sys.modules))
+"""
+
+
+def test_core_loads_no_third_party_module():
+    # a fresh interpreter, so modules imported by other tests do not count
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_no_runtime_dependencies_declared():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == []
