@@ -3,14 +3,26 @@ their ideals in k[x,y], joint spectra, power-trace invariants, and the
 deformed (Calogero-Moser) equation.
 
 Monomials x^a y^b are ordered degree-lexicographically with x < y, so the
-staircase extracted from a triple is deterministic.
+staircase extracted from a triple is deterministic. One deglex spin of the
+cyclic vector both decides whether a triple is a Hilbert point and reads
+off its staircase.
+
+Joint spectra take characteristic polynomials by Berkowitz's
+division-free algorithm and find eigenvalues by a search that depends on
+the field: rational roots among the divisor quotients of the end
+coefficients over Q, every element of F_p for p up to
+``FP_ROOT_SEARCH_CAP`` (a larger p is refused with ``FieldError``), and
+rational multiples of roots of unity over Q(zeta_m), where a failed search
+is reported as unsupported rather than as "does not split".
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import isqrt, lcm
 
 from .fields import CyclotomicField, Field, FieldError, PrimeField, QQ
 from .linalg import Mat, col_span, subspace_contains, subspace_sum
@@ -50,26 +62,36 @@ def monomials_upto(deg: int):
     return out
 
 
-def monomial_vector(d: AdhmData, a: int, b: int) -> Mat:
-    """x^a y^b applied to the cyclic vector i."""
-    v = d.i
-    for _ in range(b):
-        v = d.y @ v
-    for _ in range(a):
-        v = d.x @ v
-    return v
+def _staircase(d: AdhmData):
+    """The staircase of the annihilator ideal of i, or None when d is not
+    a Hilbert point ([x,y] = 0, j = 0 and i cyclic).
+
+    One spin of m(x,y) i over the monomials of degree <= n in deglex
+    order: a monomial enters the staircase iff its vector is independent
+    of the vectors of the monomials already accepted. Degree n suffices,
+    since the quotient has dimension n and the staircase is an order ideal.
+    """
+    if not commutator(d.x, d.y).is_zero() or not d.j.is_zero():
+        return None
+    span = Mat.zeros(d.field, d.n, 0)
+    vecs = {}
+    staircase = []
+    for a, b in monomials_upto(d.n):
+        if span.cols == d.n:
+            break
+        # x^a y^b i is x (x^(a-1) y^b i), or y (y^(b-1) i) when a = 0
+        vec = vecs[a, b] = (d.x @ vecs[a - 1, b] if a else
+                            d.y @ vecs[a, b - 1] if b else d.i)
+        grown = subspace_sum(span, vec)
+        if grown.cols > span.cols:
+            span = grown
+            staircase.append((a, b))
+    return staircase if len(staircase) == d.n else None
 
 
 def is_hilbert_point(d: AdhmData) -> bool:
     """[x,y] = 0, j = 0, and i cyclic under x and y."""
-    if not commutator(d.x, d.y).is_zero():
-        return False
-    if not d.j.is_zero():
-        return False
-    span = Mat.zeros(d.field, d.n, 0)
-    for a, b in monomials_upto(d.n):
-        span = subspace_sum(span, monomial_vector(d, a, b))
-    return span.cols == d.n
+    return _staircase(d) is not None
 
 
 @dataclass(frozen=True)
@@ -94,27 +116,13 @@ def _minimal_generators(staircase_set, deg_bound):
 
 
 def ideal_from_triple(d: AdhmData) -> MonomialIdealView:
-    """Staircase of the annihilator ideal of the cyclic vector.
-
-    Spins m(x,y) i over monomials in deglex order; a monomial enters the
-    staircase iff its vector is independent of the previously accepted
-    ones. Degree n suffices: the quotient has dimension n and the
-    staircase is an order ideal (stabilization is checked dynamically).
-    """
-    if not is_hilbert_point(d):
+    """Staircase and leading terms of the annihilator ideal of the cyclic
+    vector, by one deglex spin (see ``_staircase``)."""
+    staircase = _staircase(d)
+    if staircase is None:
         raise AdhmError("input is not a commuting cyclic triple with j = 0")
-    span = Mat.zeros(d.field, d.n, 0)
-    staircase = []
-    for a, b in monomials_upto(d.n):
-        vec = monomial_vector(d, a, b)
-        if not subspace_contains(span, vec):
-            span = subspace_sum(span, vec)
-            staircase.append((a, b))
-    if len(staircase) != d.n:
-        raise AdhmError("spinning did not stabilize at dimension n")
-    ss = set(staircase)
     return MonomialIdealView(tuple(sorted(staircase)),
-                             _minimal_generators(ss, d.n), d.n)
+                             _minimal_generators(set(staircase), d.n), d.n)
 
 
 def is_order_ideal(staircase) -> bool:
@@ -152,52 +160,88 @@ def triple_from_staircase(staircase, fieldobj: Field = QQ) -> AdhmData:
 
 def _char_poly(m: Mat):
     """Characteristic polynomial det(t I - m), low degree first, by
-    cofactor expansion with polynomial entries. Fine for desk-scale n."""
+    Berkowitz's division-free algorithm (Inf. Process. Lett. 18, 1984).
+
+    For each leading principal block [[M, c], [r, a]] of m, the
+    coefficient vector of det(t I - M), high degree first, is multiplied
+    by the lower-triangular Toeplitz matrix with first column 1, -a, -r c,
+    -r M c, ..., -r M^(k-1) c, where M is k x k. O(n^4) field operations.
+    """
     f = m.field
-    n = m.rows
+    add, mul, neg, zero = f.add, f.mul, f.neg, f.zero()
 
-    def padd(p, q):
-        out = [f.zero()] * max(len(p), len(q))
-        for k, c in enumerate(p):
-            out[k] = f.add(out[k], c)
-        for k, c in enumerate(q):
-            out[k] = f.add(out[k], c)
-        return out
-
-    def pmul(p, q):
-        out = [f.zero()] * (len(p) + len(q) - 1)
-        for a, ca in enumerate(p):
-            for b, cb in enumerate(q):
-                out[a + b] = f.add(out[a + b], f.mul(ca, cb))
-        return out
-
-    entries = [[[f.neg(m.data[r][c])] if r != c else
-                [f.neg(m.data[r][c]), f.one()] for c in range(n)]
-               for r in range(n)]
-
-    def det(rows, cols):
-        if not rows:
-            return [f.one()]
-        r = rows[0]
-        acc = [f.zero()]
-        for k, c in enumerate(cols):
-            minor = det(rows[1:], cols[:k] + cols[k + 1:])
-            term = pmul(entries[r][c], minor)
-            if k % 2:
-                term = [f.neg(t) for t in term]
-            acc = padd(acc, term)
+    def dot(u, v):
+        acc = zero
+        for s, t in zip(u, v):
+            acc = add(acc, mul(s, t))
         return acc
 
-    return det(list(range(n)), list(range(n)))
+    poly = [f.one()]
+    for k, row in enumerate(m.data):
+        block = [r[:k] for r in m.data[:k]]
+        toeplitz = [f.one(), neg(row[k])]
+        v = [r[k] for r in m.data[:k]]
+        for _ in range(k):
+            toeplitz.append(neg(dot(row, v)))
+            v = [dot(r, v) for r in block]
+        poly = [dot(poly, toeplitz[i::-1]) for i in range(k + 2)]
+    return poly[::-1]
+
+
+# p beyond which the exhaustive root search over F_p is refused: p
+# evaluations of a polynomial of degree n <= 12 take half a second or less
+# on CPython 3.11
+FP_ROOT_SEARCH_CAP = 1 << 17
+
+
+def _divisors(n: int):
+    """Positive divisors of n != 0, ascending, by trial division up to
+    isqrt(|n|)."""
+    n = abs(n)
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def _root_candidates(poly, f):
+    """Every possible root of poly (poly[0] != 0) in the field, or None
+    when its coefficients are beyond the search."""
+    if isinstance(f, PrimeField):
+        if f.p > FP_ROOT_SEARCH_CAP:
+            raise FieldError(f"root search over F_{f.p} would try every "
+                             f"element; p exceeds the cap of "
+                             f"{FP_ROOT_SEARCH_CAP}")
+        return map(f.from_int, range(f.p))
+    # rational-root candidates; requires rational coefficients
+    fracs = []
+    for c in poly:
+        if isinstance(c, tuple):  # cyclotomic element
+            if any(x != 0 for x in c[1:]):
+                return None
+            fracs.append(c[0])
+        else:
+            fracs.append(Fraction(c))
+    den = lcm(*[x.denominator for x in fracs])
+    ints = [int(x * den) for x in fracs]
+    cand = set()
+    for pn in _divisors(ints[0]):
+        for qn in _divisors(ints[-1]):
+            cand.add(Fraction(pn, qn))
+            cand.add(Fraction(-pn, qn))
+    out = [f.from_fraction(x) for x in sorted(cand)]
+    if isinstance(f, CyclotomicField):
+        # rational coefficients: roots come in rational multiples of
+        # roots of unity as far as this searcher is concerned
+        out = [f.mul(c, f.zeta_pow(k)) for c in out for k in range(f.m)]
+    return out
 
 
 def _poly_roots(poly, f):
     """Roots in the field with multiplicity, or None when the search finds
     no root of a nonlinear factor. Rational-root extraction over Q and
-    exhaustive search over prime fields, where None means the polynomial
-    does not split; over cyclotomic fields only rational multiples of
-    roots of unity are tried, for rational coefficients, so None there
-    decides nothing."""
+    exhaustive search over prime fields up to FP_ROOT_SEARCH_CAP, where
+    None means the polynomial does not split; over cyclotomic fields only
+    rational multiples of roots of unity are tried, for rational
+    coefficients, so None there decides nothing."""
     roots = []
     cur = list(poly)
 
@@ -216,112 +260,66 @@ def _poly_roots(poly, f):
             out[k - 1] = carry
         return out
 
-    def candidates(p):
-        if isinstance(f, PrimeField):
-            return [f.from_int(a) for a in range(f.p)]
-        # rational-root candidates; requires rational coefficients
-        fracs = []
-        for c in p:
-            if isinstance(c, tuple):  # cyclotomic element
-                if any(x != 0 for x in c[1:]):
-                    return None
-                fracs.append(c[0])
-            else:
-                fracs.append(Fraction(c))
-        from math import lcm
-        den = lcm(*[x.denominator for x in fracs]) if fracs else 1
-        ints = [int(x * den) for x in fracs]
-        lead, const = ints[-1], ints[0]
-
-        def divisors(n):
-            n = abs(n)
-            return [d for d in range(1, n + 1) if n % d == 0]
-        cand = set()
-        for pn in divisors(const):
-            for qn in divisors(lead):
-                cand.add(Fraction(pn, qn))
-                cand.add(Fraction(-pn, qn))
-        out = [f.from_fraction(x) for x in sorted(cand)]
-        if isinstance(f, CyclotomicField):
-            # rational coefficients: roots come in rational multiples of
-            # roots of unity as far as this searcher is concerned
-            out = [f.mul(c, f.zeta_pow(k)) for c in out for k in range(f.m)]
-        return out
-
     while len(cur) > 1 and f.is_zero(cur[0]):  # candidates need cur[0] != 0
         roots.append(f.zero())
         cur = cur[1:]
-    # candidates of the stripped polynomial cover every deflation stage
-    # (each remaining root is still a root of it)
-    cand = candidates(cur) if len(cur) > 2 else []
-    while len(cur) > 1:
-        if len(cur) == 2:
-            roots.append(f.neg(f.div(cur[0], cur[1])))
-            break
+    if len(cur) > 2:
+        cand = _root_candidates(cur, f)
         if cand is None:
             return None
-        hit = None
+        # one pass: every root of a deflation is a root of cur, so a
+        # candidate that fails once never needs trying again
         for r in cand:
-            if f.is_zero(eval_at(cur, r)):
-                hit = r
+            while len(cur) > 2 and f.is_zero(eval_at(cur, r)):
+                roots.append(r)
+                cur = deflate(cur, r)
+            if len(cur) == 2:
                 break
-        if hit is None:
+        else:
             return None
-        roots.append(hit)
-        cur = deflate(cur, hit)
+    if len(cur) == 2:
+        roots.append(f.neg(f.div(cur[0], cur[1])))
+    return roots
+
+
+def _eigenvalues(m: Mat):
+    """Eigenvalues of m with algebraic multiplicity. Raises when the
+    characteristic polynomial does not split over Q or F_p, and over
+    Q(zeta_m) when the eigenvalue search finds no root."""
+    poly = _char_poly(m)
+    roots = _poly_roots(poly, m.field)
+    if roots is None:
+        if isinstance(m.field, CyclotomicField):
+            raise AdhmError("eigenvalue search over Q(zeta_m) is "
+                            "unsupported beyond rational multiples of "
+                            f"roots of unity: {poly}")
+        raise AdhmError(f"characteristic polynomial does not split: {poly}")
     return roots
 
 
 def joint_spectrum(x: Mat, y: Mat):
-    """Multiset of eigenvalue pairs of a commuting pair, via iterated
-    common generalized-eigenspace extraction (simultaneous
-    triangularization). Raises when a characteristic polynomial does not
-    split over Q or F_p, and over Q(zeta_m) when the eigenvalue search
-    finds no root."""
+    """Multiset of eigenvalue pairs of a commuting pair, sorted by str:
+    each eigenvalue r of x, with multiplicity k, pairs with the
+    eigenvalues of y restricted to the generalized eigenspace
+    ker (x - r)^k. Raises AdhmError when a characteristic polynomial does
+    not split over Q or F_p, and over Q(zeta_m) when the eigenvalue search
+    finds no root; raises FieldError over F_p when the search would need
+    p > FP_ROOT_SEARCH_CAP."""
     if not commutator(x, y).is_zero():
         raise AdhmError("matrices do not commute")
     f = x.field
-
-    def restrict(m, basis):
-        sol = basis.solve(m @ basis)
-        if sol is None:
+    pairs = []
+    for r, k in Counter(_eigenvalues(x)).items():
+        shifted = x - Mat.identity(f, x.rows).scale(r)
+        power = shifted
+        for _ in range(k - 1):
+            power = power @ shifted
+        basis = power.kernel_basis()
+        yr = basis.solve(y @ basis)
+        if yr is None:
             raise AdhmError("subspace not invariant")
-        return sol
-
-    def split(xm, ym, mult_ctx):
-        n = xm.rows
-        if n == 0:
-            return []
-        poly = _char_poly(xm)
-        roots = _poly_roots(poly, f)
-        if roots is None:
-            if isinstance(f, CyclotomicField):
-                raise AdhmError("eigenvalue search over Q(zeta_m) is "
-                                "unsupported beyond rational multiples of "
-                                f"roots of unity: {poly}")
-            raise AdhmError(f"characteristic polynomial does not split: {poly}")
-        out = []
-        seen = set()
-        for r in roots:
-            if r in seen:
-                continue
-            seen.add(r)
-            shifted = xm - Mat.identity(f, n).scale(r)
-            power = Mat.identity(f, n)
-            for _ in range(n):
-                power = power @ shifted
-            basis = power.kernel_basis()
-            if mult_ctx is None:
-                # recurse on y within the generalized eigenspace of x
-                yr = restrict(ym, basis)
-                xr = restrict(xm, basis)
-                for (s, dim) in split(yr, xr, "leaf"):
-                    out.extend([(r, s)] * dim)
-            else:
-                out.append((r, basis.cols))
-        return out
-
-    pairs = split(x, y, None)
+        for s, mult in Counter(_eigenvalues(yr)).items():
+            pairs.extend([(r, s)] * mult)
     return sorted(pairs, key=str)
 
 
@@ -379,32 +377,19 @@ def calogero_moser_check(d: AdhmData, lam) -> dict:
 
 def count_hilbert_orbits_f2_n2() -> int:
     """Number of GL_2(F_2)-orbits of triples (x, y, i) with [x,y] = 0,
-    j = 0, and i cyclic, by direct orbit partition."""
+    j = 0, and i cyclic. GL_2(F_2) acts freely on such triples, so this
+    is their number divided by |GL_2(F_2)| = (4 - 1)(4 - 2) = 6."""
     f = PrimeField(2)
     mats = [Mat.from_ints(f, [[a, b], [c, d]])
             for a, b, c, d in product(range(2), repeat=4)]
-    gl = [g for g in mats if not f.is_zero(g.det())]
-    gl_inv = {g: g.solve(Mat.identity(f, 2)) for g in gl}
     vecs = [Mat.from_ints(f, [[a], [b]]) for a, b in product(range(2), repeat=2)]
-    triples = set()
-    for x in mats:
-        for y in mats:
-            if not commutator(x, y).is_zero():
-                continue
-            for i in vecs:
-                span = subspace_sum(subspace_sum(col_span(i), x @ i), y @ i)
-                if span.cols == 2:
-                    triples.add((x, y, i))
-    orbits = 0
-    seen = set()
-    for t in triples:
-        if t in seen:
-            continue
-        orbits += 1
-        x, y, i = t
-        for g in gl:
-            gi = gl_inv[g]
-            seen.add((g @ x @ gi, g @ y @ gi, g @ i))
+    j = Mat.zeros(f, 1, 2)
+    points = sum(is_hilbert_point(AdhmData(2, x, y, i, j, f))
+                 for x in mats for y in mats for i in vecs)
+    orbits, rest = divmod(points, 6)
+    if rest:
+        raise AdhmError(f"{points} stable triples is not a multiple of "
+                        "|GL_2(F_2)| = 6")
     return orbits
 
 

@@ -4,7 +4,10 @@ Tables for the cyclic and binary dihedral families are generated from the
 standard formulas; the three exceptional groups (orders 24, 48, 120) ship
 as embedded exact cyclotomic data. Every table self-verifies at
 construction: class sizes, orthogonality, degree sums, and the reality and
-degree of the distinguished 2-dimensional character.
+degree of the distinguished 2-dimensional character. All of these, and
+the McKay multiplicities, use the one class-function pairing
+``CharacterTable.inner``; the McKay matrix is computed once per table and
+kept on it (``CharacterTable.mckay_matrix``).
 
 The affine ADE type of a McKay graph is read off its shape: a loop (A~0),
 a double edge (A~1), a cycle (A~n), or a tree whose branch vertices and
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .fields import CyclotomicField, FieldError
 from .quiver import Edge, Quiver
@@ -41,13 +45,13 @@ class CharacterTable:
     def degrees(self):
         return [int(self.field.rational_part(row[0])) for row in self.chars]
 
-    def inner(self, i: int, j: int) -> Fraction:
-        """Class-weighted Hermitian pairing of two character rows."""
+    def inner(self, u, v) -> Fraction:
+        """Class-weighted Hermitian pairing of two class functions (rows of
+        values on the classes): (1/|G|) sum of size * conj(u) * v."""
         f = self.field
         acc = f.zero()
-        for c, (_, size) in enumerate(self.classes):
-            term = f.mul(f.conj(self.chars[i][c]), self.chars[j][c])
-            acc = f.add(acc, f.mul(f.from_int(size), term))
+        for (_, size), a, b in zip(self.classes, u, v):
+            acc = f.add(acc, f.mul(f.from_int(size), f.mul(f.conj(a), b)))
         return f.rational_part(acc) / self.order
 
     def validate(self):
@@ -56,10 +60,12 @@ class CharacterTable:
         k = len(self.classes)
         if len(self.chars) != k:
             raise McKayError("number of characters != number of classes")
+        # the pairing is Hermitian, so (i, j) fails iff (j, i) does: j >= i
+        # suffices and meets the first failure of a row-major scan
         for i in range(k):
-            for j in range(k):
+            for j in range(i, k):
                 expect = Fraction(int(i == j))
-                if self.inner(i, j) != expect:
+                if self.inner(self.chars[i], self.chars[j]) != expect:
                     raise McKayError(f"orthogonality fails at ({i},{j})")
         if sum(d * d for d in self.degrees) != self.order:
             raise McKayError("degree squares do not sum to the group order")
@@ -73,14 +79,36 @@ class CharacterTable:
         for val in e:
             if f.conj(val) != val:
                 raise McKayError("distinguished character must be real-valued")
-        for i in range(k):
-            acc = f.zero()
-            for c, (_, size) in enumerate(self.classes):
-                acc = f.add(acc, f.mul(f.from_int(size),
-                                       f.mul(f.conj(self.chars[i][c]), e[c])))
-            mult = f.rational_part(acc) / self.order
+        for row in self.chars:
+            mult = self.inner(row, e)
             if mult.denominator != 1 or mult < 0:
                 raise McKayError("distinguished row is not a character")
+
+    @cached_property
+    def mckay_matrix(self):
+        """a[i][j] = multiplicity of L_i in L_j (x) E, as exact character
+        inner products, computed once per table; entries asserted
+        nonnegative integers and (for self-dual E) symmetric."""
+        f = self.field
+        k = len(self.chars)
+        twisted = [[f.mul(x, y) for x, y in zip(row, self.chi_e)]
+                   for row in self.chars]
+        a = [[0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(k):
+                try:
+                    val = self.inner(self.chars[i], twisted[j])
+                except FieldError:
+                    raise McKayError("non-rational multiplicity") from None
+                if val.denominator != 1 or val < 0:
+                    raise McKayError(f"multiplicity a[{i}][{j}] = {val} is "
+                                     "not a nonnegative integer")
+                a[i][j] = int(val)
+        for i in range(k):
+            for j in range(k):
+                if a[i][j] != a[j][i]:
+                    raise McKayError("McKay adjacency is not symmetric")
+        return tuple(tuple(r) for r in a)
 
 
 def cyclic_table(n: int) -> CharacterTable:
@@ -225,33 +253,9 @@ def table_by_name(name: str) -> CharacterTable:
 
 
 def mckay_quiver(t: CharacterTable):
-    """Adjacency a_ij = multiplicity of L_i in L_j (x) E, as exact
-    character inner products; entries asserted nonnegative integers and
-    (for self-dual E) symmetric."""
-    f = t.field
-    k = len(t.chars)
-    e = t.chi_e
-    a = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            acc = f.zero()
-            for c, (_, size) in enumerate(t.classes):
-                term = f.mul(f.conj(t.chars[i][c]),
-                             f.mul(t.chars[j][c], e[c]))
-                acc = f.add(acc, f.mul(f.from_int(size), term))
-            try:
-                val = f.rational_part(acc) / t.order
-            except FieldError:
-                raise McKayError("non-rational multiplicity") from None
-            if val.denominator != 1 or val < 0:
-                raise McKayError(f"multiplicity a[{i}][{j}] = {val} is not "
-                                 "a nonnegative integer")
-            a[i][j] = int(val)
-    for i in range(k):
-        for j in range(k):
-            if a[i][j] != a[j][i]:
-                raise McKayError("McKay adjacency is not symmetric")
-    return a
+    """Adjacency a_ij = multiplicity of L_i in L_j (x) E, as a fresh list
+    of lists (see ``CharacterTable.mckay_matrix``)."""
+    return [list(r) for r in t.mckay_matrix]
 
 
 def delta_vector(t: CharacterTable) -> dict:
@@ -261,7 +265,7 @@ def delta_vector(t: CharacterTable) -> dict:
 def mckay_graph_quiver(t: CharacterTable) -> Quiver:
     """The McKay quiver as a quiver object with the canonical orientation
     (each symmetric pair split with the lower-index vertex as tail)."""
-    a = mckay_quiver(t)
+    a = t.mckay_matrix
     k = len(a)
     verts = [str(i) for i in range(k)]
     edges = []
@@ -330,7 +334,7 @@ def identify_affine_ade(a) -> str:
 def verify_ade(t: CharacterTable) -> dict:
     """Identify the affine ADE type of the McKay quiver and check the
     kernel identity C delta = 0 for the degree vector delta."""
-    a = mckay_quiver(t)
+    a = t.mckay_matrix
     k = len(a)
     c = [[(2 if i == j else 0) - a[i][j] for j in range(k)] for i in range(k)]
     delta = t.degrees

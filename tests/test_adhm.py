@@ -1,15 +1,17 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 
 import pytest
 
-from quivar.adhm import (AdhmData, AdhmError, calogero_moser_check,
-                         count_codim2_ideals_f2, count_hilbert_orbits_f2_n2,
-                         ideal_from_triple, is_hilbert_point, is_order_ideal,
-                         joint_spectrum, monomials_upto, power_traces,
-                         triple_from_staircase)
-from quivar.fields import CyclotomicField, PrimeField, QQ
+from quivar.adhm import (FP_ROOT_SEARCH_CAP, AdhmData, AdhmError, _char_poly,
+                         calogero_moser_check, count_codim2_ideals_f2,
+                         count_hilbert_orbits_f2_n2, ideal_from_triple,
+                         is_hilbert_point, is_order_ideal, joint_spectrum,
+                         monomials_upto, power_traces, triple_from_staircase)
+from quivar.fields import CyclotomicField, FieldError, PrimeField, QQ
 from quivar.linalg import Mat
 
 
@@ -102,13 +104,8 @@ def test_joint_spectrum_nilpotent_and_triangular():
     assert joint_spectrum(x2, y2) == [(Fraction(1), Fraction(3))] * 2
 
 
-@pytest.mark.parametrize("xs, ys", [
-    ([0, 3, -1], [1, 2, 4]),
-    ([0, 0, 2, -5], [0, 6, 3, 0]),
-])
-def test_joint_spectrum_zero_eigenvalue(xs, ys):
-    # eigenvalue 0 beside distinct nonzero ones: the characteristic
-    # polynomial has a factor t but still splits over Q
+def conjugated_diagonal(xs, ys):
+    """p diag(xs) p^-1 and p diag(ys) p^-1 for a fixed dense p over Q."""
     n = len(xs)
     upper = qmat([[int(r == c) + (r + c if r < c else 0) for c in range(n)]
                   for r in range(n)])
@@ -121,12 +118,74 @@ def test_joint_spectrum_zero_eigenvalue(xs, ys):
                   for r in range(n)])
         return p @ d @ pinv
 
-    x, y = conj(xs), conj(ys)
+    return conj(xs), conj(ys)
+
+
+@pytest.mark.parametrize("xs, ys", [
+    ([0, 3, -1], [1, 2, 4]),
+    ([0, 0, 2, -5], [0, 6, 3, 0]),
+])
+def test_joint_spectrum_zero_eigenvalue(xs, ys):
+    # eigenvalue 0 beside distinct nonzero ones: the characteristic
+    # polynomial has a factor t but still splits over Q
+    x, y = conjugated_diagonal(xs, ys)
     want = sorted(zip(map(Fraction, xs), map(Fraction, ys)), key=str)
     spec = joint_spectrum(x, y)
     assert spec == want
     for (a, b), t in power_traces(x, y, 3).items():
         assert t == sum(ex ** a * ey ** b for ex, ey in want)
+
+
+@pytest.mark.parametrize("xs, ys", [
+    ([1, 1, 2, -3, 5, 0, 1], [2, -1, 3, 3, 0, 4, 2]),
+    ([2, -1, 2, 3, 4, 2, -5, 1], [1, 1, -2, 3, 1, 1, 0, 6]),
+])
+def test_joint_spectrum_larger_conjugated_diagonal(xs, ys):
+    # 7x7 and 8x8, each x with an eigenvalue of multiplicity 3 on which y
+    # is not scalar
+    x, y = conjugated_diagonal(xs, ys)
+    assert joint_spectrum(x, y) == sorted(
+        zip(map(Fraction, xs), map(Fraction, ys)), key=str)
+
+
+def evaluate(f, poly, t):
+    acc = f.zero()
+    for c in reversed(poly):
+        acc = f.add(f.mul(acc, t), c)
+    return acc
+
+
+@pytest.mark.parametrize("field, sizes, points", [
+    (QQ, range(1, 13), lambda n: range(n + 1)),
+    (PrimeField(7), range(1, 7), lambda n: range(7)),
+    (CyclotomicField(5), range(1, 6), lambda n: range(n + 1)),
+], ids=["Q", "F7", "Q(zeta5)"])
+def test_char_poly_matches_det(field, sizes, points):
+    # det(t I - M) at enough points to pin a monic polynomial of degree n
+    rng = random.Random(f"char-poly:{field.spec()}")
+    for n in sizes:
+        m = Mat(field, [[field.random(rng, 4) for _ in range(n)]
+                        for _ in range(n)], n, n)
+        poly = _char_poly(m)
+        assert len(poly) == n + 1 and poly[-1] == field.one()
+        for t in map(field.from_int, points(n)):
+            want = (Mat.identity(field, n).scale(t) - m).det()
+            assert evaluate(field, poly, t) == want
+
+
+def test_power_traces_newton_identities():
+    # p_k + c_{n-1} p_{k-1} + ... + c_{n-k+1} p_1 + k c_{n-k} = 0 for
+    # k <= n, with det(t I - x) = sum c_j t^j and p_k = Tr(x^k)
+    rng = random.Random("newton")
+    for n in range(1, 9):
+        x = Mat(QQ, [[QQ.random(rng, 3) for _ in range(n)] for _ in range(n)],
+                n, n)
+        c = _char_poly(x)
+        tr = power_traces(x, x @ x + Mat.identity(QQ, n), n)
+        p = [None] + [tr[(k, 0)] for k in range(1, n + 1)]
+        for k in range(1, n + 1):
+            assert p[k] + sum(c[n - i] * p[k - i] for i in range(1, k)) \
+                + k * c[n - k] == 0
 
 
 def test_joint_spectrum_non_split_signaled():
@@ -167,6 +226,33 @@ def test_joint_spectrum_splits_over_cyclotomic():
     spec = joint_spectrum(x, y)
     assert sorted(spec, key=str) == sorted([(i, f.one()), (f.neg(i), f.one())],
                                            key=str)
+
+
+def test_joint_spectrum_wide_rational_eigenvalue():
+    # the divisors of the constant term 10^12 are found in O(sqrt) time
+    x = qmat([[10 ** 12, 0], [0, 1]])
+    t0 = time.perf_counter()
+    spec = joint_spectrum(x, Mat.identity(QQ, 2))
+    assert time.perf_counter() - t0 < 1.0
+    assert spec == [(Fraction(1), Fraction(1)), (Fraction(10 ** 12), Fraction(1))]
+
+
+def test_joint_spectrum_large_prime_refused():
+    # the search over F_p would try every element: refused before it starts
+    f = PrimeField(2 ** 61 - 1)
+    t0 = time.perf_counter()
+    with pytest.raises(FieldError, match="cap"):
+        joint_spectrum(Mat.from_ints(f, [[1, 0], [0, 2]]), Mat.identity(f, 2))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_joint_spectrum_prime_under_cap_answers():
+    p = next(q for q in range(FP_ROOT_SEARCH_CAP, 1, -1)
+             if all(q % d for d in range(2, isqrt(q) + 1)))
+    f = PrimeField(p)
+    # eigenvalues at the end of the search order, so every element is tried
+    x = Mat.from_ints(f, [[p - 1, 0], [0, p - 2]])
+    assert joint_spectrum(x, Mat.identity(f, 2)) == [(p - 2, 1), (p - 1, 1)]
 
 
 def test_joint_spectrum_requires_commuting():
@@ -210,6 +296,7 @@ def test_calogero_moser_rejects():
 
 
 def test_hilbert_counts_agree():
-    orbits = count_hilbert_orbits_f2_n2()
-    ideals = count_codim2_ideals_f2()
-    assert orbits == ideals
+    # Ellingsrud-Stromme: sum over partitions lambda of 2 of q^(2 + len)
+    cells = 2 ** (2 + 1) + 2 ** (2 + 2)
+    assert count_hilbert_orbits_f2_n2() == cells == 24
+    assert count_codim2_ideals_f2() == cells

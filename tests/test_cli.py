@@ -124,6 +124,20 @@ def test_prime_beyond_exact_bound_is_exit_2(report, tmp_path):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_spectrum_root_search_cap_is_exit_2(report, tmp_path):
+    # 2^61 - 1 is prime and within the exact bound, but far beyond the
+    # exhaustive eigenvalue search
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps({
+        "field": {"kind": "prime", "p": 2 ** 61 - 1}, "n": 2,
+        "x": [[1, 0], [0, 2]], "y": [[1, 0], [0, 1]], "i": [1, 1],
+        "j": [0, 0]}))
+    t0 = time.perf_counter()
+    assert report("adhm", "spectrum", "--data", str(path),
+                  expect_code=2) is None
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_rep_pipeline(report, tmp_path):
     rep_path = tmp_path / "rep.json"
     rep_path.write_text(json.dumps({

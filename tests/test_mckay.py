@@ -29,7 +29,7 @@ def test_orthogonality():
         k = len(t.chars)
         for i in range(k):
             for j in range(k):
-                assert t.inner(i, j) == (Fraction(1) if i == j else Fraction(0))
+                assert t.inner(t.chars[i], t.chars[j]) == Fraction(int(i == j))
 
 
 def test_cyclic_doubles():
@@ -76,6 +76,18 @@ def test_mckay_cartan_matches_quiver_module():
         q = mckay_graph_quiver(t)
         assert cartan(q) == [[(2 if i == j else 0) - a[i][j]
                               for j in range(len(a))] for i in range(len(a))]
+
+
+def test_mckay_quiver_result_is_a_copy():
+    # the matrix is kept on the table; callers get their own lists
+    t = table_by_name("bd:3")
+    a = mckay_quiver(t)
+    want = [list(r) for r in a]
+    ade = verify_ade(t)
+    a[0][0] = 99
+    a.append([])
+    assert mckay_quiver(t) == want
+    assert verify_ade(t) == ade == verify_ade(table_by_name("bd:3"))
 
 
 def test_z2_cartan_example():

@@ -1,5 +1,7 @@
-"""The package runs on the standard library alone."""
+"""The package runs on the standard library alone, and the benchmark's
+tracer finds every callable it wraps."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -35,3 +37,22 @@ def test_no_runtime_dependencies_declared():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["dependencies"] == []
+
+
+def test_traced_callables_resolve():
+    # the tracer looks each (module, attribute) up when it installs, so a
+    # renamed or deleted callable would only show as a crashed traced run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    import quivar.cli  # noqa: F401  (loads every traced module)
+    missing = []
+    for entry in tracing.TIMED + tracing.COUNTED:
+        _, mod, attr = entry
+        owner = sys.modules[mod]
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append((mod, attr))
+    assert missing == []
