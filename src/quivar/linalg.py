@@ -7,6 +7,7 @@ Matrices are immutable after construction; all operations return new ones.
 
 from __future__ import annotations
 
+from functools import lru_cache, partial
 from itertools import combinations, product
 
 from .fields import Field, FieldError, PrimeField
@@ -258,13 +259,9 @@ def preimage(a: Mat, s: Mat) -> Mat:
     return col_span((n @ a).kernel_basis())
 
 
-def enumerate_subspaces(p: int, d: int):
-    """All subspaces of F_p^d as canonical column-basis matrices.
-
-    Enumerates reduced row-echelon bases, so each subspace appears once.
-    """
-    field = PrimeField(p)
-    out = []
+def _echelon_rows(p: int, d: int):
+    """The reduced row-echelon bases of all subspaces of F_p^d, as lists of
+    int rows: by dimension, then pivot columns, then free entries."""
     for k in range(d + 1):
         for pivots in combinations(range(d), k):
             free_pos = []
@@ -278,8 +275,125 @@ def enumerate_subspaces(p: int, d: int):
                     rows[r][pc] = 1
                 for (r, c), v in zip(free_pos, vals):
                     rows[r][c] = v
-                out.append(Mat.from_ints(field, rows).transpose() if k else
-                           Mat.zeros(field, d, 0))
+                yield rows
+
+
+@lru_cache(maxsize=32)
+def enumerate_subspaces(p: int, d: int):
+    """All subspaces of F_p^d as canonical column-basis matrices.
+
+    Enumerates reduced row-echelon bases, so each subspace appears once.
+    The family is cached: a repeated call returns the same tuple object.
+    """
+    field = PrimeField(p)
+    return tuple(Mat.from_ints(field, rows).transpose() if rows else
+                 Mat.zeros(field, d, 0) for rows in _echelon_rows(p, d))
+
+
+# -- packed F_p vectors ------------------------------------------------
+# A vector v of F_p^d is packed as its code sum_r v[r] p^r in 0..p^d - 1.
+# While the point space is small (p^d <= POINT_MASK_LIMIT) a subspace also
+# carries the bitmask of the codes of its points and a matrix acts by a
+# table on all codes, so membership is a shift; on a larger space a code is
+# tested digit by digit against the echelon basis and a matrix acts only on
+# the codes asked for. No work then grows with p^d beyond the small case, so
+# the subspace count alone bounds it.
+
+POINT_MASK_LIMIT = 1 << 12
+
+
+def vector_code(p: int, column) -> int:
+    """The code sum_r column[r] p^r of a vector of F_p^d."""
+    code = 0
+    for x in reversed(column):
+        code = code * p + x % p
+    return code
+
+
+def code_vector(p: int, d: int, code: int) -> list:
+    """The vector of F_p^d with the given code, as d ints."""
+    out = []
+    for _ in range(d):
+        code, x = divmod(code, p)
+        out.append(x)
+    return out
+
+
+def _code_table(p: int, data, rows: int, cols: int):
+    """Entry c is the code of data @ v, for the vector v of F_p^cols with
+    code c; built one row of the product at a time."""
+    out = [0] * p ** cols
+    for r in range(rows):
+        vals = [0]  # row r of data @ v for the codes v seen so far
+        for c in range(cols):
+            x = data[r][c] % p
+            vals = [(y + a * x) % p for a in range(p) for y in vals]
+        w = p ** r
+        out = [o + w * y for o, y in zip(out, vals)]
+    return out
+
+
+@lru_cache(maxsize=32)
+def subspace_points(p: int, d: int):
+    """The subspaces of :func:`enumerate_subspaces` in the same order, each
+    packed as ``(basis_codes, points)``: the codes of its basis columns, and
+    what :func:`point_test` reads membership from. ``points`` is the bitmask
+    of the codes of all its points when p^d <= POINT_MASK_LIMIT, and its
+    echelon basis as (pivot, basis vector) pairs otherwise."""
+    small = p ** d <= POINT_MASK_LIMIT
+    out = []
+    for rows in _echelon_rows(p, d):
+        basis = tuple(vector_code(p, row) for row in rows)
+        if small:
+            span = _code_table(p, [[row[r] for row in rows] for r in range(d)],
+                               d, len(rows))
+            bits = bytearray((p ** d + 7) >> 3)
+            for code in span:
+                bits[code >> 3] |= 1 << (code & 7)
+            points = int.from_bytes(bits, "little")
+        else:
+            points = tuple((row.index(1), tuple(row)) for row in rows)
+        out.append((basis, points))
+    return tuple(out)
+
+
+def _in_mask(mask: int, code: int) -> int:
+    return (mask >> code) & 1
+
+
+def _in_echelon(p: int, d: int, echelon, code: int) -> bool:
+    # v lies in the span exactly when it is the combination of the echelon
+    # basis with its own pivot entries as coefficients
+    v = code_vector(p, d, code)
+    w = [0] * d
+    for pivot, row in echelon:
+        a = v[pivot]
+        if a:
+            w = [(x + a * y) % p for x, y in zip(w, row)]
+    return w == v
+
+
+def point_test(p: int, d: int):
+    """``test(points, code)``: whether the vector of F_p^d with ``code`` lies
+    in a subspace packed by :func:`subspace_points` with ``points``."""
+    if p ** d <= POINT_MASK_LIMIT:
+        return _in_mask
+    return partial(_in_echelon, p, d)
+
+
+def code_map(m: Mat, codes=()):
+    """The action of a matrix over F_p on codes, defined at least on
+    ``codes``: the code of m @ v at the code of v. A list over all codes
+    when p^cols <= POINT_MASK_LIMIT, else a dict over ``codes``."""
+    p = m.field.p
+    if p ** m.cols <= POINT_MASK_LIMIT:
+        return _code_table(p, m.data, m.rows, m.cols)
+    out = {}
+    for code in codes:
+        if code not in out:
+            v = code_vector(p, m.cols, code)
+            out[code] = vector_code(p, [sum(a * x for a, x in zip(row, v))
+                                        for row in m.data])
     return out
 
 

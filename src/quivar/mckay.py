@@ -6,8 +6,9 @@ as embedded exact cyclotomic data. Every table self-verifies at
 construction: class sizes, orthogonality, degree sums, and the reality and
 degree of the distinguished 2-dimensional character. All of these, and
 the McKay multiplicities, use the one class-function pairing
-``CharacterTable.inner``; the McKay matrix is computed once per table and
-kept on it (``CharacterTable.mckay_matrix``).
+``CharacterTable.inner``, with each character row conjugated and weighted
+by its class sizes once per table; the McKay matrix is computed once per
+table and kept on it (``CharacterTable.mckay_matrix``).
 
 The affine ADE type of a McKay graph is read off its shape: a loop (A~0),
 a double edge (A~1), a cycle (A~n), or a tree whose branch vertices and
@@ -45,14 +46,29 @@ class CharacterTable:
     def degrees(self):
         return [int(self.field.rational_part(row[0])) for row in self.chars]
 
-    def inner(self, u, v) -> Fraction:
-        """Class-weighted Hermitian pairing of two class functions (rows of
-        values on the classes): (1/|G|) sum of size * conj(u) * v."""
+    def _weighted_conj(self, u):
+        """size * conj(u) on each class, scaling by the integer size."""
+        f = self.field
+        return tuple(tuple(size * c for c in f.conj(a))
+                     for (_, size), a in zip(self.classes, u))
+
+    @cached_property
+    def _weighted_chars(self):
+        return tuple(self._weighted_conj(row) for row in self.chars)
+
+    def _pair(self, weighted, v) -> Fraction:
+        """(1/|G|) sum of weighted * v, where weighted is size * conj(u)."""
         f = self.field
         acc = f.zero()
-        for (_, size), a, b in zip(self.classes, u, v):
-            acc = f.add(acc, f.mul(f.from_int(size), f.mul(f.conj(a), b)))
+        for a, b in zip(weighted, v):
+            acc = f.add(acc, f.mul(a, b))
         return f.rational_part(acc) / self.order
+
+    def inner(self, u, v) -> Fraction:
+        """Class-weighted Hermitian pairing of two class functions (rows of
+        values on the classes): (1/|G|) sum of size * conj(u) * v. The
+        table's own rows are weighted once, in ``_weighted_chars``."""
+        return self._pair(self._weighted_conj(u), v)
 
     def validate(self):
         if sum(s for _, s in self.classes) != self.order:
@@ -62,10 +78,10 @@ class CharacterTable:
             raise McKayError("number of characters != number of classes")
         # the pairing is Hermitian, so (i, j) fails iff (j, i) does: j >= i
         # suffices and meets the first failure of a row-major scan
-        for i in range(k):
+        for i, weighted in enumerate(self._weighted_chars):
             for j in range(i, k):
                 expect = Fraction(int(i == j))
-                if self.inner(self.chars[i], self.chars[j]) != expect:
+                if self._pair(weighted, self.chars[j]) != expect:
                     raise McKayError(f"orthogonality fails at ({i},{j})")
         if sum(d * d for d in self.degrees) != self.order:
             raise McKayError("degree squares do not sum to the group order")
@@ -79,8 +95,8 @@ class CharacterTable:
         for val in e:
             if f.conj(val) != val:
                 raise McKayError("distinguished character must be real-valued")
-        for row in self.chars:
-            mult = self.inner(row, e)
+        for weighted in self._weighted_chars:
+            mult = self._pair(weighted, e)
             if mult.denominator != 1 or mult < 0:
                 raise McKayError("distinguished row is not a character")
 
@@ -97,7 +113,7 @@ class CharacterTable:
         for i in range(k):
             for j in range(k):
                 try:
-                    val = self.inner(self.chars[i], twisted[j])
+                    val = self._pair(self._weighted_chars[i], twisted[j])
                 except FieldError:
                     raise McKayError("non-rational multiplicity") from None
                 if val.denominator != 1 or val < 0:

@@ -4,16 +4,28 @@ A :class:`Rep` lives on a quiver (usually a tagged double); a
 :class:`FramedRep` adds the framing maps i, j. Stability at the two
 distinguished parameters is decided by closure fixed points, and a
 finite-field brute-force enumerator serves as an independent oracle.
+
+The oracle shares no elimination with the closures. Over F_p it packs a
+vector as its base-p code and decides every containment (invariance under
+an edge, S inside Ker j, Im i inside S) on the codes of basis columns: a
+map sends each code to the code of its image, and membership of a code in
+a subspace is one bit of the subspace's point mask, or, where F_p^d has
+more than ``linalg.POINT_MASK_LIMIT`` points, a digit-by-digit check
+against its echelon basis. Its work is bounded by the subspace count that
+``limit`` caps, not by p^d or by the framing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .fields import Field, FieldError, PrimeField
-from .linalg import (Mat, col_span, enumerate_subspaces, preimage,
-                     subspace_contains, subspace_intersect, subspace_sum)
+from .linalg import (Mat, code_map, col_span, enumerate_subspaces,
+                     gaussian_binomial_total, point_test, preimage,
+                     subspace_contains, subspace_intersect, subspace_points,
+                     subspace_sum, vector_code)
 from .quiver import Quiver, check_dimvector, dot, star_pairs
 
 
@@ -277,40 +289,63 @@ def slope(theta: dict, d: dict) -> Fraction:
 DEFAULT_SUBSPACE_LIMIT = 10 ** 6
 
 
-def invariant_subspaces_bruteforce(rep: Rep, limit: int = DEFAULT_SUBSPACE_LIMIT):
-    """All graded subspaces invariant under every edge map, by exhaustive
-    enumeration of row-reduced echelon bases per vertex. Prime fields only."""
+def _invariant_tuples(rep: Rep, limit: int):
+    """The invariant graded subspaces of a representation over F_p, as
+    indices into the subspace family of each vertex.
+
+    Returns the vertices (in quiver order), their families from
+    :func:`enumerate_subspaces`, the packed families from
+    :func:`subspace_points` and a generator of the index tuples of the
+    subspaces invariant under every edge map, in lexicographic order. An
+    edge carries a tail subspace into a head subspace when the image code
+    of each tail basis column is a point of the head subspace.
+    """
     if not isinstance(rep.field, PrimeField):
         raise RepError("brute-force enumeration requires a prime field")
     p = rep.field.p
-    from .linalg import gaussian_binomial_total
     count = 1
     for d in rep.v.values():
         count *= gaussian_binomial_total(p, d)
     if count > limit:
         raise RepError(f"subspace enumeration size {count} exceeds limit {limit}")
-    per_vertex = {k: enumerate_subspaces(p, d) for k, d in rep.v.items()}
     verts = list(rep.quiver.vertices)
-    out = []
+    pos = {k: n for n, k in enumerate(verts)}
+    families = [enumerate_subspaces(p, rep.v[k]) for k in verts]
+    packed = [subspace_points(p, rep.v[k]) for k in verts]
+    tests = [point_test(p, rep.v[k]) for k in verts]
+    # edges checked once the subspace at depth n is picked: those whose
+    # later endpoint is at depth n, as (code map, tail depth, head depth)
+    checks = [[] for _ in verts]
+    for e in rep.quiver.edges:
+        t, h = pos[e.tail], pos[e.head]
+        image = code_map(rep.mats[e.name],
+                         (b for basis, _ in packed[t] for b in basis))
+        checks[max(t, h)].append((image, t, h))
+    chosen = [0] * len(verts)
+    picked = [None] * len(verts)  # (basis codes, points) per depth
 
-    def rec(idx, chosen):
-        if idx == len(verts):
-            out.append(GradedSubspace(rep.field, rep.v, dict(chosen)))
+    def rec(depth):
+        if depth == len(verts):
+            yield tuple(chosen)
             return
-        k = verts[idx]
-        for s in per_vertex[k]:
-            chosen[k] = s
-            if all(subspace_contains(_target(chosen, e), rep.mats[e.name] @ chosen[e.tail])
-                   for e in rep.quiver.edges
-                   if e.tail in chosen and e.head in chosen):
-                rec(idx + 1, chosen)
-        chosen.pop(k, None)
+        here = checks[depth]
+        for idx, sub in enumerate(packed[depth]):
+            chosen[depth] = idx
+            picked[depth] = sub
+            if all(tests[h](picked[h][1], image[b])
+                   for image, t, h in here for b in picked[t][0]):
+                yield from rec(depth + 1)
 
-    def _target(chosen, e):
-        return chosen[e.head]
+    return verts, families, packed, rec(0)
 
-    rec(0, {})
-    return out
+
+def invariant_subspaces_bruteforce(rep: Rep, limit: int = DEFAULT_SUBSPACE_LIMIT):
+    """All graded subspaces invariant under every edge map, by exhaustive
+    enumeration of row-reduced echelon bases per vertex. Prime fields only."""
+    verts, families, _, tuples = _invariant_tuples(rep, limit)
+    return [GradedSubspace(rep.field, rep.v,
+                           {k: fam[i] for k, fam, i in zip(verts, families, t)})
+            for t in tuples]
 
 
 def semistable_bruteforce(fr: FramedRep, theta: dict,
@@ -320,32 +355,55 @@ def semistable_bruteforce(fr: FramedRep, theta: dict,
 
     The criterion characterizes (semi)stability for points on the moment
     fiber; any quadruple is accepted and checked against the same
-    inequalities.
+    inequalities. A subspace lies in Ker j when j sends the code of each of
+    its basis columns to 0; it contains Im i when the code of each column of
+    i is one of its points.
     """
-    kj = ker_j(fr)
-    ii = im_i(fr)
-    tv = sum(Fraction(theta[k]) * fr.v[k] for k in fr.v)
+    th = {k: Fraction(theta[k]) for k in fr.v}
+    scale = lcm(*(t.denominator for t in th.values()))
+    weight = {k: int(t * scale) for k, t in th.items()}  # theta * scale
+    tv = sum(weight[k] * d for k, d in fr.v.items())
+    verts, _, packed, tuples = _invariant_tuples(fr.rep, limit)
+    p = fr.field.p
+    dims, in_ker, has_im = [], [], []
+    for k, fam in zip(verts, packed):
+        codes = [b for basis, _ in fam for b in basis]
+        j_image = code_map(fr.j[k], codes)
+        kernel = {b for b in codes if not j_image[b]}
+        i = fr.i[k]
+        i_codes = [vector_code(p, [row[c] for row in i.data])
+                   for c in range(i.cols)]
+        test = point_test(p, fr.v[k])
+        holds = [True] * len(fam)  # holds each column of i seen so far
+        for c in i_codes:
+            holds = [ok and test(pts, c) for ok, (_, pts) in zip(holds, fam)]
+        dims.append([len(basis) for basis, _ in fam])
+        in_ker.append([kernel.issuperset(basis) for basis, _ in fam])
+        has_im.append(holds)
+    full = [fr.v[k] for k in verts]
+    weights = [weight[k] for k in verts]
     semistable, stable = True, True
     witness = None
-    for s in invariant_subspaces_bruteforce(fr.rep, limit):
-        ts = sum(Fraction(theta[k]) * d for k, d in s.dims().items())
-        proper = not s.is_zero() and not s.is_full()
-        if kj.contains(s):
+    for t in tuples:
+        d = [dk[n] for dk, n in zip(dims, t)]
+        ts = sum(w * x for w, x in zip(weights, d))
+        proper = any(d) and d != full
+        if all(col[n] for col, n in zip(in_ker, t)):
             if ts > 0:
                 semistable = False
-                witness = witness or s
             if proper and ts >= 0:
                 stable = False
-        if s.contains(ii):
+        if all(col[n] for col, n in zip(has_im, t)):
             if ts > tv:
                 semistable = False
-                witness = witness or s
             if proper and ts >= tv:
                 stable = False
-    if not semistable:
-        stable = False
-    return {"semistable": semistable, "stable": stable,
-            "witness": witness.dims() if witness else None}
+        if not semistable:  # the first violation is the witness; all is decided
+            at = dict(zip(verts, d))
+            witness = {k: at[k] for k in fr.v}
+            stable = False
+            break
+    return {"semistable": semistable, "stable": stable, "witness": witness}
 
 
 # -- endomorphisms -----------------------------------------------------

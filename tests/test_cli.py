@@ -218,3 +218,34 @@ def test_reports_byte_identical(capsys):
     run(argv)
     second = capsys.readouterr().out
     assert first == second
+
+
+# an A2-double quadruple over F_3 with a destabilizing subspace at a
+# mixed theta; the file name is relative, since it is part of the report
+BRUTE_REP = {"quiver": "double:a2", "field": {"kind": "prime", "p": 3},
+             "v": {"1": 2, "2": 1}, "w": {"1": 1, "2": 1},
+             "mats": {"a1": [[1], [0]], "a1*": [[0, 2]]},
+             "i": {"1": [[1], [0]], "2": [[0]]},
+             "j": {"1": [[0, 1]], "2": [[1]]}}
+BRUTE_ARGV = ["rep", "brute", "--rep", "brute.json",
+              "--theta", '{"1": 2, "2": -1}']
+
+
+def test_rep_brute_report_pinned(capsys, tmp_path, monkeypatch):
+    # sha256 of the stdout of the earlier implementation, which decided
+    # each containment by row reduction of Mat products
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "brute.json").write_text(json.dumps(BRUTE_REP))
+    assert run(BRUTE_ARGV) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["results"]["witness"] == {"1": 1, "2": 0}
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "62b130082523d88f3156b6bfc9ebecd55ce1d4ac41217bbd43b05467531761c6"
+
+
+def test_rep_brute_limit_is_exit_2(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("QV_LIMIT", "3")
+    (tmp_path / "brute.json").write_text(json.dumps(BRUTE_REP))
+    assert run(BRUTE_ARGV) == 2
+    assert capsys.readouterr().out == ""

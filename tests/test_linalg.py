@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivar.fields import FieldError, PrimeField, QQ
-from quivar.linalg import (Mat, col_span, enumerate_subspaces,
-                           gaussian_binomial_total, preimage,
-                           subspace_contains, subspace_intersect,
-                           subspace_sum)
+from quivar.linalg import (POINT_MASK_LIMIT, Mat, code_map, col_span,
+                           enumerate_subspaces, gaussian_binomial_total,
+                           point_test, preimage, subspace_contains,
+                           subspace_intersect, subspace_points, subspace_sum)
 
 
 def rand_mat(field, rows, cols, rng):
@@ -106,6 +106,69 @@ def test_enumerate_subspaces_counts():
     # every enumerated subspace is in canonical column-span form
     for s in enumerate_subspaces(2, 2):
         assert s == col_span(s)
+
+
+def test_enumerate_subspaces_is_one_cached_tuple():
+    family = enumerate_subspaces(3, 2)
+    assert isinstance(family, tuple)
+    assert enumerate_subspaces(3, 2) is family
+    assert subspace_points(3, 2) is subspace_points(3, 2)
+
+
+def code(p, column):
+    return sum(int(x) * p ** r for r, x in enumerate(column))
+
+
+def vector(f, d, c):
+    return Mat.column(f, [(c // f.p ** r) % f.p for r in range(d)])
+
+
+# (2, 3) .. (5, 2) carry point masks; (67, 2) and (17, 3) have more than
+# POINT_MASK_LIMIT points and are tested against the echelon basis
+@pytest.mark.parametrize("p, d", [(2, 0), (2, 3), (3, 2), (5, 2), (67, 2),
+                                  (17, 3)])
+def test_subspace_points_follow_the_family(p, d):
+    f = PrimeField(p)
+    rng = random.Random(p * 10 + d)
+    family = enumerate_subspaces(p, d)
+    packed = subspace_points(p, d)
+    test = point_test(p, d)
+    assert len(packed) == len(family)
+    assert isinstance(packed[-1][1], int) == (p ** d <= POINT_MASK_LIMIT)
+    for s, (basis, points) in zip(family, packed):
+        cols = s.transpose().data
+        assert basis == tuple(code(p, c) for c in cols)
+        # a point is a member exactly when it lies in the subspace: every
+        # code of a small space, else the subspace's own points and others
+        if p ** d <= POINT_MASK_LIMIT:
+            codes = range(p ** d)
+        else:
+            combos = [s @ Mat.column(f, [rng.randrange(p) for _ in cols])
+                      for _ in range(3)]
+            codes = [code(p, v.transpose().data[0]) for v in combos] + \
+                [rng.randrange(p ** d) for _ in range(6)]
+        for c in codes:
+            member = subspace_contains(s, vector(f, d, c))
+            assert bool(test(points, c)) == member
+
+
+@pytest.mark.parametrize("p, rows, cols", [(2, 3, 2), (3, 2, 3), (5, 0, 2),
+                                           (5, 2, 0), (3, 2, 2), (67, 2, 2),
+                                           (67, 0, 2), (101, 14, 1)])
+def test_code_map_is_the_product_on_codes(p, rows, cols):
+    f = PrimeField(p)
+    rng = random.Random(p * 7 + rows)
+    m = rand_mat(f, rows, cols, rng)
+    codes = [rng.randrange(p ** cols) for _ in range(20)]
+    image = code_map(m, codes)
+    if p ** cols <= POINT_MASK_LIMIT:
+        assert len(image) == p ** cols  # a table over every code
+        codes = range(p ** cols)
+    else:
+        assert set(image) == set(codes)  # only the codes asked for
+    for c in codes:
+        want = (m @ vector(f, cols, c)).transpose().data[0] if rows else ()
+        assert image[c] == code(p, want)
 
 
 @settings(max_examples=40, deadline=None)

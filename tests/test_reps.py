@@ -1,13 +1,17 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from quivar.fields import PrimeField, QQ
-from quivar.linalg import Mat
-from quivar.quiver import double, jordan_quiver, type_a_quiver
+import quivar.linalg
+from quivar.linalg import (Mat, enumerate_subspaces, subspace_contains,
+                          subspace_points)
+from quivar.quiver import double, jordan_quiver, make_quiver, type_a_quiver
 from quivar.reps import (FramedRep, GradedSubspace, Rep, RepError,
-                         endomorphism_space, im_i, is_stable_minus,
+                         endomorphism_space, im_i,
+                         invariant_subspaces_bruteforce, is_stable_minus,
                          is_stable_plus, ker_j, max_core, min_closure,
                          moment_residual, preprojective_check,
                          random_framed_rep, random_rep, s_equivalence_probe,
@@ -145,6 +149,197 @@ def test_bruteforce_limit():
                            random.Random(0))
     with pytest.raises(RepError):
         semistable_bruteforce(fr, {"0": 1}, limit=3)
+
+
+# -- the reference oracle: every containment by row reduction -----------
+
+def reference_invariant_subspaces(rep):
+    """Invariant graded subspaces by the enumeration the oracle ran before
+    it packed vectors: each edge check is ``subspace_contains`` on a Mat
+    product, in the same lexicographic order over the families."""
+    per_vertex = {k: enumerate_subspaces(rep.field.p, d)
+                  for k, d in rep.v.items()}
+    verts = list(rep.quiver.vertices)
+    out = []
+
+    def rec(idx, chosen):
+        if idx == len(verts):
+            out.append(GradedSubspace(rep.field, rep.v, dict(chosen)))
+            return
+        k = verts[idx]
+        for s in per_vertex[k]:
+            chosen[k] = s
+            if all(subspace_contains(chosen[e.head],
+                                     rep.mats[e.name] @ chosen[e.tail])
+                   for e in rep.quiver.edges
+                   if e.tail in chosen and e.head in chosen):
+                rec(idx + 1, chosen)
+        chosen.pop(k, None)
+
+    rec(0, {})
+    return out
+
+
+def reference_semistable(fr, theta):
+    kj = ker_j(fr)
+    ii = im_i(fr)
+    tv = sum(Fraction(theta[k]) * fr.v[k] for k in fr.v)
+    semistable, stable = True, True
+    witness = None
+    for s in reference_invariant_subspaces(fr.rep):
+        ts = sum(Fraction(theta[k]) * d for k, d in s.dims().items())
+        proper = not s.is_zero() and not s.is_full()
+        if kj.contains(s):
+            if ts > 0:
+                semistable = False
+                witness = witness or s
+            if proper and ts >= 0:
+                stable = False
+        if s.contains(ii):
+            if ts > tv:
+                semistable = False
+                witness = witness or s
+            if proper and ts >= tv:
+                stable = False
+    if not semistable:
+        stable = False
+    return {"semistable": semistable, "stable": stable,
+            "witness": witness.dims() if witness else None}
+
+
+REFERENCE_SHAPES = [
+    (double(make_quiver(["1"], [])), [{"1": 0}, {"1": 2}, {"1": 3}]),
+    (double(jordan_quiver()), [{"0": 1}, {"0": 2}, {"0": 3}]),
+    (double(type_a_quiver(2)), [{"1": 0, "2": 2}, {"2": 1, "1": 2},
+                                {"1": 1, "2": 2}]),
+    (double(type_a_quiver(3)), [{"1": 1, "2": 0, "3": 1},
+                                {"1": 1, "2": 1, "3": 1},
+                                {"1": 2, "2": 1, "3": 0}]),
+]
+
+
+@pytest.fixture(params=["masks", "echelon"])
+def point_regime(request, monkeypatch):
+    """Runs a test once with point masks and once with every subspace
+    tested against its echelon basis, the form used on large spaces."""
+    if request.param == "echelon":
+        monkeypatch.setattr(quivar.linalg, "POINT_MASK_LIMIT", 0)
+    subspace_points.cache_clear()
+    yield request.param
+    subspace_points.cache_clear()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_packed_oracle_matches_reference(p, point_regime):
+    rng = random.Random(p)
+    f = PrimeField(p)
+    for dq, vs in REFERENCE_SHAPES:
+        for v in vs:
+            if p == 5 and sum(v.values()) > 3:
+                continue
+            for _ in range(3):
+                w = {k: rng.choice([0, 1, 1, 2]) for k in v}
+                w[rng.choice(list(v))] = 0  # no framing at some vertex
+                fr = random_framed_rep(dq, v, w, f, rng)
+                assert invariant_subspaces_bruteforce(fr.rep) == \
+                    reference_invariant_subspaces(fr.rep)
+                ks = list(v)
+                thetas = [{k: 1 for k in ks}, {k: -1 for k in ks},
+                          {k: s for k, s in zip(ks, [0, 1, -1])},
+                          {k: rng.choice([-2, 0, Fraction(1, 2)]) for k in ks}]
+                for theta in thetas:
+                    got = semistable_bruteforce(fr, theta)
+                    want = reference_semistable(fr, theta)
+                    assert got == want
+                    if got["witness"] is not None:
+                        assert list(got["witness"]) == list(want["witness"])
+
+
+def framed(q, p, v, w, mats, i, j):
+    f = PrimeField(p)
+
+    def m(rows, r, c):
+        return Mat(f, [[f.from_int(x) for x in row] for row in rows], r, c)
+
+    rep = Rep(q, f, v, {e.name: m(mats[e.name], v[e.head], v[e.tail])
+                        for e in q.edges})
+    return FramedRep(rep, w, {k: m(i[k], v[k], w[k]) for k in v},
+                     {k: m(j[k], w[k], v[k]) for k in v})
+
+
+def zeros(r, c):
+    return [[0] * c for _ in range(r)]
+
+
+STABLE = {"semistable": True, "stable": True, "witness": None}
+
+
+def unstable(witness):
+    return {"semistable": False, "stable": False, "witness": witness}
+
+
+# Inputs whose point spaces or framings are far larger than their subspace
+# families. Verdicts, witnesses and invariant counts are those of the
+# earlier row-reducing oracle, which answered each within 1 s; packed
+# work that grew with p^d or p^w would not finish here.
+LARGE_CASES = {
+    "wide framing": (
+        double(make_quiver(["1"], [])), 5, {"1": 1}, {"1": 14}, {},
+        {"1": [[0, 1, 0, 2, 0, 0, 3, 0, 0, 0, 4, 0, 0, 1]]},
+        {"1": zeros(14, 1)},
+        [unstable({"1": 1}), STABLE, unstable({"1": 1})], 2),
+    "wide framing, Jordan": (
+        double(jordan_quiver()), 5, {"0": 2}, {"0": 14},
+        {"x": [[0, 1], [0, 0]], "x*": zeros(2, 2)},
+        {"0": [[0] * 14, [0] * 13 + [2]]}, {"0": [[0, 0]] * 13 + [[0, 3]]},
+        [unstable({"0": 1}), STABLE, unstable({"0": 1})], 3),
+    "p = 1000003, d = 1": (
+        double(jordan_quiver()), 1000003, {"0": 1}, {"0": 1},
+        {"x": [[5]], "x*": [[0]]}, {"0": [[0]]}, {"0": [[0]]},
+        [unstable({"0": 1}), unstable({"0": 0}), unstable({"0": 1})], 2),
+    "p = 1000003, A2": (
+        double(type_a_quiver(2)), 1000003, {"1": 1, "2": 1},
+        {"1": 1, "2": 1}, {"a1": [[0]], "a1*": [[3]]},
+        {"1": [[0]], "2": [[7]]}, {"1": [[0]], "2": [[0]]},
+        [unstable({"1": 0, "2": 1}), unstable({"1": 0, "2": 1}),
+         unstable({"1": 1, "2": 1})], 3),
+    "p = 1009, d = 2": (
+        double(jordan_quiver()), 1009, {"0": 2}, {"0": 1},
+        {"x": zeros(2, 2), "x*": zeros(2, 2)}, {"0": [[1], [2]]},
+        {"0": [[0, 0]]}, [unstable({"0": 1})] * 3, 1012),
+    "p = 101, A2": (
+        double(type_a_quiver(2)), 101, {"1": 2, "2": 1}, {"1": 1, "2": 1},
+        {"a1": zeros(2, 1), "a1*": zeros(1, 2)},
+        {"1": [[0], [5]], "2": [[0]]}, {"1": [[3, 0]], "2": [[1]]},
+        [unstable({"1": 1, "2": 0})] * 3, 208),
+    "p = 31, d = 3": (
+        double(jordan_quiver()), 31, {"0": 3}, {"0": 1},
+        {"x": zeros(3, 3), "x*": [[0, 0, 1], [0, 0, 0], [0, 0, 0]]},
+        {"0": [[1], [2], [0]]}, {"0": [[0, 0, 4]]},
+        [unstable({"0": 1})] * 3, 66),
+}
+
+
+@pytest.mark.parametrize("name", list(LARGE_CASES))
+def test_bruteforce_scales_with_the_subspace_count(name):
+    q, p, v, w, mats, i, j, verdicts, found = LARGE_CASES[name]
+    fr = framed(q, p, v, w, mats, i, j)
+    ks = list(v)
+    thetas = [{k: 1 for k in ks}, {k: -1 for k in ks},
+              {k: s for k, s in zip(ks, [2, -1])}]
+    start = time.perf_counter()
+    for theta, verdict in zip(thetas, verdicts):
+        assert semistable_bruteforce(fr, theta) == verdict
+    assert len(invariant_subspaces_bruteforce(fr.rep)) == found
+    assert time.perf_counter() - start < 2.0
+
+
+def test_im_i_is_checked_on_every_column(point_regime):
+    # Im i is all of F_5^2: a line holds its first column but not Im i
+    fr = framed(double(make_quiver(["1"], [])), 5, {"1": 2}, {"1": 2}, {},
+                {"1": [[1, 0], [0, 1]]}, {"1": zeros(2, 2)})
+    assert semistable_bruteforce(fr, {"1": -1}) == STABLE
+    assert reference_semistable(fr, {"1": -1}) == STABLE
 
 
 def test_slope():
