@@ -115,7 +115,8 @@ class Field:
         raise NotImplementedError
 
     def __eq__(self, other):
-        return isinstance(other, Field) and self.spec() == other.spec()
+        return self is other or (isinstance(other, Field)
+                                 and self.spec() == other.spec())
 
     def __hash__(self):
         return hash(str(self.spec()))

@@ -29,6 +29,14 @@ class Mat:
         self.cols = cols
         self.data = tuple(tuple(r) for r in data)
 
+    @classmethod
+    def _of(cls, field, data, rows, cols):
+        """Trusted constructor for results computed here: ``data`` is a
+        tuple of ``rows`` row tuples of length ``cols``. No check, no copy."""
+        m = object.__new__(cls)
+        m.field, m.data, m.rows, m.cols = field, data, rows, cols
+        return m
+
     # -- constructors --------------------------------------------------
     @staticmethod
     def zeros(field, rows, cols):
@@ -98,12 +106,12 @@ class Mat:
                 for a, b in zip(r, c):
                     acc = f.add(acc, f.mul(a, b))
                 row.append(acc)
-            out.append(row)
-        return Mat(f, out, self.rows, other.cols)
+            out.append(tuple(row))
+        return Mat._of(f, tuple(out), self.rows, other.cols)
 
     def transpose(self):
-        return Mat(self.field, list(zip(*self.data)) if self.data else
-                   [[] for _ in range(self.cols)], self.cols, self.rows)
+        return Mat._of(self.field, tuple(zip(*self.data)) if self.data else
+                       ((),) * self.cols, self.cols, self.rows)
 
     def trace(self):
         f = self.field
@@ -124,8 +132,9 @@ class Mat:
                    self.rows, self.cols + other.cols)
 
     def submatrix(self, row_idx, col_idx):
-        return Mat(self.field, [[self.data[i][j] for j in col_idx] for i in row_idx],
-                   len(row_idx), len(col_idx))
+        return Mat._of(self.field,
+                       tuple(tuple(self.data[i][j] for j in col_idx)
+                             for i in row_idx), len(row_idx), len(col_idx))
 
     # -- elimination ---------------------------------------------------
     def rref(self):
@@ -157,7 +166,7 @@ class Mat:
             r += 1
             if r == self.rows:
                 break
-        return r, pivots, Mat(f, m, self.rows, self.cols)
+        return r, pivots, Mat._of(f, tuple(map(tuple, m)), self.rows, self.cols)
 
     def rank(self):
         return self.rref()[0]

@@ -2,8 +2,18 @@
 
 A :class:`Rep` lives on a quiver (usually a tagged double); a
 :class:`FramedRep` adds the framing maps i, j. Stability at the two
-distinguished parameters is decided by closure fixed points, and a
-finite-field brute-force enumerator serves as an independent oracle.
+distinguished parameters is decided by one spin, over any field: keep a
+reduced echelon basis per vertex, reduce each new vector once against it,
+and push along the outgoing maps only the vectors that enlarge it, until
+the seeds' closure is found or every vertex is full. At theta = -1 the
+x-spin of the columns of i must fill everything. At theta = +1 no nonzero
+x-invariant subspace may lie in Ker j; S is x-invariant and inside Ker j
+exactly when Ann(S) is x^T-invariant along the reversed edges and contains
+the rows of j, so this is the transpose-dual spin of the rows of j, which
+must fill everything too. ``min_closure`` is the x-spin of a graded
+subspace and ``max_core`` the annihilator of the x^T-spin of its
+annihilator. A finite-field brute-force enumerator serves as an
+independent oracle.
 
 The oracle shares no elimination with the closures. Over F_p it packs a
 vector as its base-p code and decides every containment (invariance under
@@ -22,10 +32,9 @@ from fractions import Fraction
 from math import lcm
 
 from .fields import Field, FieldError, PrimeField
-from .linalg import (Mat, code_map, col_span, enumerate_subspaces,
-                     gaussian_binomial_total, point_test, preimage,
-                     subspace_contains, subspace_intersect, subspace_points,
-                     subspace_sum, vector_code)
+from .linalg import (Mat, annihilator_rows, code_map, col_span,
+                     enumerate_subspaces, gaussian_binomial_total, point_test,
+                     subspace_contains, subspace_points, vector_code)
 from .quiver import Quiver, check_dimvector, dot, star_pairs
 
 
@@ -95,15 +104,25 @@ class GradedSubspace:
         self.ambient = dict(ambient)
         self.bases = {k: col_span(bases[k]) for k in ambient}
 
+    @classmethod
+    def _canonical(cls, field, ambient: dict, bases: dict):
+        """Trusted constructor: each basis is already canonical, as
+        :func:`col_span` returns it, so none is reduced again."""
+        out = cls.__new__(cls)
+        out.field = field
+        out.ambient = dict(ambient)
+        out.bases = {k: bases[k] for k in ambient}
+        return out
+
     @staticmethod
     def zero(field, ambient):
-        return GradedSubspace(field, ambient,
-                              {k: Mat.zeros(field, d, 0) for k, d in ambient.items()})
+        return GradedSubspace._canonical(
+            field, ambient, {k: Mat.zeros(field, d, 0) for k, d in ambient.items()})
 
     @staticmethod
     def full(field, ambient):
-        return GradedSubspace(field, ambient,
-                              {k: Mat.identity(field, d) for k, d in ambient.items()})
+        return GradedSubspace._canonical(
+            field, ambient, {k: Mat.identity(field, d) for k, d in ambient.items()})
 
     def dims(self):
         return {k: b.cols for k, b in self.bases.items()}
@@ -227,34 +246,96 @@ def s_equivalence_probe(r1: Rep, r2: Rep, maxlen: int) -> dict:
 
 # -- invariant-subspace closures ---------------------------------------
 
+def _arrows(rep: Rep, dual: bool = False) -> dict:
+    """Per vertex, the maps leaving it as (target vertex, matrix rows): the
+    edge maps x_a, or with ``dual`` their transposes along reversed edges."""
+    out = {k: [] for k in rep.v}
+    for e in rep.quiver.edges:
+        m = rep.mats[e.name]
+        if dual:
+            out[e.head].append((e.tail, m.transpose().data))
+        else:
+            out[e.tail].append((e.head, m.data))
+    return out
+
+
+def _spin(f, dims: dict, arrows: dict, seeds):
+    """Spin the seed vectors under the arrows.
+
+    Keeps one reduced echelon basis per vertex, as {pivot: row}. Each vector
+    is reduced once against the basis at its vertex; only a vector that
+    enlarges the basis is normalised, added (clearing its pivot from the
+    other rows) and pushed along the arrows leaving its vertex. Returns the
+    bases of the least arrow-closed graded subspace containing the seeds
+    and whether it is everything; the spin stops as soon as it is.
+    """
+    zero = f.zero()
+    add, sub, mul = f.add, f.sub, f.mul
+    bases = {k: {} for k in dims}
+    missing = sum(dims.values())
+    pending = list(seeds)
+    while pending and missing:
+        k, vec = pending.pop()
+        rows = bases[k]
+        for pc, row in rows.items():
+            c = vec[pc]
+            if c != zero:
+                vec = [sub(a, mul(c, b)) for a, b in zip(vec, row)]
+        pivot = next((n for n, a in enumerate(vec) if a != zero), None)
+        if pivot is None:
+            continue
+        inv = f.inv(vec[pivot])
+        vec = [mul(inv, a) for a in vec]
+        for pc, row in rows.items():
+            c = row[pivot]
+            if c != zero:
+                rows[pc] = [sub(a, mul(c, b)) for a, b in zip(row, vec)]
+        rows[pivot] = vec
+        missing -= 1
+        support = [(n, a) for n, a in enumerate(vec) if a != zero]
+        for head, m in arrows[k]:
+            image = []
+            for mrow in m:
+                acc = zero
+                for n, a in support:
+                    acc = add(acc, mul(mrow[n], a))
+                image.append(acc)
+            pending.append((head, image))
+    return bases, missing == 0
+
+
+def _column_basis(field, rows: dict, d: int) -> Mat:
+    """The canonical column basis (as :func:`col_span` gives it) of the span
+    of a reduced echelon basis {pivot: row} of F^d."""
+    cols = [rows[pc] for pc in sorted(rows)]
+    return Mat._of(field, tuple(zip(*cols)) if cols else ((),) * d,
+                   d, len(cols))
+
+
 def min_closure(rep: Rep, seed: GradedSubspace) -> GradedSubspace:
-    """Least x-invariant graded subspace containing the seed."""
-    cur = seed
-    for _ in range(rep.total_dim() + 1):
-        bases = dict(cur.bases)
-        for e in rep.quiver.edges:
-            img = rep.mats[e.name] @ cur.bases[e.tail]
-            bases[e.head] = subspace_sum(bases[e.head], img)
-        nxt = GradedSubspace(rep.field, cur.ambient, bases)
-        if nxt == cur:
-            return cur
-        cur = nxt
-    return cur
+    """Least x-invariant graded subspace containing the seed: the spin of
+    its basis columns under the edge maps."""
+    f = rep.field
+    bases, _ = _spin(f, rep.v, _arrows(rep),
+                     ((k, col) for k in rep.v for col in zip(*seed.bases[k].data)))
+    return GradedSubspace._canonical(
+        f, rep.v, {k: _column_basis(f, bases[k], d) for k, d in rep.v.items()})
 
 
 def max_core(rep: Rep, bound: GradedSubspace) -> GradedSubspace:
-    """Greatest x-invariant graded subspace contained in the bound."""
-    cur = bound
-    for _ in range(rep.total_dim() + 1):
-        bases = dict(cur.bases)
-        for e in rep.quiver.edges:
-            pre = preimage(rep.mats[e.name], cur.bases[e.head])
-            bases[e.tail] = subspace_intersect(bases[e.tail], pre)
-        nxt = GradedSubspace(rep.field, cur.ambient, bases)
-        if nxt == cur:
-            return cur
-        cur = nxt
-    return cur
+    """Greatest x-invariant graded subspace contained in the bound.
+
+    S is x-invariant exactly when Ann(S) is x^T-invariant along the reversed
+    edges, and S lies in K exactly when Ann(S) contains Ann(K); so the core
+    is the annihilator of the x^T-spin of Ann(K).
+    """
+    f = rep.field
+    bases, _ = _spin(f, rep.v, _arrows(rep, dual=True),
+                     ((k, row) for k in rep.v
+                      for row in annihilator_rows(bound.bases[k]).data))
+    return GradedSubspace(f, rep.v, {
+        k: Mat(f, [bases[k][pc] for pc in sorted(bases[k])], len(bases[k]),
+               d).kernel_basis() for k, d in rep.v.items()})
 
 
 def ker_j(fr: FramedRep) -> GradedSubspace:
@@ -268,13 +349,17 @@ def im_i(fr: FramedRep) -> GradedSubspace:
 
 
 def is_stable_plus(fr: FramedRep) -> bool:
-    """No nonzero invariant graded subspace inside Ker j."""
-    return max_core(fr.rep, ker_j(fr)).is_zero()
+    """No nonzero invariant graded subspace inside Ker j: dually, the
+    x^T-spin of the rows of j along the reversed edges is everything."""
+    return _spin(fr.field, fr.v, _arrows(fr.rep, dual=True),
+                 ((k, row) for k in fr.v for row in fr.j[k].data))[1]
 
 
 def is_stable_minus(fr: FramedRep) -> bool:
-    """The invariant closure of Im i is everything."""
-    return min_closure(fr.rep, im_i(fr)).is_full()
+    """The invariant closure of Im i is everything: the x-spin of the
+    columns of i is everything."""
+    return _spin(fr.field, fr.v, _arrows(fr.rep),
+                 ((k, col) for k in fr.v for col in zip(*fr.i[k].data)))[1]
 
 
 def slope(theta: dict, d: dict) -> Fraction:
@@ -343,8 +428,8 @@ def invariant_subspaces_bruteforce(rep: Rep, limit: int = DEFAULT_SUBSPACE_LIMIT
     """All graded subspaces invariant under every edge map, by exhaustive
     enumeration of row-reduced echelon bases per vertex. Prime fields only."""
     verts, families, _, tuples = _invariant_tuples(rep, limit)
-    return [GradedSubspace(rep.field, rep.v,
-                           {k: fam[i] for k, fam, i in zip(verts, families, t)})
+    return [GradedSubspace._canonical(
+                rep.field, rep.v, {k: fam[i] for k, fam, i in zip(verts, families, t)})
             for t in tuples]
 
 
@@ -359,11 +444,21 @@ def semistable_bruteforce(fr: FramedRep, theta: dict,
     its basis columns to 0; it contains Im i when the code of each column of
     i is one of its points.
     """
-    th = {k: Fraction(theta[k]) for k in fr.v}
-    scale = lcm(*(t.denominator for t in th.values()))
-    weight = {k: int(t * scale) for k, t in th.items()}  # theta * scale
-    tv = sum(weight[k] * d for k, d in fr.v.items())
-    verts, _, packed, tuples = _invariant_tuples(fr.rep, limit)
+    return _bruteforce_reports(fr, [theta], limit)[0]
+
+
+def _bruteforce_reports(fr: FramedRep, thetas, limit: int = DEFAULT_SUBSPACE_LIMIT):
+    """The report of :func:`semistable_bruteforce` at each theta of
+    ``thetas``, all from one scan of the invariant graded subspaces; the
+    scan stops once every theta has its first violation."""
+    verts = list(fr.quiver.vertices)
+    undecided = []  # (index, theta * scale per vertex, its pairing with v)
+    for n, theta in enumerate(thetas):
+        th = [Fraction(theta[k]) for k in verts]
+        scale = lcm(*(t.denominator for t in th))
+        weight = [int(t * scale) for t in th]
+        undecided.append((n, weight, sum(w * fr.v[k] for w, k in zip(weight, verts))))
+    _, _, packed, tuples = _invariant_tuples(fr.rep, limit)
     p = fr.field.p
     dims, in_ker, has_im = [], [], []
     for k, fam in zip(verts, packed):
@@ -381,29 +476,34 @@ def semistable_bruteforce(fr: FramedRep, theta: dict,
         in_ker.append([kernel.issuperset(basis) for basis, _ in fam])
         has_im.append(holds)
     full = [fr.v[k] for k in verts]
-    weights = [weight[k] for k in verts]
-    semistable, stable = True, True
-    witness = None
+    semistable = [True] * len(thetas)
+    stable = [True] * len(thetas)
+    witness = [None] * len(thetas)
     for t in tuples:
+        ker = all(col[n] for col, n in zip(in_ker, t))
+        im = all(col[n] for col, n in zip(has_im, t))
+        if not (ker or im):
+            continue
         d = [dk[n] for dk, n in zip(dims, t)]
-        ts = sum(w * x for w, x in zip(weights, d))
         proper = any(d) and d != full
-        if all(col[n] for col, n in zip(in_ker, t)):
-            if ts > 0:
-                semistable = False
-            if proper and ts >= 0:
-                stable = False
-        if all(col[n] for col, n in zip(has_im, t)):
-            if ts > tv:
-                semistable = False
-            if proper and ts >= tv:
-                stable = False
-        if not semistable:  # the first violation is the witness; all is decided
-            at = dict(zip(verts, d))
-            witness = {k: at[k] for k in fr.v}
-            stable = False
-            break
-    return {"semistable": semistable, "stable": stable, "witness": witness}
+        decided = False
+        for n, weight, tv in undecided:
+            ts = sum(w * x for w, x in zip(weight, d))
+            if ker and ts > 0 or im and ts > tv:
+                # the first violation is the witness; this theta is decided
+                semistable[n] = stable[n] = False
+                at = dict(zip(verts, d))
+                witness[n] = {k: at[k] for k in fr.v}
+                decided = True
+            elif proper and (ker and ts >= 0 or im and ts >= tv):
+                stable[n] = False
+        if decided:
+            undecided = [u for u in undecided if semistable[u[0]]]
+            if not undecided:
+                break
+    reports = [{"semistable": a, "stable": b, "witness": c}
+               for a, b, c in zip(semistable, stable, witness)]
+    return reports
 
 
 # -- endomorphisms -----------------------------------------------------

@@ -249,3 +249,46 @@ def test_rep_brute_limit_is_exit_2(capsys, tmp_path, monkeypatch):
     (tmp_path / "brute.json").write_text(json.dumps(BRUTE_REP))
     assert run(BRUTE_ARGV) == 2
     assert capsys.readouterr().out == ""
+
+
+# a rational Jordan-double quadruple, stable at theta = -1 only, and an
+# A2-double quadruple over F_3 with no framing at vertex 2, stable at
+# theta = +1 only; both verdicts come from the closure deciders
+STABLE_REPS = {
+    "rational": {"quiver": "double:jordan", "field": {"kind": "rational"},
+                 "v": {"0": 3}, "w": {"0": 1},
+                 "mats": {"x": [["0", "1", "0"], ["0", "0", "1"],
+                                ["0", "0", "0"]],
+                          "x*": [["0", "1/2", "0"], ["0", "0", "0"],
+                                 ["0", "0", "0"]]},
+                 "i": {"0": [["0"], ["0"], ["1"]]},
+                 "j": {"0": [["0", "0", "-3"]]}},
+    "f3": {"quiver": "double:a2", "field": {"kind": "prime", "p": 3},
+           "v": {"1": 2, "2": 1}, "w": {"1": 1, "2": 0},
+           "mats": {"a1": [[1], [0]], "a1*": [[1, 2]]},
+           "i": {"1": [[0], [0]], "2": [[]]},
+           "j": {"1": [[2, 0]], "2": []}},
+}
+
+
+@pytest.mark.parametrize("name, theta, stable, digest", [
+    ("rational", "plus", False,
+     "9378781328a07b093064c809a8c8b509e6c580e40a6736731eca2e23b86f14fc"),
+    ("rational", "minus", True,
+     "2c2d9d57840b7b04552ebea90c9354747cbd6efeee2dd50c9e12a26ec18969d8"),
+    ("f3", "plus", True,
+     "d270ded44932b2911312276b4e318002a088170eb3e1c52cfe37f29026c5b41c"),
+    ("f3", "minus", False,
+     "91417ff0c2a9fb9d442f1789d1cb152481183cbe01df60351b3baec4e42b9910"),
+])
+def test_rep_stable_report_pinned(capsys, tmp_path, monkeypatch, name, theta,
+                                  stable, digest):
+    # sha256 of the stdout of the earlier implementation, which decided
+    # both stabilities by Kleene fixed points of the closures
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"{name}.json").write_text(json.dumps(STABLE_REPS[name]))
+    assert run(["rep", "stable", "--rep", f"{name}.json",
+                "--theta", theta]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["results"]["stable"] is stable
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

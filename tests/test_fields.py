@@ -157,3 +157,13 @@ def test_random_elements_deterministic():
     a = [f.random(random.Random(42)) for _ in range(5)]
     b = [f.random(random.Random(42)) for _ in range(5)]
     assert a == b
+
+
+def test_field_equality_is_by_spec_with_identity_first():
+    f = PrimeField(7)
+    assert f == f and f == PrimeField(7) and f != PrimeField(5) and f != QQ
+    assert CyclotomicField(5) == CyclotomicField(5)
+    # a field equals itself without its spec being built
+    g = PrimeField(11)
+    g.spec = None
+    assert g == g

@@ -67,6 +67,26 @@ def test_empty_products():
     assert prod.is_zero()
 
 
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0), (2, 3),
+                                        (3, 2)])
+def test_computed_matrices_equal_validated_ones(rows, cols):
+    # rref, transpose, submatrix and products skip validation; their
+    # results must be the matrices the validating constructor builds
+    rng = random.Random(rows * 7 + cols)
+    for f in (QQ, PrimeField(5)):
+        m = rand_mat(f, rows, cols, rng)
+        other = rand_mat(f, cols, 2, rng)
+        half = list(range(0, cols, 2))
+        for got in (m.rref()[2], m.transpose(), m.submatrix(range(rows), half),
+                    m @ other):
+            assert type(got.data) is tuple
+            assert all(type(r) is tuple and len(r) == got.cols for r in got.data)
+            assert len(got.data) == got.rows
+            assert got == Mat(f, got.data, got.rows, got.cols)
+        assert (m.transpose().rows, m.transpose().cols) == (cols, rows)
+        assert m.transpose().transpose() == m
+
+
 def test_shape_mismatch_raises():
     with pytest.raises(FieldError):
         Mat.from_ints(QQ, [[1, 2]]) @ Mat.from_ints(QQ, [[1, 2]])

@@ -6,11 +6,13 @@ import pytest
 
 from quivar.fields import PrimeField, QQ
 import quivar.linalg
-from quivar.linalg import (Mat, enumerate_subspaces, subspace_contains,
-                          subspace_points)
-from quivar.quiver import double, jordan_quiver, make_quiver, type_a_quiver
+from quivar.linalg import (Mat, annihilator_rows, enumerate_subspaces,
+                           preimage, subspace_contains, subspace_intersect,
+                           subspace_points, subspace_sum)
+from quivar.quiver import (double, jordan_quiver, make_quiver, opposite,
+                           type_a_quiver)
 from quivar.reps import (FramedRep, GradedSubspace, Rep, RepError,
-                         endomorphism_space, im_i,
+                         _bruteforce_reports, endomorphism_space, im_i,
                          invariant_subspaces_bruteforce, is_stable_minus,
                          is_stable_plus, ker_j, max_core, min_closure,
                          moment_residual, preprojective_check,
@@ -151,6 +153,136 @@ def test_bruteforce_limit():
         semistable_bruteforce(fr, {"0": 1}, limit=3)
 
 
+# -- the reference closures: Kleene fixed points -------------------------
+
+def reference_min_closure(rep, seed):
+    """Least invariant subspace over the seed by the iteration the closures
+    ran before the spin: add every edge image of the current subspace,
+    re-spanning each vertex, until nothing changes."""
+    cur = seed
+    for _ in range(rep.total_dim() + 1):
+        bases = dict(cur.bases)
+        for e in rep.quiver.edges:
+            img = rep.mats[e.name] @ cur.bases[e.tail]
+            bases[e.head] = subspace_sum(bases[e.head], img)
+        nxt = GradedSubspace(rep.field, cur.ambient, bases)
+        if nxt == cur:
+            return cur
+        cur = nxt
+    return cur
+
+
+def reference_max_core(rep, bound):
+    """Greatest invariant subspace under the bound by the iteration the
+    closures ran before the spin: cut every tail down to the preimage of
+    its head, until nothing changes."""
+    cur = bound
+    for _ in range(rep.total_dim() + 1):
+        bases = dict(cur.bases)
+        for e in rep.quiver.edges:
+            pre = preimage(rep.mats[e.name], cur.bases[e.head])
+            bases[e.tail] = subspace_intersect(bases[e.tail], pre)
+        nxt = GradedSubspace(rep.field, cur.ambient, bases)
+        if nxt == cur:
+            return cur
+        cur = nxt
+    return cur
+
+
+def annihilator(s):
+    """Ann(S) as a graded subspace of column vectors of the same ambient."""
+    return GradedSubspace(s.field, s.ambient, {
+        k: annihilator_rows(b).transpose() for k, b in s.bases.items()})
+
+
+def transposed(rep):
+    """The representation x^T of the opposite quiver."""
+    return Rep(opposite(rep.quiver), rep.field, rep.v,
+               {name: m.transpose() for name, m in rep.mats.items()})
+
+
+CLOSURE_SHAPES = [
+    (double(make_quiver(["1"], [])), [{"1": 0}, {"1": 1}, {"1": 2},
+                                      {"1": 3}]),
+    (double(jordan_quiver()), [{"0": 0}, {"0": 1}, {"0": 2}, {"0": 3}]),
+    (double(type_a_quiver(2)), [{"1": 0, "2": 2}, {"1": 2, "2": 1},
+                                {"1": 1, "2": 2}, {"1": 2, "2": 2}]),
+    (double(type_a_quiver(3)), [{"1": 1, "2": 0, "3": 1},
+                                {"1": 1, "2": 1, "3": 1},
+                                {"1": 2, "2": 1, "3": 0},
+                                {"1": 1, "2": 2, "3": 1}]),
+]
+
+
+def sparse_mat(f, rows, cols, rng):
+    # mostly zero, so that proper invariant subspaces are common
+    return Mat(f, [[f.random(rng, 3) if rng.random() < 0.4 else f.zero()
+                    for _ in range(cols)] for _ in range(rows)], rows, cols)
+
+
+def low_rank(f, m, rng):
+    """A matrix of the shape of m whose columns are multiples of one."""
+    u = [f.random(rng, 3) for _ in range(m.rows)]
+    c = [f.random(rng, 3) for _ in range(m.cols)]
+    return Mat(f, [[f.mul(a, b) for b in c] for a in u], m.rows, m.cols)
+
+
+def seeded_framed(dq, v, f, rng):
+    """A sparse framed quadruple with w in 0..3 per vertex (0 at one), and
+    i, j of rank at most one half of the time."""
+    w = {k: rng.choice([0, 1, 2, 3]) for k in v}
+    w[rng.choice(list(v))] = 0
+    rep = Rep(dq, f, v, {e.name: sparse_mat(f, v[e.head], v[e.tail], rng)
+                         for e in dq.edges})
+    i = {k: sparse_mat(f, v[k], w[k], rng) for k in v}
+    j = {k: sparse_mat(f, w[k], v[k], rng) for k in v}
+    if rng.random() < 0.5:
+        i = {k: low_rank(f, m, rng) for k, m in i.items()}
+        j = {k: low_rank(f, m, rng) for k, m in j.items()}
+    return FramedRep(rep, w, i, j)
+
+
+def random_graded(f, v, rng):
+    return GradedSubspace(f, v, {k: sparse_mat(f, d, rng.randint(0, d), rng)
+                                 for k, d in v.items()})
+
+
+def check_closures_on_seeded_reps(field, per_shape, seed):
+    """Spin closures and deciders against the reference closures on
+    ``per_shape`` seeded quadruples for each dimension vector of
+    CLOSURE_SHAPES; returns the number of quadruples checked."""
+    rng = random.Random(seed)
+    count = 0
+    for dq, vs in CLOSURE_SHAPES:
+        for v in vs:
+            for _ in range(per_shape):
+                fr = seeded_framed(dq, v, field, rng)
+                rep, image, kernel = fr.rep, im_i(fr), ker_j(fr)
+                closure = reference_min_closure(rep, image)
+                core = reference_max_core(rep, kernel)
+                assert min_closure(rep, image) == closure
+                assert max_core(rep, kernel) == core
+                assert is_stable_minus(fr) == closure.is_full()
+                assert is_stable_plus(fr) == core.is_zero()
+                s = random_graded(field, v, rng)
+                assert min_closure(rep, s) == reference_min_closure(rep, s)
+                s_core = max_core(rep, s)
+                assert s_core == reference_max_core(rep, s)
+                # S is x-invariant inside K iff Ann(S) is x^T-invariant
+                # and contains Ann(K)
+                assert s_core == annihilator(reference_min_closure(
+                    transposed(rep), annihilator(s)))
+                count += 1
+    return count
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3),
+                                   PrimeField(5), QQ],
+                         ids=["F2", "F3", "F5", "Q"])
+def test_spin_closures_equal_the_reference(field):
+    assert check_closures_on_seeded_reps(field, 10, str(field)) == 160
+
+
 # -- the reference oracle: every containment by row reduction -----------
 
 def reference_invariant_subspaces(rep):
@@ -247,12 +379,17 @@ def test_packed_oracle_matches_reference(p, point_regime):
                 thetas = [{k: 1 for k in ks}, {k: -1 for k in ks},
                           {k: s for k, s in zip(ks, [0, 1, -1])},
                           {k: rng.choice([-2, 0, Fraction(1, 2)]) for k in ks}]
+                wants = []
                 for theta in thetas:
                     got = semistable_bruteforce(fr, theta)
                     want = reference_semistable(fr, theta)
                     assert got == want
                     if got["witness"] is not None:
                         assert list(got["witness"]) == list(want["witness"])
+                    wants.append(want)
+                # all four thetas from one scan, as acceptance criterion 4
+                # takes theta = +1 and -1
+                assert _bruteforce_reports(fr, thetas) == wants
 
 
 def framed(q, p, v, w, mats, i, j):
@@ -364,3 +501,10 @@ def test_graded_subspace_canonical():
     assert s1 == s2 and hash(s1) == hash(s2)
     assert GradedSubspace.zero(f2, amb).is_zero()
     assert GradedSubspace.full(f2, amb).is_full()
+    # zero and full skip canonicalising; they equal the canonical ones
+    amb = {"a": 0, "b": 1, "c": 3}
+    for f in (f2, QQ):
+        zero = {k: Mat.zeros(f, d, 0) for k, d in amb.items()}
+        full = {k: Mat.identity(f, d) for k, d in amb.items()}
+        assert GradedSubspace.zero(f, amb) == GradedSubspace(f, amb, zero)
+        assert GradedSubspace.full(f, amb) == GradedSubspace(f, amb, full)

@@ -1,5 +1,6 @@
-"""The package runs on the standard library alone, and the benchmark's
-tracer finds every callable it wraps."""
+"""The package runs on the standard library alone, the benchmark's tracer
+finds every callable it wraps, and the stability closures share no code
+with the brute-force oracle that checks them."""
 
 import importlib.util
 import os
@@ -56,3 +57,28 @@ def test_traced_callables_resolve():
         if owner is None:
             missing.append((mod, attr))
     assert missing == []
+
+
+ORACLE_NAMES = {"_invariant_tuples", "code_map", "subspace_points",
+                "point_test", "vector_code"}
+
+
+def _names(code):
+    """The global and attribute names a code object and the code objects
+    nested in it (comprehensions, generators, inner functions) refer to."""
+    out = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            out |= _names(const)
+    return out
+
+
+def test_closures_share_no_code_with_the_bruteforce_oracle():
+    # the brute-force oracle checks the closures, so the closures must not
+    # reach any of its packed machinery
+    from quivar import reps
+    closure_code = [reps.min_closure, reps.max_core, reps.is_stable_plus,
+                    reps.is_stable_minus, reps._spin, reps._arrows,
+                    reps._column_basis]
+    for fn in closure_code:
+        assert not _names(fn.__code__) & ORACLE_NAMES, fn.__name__
