@@ -168,14 +168,7 @@ def _char_poly(m: Mat):
     -r M c, ..., -r M^(k-1) c, where M is k x k. O(n^4) field operations.
     """
     f = m.field
-    add, mul, neg, zero = f.add, f.mul, f.neg, f.zero()
-
-    def dot(u, v):
-        acc = zero
-        for s, t in zip(u, v):
-            acc = add(acc, mul(s, t))
-        return acc
-
+    dot, neg = f.dot, f.neg
     poly = [f.one()]
     for k, row in enumerate(m.data):
         block = [r[:k] for r in m.data[:k]]
@@ -324,18 +317,30 @@ def joint_spectrum(x: Mat, y: Mat):
 
 
 def power_traces(x: Mat, y: Mat, maxdeg: int):
-    """Table of Tr(x^a y^b) for a + b <= maxdeg (commuting pair)."""
+    """Table of Tr(x^a y^b) for a + b <= maxdeg (commuting pair).
+
+    Only the powers x^a and y^b with 1 <= a, b <= maxdeg are formed, never
+    a product x^a y^b: its trace is the sum over i of (row i of x^a) .
+    (column i of y^b), one inner product of the entries of x^a read by rows
+    and those of y^b read by columns."""
     if not commutator(x, y).is_zero():
         raise AdhmError("matrices do not commute")
     f = x.field
-    n = x.rows
-    xp = [Mat.identity(f, n)]
-    yp = [Mat.identity(f, n)]
-    for _ in range(maxdeg):
+    xp, yp = [x], [y]   # x^a and y^b at index a - 1 and b - 1
+    for _ in range(maxdeg - 1):
         xp.append(xp[-1] @ x)
         yp.append(yp[-1] @ y)
-    return {(a, b): (xp[a] @ yp[b]).trace()
-            for a, b in monomials_upto(maxdeg)}
+    x_rows = [[e for r in m.data for e in r] for m in xp]
+    y_cols = [[e for c in zip(*m.data) for e in c] for m in yp]
+    out = {}
+    for a, b in monomials_upto(maxdeg):
+        if a and b:
+            out[a, b] = f.dot(x_rows[a - 1], y_cols[b - 1])
+        elif a or b:
+            out[a, b] = (xp[a - 1] if a else yp[b - 1]).trace()
+        else:
+            out[a, b] = f.from_int(x.rows)
+    return out
 
 
 # -- Calogero-Moser ----------------------------------------------------

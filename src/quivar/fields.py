@@ -1,7 +1,7 @@
 """Exact scalar arithmetic over Q, prime fields F_p, and cyclotomic fields Q(zeta_m).
 
-Every field exposes the same small interface (zero/one/add/mul/inv/...),
-with elements stored as plain immutable Python values:
+Every field exposes the same small interface (zero/one/add/sub/mul/dot/
+inv/is_zero/...), with elements stored as plain immutable Python values:
 
 * rationals        -> ``fractions.Fraction`` (always in lowest terms)
 * prime field      -> ``int`` in ``[0, p)``
@@ -9,16 +9,28 @@ with elements stored as plain immutable Python values:
                       coefficients w.r.t. ``1, z, ..., z^(phi(m)-1)`` reduced
                       modulo the m-th cyclotomic polynomial.
 
+``dot(u, v)`` is the exact inner product sum u_k v_k, the one kernel that
+matrix products, characteristic polynomials, character pairings and power
+traces go through. It accumulates in Python ints and normalises once, at
+the end: over Q the numerators over a running common denominator, then one
+``Fraction``; over F_p the integer sum, then one reduction mod p; over
+Q(zeta_m) the integer product polynomials over a running common
+denominator, then one reduction by the integer table of zeta^j (Phi_m is
+monic) and one ``Fraction`` per coefficient. ``mul`` over Q(zeta_m) is the
+dot product of length one.
+
 Phi_m comes from integer long division, Phi_m = (x^m - 1) / prod(Phi_d :
-d | m, d < m), and a single table of zeta^j for j < m serves products,
-reduction and powers, since zeta^m = 1. Primality of p is decided by
-deterministic Miller-Rabin. No floating point anywhere and no dependency
-outside the standard library; rank decisions downstream rely on exactness.
+d | m, d < m), and a single table of zeta^j for j < m, with integer
+entries, serves reduction (of products, ``from_coeffs`` and ``conj``) and
+powers, since zeta^m = 1. Primality of p is decided by deterministic
+Miller-Rabin. No floating point anywhere and no dependency outside the
+standard library; rank decisions downstream rely on exactness.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class FieldError(ValueError):
@@ -84,6 +96,10 @@ class Field:
     def mul(self, a, b):
         raise NotImplementedError
 
+    def dot(self, u, v):
+        """sum of u[k] * v[k] over zip(u, v); the zero for empty input."""
+        raise NotImplementedError
+
     def neg(self, a):
         raise NotImplementedError
 
@@ -98,7 +114,7 @@ class Field:
         return a
 
     def is_zero(self, a) -> bool:
-        return a == self.zero()
+        raise NotImplementedError
 
     # -- serialization -------------------------------------------------
     def spec(self) -> dict:
@@ -137,11 +153,31 @@ class Rationals(Field):
     def add(self, a, b):
         return a + b
 
+    def sub(self, a, b):
+        return a - b
+
     def mul(self, a, b):
         return a * b
 
+    def dot(self, u, v):
+        # numerators over the running lcm of the terms' denominators
+        num, den = 0, 1
+        for a, b in zip(u, v):
+            n = a.numerator * b.numerator
+            if n:
+                d = a.denominator * b.denominator
+                if d == den:
+                    num += n
+                else:
+                    g = gcd(den, d)
+                    num, den = num * (d // g) + n * (den // g), den // g * d
+        return Fraction(num, den)
+
     def neg(self, a):
         return -a
+
+    def is_zero(self, a):
+        return a == 0
 
     def inv(self, a):
         if a == 0:
@@ -181,8 +217,14 @@ class PrimeField(Field):
     def mul(self, a, b):
         return (a * b) % self.p
 
+    def dot(self, u, v):
+        return sum(map(int.__mul__, u, v)) % self.p
+
     def neg(self, a):
         return (-a) % self.p
+
+    def is_zero(self, a):
+        return a == 0
 
     def inv(self, a):
         a %= self.p
@@ -248,6 +290,15 @@ def cyclotomic_coeffs(m: int):
     return phi[m]
 
 
+def _cleared(a):
+    """(integer coefficients, denominator): a sequence of Fractions as integers
+    over the lcm of its denominators."""
+    den = lcm(*[x.denominator for x in a])
+    if den == 1:
+        return [x.numerator for x in a], 1
+    return [x.numerator * (den // x.denominator) for x in a], den
+
+
 class CyclotomicField(Field):
     kind = "cyclotomic"
 
@@ -258,19 +309,20 @@ class CyclotomicField(Field):
         phi = cyclotomic_coeffs(m)
         d = self.degree = len(phi) - 1
         self._phi = phi
-        # zeta^j for j = 0..m-1, reduced mod Phi_m; zeta^m = 1 makes it
-        # cover every power, indexed by j % m
+        # zeta^j for j = 0..m-1, reduced mod Phi_m, as integer rows (Phi_m
+        # is monic); zeta^m = 1 makes it cover every power, indexed by j % m
         table = []
         for k in range(m):
             if k < d:
-                table.append(tuple(Fraction(int(i == k)) for i in range(d)))
+                table.append(tuple(int(i == k) for i in range(d)))
             else:
                 # x^k = x * x^(k-1), reduced via x^d = -(phi_0 + ... + phi_{d-1} x^{d-1})
                 prev = table[k - 1]
                 top = prev[d - 1]
                 table.append(tuple((prev[i - 1] if i else 0) - top * phi[i]
                                    for i in range(d)))
-        self._zeta_pows = table
+        self._zeta_ints = table
+        self._zeta_pows = [tuple(map(Fraction, row)) for row in table]
 
     def from_int(self, n):
         return tuple([Fraction(n)] + [Fraction(0)] * (self.degree - 1))
@@ -280,14 +332,19 @@ class CyclotomicField(Field):
 
     def from_coeffs(self, coeffs):
         """Element from coefficients of 1, z, z^2, ... (any length), reduced."""
-        out = [Fraction(0)] * self.degree
-        for k, c in enumerate(coeffs):
-            c = Fraction(c)
-            if c == 0:
-                continue
-            for i, pi in enumerate(self._zeta_pows[k % self.m]):
-                out[i] += c * pi
-        return tuple(out)
+        return self._reduce(*_cleared([Fraction(c) for c in coeffs]))
+
+    def _reduce(self, coeffs, den):
+        """The element (sum of coeffs[k] z^k) / den for integer coeffs of
+        any length: the powers from z^d on are reduced by the integer table
+        of zeta^j, then each coefficient becomes one Fraction."""
+        d, m, table = self.degree, self.m, self._zeta_ints
+        out = coeffs[:d] + [0] * (d - len(coeffs))
+        for k in range(d, len(coeffs)):
+            c = coeffs[k]
+            if c:
+                out = [o + c * z for o, z in zip(out, table[k % m])]
+        return tuple(Fraction(c, den) for c in out)
 
     def zeta(self):
         """The distinguished primitive m-th root of unity."""
@@ -299,25 +356,45 @@ class CyclotomicField(Field):
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 
+    def sub(self, a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
     def mul(self, a, b):
-        d = self.degree
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
+        return self.dot((a,), (b,))
+
+    def dot(self, u, v):
+        # the integer coefficients of the unreduced sum of products, over
+        # the running lcm of the terms' denominators
+        acc = [0] * (2 * self.degree - 1)
+        den = 1
+        for a, b in zip(u, v):
+            ca, da = _cleared(a)
+            if not any(ca):
                 continue
-            for j, bj in enumerate(b):
-                if bj != 0:
-                    prod[i + j] += ai * bj
-        out = [Fraction(0)] * d
-        for k, c in enumerate(prod):
-            if c != 0:
-                pk = self._zeta_pows[k % self.m]
-                for i in range(d):
-                    out[i] += c * pk[i]
-        return tuple(out)
+            cb, db = _cleared(b)
+            if not any(cb):
+                continue
+            t = da * db
+            if t == den:
+                r = 1
+            else:
+                g = gcd(den, t)
+                s, r = t // g, den // g
+                if s != 1:
+                    acc = [c * s for c in acc]
+                    den *= s
+            for i, x in enumerate(ca):
+                if x:
+                    x *= r
+                    for j, y in enumerate(cb, i):
+                        acc[j] += x * y
+        return self._reduce(acc, den)
 
     def neg(self, a):
         return tuple(-x for x in a)
+
+    def is_zero(self, a):
+        return not any(a)
 
     def inv(self, a):
         if all(x == 0 for x in a):
@@ -341,12 +418,12 @@ class CyclotomicField(Field):
         return self.from_coeffs([x / c for x in s0])
 
     def conj(self, a):
-        out = self.zero()
-        for k, c in enumerate(a):
-            if c != 0:
-                term = tuple(c * x for x in self.zeta_pow((self.m - k) % self.m))
-                out = self.add(out, term)
-        return out
+        # zeta -> zeta^-1 moves the coefficient of z^k to z^((m - k) % m)
+        num, den = _cleared(a)
+        coeffs = [0] * self.m
+        for k, c in enumerate(num):
+            coeffs[-k % self.m] = c
+        return self._reduce(coeffs, den)
 
     def rational_part(self, a) -> Fraction:
         """Constant coefficient; raises if the element is not rational."""

@@ -94,20 +94,11 @@ class Mat:
         self._check_same_field(other)
         if self.cols != other.rows:
             raise FieldError("shape mismatch in product")
-        f = self.field
-        z = f.zero()
-        bt = [tuple(other.data[r][c] for r in range(other.rows))
-              for c in range(other.cols)]
-        out = []
-        for r in self.data:
-            row = []
-            for c in bt:
-                acc = z
-                for a, b in zip(r, c):
-                    acc = f.add(acc, f.mul(a, b))
-                row.append(acc)
-            out.append(tuple(row))
-        return Mat._of(f, tuple(out), self.rows, other.cols)
+        dot = self.field.dot
+        cols = tuple(zip(*other.data)) if other.rows else ((),) * other.cols
+        return Mat._of(self.field,
+                       tuple(tuple([dot(r, c) for c in cols]) for r in self.data),
+                       self.rows, other.cols)
 
     def transpose(self):
         return Mat._of(self.field, tuple(zip(*self.data)) if self.data else
@@ -203,7 +194,8 @@ class Mat:
         return Mat(f, sol, self.cols, b.cols)
 
     def det(self):
-        """Determinant by fraction-free-ish Gaussian elimination."""
+        """Determinant by Gaussian elimination: the product of the pivots,
+        each row below a pivot cleared by dividing by that pivot."""
         if self.rows != self.cols:
             raise FieldError("determinant of non-square matrix")
         f = self.field

@@ -59,10 +59,7 @@ class CharacterTable:
     def _pair(self, weighted, v) -> Fraction:
         """(1/|G|) sum of weighted * v, where weighted is size * conj(u)."""
         f = self.field
-        acc = f.zero()
-        for a, b in zip(weighted, v):
-            acc = f.add(acc, f.mul(a, b))
-        return f.rational_part(acc) / self.order
+        return f.rational_part(f.dot(weighted, v)) / self.order
 
     def inner(self, u, v) -> Fraction:
         """Class-weighted Hermitian pairing of two class functions (rows of

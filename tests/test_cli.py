@@ -292,3 +292,76 @@ def test_rep_stable_report_pinned(capsys, tmp_path, monkeypatch, name, theta,
     out = capsys.readouterr().out
     assert json.loads(out)["results"]["stable"] is stable
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# a conjugated commuting pair over Q with a repeated eigenvalue of x, and
+# one over Q(zeta_4) with the Galois-closed eigenvalues i, -i, 2 of x
+ADHM_TRIPLES = {
+    "rational": {"field": {"kind": "rational"}, "n": 3,
+                 "x": [["-5/2", "-1/2", "3"], ["-3", "0", "3"],
+                       ["0", "0", "1/2"]],
+                 "y": [["13/7", "1/7", "-6/7"], ["27/14", "1/14", "-27/14"],
+                       ["5/28", "-5/28", "23/28"]],
+                 "i": ["1", "0", "0"], "j": ["0", "0", "0"]},
+    "zeta4": {"field": {"kind": "cyclotomic", "m": 4}, "n": 3,
+              "x": [[["4/5", "3/5"], ["8/5", "-4/5"], ["-4/5", "2/5"]],
+                    [["-1", "0"], ["0", "0"], ["1", "0"]],
+                    [["-6/5", "8/5"], ["8/5", "6/5"], ["6/5", "-3/5"]]],
+              "y": [[["8/5", "6/5"], ["6/5", "2/5"], ["-3/5", "-1/5"]],
+                    [["1", "0"], ["2", "-1"], ["-1", "0"]],
+                    [["8/5", "6/5"], ["6/5", "-8/5"], ["-3/5", "-1/5"]]],
+              "i": [[["1", "0"]], [["0", "0"]], [["0", "0"]]],
+              "j": [["0", "0"], ["0", "0"], ["0", "0"]]},
+}
+
+
+@pytest.mark.parametrize("name, action, digest", [
+    ("rational", "spectrum",
+     "6d151686d0f4977a1f94c5561793c0abdabba87686587e9c8d7206362e5f0cdc"),
+    ("rational", "traces",
+     "a97bd6a2fc9d982418a85ce11ba84c77e6358d96598323622b73af3277a1b7c7"),
+    ("zeta4", "spectrum",
+     "9f360cbe84a733a39e2d4aea489bfacba04f17320b374fa55a833f6b8f4eda16"),
+    ("zeta4", "traces",
+     "df2a91e71a6435b67d43bdd1e10086b975206946fe2735af84bcdb03e3eaf132"),
+])
+def test_adhm_report_pinned(capsys, tmp_path, monkeypatch, name, action,
+                            digest):
+    # sha256 of the stdout of the earlier implementation, which summed
+    # every inner product one field add and mul at a time and took each
+    # power trace as the trace of a formed product
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"{name}.json").write_text(json.dumps(ADHM_TRIPLES[name]))
+    extra = ["--maxdeg", "3"] if action == "traces" else []
+    assert run(["adhm", action, "--data", f"{name}.json", *extra]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+CONV_KERNELS = {
+    "rational": ({"source": ["a", "b"], "target": ["u", "v", "w"],
+                  "entries": [["1/2", "-3"], ["2", "0"], ["5/3", "1"]]},
+                 {"source": ["u", "v", "w"], "target": ["p", "q"],
+                  "entries": [["1", "-1/4", "2"], ["0", "7", "-2/5"]]}),
+    "f5": ({"field": {"kind": "prime", "p": 5}, "source": ["a", "b"],
+            "target": ["u", "v", "w"], "entries": [[1, 3], [4, 0], [2, 2]]},
+           {"field": {"kind": "prime", "p": 5}, "source": ["u", "v", "w"],
+            "target": ["p", "q"], "entries": [[1, 4, 2], [3, 0, 1]]}),
+}
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("rational",
+     "b37b7d5cc8b871d2ad02bafed02a91d71f7bdbfc73a80116d8bc5c2478ab9004"),
+    ("f5", "0eb0eee0b4b237ee259f49f7e933e761a0432da18056a3a03f65ec5bae22b79a"),
+])
+def test_conv_mul_report_pinned(capsys, tmp_path, monkeypatch, name, digest):
+    # sha256 of the stdout of the earlier implementation, whose matrix
+    # product summed one field add and mul at a time
+    monkeypatch.chdir(tmp_path)
+    k1, k2 = CONV_KERNELS[name]
+    (tmp_path / "k1.json").write_text(json.dumps(k1))
+    (tmp_path / "k2.json").write_text(json.dumps(k2))
+    assert run(["conv", "mul", "--k1", "k1.json", "--k2", "k2.json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,11 +1,14 @@
+import random
 import time
 from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
 
+from quivar.adhm import monomials_upto, power_traces
 from quivar.fields import (CyclotomicField, FieldError, PrimeField, QQ,
                            _is_prime, cyclotomic_coeffs, field_from_spec)
+from quivar.linalg import Mat
 
 
 def test_rationals_roundtrip():
@@ -167,3 +170,155 @@ def test_field_equality_is_by_spec_with_identity_first():
     g = PrimeField(11)
     g.spec = None
     assert g == g
+
+
+# -- the inner-product kernel against the generic loop ----------------------
+
+def _schoolbook_mul(f, a, b):
+    """Product in Q(zeta_m) by Fraction schoolbook multiplication and long
+    division by the monic Phi_m; shares no code with the field's kernel."""
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    phi = cyclotomic_coeffs(f.m)
+    d = len(phi) - 1
+    for k in reversed(range(d, len(prod))):
+        c = prod[k]
+        for i, pc in enumerate(phi):
+            prod[k - d + i] -= c * pc
+    return tuple(prod[:d])
+
+
+def _reference_mul(f, a, b):
+    return _schoolbook_mul(f, a, b) if isinstance(f, CyclotomicField) \
+        else f.mul(a, b)
+
+
+def _reference_dot(f, u, v):
+    """The generic loop: one field add and mul per term."""
+    acc = f.zero()
+    for a, b in zip(u, v):
+        acc = f.add(acc, _reference_mul(f, a, b))
+    return acc
+
+
+def _random_fraction(rng):
+    if rng.random() < 0.3:
+        return Fraction(0)
+    return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6, 35)))
+
+
+def _random_element(f, rng):
+    if isinstance(f, PrimeField):
+        return 0 if rng.random() < 0.3 else rng.randrange(f.p)
+    if isinstance(f, CyclotomicField):
+        if rng.random() < 0.2:
+            return f.zero()
+        return tuple(_random_fraction(rng) for _ in range(f.degree))
+    return _random_fraction(rng)
+
+
+def _assert_canonical(f, x):
+    if isinstance(f, PrimeField):
+        assert type(x) is int and 0 <= x < f.p
+        return
+    coeffs = x if isinstance(f, CyclotomicField) else (x,)
+    if isinstance(f, CyclotomicField):
+        assert type(x) is tuple and len(x) == f.degree
+    for c in coeffs:
+        assert type(c) is Fraction
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+
+
+DOT_FIELDS = {"Q": [QQ], "F2": [PrimeField(2)], "F7": [PrimeField(7)],
+              "F_(2^61-1)": [PrimeField(2 ** 61 - 1)],
+              "Q(zeta_m)": [CyclotomicField(m) for m in
+                            (1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 20)]}
+
+
+@pytest.mark.parametrize("name", DOT_FIELDS)
+def test_dot_matches_reference(name):
+    rng = random.Random(name)
+    for f in DOT_FIELDS[name]:
+        for n in [0, 1, 1, 2, 3, 5, 8] * 6:
+            u = [_random_element(f, rng) for _ in range(n)]
+            v = [_random_element(f, rng) for _ in range(n)]
+            got = f.dot(u, v)
+            _assert_canonical(f, got)
+            assert got == _reference_dot(f, u, v), (f, u, v)
+            # zip semantics: the shorter argument bounds the sum
+            assert f.dot(u, v + v[:1]) == got
+
+
+def test_cyclotomic_mul_matches_schoolbook():
+    rng = random.Random(7)
+    for m in range(1, 41):
+        f = CyclotomicField(m)
+        for _ in range(8):
+            a, b = _random_element(f, rng), _random_element(f, rng)
+            got = f.mul(a, b)
+            _assert_canonical(f, got)
+            assert got == _schoolbook_mul(f, a, b), (m, a, b)
+        z = f.zeta()
+        assert f.conj(z) == f.zeta_pow(-1) and f.mul(z, f.conj(z)) == f.one()
+
+
+@pytest.mark.parametrize("f", [QQ, PrimeField(7), CyclotomicField(5)],
+                         ids=["Q", "F7", "Q(zeta_5)"])
+def test_is_zero_and_sub_per_field(f):
+    assert "is_zero" in vars(type(f))
+    rng = random.Random(3)
+    assert f.is_zero(f.zero()) and not f.is_zero(f.one())
+    for _ in range(60):
+        a, b = _random_element(f, rng), _random_element(f, rng)
+        assert f.is_zero(a) == (a == f.zero())
+        diff = f.sub(a, b)
+        _assert_canonical(f, diff)
+        assert diff == f.add(a, f.neg(b))
+    if not isinstance(f, PrimeField):
+        assert "sub" in vars(type(f))
+
+
+def _reference_matmul(f, a, b):
+    cols = [[b.data[k][j] for k in range(b.rows)] for j in range(b.cols)]
+    return Mat(f, [[_reference_dot(f, r, c) for c in cols] for r in a.data],
+               a.rows, b.cols)
+
+
+@pytest.mark.parametrize("f", [QQ, PrimeField(7), CyclotomicField(5)],
+                         ids=["Q", "F7", "Q(zeta_5)"])
+def test_power_traces_match_product_then_trace(f):
+    rng = random.Random(11)
+    for n in (1, 2, 3):
+        x = Mat(f, [[_random_element(f, rng) for _ in range(n)]
+                    for _ in range(n)])
+        # y = c0 + c1 x + c2 x^2 commutes with x
+        one = Mat.identity(f, n)
+        x2 = _reference_matmul(f, x, x)
+        c0, c1, c2 = (_random_element(f, rng) for _ in range(3))
+        y = one.scale(c0) + x.scale(c1) + x2.scale(c2)
+        for maxdeg in range(5):
+            xp, yp = [one], [one]
+            for _ in range(maxdeg):
+                xp.append(_reference_matmul(f, xp[-1], x))
+                yp.append(_reference_matmul(f, yp[-1], y))
+            expect = {(a, b): _reference_matmul(f, xp[a], yp[b]).trace()
+                      for a, b in monomials_upto(maxdeg)}
+            got = power_traces(x, y, maxdeg)
+            assert got == expect
+            for t in got.values():
+                _assert_canonical(f, t)
+
+
+def test_matmul_matches_reference_loop():
+    rng = random.Random(5)
+    for f in (QQ, PrimeField(3), CyclotomicField(8)):
+        for rows, inner, cols in ((2, 3, 4), (1, 1, 1), (3, 0, 2), (0, 2, 3)):
+            a = Mat(f, [[_random_element(f, rng) for _ in range(inner)]
+                        for _ in range(rows)], rows, inner)
+            b = Mat(f, [[_random_element(f, rng) for _ in range(cols)]
+                        for _ in range(inner)], inner, cols)
+            prod = a @ b
+            assert (prod.rows, prod.cols) == (rows, cols)
+            assert prod == _reference_matmul(f, a, b)

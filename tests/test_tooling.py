@@ -1,6 +1,7 @@
 """The package runs on the standard library alone, the benchmark's tracer
-finds every callable it wraps, and the stability closures share no code
-with the brute-force oracle that checks them."""
+finds every callable it wraps, the stability closures share no code with
+the brute-force oracle that checks them, and inner products go through
+the fields' dot-product kernel."""
 
 import importlib.util
 import os
@@ -82,3 +83,15 @@ def test_closures_share_no_code_with_the_bruteforce_oracle():
                     reps._column_basis]
     for fn in closure_code:
         assert not _names(fn.__code__) & ORACLE_NAMES, fn.__name__
+
+
+def test_inner_products_use_the_field_kernel():
+    # each field has its own fused inner product, and the inner-product
+    # loops call it instead of one field add and mul per term
+    from quivar import adhm, fields, linalg, mckay
+    for cls in (fields.Rationals, fields.PrimeField, fields.CyclotomicField):
+        assert "dot" in vars(cls), cls.__name__
+    for fn in (linalg.Mat.__matmul__, adhm._char_poly,
+               mckay.CharacterTable._pair, adhm.power_traces):
+        names = _names(fn.__code__)
+        assert "dot" in names and not names & {"add", "mul"}, fn.__qualname__
