@@ -8,7 +8,7 @@ Hecke algebras over small finite fields, and graded-degree bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import product
 
@@ -95,15 +95,15 @@ def convolve_via_pullback(k32: FiniteKernel, k21: FiniteKernel) -> FiniteKernel:
     if k21.target != k32.source:
         raise ConvError("inner finite sets do not match")
     fld = k32.field
-    x1, x2, x3 = k21.source, k21.target, k32.target
-    acc = {(c, a): fld.zero() for c in x3.labels for a in x1.labels}
-    for ci, c in enumerate(x3.labels):
-        for bi, b in enumerate(x2.labels):
-            for ai, a in enumerate(x1.labels):
-                term = fld.mul(k32.mat.data[ci][bi], k21.mat.data[bi][ai])
-                acc[(c, a)] = fld.add(acc[(c, a)], term)
-    m = [[acc[(c, a)] for a in x1.labels] for c in x3.labels]
-    return FiniteKernel(x1, x3, Mat(fld, m))
+    x1, x3 = k21.source, k32.target
+    rows = []
+    for row32 in k32.mat.data:  # one row of X3 x X1, summed over X2 in order
+        acc = [fld.zero()] * len(x1)
+        for x, row21 in zip(row32, k21.mat.data):
+            for ai, y in enumerate(row21):
+                acc[ai] = fld.add(acc[ai], fld.mul(x, y))
+        rows.append(tuple(acc))
+    return FiniteKernel(x1, x3, Mat._of(fld, tuple(rows), len(x3), len(x1)))
 
 
 # -- correspondences ---------------------------------------------------
@@ -138,44 +138,53 @@ def compose_corr(z12: Correspondence, z23: Correspondence) -> Correspondence:
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """Group on elements 0..n-1 given by its multiplication table."""
+    """Group on elements 0..n-1 given by its multiplication table.
+
+    Checked once, on construction: the table is an n x n Latin
+    square of ints 0..n-1 (each row and each column a permutation), it has
+    a two-sided identity, and it is associative, by the full n^3 check
+    table[table[a][b]] == table[a] o table[b] for every pair (a, b). Such a
+    table is a group, so the identity and the inverse of each element are
+    computed once here and trusted afterwards. Any failure raises
+    ConvError."""
     table: tuple  # table[a][b] = a * b
     names: tuple
+    identity: int = dataclass_field(init=False, repr=False, compare=False)
+    _inverses: tuple = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.table)
-        if any(len(r) != n for r in self.table):
+        rows = [tuple(r) for r in self.table]
+        if any(len(r) != n for r in rows):
             raise ConvError("multiplication table is not square")
-        if sorted(self.table[0]) != list(range(n)):
-            raise ConvError("row of identity is not a permutation")
-        # identity, associativity spot-check, inverses
-        if self.identity is None:
+        if any(type(x) is not int for r in rows for x in r):
+            raise ConvError("multiplication table entries are not ints")
+        elements = set(range(n))
+        if any(set(r) != elements for r in rows + list(zip(*rows))):
+            raise ConvError("multiplication table is not a Latin square")
+        ident = tuple(range(n))
+        e = next((e for e, r in enumerate(rows)
+                  if r == ident and all(rows[a][e] == a for a in ident)), None)
+        if e is None:
             raise ConvError("no identity element")
-        for a in range(n):
-            if self.inverse(a) is None:
-                raise ConvError("missing inverse")
+        for a, row in enumerate(rows):
+            for b in ident:  # (a b) c == a (b c) for every c
+                if rows[row[b]] != tuple(map(row.__getitem__, rows[b])):
+                    raise ConvError(f"multiplication is not associative at "
+                                    f"a = {a}, b = {b}")
+        object.__setattr__(self, "identity", e)
+        object.__setattr__(self, "_inverses",
+                           tuple(row.index(e) for row in rows))
 
     @property
     def n(self):
         return len(self.table)
 
-    @property
-    def identity(self):
-        for e in range(self.n):
-            if all(self.table[e][a] == a and self.table[a][e] == a
-                   for a in range(self.n)):
-                return e
-        return None
-
     def mul(self, a, b):
         return self.table[a][b]
 
     def inverse(self, a):
-        e = self.identity
-        for b in range(self.n):
-            if self.mul(a, b) == e and self.mul(b, a) == e:
-                return b
-        return None
+        return self._inverses[a]
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -188,16 +197,21 @@ def symmetric_group(n: int) -> FiniteGroup:
 
 
 def validate_action(g: FiniteGroup, x: FinSet, action: dict):
-    """action[(g, x)] -> x; checks identity and compatibility."""
-    e = g.identity
-    for a in x.labels:
-        if action[(e, a)] != a:
-            raise ConvError("identity does not act trivially")
-    for h in range(g.n):
-        for k in range(g.n):
-            for a in x.labels:
-                if action[(g.mul(h, k), a)] != action[(h, action[(k, a)])]:
-                    raise ConvError("action is not compatible with the product")
+    """action[(g, x)] -> x; checks that every image lies in x, that the
+    identity acts trivially, and that pi[h k] = pi[h] o pi[k] for each pair
+    (h, k), where pi[h] is the tuple of indices of the images of x under h."""
+    pos = {a: i for i, a in enumerate(x.labels)}
+    try:
+        pi = [tuple(pos[action[(h, a)]] for a in x.labels) for h in range(g.n)]
+    except KeyError as err:
+        raise ConvError(f"action is undefined or leaves the set at {err}") \
+            from None
+    if pi[g.identity] != tuple(range(len(x))):
+        raise ConvError("identity does not act trivially")
+    for h, ph in enumerate(pi):
+        for k, pk in enumerate(pi):
+            if pi[g.mul(h, k)] != tuple(map(ph.__getitem__, pk)):
+                raise ConvError("action is not compatible with the product")
 
 
 @dataclass
@@ -270,7 +284,6 @@ def group_algebra_matches_invariant(g: FiniteGroup) -> bool:
     action = {(h, f"g{k}"): f"g{g.mul(h, k)}" for h in range(g.n)
               for k in range(g.n)}
     inv = invariant_algebra(g, x, action)
-    ga = group_algebra(g)
     if len(inv.orbits) != g.n:
         return False
     # orbit k corresponds to the group element g1^{-1} g2 for any member
@@ -280,15 +293,12 @@ def group_algebra_matches_invariant(g: FiniteGroup) -> bool:
         if len(vals) != 1:
             return False
         orbit_elem.append(vals.pop())
-    for i in range(g.n):
-        for j in range(g.n):
-            for k in range(g.n):
-                # note order: convolution of indicators composes relations
-                # (x, y) in O_i, (y, z) in O_j, matching element product
-                if inv.constants[i][j][k] != \
-                        ga["constants"][orbit_elem[i]][orbit_elem[j]][orbit_elem[k]]:
-                    return False
-    return True
+    # convolution of indicators composes relations: (x, y) in O_i and
+    # (y, z) in O_j give e_i * e_j = e_k for the orbit k of the product
+    one_hot = [[int(e == c) for e in orbit_elem] for c in range(g.n)]
+    return all(inv.constants[i][j] == one_hot[g.mul(a, b)]
+               for i, a in enumerate(orbit_elem)
+               for j, b in enumerate(orbit_elem))
 
 
 def algebra_center_dim(constants) -> int:

@@ -365,3 +365,49 @@ def test_conv_mul_report_pinned(capsys, tmp_path, monkeypatch, name, digest):
     assert run(["conv", "mul", "--k1", "k1.json", "--k2", "k2.json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _relabelled_s4():
+    # S_4 with element a renamed 5a + 7 mod 24: the identity is 7, not 0
+    from quivar.convolution import symmetric_group
+    s4 = symmetric_group(4)
+    sigma = [(5 * k + 7) % 24 for k in range(24)]
+    table = [[0] * 24 for _ in range(24)]
+    for a in range(24):
+        for b in range(24):
+            table[sigma[a]][sigma[b]] = sigma[s4.mul(a, b)]
+    return table
+
+
+def _s3():
+    from quivar.convolution import symmetric_group
+    return [list(r) for r in symmetric_group(3).table]
+
+
+@pytest.mark.parametrize("make, digest", [
+    (_s3, "54d9b1b5a15fed170be72d96d9f10bb629f6b150c5aca53d5491667e9a8e1eda"),
+    (_relabelled_s4,
+     "c4eba57308ee8ccb3cd4fd9e19806e8251cff0c21db09bd62179f1d346096aae"),
+])
+def test_conv_group_report_pinned(capsys, tmp_path, monkeypatch, make, digest):
+    # sha256 of the stdout of the earlier implementation, which rescanned
+    # the table for the identity on every inverse
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "group.json").write_text(json.dumps({"table": make()}))
+    assert run(["conv", "group", "--table", "group.json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("table", [
+    # a Latin square with identity and inverses, not associative
+    [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+     [4, 3, 1, 2, 0]],
+    [[0, 1, 2], [1, 2, 0], [2, 0, 0]],  # not a Latin square
+])
+def test_conv_group_refuses_non_groups(capsys, tmp_path, table):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"table": table}))
+    assert run(["conv", "group", "--table", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "bad group table" in out.err

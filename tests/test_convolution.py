@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from quivar import convolution
 from quivar.convolution import (ConvError, Correspondence, FiniteGroup,
                                 FiniteKernel, GradedKernelAlgebra,
                                 algebra_center_dim, apply_kernel,
@@ -14,7 +15,8 @@ from quivar.convolution import (ConvError, Correspondence, FiniteGroup,
                                 group_algebra_matches_invariant,
                                 hecke_algebra,
                                 identity_kernel, invariant_algebra,
-                                pullback, pushforward, symmetric_group)
+                                pullback, pushforward, symmetric_group,
+                                validate_action)
 from quivar.fields import PrimeField, QQ
 from quivar.linalg import Mat
 
@@ -64,6 +66,13 @@ def test_convolution_formulas_agree():
         k21 = rand_kernel(sets[0], sets[1], rng)
         k32 = rand_kernel(sets[1], sets[2], rng)
         assert convolve(k32, k21).mat == convolve_via_pullback(k32, k21).mat
+
+
+def test_pullback_convolution_onto_the_empty_set():
+    x1, x2, x3 = finset(["a", "b"]), finset(["u"]), finset([])
+    k21 = FiniteKernel(x1, x2, Mat.from_ints(QQ, [[1, 2]]))
+    k32 = FiniteKernel(x2, x3, Mat(QQ, [], 0, 1))
+    assert convolve_via_pullback(k32, k21).mat == convolve(k32, k21).mat
 
 
 def test_convolution_mismatch():
@@ -138,6 +147,143 @@ def test_invariant_algebra_rejects_bad_action():
 def test_group_algebra_matches_invariant():
     assert group_algebra_matches_invariant(symmetric_group(2))
     assert group_algebra_matches_invariant(symmetric_group(3))
+
+
+def relabelled(g, sigma):
+    """The group g with each element a renamed sigma[a]."""
+    table = [[0] * g.n for _ in range(g.n)]
+    for a in range(g.n):
+        for b in range(g.n):
+            table[sigma[a]][sigma[b]] = sigma[g.mul(a, b)]
+    return FiniteGroup(tuple(map(tuple, table)), tuple(map(str, range(g.n))))
+
+
+def cyclic_group(n):
+    return FiniteGroup(tuple(tuple((a + b) % n for b in range(n))
+                             for a in range(n)), tuple(map(str, range(n))))
+
+
+# a Latin square with two-sided identity 0 and two-sided inverses that is
+# not associative (36 triples fail), so not a group
+LOOP_5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+          [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+@pytest.mark.parametrize("table", [
+    LOOP_5,
+    [[0, 1, 2], [1, 2, 0], [2, 0, 0]],   # row 0 is a permutation, row 2 not
+    [[0, 1, 2], [1, 2, 0], [2, 1, 0]],   # rows permutations, columns not
+    [[0, 2, 1], [2, 1, 0], [1, 0, 2]],   # a * b = -a - b mod 3: no identity
+    [[0, 1], [1]],
+    [[0, 1], [1, 0.0]],
+    [],
+])
+def test_finite_group_refuses_non_groups(table):
+    with pytest.raises(ConvError):
+        FiniteGroup(tuple(map(tuple, table)),
+                    tuple(map(str, range(len(table)))))
+
+
+def test_loop_5_is_refused_for_associativity_alone():
+    with pytest.raises(ConvError, match="not associative"):
+        FiniteGroup(tuple(map(tuple, LOOP_5)), tuple("abcde"))
+
+
+def test_identity_and_inverses_match_brute_force():
+    rng = random.Random(9)
+    groups = [symmetric_group(n) for n in (2, 3, 4)] + \
+        [cyclic_group(n) for n in range(1, 7)]
+    for g in groups:
+        sigma = list(range(g.n))
+        rng.shuffle(sigma)
+        h = relabelled(g, sigma)
+        n = h.n
+        e = [e for e in range(n)
+             if all(h.mul(e, a) == a == h.mul(a, e) for a in range(n))]
+        assert e == [h.identity] == [sigma[g.identity]]
+        for a in range(n):
+            inv = [b for b in range(n)
+                   if h.mul(a, b) == h.identity == h.mul(b, a)]
+            assert inv == [h.inverse(a)]
+
+
+def validate_action_reference(g, x, action):
+    """The per-point check validate_action replaced: one lookup and one
+    group product per (h, k, point)."""
+    e = [e for e in range(g.n)
+         if all(g.mul(e, a) == a == g.mul(a, e) for a in range(g.n))][0]
+    for a in x.labels:
+        if action[(e, a)] != a:
+            raise ConvError("identity does not act trivially")
+    for h in range(g.n):
+        for k in range(g.n):
+            for a in x.labels:
+                if action[(g.mul(h, k), a)] != action[(h, action[(k, a)])]:
+                    raise ConvError("action is not compatible with the product")
+
+
+def natural_action_s3():
+    perms = sorted(permutations(range(3)))
+    x = finset(["1", "2", "3"])
+    return symmetric_group(3), x, {(h, str(i + 1)): str(perms[h][i] + 1)
+                                   for h in range(6) for i in range(3)}
+
+
+def left_regular_action(g):
+    x = finset([f"g{k}" for k in range(g.n)])
+    return g, x, {(h, f"g{k}"): f"g{g.mul(h, k)}"
+                  for h in range(g.n) for k in range(g.n)}
+
+
+@pytest.mark.parametrize("make, tries", [
+    (natural_action_s3, None),
+    (lambda: left_regular_action(relabelled(symmetric_group(4),
+                                            [(5 * k + 7) % 24
+                                             for k in range(24)])), 3),
+])
+def test_single_entry_corruptions_of_an_action_are_refused(make, tries):
+    # every entry is corrupted; to every other point on S_3 acting on 3
+    # points, and to `tries` seeded other points on S_4 acting on itself,
+    # where all 13,248 corruptions would take about 5 s
+    g, x, action = make()
+    validate_action_reference(g, x, action)
+    validate_action(g, x, action)
+    rng = random.Random(3)
+    for key, image in list(action.items()):
+        others = [b for b in x.labels if b != image]
+        for wrong in rng.sample(others, tries) if tries else others:
+            action[key] = wrong
+            with pytest.raises(ConvError):
+                validate_action_reference(g, x, action)
+            with pytest.raises(ConvError):
+                validate_action(g, x, action)
+        action[key] = image
+
+
+def test_validate_action_refuses_images_outside_the_set():
+    g, x, action = natural_action_s3()
+    action[(1, "2")] = "4"
+    with pytest.raises(ConvError):
+        validate_action(g, x, action)
+    del action[(1, "2")]
+    with pytest.raises(ConvError):
+        validate_action(g, x, action)
+
+
+@pytest.mark.parametrize("entry", [(0, 0, 0), (1, 2, 3), (5, 5, 4)])
+def test_group_algebra_match_sees_a_corrupted_constant(monkeypatch, entry):
+    g = symmetric_group(3)
+    assert group_algebra_matches_invariant(g)
+    real = convolution.invariant_algebra
+
+    def corrupted(*args):
+        inv = real(*args)
+        i, j, k = entry
+        inv.constants[i][j][k] += 1
+        return inv
+
+    monkeypatch.setattr(convolution, "invariant_algebra", corrupted)
+    assert not group_algebra_matches_invariant(g)
 
 
 def test_hecke_small():

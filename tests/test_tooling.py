@@ -1,7 +1,8 @@
 """The package runs on the standard library alone, the benchmark's tracer
 finds every callable it wraps, the stability closures share no code with
-the brute-force oracle that checks them, and inner products go through
-the fields' dot-product kernel."""
+the brute-force oracle that checks them, inner products go through the
+fields' dot-product kernel, and the pullback convolution that checks the
+matrix product stays off it."""
 
 import importlib.util
 import os
@@ -95,3 +96,13 @@ def test_inner_products_use_the_field_kernel():
                mckay.CharacterTable._pair, adhm.power_traces):
         names = _names(fn.__code__)
         assert "dot" in names and not names & {"add", "mul"}, fn.__qualname__
+
+
+def test_pullback_convolution_is_an_independent_cross_check():
+    # `qv conv mul` reports dual_formula_agrees by comparing convolve with
+    # convolve_via_pullback, which must therefore not reach the matrix
+    # product or the fields' dot-product kernel
+    from quivar import convolution
+    names = _names(convolution.convolve_via_pullback.__code__)
+    assert not names & {"dot", "__matmul__", "convolve"}
+    assert {"add", "mul"} <= names
