@@ -4,8 +4,8 @@ deformed (Calogero-Moser) equation.
 
 Monomials x^a y^b are ordered degree-lexicographically with x < y, so the
 staircase extracted from a triple is deterministic. One deglex spin of the
-cyclic vector both decides whether a triple is a Hilbert point and reads
-off its staircase.
+cyclic vector, the vectors m(x, y) i added to one :class:`linalg.Echelon`,
+both decides whether a triple is a Hilbert point and reads off its staircase.
 
 Joint spectra take characteristic polynomials by Berkowitz's
 division-free algorithm and find eigenvalues by a search that depends on
@@ -25,7 +25,7 @@ from itertools import product
 from math import isqrt, lcm
 
 from .fields import CyclotomicField, Field, FieldError, PrimeField, QQ
-from .linalg import Mat, col_span, subspace_contains, subspace_sum
+from .linalg import Echelon, Mat, col_span, subspace_contains, subspace_sum
 
 
 class AdhmError(ValueError):
@@ -73,18 +73,16 @@ def _staircase(d: AdhmData):
     """
     if not commutator(d.x, d.y).is_zero() or not d.j.is_zero():
         return None
-    span = Mat.zeros(d.field, d.n, 0)
+    span = Echelon(d.field, d.n)
     vecs = {}
     staircase = []
     for a, b in monomials_upto(d.n):
-        if span.cols == d.n:
+        if len(span.rows) == d.n:
             break
         # x^a y^b i is x (x^(a-1) y^b i), or y (y^(b-1) i) when a = 0
         vec = vecs[a, b] = (d.x @ vecs[a - 1, b] if a else
                             d.y @ vecs[a, b - 1] if b else d.i)
-        grown = subspace_sum(span, vec)
-        if grown.cols > span.cols:
-            span = grown
+        if span.add([r[0] for r in vec.data]) is not None:
             staircase.append((a, b))
     return staircase if len(staircase) == d.n else None
 

@@ -140,9 +140,10 @@ def compose_corr(z12: Correspondence, z23: Correspondence) -> Correspondence:
 class FiniteGroup:
     """Group on elements 0..n-1 given by its multiplication table.
 
-    Checked once, on construction: the table is an n x n Latin
-    square of ints 0..n-1 (each row and each column a permutation), it has
-    a two-sided identity, and it is associative, by the full n^3 check
+    Checked once, on construction: there is one name per element, the
+    table is an n x n Latin square of ints 0..n-1 (each row and each column
+    a permutation), it has a two-sided identity, and it is associative, by
+    the full n^3 check
     table[table[a][b]] == table[a] o table[b] for every pair (a, b). Such a
     table is a group, so the identity and the inverse of each element are
     computed once here and trusted afterwards. Any failure raises
@@ -157,6 +158,8 @@ class FiniteGroup:
         rows = [tuple(r) for r in self.table]
         if any(len(r) != n for r in rows):
             raise ConvError("multiplication table is not square")
+        if len(self.names) != n:
+            raise ConvError(f"{len(self.names)} names for {n} elements")
         if any(type(x) is not int for r in rows for x in r):
             raise ConvError("multiplication table entries are not ints")
         elements = set(range(n))

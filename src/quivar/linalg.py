@@ -3,6 +3,9 @@
 Everything is small and dense on purpose: the objects of interest are
 desk-scale, and dense Gauss-Jordan over an exact field is auditable.
 Matrices are immutable after construction; all operations return new ones.
+Elimination lives in :class:`Echelon`, under RREF, determinants, column
+spans, the spin of :mod:`quivar.reps` and the staircase of :mod:`quivar.adhm`;
+only the brute-force oracle's packed F_p code keeps its own.
 """
 
 from __future__ import annotations
@@ -132,32 +135,15 @@ class Mat:
         """Reduced row-echelon form.
 
         Returns ``(rank, pivot_columns, reduced)``; the reduced form is the
-        unique RREF over the field.
+        unique RREF over the field: the rows of the :class:`Echelon` of the
+        row span in pivot order, then zero rows.
         """
         f = self.field
-        m = [list(r) for r in self.data]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pr = None
-            for i in range(r, self.rows):
-                if not f.is_zero(m[i][c]):
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            piv = f.inv(m[r][c])
-            m[r] = [f.mul(piv, x) for x in m[r]]
-            for i in range(self.rows):
-                if i != r and not f.is_zero(m[i][c]):
-                    factor = m[i][c]
-                    m[i] = [f.sub(a, f.mul(factor, b)) for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return r, pivots, Mat._of(f, tuple(map(tuple, m)), self.rows, self.cols)
+        rows = Echelon.of(f, self.cols, self.data).rows
+        pivots = sorted(rows)
+        data = tuple(tuple(rows[pc]) for pc in pivots) + \
+            ((f.zero(),) * self.cols,) * (self.rows - len(pivots))
+        return len(pivots), pivots, Mat._of(f, data, self.rows, self.cols)
 
     def rank(self):
         return self.rref()[0]
@@ -194,32 +180,76 @@ class Mat:
         return Mat(f, sol, self.cols, b.cols)
 
     def det(self):
-        """Determinant by Gaussian elimination: the product of the pivots,
-        each row below a pivot cleared by dividing by that pivot."""
+        """The rows added to an :class:`Echelon` in order are row operations
+        that end at a permutation matrix, so the determinant is the product
+        of the leading entries times the sign of row -> pivot, or 0."""
         if self.rows != self.cols:
             raise FieldError("determinant of non-square matrix")
         f = self.field
-        m = [list(r) for r in self.data]
-        n = self.rows
+        ech = Echelon(f, self.cols)
         det = f.one()
-        for c in range(n):
-            pr = None
-            for i in range(c, n):
-                if not f.is_zero(m[i][c]):
-                    pr = i
-                    break
-            if pr is None:
+        pivots = []
+        for row in self.data:
+            added = ech.add(row)
+            if added is None:
                 return f.zero()
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
-                det = f.neg(det)
-            det = f.mul(det, m[c][c])
-            inv = f.inv(m[c][c])
-            for i in range(c + 1, n):
-                if not f.is_zero(m[i][c]):
-                    factor = f.mul(m[i][c], inv)
-                    m[i] = [f.sub(a, f.mul(factor, b)) for a, b in zip(m[i], m[c])]
-        return det
+            pivot, lead = added
+            det = f.mul(det, lead)
+            pivots.append(pivot)
+        inversions = sum(a > b for a, b in combinations(pivots, 2))
+        return f.neg(det) if inversions % 2 else det
+
+
+class Echelon:
+    """A reduced echelon basis {pivot: row} of F^n, grown one vector at a
+    time; each row is a list, 1 at its pivot and 0 at the other pivots."""
+
+    __slots__ = ("field", "n", "rows", "_is_zero", "_sub", "_mul", "_inv")
+
+    def __init__(self, field: Field, n: int):
+        self.field, self.n, self.rows = field, n, {}
+        self._is_zero, self._sub, self._mul, self._inv = (
+            field.is_zero, field.sub, field.mul, field.inv)
+
+    @classmethod
+    def of(cls, field: Field, n: int, vectors):
+        """The basis of the span of ``vectors``; stops once it is F^n."""
+        ech = cls(field, n)
+        for vec in vectors:
+            if len(ech.rows) == n:
+                break
+            ech.add(vec)
+        return ech
+
+    def add(self, vec):
+        """Reduce ``vec`` once against the rows. Return None if it lies in
+        their span; else normalise it, clear its pivot from the other rows,
+        store it and return (pivot, leading entry before normalising)."""
+        is_zero, sub, mul = self._is_zero, self._sub, self._mul
+        rows = self.rows
+        for pc, row in rows.items():
+            c = vec[pc]
+            if not is_zero(c):
+                vec = [sub(a, mul(c, b)) for a, b in zip(vec, row)]
+        for pivot, lead in enumerate(vec):
+            if not is_zero(lead):
+                break
+        else:
+            return None
+        inv = self._inv(lead)
+        vec = [mul(inv, a) for a in vec]
+        for pc, row in rows.items():
+            c = row[pivot]
+            if not is_zero(c):
+                rows[pc] = [sub(a, mul(c, b)) for a, b in zip(row, vec)]
+        rows[pivot] = vec
+        return pivot, lead
+
+    def column_basis(self) -> Mat:
+        """The rows in pivot order as columns, as :func:`col_span` gives."""
+        cols = [self.rows[pc] for pc in sorted(self.rows)]
+        return Mat._of(self.field, tuple(zip(*cols)) if cols else
+                       ((),) * self.n, self.n, len(cols))
 
 
 # -- subspaces ---------------------------------------------------------
@@ -228,8 +258,7 @@ class Mat:
 
 def col_span(m: Mat) -> Mat:
     """Canonical column-reduced basis of the column span."""
-    rank, _, red = m.transpose().rref()
-    return red.submatrix(range(rank), range(m.rows)).transpose()
+    return Echelon.of(m.field, m.rows, zip(*m.data)).column_basis()
 
 
 def subspace_sum(a: Mat, b: Mat) -> Mat:

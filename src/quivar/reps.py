@@ -2,11 +2,11 @@
 
 A :class:`Rep` lives on a quiver (usually a tagged double); a
 :class:`FramedRep` adds the framing maps i, j. Stability at the two
-distinguished parameters is decided by one spin, over any field: keep a
-reduced echelon basis per vertex, reduce each new vector once against it,
-and push along the outgoing maps only the vectors that enlarge it, until
-the seeds' closure is found or every vertex is full. At theta = -1 the
-x-spin of the columns of i must fill everything. At theta = +1 no nonzero
+distinguished parameters is decided by one spin, over any field: add each
+vector to the echelon basis of its vertex (:class:`linalg.Echelon`) and
+push along the outgoing maps only the vectors that enlarge it, until the
+seeds' closure is found or every vertex is full. At theta = -1 the x-spin
+of the columns of i must fill everything. At theta = +1 no nonzero
 x-invariant subspace may lie in Ker j; S is x-invariant and inside Ker j
 exactly when Ann(S) is x^T-invariant along the reversed edges and contains
 the rows of j, so this is the transpose-dual spin of the rows of j, which
@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import lcm
 
 from .fields import Field, FieldError, PrimeField
-from .linalg import (Mat, annihilator_rows, code_map, col_span,
+from .linalg import (Echelon, Mat, annihilator_rows, code_map, col_span,
                      enumerate_subspaces, gaussian_binomial_total, point_test,
                      subspace_contains, subspace_points, vector_code)
 from .quiver import Quiver, check_dimvector, dot, star_pairs
@@ -262,54 +262,25 @@ def _arrows(rep: Rep, dual: bool = False) -> dict:
 def _spin(f, dims: dict, arrows: dict, seeds):
     """Spin the seed vectors under the arrows.
 
-    Keeps one reduced echelon basis per vertex, as {pivot: row}. Each vector
-    is reduced once against the basis at its vertex; only a vector that
-    enlarges the basis is normalised, added (clearing its pivot from the
-    other rows) and pushed along the arrows leaving its vertex. Returns the
-    bases of the least arrow-closed graded subspace containing the seeds
-    and whether it is everything; the spin stops as soon as it is.
+    Keeps one :class:`Echelon` per vertex. Only a vector that enlarges the
+    basis at its vertex is pushed along the arrows leaving it. Returns the
+    echelon bases of the least arrow-closed graded subspace containing the
+    seeds and whether it is everything; the spin stops as soon as it is.
     """
-    zero = f.zero()
-    add, sub, mul = f.add, f.sub, f.mul
-    bases = {k: {} for k in dims}
+    dot = f.dot
+    bases = {k: Echelon(f, d) for k, d in dims.items()}
     missing = sum(dims.values())
     pending = list(seeds)
     while pending and missing:
         k, vec = pending.pop()
-        rows = bases[k]
-        for pc, row in rows.items():
-            c = vec[pc]
-            if c != zero:
-                vec = [sub(a, mul(c, b)) for a, b in zip(vec, row)]
-        pivot = next((n for n, a in enumerate(vec) if a != zero), None)
-        if pivot is None:
+        added = bases[k].add(vec)
+        if added is None:
             continue
-        inv = f.inv(vec[pivot])
-        vec = [mul(inv, a) for a in vec]
-        for pc, row in rows.items():
-            c = row[pivot]
-            if c != zero:
-                rows[pc] = [sub(a, mul(c, b)) for a, b in zip(row, vec)]
-        rows[pivot] = vec
         missing -= 1
-        support = [(n, a) for n, a in enumerate(vec) if a != zero]
+        vec = bases[k].rows[added[0]]
         for head, m in arrows[k]:
-            image = []
-            for mrow in m:
-                acc = zero
-                for n, a in support:
-                    acc = add(acc, mul(mrow[n], a))
-                image.append(acc)
-            pending.append((head, image))
+            pending.append((head, [dot(row, vec) for row in m]))
     return bases, missing == 0
-
-
-def _column_basis(field, rows: dict, d: int) -> Mat:
-    """The canonical column basis (as :func:`col_span` gives it) of the span
-    of a reduced echelon basis {pivot: row} of F^d."""
-    cols = [rows[pc] for pc in sorted(rows)]
-    return Mat._of(field, tuple(zip(*cols)) if cols else ((),) * d,
-                   d, len(cols))
 
 
 def min_closure(rep: Rep, seed: GradedSubspace) -> GradedSubspace:
@@ -319,7 +290,7 @@ def min_closure(rep: Rep, seed: GradedSubspace) -> GradedSubspace:
     bases, _ = _spin(f, rep.v, _arrows(rep),
                      ((k, col) for k in rep.v for col in zip(*seed.bases[k].data)))
     return GradedSubspace._canonical(
-        f, rep.v, {k: _column_basis(f, bases[k], d) for k, d in rep.v.items()})
+        f, rep.v, {k: bases[k].column_basis() for k in rep.v})
 
 
 def max_core(rep: Rep, bound: GradedSubspace) -> GradedSubspace:
@@ -334,8 +305,7 @@ def max_core(rep: Rep, bound: GradedSubspace) -> GradedSubspace:
                      ((k, row) for k in rep.v
                       for row in annihilator_rows(bound.bases[k]).data))
     return GradedSubspace(f, rep.v, {
-        k: Mat(f, [bases[k][pc] for pc in sorted(bases[k])], len(bases[k]),
-               d).kernel_basis() for k, d in rep.v.items()})
+        k: bases[k].column_basis().transpose().kernel_basis() for k in rep.v})
 
 
 def ker_j(fr: FramedRep) -> GradedSubspace:

@@ -338,6 +338,28 @@ def test_adhm_report_pinned(capsys, tmp_path, monkeypatch, name, action,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("name, action, digest", [
+    ("rational", "ideal",
+     "0461a889119890b0f639b380f859cb9aba4e70076d193c860fc55e145da94c2f"),
+    ("rational", "check",
+     "e93255a983599861295c5f7fd040bf90759a5e2681182326d43aede9d8fdc17e"),
+    ("zeta4", "ideal",
+     "989e81c21283c52a4cea9e1ebf93363799e837bf2f3538425ae31991d73253c3"),
+    ("zeta4", "check",
+     "94c7c4f0b621308ee737c62a74f13270860af7ce642bc7dbf062abfb43df9f96"),
+])
+def test_adhm_staircase_report_pinned(capsys, tmp_path, monkeypatch, name,
+                                      action, digest):
+    # sha256 of the stdout of the earlier implementation, which grew the
+    # staircase span by one subspace_sum (a full RREF) per monomial; both
+    # triples are Hilbert points
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"{name}.json").write_text(json.dumps(ADHM_TRIPLES[name]))
+    assert run(["adhm", action, "--data", f"{name}.json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 CONV_KERNELS = {
     "rational": ({"source": ["a", "b"], "target": ["u", "v", "w"],
                   "entries": [["1/2", "-3"], ["2", "0"], ["5/3", "1"]]},
@@ -408,6 +430,15 @@ def test_conv_group_report_pinned(capsys, tmp_path, monkeypatch, make, digest):
 def test_conv_group_refuses_non_groups(capsys, tmp_path, table):
     path = tmp_path / "group.json"
     path.write_text(json.dumps({"table": table}))
+    assert run(["conv", "group", "--table", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "bad group table" in out.err
+
+
+def test_conv_group_refuses_a_names_list_of_the_wrong_length(capsys,
+                                                             tmp_path):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"table": [[0, 1], [1, 0]], "names": ["e"]}))
     assert run(["conv", "group", "--table", str(path)]) == 2
     out = capsys.readouterr()
     assert out.out == "" and "bad group table" in out.err

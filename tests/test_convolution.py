@@ -184,6 +184,12 @@ def test_finite_group_refuses_non_groups(table):
                     tuple(map(str, range(len(table)))))
 
 
+@pytest.mark.parametrize("names", [("e",), ("e", "a", "b"), ()])
+def test_finite_group_needs_one_name_per_element(names):
+    with pytest.raises(ConvError, match="names"):
+        FiniteGroup(((0, 1), (1, 0)), names)
+
+
 def test_loop_5_is_refused_for_associativity_alone():
     with pytest.raises(ConvError, match="not associative"):
         FiniteGroup(tuple(map(tuple, LOOP_5)), tuple("abcde"))

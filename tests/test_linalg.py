@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivar.fields import FieldError, PrimeField, QQ
-from quivar.linalg import (POINT_MASK_LIMIT, Mat, code_map, col_span,
+from quivar.fields import CyclotomicField, FieldError, PrimeField, QQ
+from quivar.linalg import (POINT_MASK_LIMIT, Echelon, Mat, code_map, col_span,
                            enumerate_subspaces, gaussian_binomial_total,
                            point_test, preimage, subspace_contains,
                            subspace_intersect, subspace_points, subspace_sum)
@@ -199,3 +200,141 @@ def test_rref_idempotent(seed, rows, cols):
     _, _, red = m.rref()
     _, _, red2 = red.rref()
     assert red == red2
+
+
+# -- reference elimination ---------------------------------------------
+# The column-pivot RREF and the forward-elimination determinant that came
+# before Echelon, kept as independent references for it.
+
+def reference_rref(m):
+    f = m.field
+    a = [list(r) for r in m.data]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        pr = next((i for i in range(r, m.rows) if not f.is_zero(a[i][c])),
+                  None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        piv = f.inv(a[r][c])
+        a[r] = [f.mul(piv, x) for x in a[r]]
+        for i in range(m.rows):
+            if i != r and not f.is_zero(a[i][c]):
+                factor = a[i][c]
+                a[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    return r, pivots, tuple(map(tuple, a))
+
+
+def reference_det(m):
+    f = m.field
+    a = [list(r) for r in m.data]
+    n = m.rows
+    det = f.one()
+    for c in range(n):
+        pr = next((i for i in range(c, n) if not f.is_zero(a[i][c])), None)
+        if pr is None:
+            return f.zero()
+        if pr != c:
+            a[c], a[pr] = a[pr], a[c]
+            det = f.neg(det)
+        det = f.mul(det, a[c][c])
+        inv = f.inv(a[c][c])
+        for i in range(c + 1, n):
+            if not f.is_zero(a[i][c]):
+                factor = f.mul(a[i][c], inv)
+                a[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(a[i], a[c])]
+    return det
+
+
+def reference_kernel(m):
+    f = m.field
+    _, pivots, red = reference_rref(m)
+    out = []
+    for fc in (c for c in range(m.cols) if c not in pivots):
+        v = [f.zero()] * m.cols
+        v[fc] = f.one()
+        for r, pc in enumerate(pivots):
+            v[pc] = f.neg(red[r][fc])
+        out.append(v)
+    return tuple(zip(*out)) if out else ((),) * m.cols
+
+
+def reference_col_span(m):
+    rank, _, red = reference_rref(m.transpose())
+    return tuple(zip(*red[:rank])) if rank else ((),) * m.rows
+
+
+def leibniz_det(m):
+    f = m.field
+    total = f.zero()
+    for perm in permutations(range(m.rows)):
+        term = f.one()
+        for r, c in enumerate(perm):
+            term = f.mul(term, m.data[r][c])
+        odd = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:]) % 2
+        total = f.sub(total, term) if odd else f.add(total, term)
+    return total
+
+
+REFERENCE_FIELDS = {"Q": QQ, **{f"F{p}": PrimeField(p) for p in (2, 3, 5, 7)},
+                    **{f"Q(zeta{m})": CyclotomicField(m) for m in (3, 4, 5, 8)}}
+
+
+def degenerate_mat(f, rows, cols, rng):
+    # random rows, some replaced by zero rows, repeats and combinations
+    data = [[f.random(rng, 3) for _ in range(cols)] for _ in range(rows)]
+    for r in range(rows):
+        roll = rng.random()
+        if roll < 0.15:
+            data[r] = [f.zero()] * cols
+        elif roll < 0.3 and r:
+            data[r] = list(data[rng.randrange(r)])
+        elif roll < 0.45 and r > 1:
+            a, b = rng.sample(range(r), 2)
+            c = f.random(rng, 2)
+            data[r] = [f.add(x, f.mul(c, y)) for x, y in zip(data[a], data[b])]
+    return Mat(f, data, rows, cols)
+
+
+@pytest.mark.parametrize("name", REFERENCE_FIELDS)
+def test_elimination_matches_the_reference_bytes(name):
+    f = REFERENCE_FIELDS[name]
+    rng = random.Random(name)
+    for _ in range(60):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        m = degenerate_mat(f, rows, cols, rng)
+        rank, pivots, red = m.rref()
+        ref_rank, ref_pivots, ref_red = reference_rref(m)
+        assert (rank, pivots) == (ref_rank, ref_pivots)
+        assert repr(red.data) == repr(ref_red)
+        assert repr(m.kernel_basis().data) == repr(reference_kernel(m))
+        assert repr(col_span(m).data) == repr(reference_col_span(m))
+        square = m.submatrix(range(min(rows, cols)), range(min(rows, cols)))
+        assert repr(square.det()) == repr(reference_det(square))
+
+
+@pytest.mark.parametrize("name", REFERENCE_FIELDS)
+def test_det_is_the_leibniz_sum(name):
+    f = REFERENCE_FIELDS[name]
+    rng = random.Random(name + " leibniz")
+    for n in range(5):
+        for _ in range(4):
+            m = degenerate_mat(f, n, n, rng)
+            assert m.det() == leibniz_det(m)
+
+
+def test_echelon_add_reports_growth():
+    f = PrimeField(5)
+    ech = Echelon(f, 3)
+    assert ech.add([0, 0, 0]) is None
+    assert ech.add([0, 2, 4]) == (1, 2)
+    assert ech.add([0, 3, 1]) is None  # 4 * (0, 2, 4) mod 5
+    assert ech.add([3, 1, 0]) == (0, 3)
+    assert ech.rows == {0: [1, 0, 1], 1: [0, 1, 2]}
+    assert ech.column_basis() == col_span(Mat.from_ints(f, [[0, 3], [2, 1],
+                                                             [4, 0]]))

@@ -1,8 +1,9 @@
 """The package runs on the standard library alone, the benchmark's tracer
 finds every callable it wraps, the stability closures share no code with
 the brute-force oracle that checks them, inner products go through the
-fields' dot-product kernel, and the pullback convolution that checks the
-matrix product stays off it."""
+fields' dot-product kernel, the pullback convolution that checks the
+matrix product stays off it, and exact elimination runs through one
+echelon basis."""
 
 import importlib.util
 import os
@@ -78,10 +79,10 @@ def _names(code):
 def test_closures_share_no_code_with_the_bruteforce_oracle():
     # the brute-force oracle checks the closures, so the closures must not
     # reach any of its packed machinery
-    from quivar import reps
+    from quivar import linalg, reps
     closure_code = [reps.min_closure, reps.max_core, reps.is_stable_plus,
                     reps.is_stable_minus, reps._spin, reps._arrows,
-                    reps._column_basis]
+                    linalg.Echelon.add, linalg.Echelon.column_basis]
     for fn in closure_code:
         assert not _names(fn.__code__) & ORACLE_NAMES, fn.__name__
 
@@ -89,13 +90,17 @@ def test_closures_share_no_code_with_the_bruteforce_oracle():
 def test_inner_products_use_the_field_kernel():
     # each field has its own fused inner product, and the inner-product
     # loops call it instead of one field add and mul per term
-    from quivar import adhm, fields, linalg, mckay
+    from quivar import adhm, fields, linalg, mckay, reps
     for cls in (fields.Rationals, fields.PrimeField, fields.CyclotomicField):
         assert "dot" in vars(cls), cls.__name__
     for fn in (linalg.Mat.__matmul__, adhm._char_poly,
                mckay.CharacterTable._pair, adhm.power_traces):
         names = _names(fn.__code__)
         assert "dot" in names and not names & {"add", "mul"}, fn.__qualname__
+    # the spin's images: it names `add` only as Echelon.add, and a per-term
+    # loop would name the field's mul
+    names = _names(reps._spin.__code__)
+    assert "dot" in names and "mul" not in names
 
 
 def test_pullback_convolution_is_an_independent_cross_check():
@@ -106,3 +111,14 @@ def test_pullback_convolution_is_an_independent_cross_check():
     names = _names(convolution.convolve_via_pullback.__code__)
     assert not names & {"dot", "__matmul__", "convolve"}
     assert {"add", "mul"} <= names
+
+
+def test_every_elimination_is_one_echelon():
+    # RREF, the determinant, column spans, the stability spin and the
+    # Hilbert staircase all add vectors to an Echelon; none of them runs
+    # its own Gauss-Jordan step, which would name the field inverse
+    from quivar import adhm, linalg, reps
+    for fn in (linalg.Mat.rref, linalg.Mat.det, linalg.col_span, reps._spin,
+               adhm._staircase):
+        names = _names(fn.__code__)
+        assert "Echelon" in names and "inv" not in names, fn.__qualname__
