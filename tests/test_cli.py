@@ -360,6 +360,35 @@ def test_adhm_staircase_report_pinned(capsys, tmp_path, monkeypatch, name,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# diag(zeta, 1) and diag(sqrt(-3), -sqrt(-3)) over Q(zeta_3), sqrt(-3) =
+# 1 + 2 zeta: both characteristic polynomials split, but their roots are
+# beyond the eigenvalue search, whose refusal prints the polynomial
+REFUSED_TRIPLES = {
+    name: {"field": {"kind": "cyclotomic", "m": 3}, "n": 2,
+           "x": [[a, ["0"]], [["0"], b]], "y": [[["1"], ["0"]], [["0"], ["1"]]],
+           "i": [[["1"]], [["1"]]], "j": [["0"], ["0"]]}
+    for name, a, b in [("zeta_and_one", ["0", "1"], ["1"]),
+                       ("sqrt_minus_3", ["1", "2"], ["-1", "-2"])]}
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("zeta_and_one",
+     "5d6a81a7e833bd55f2c416e6220c88b8772c0cf9594b164387ed9e50355ffa91"),
+    ("sqrt_minus_3",
+     "f3ebc52cf680d35d50fa0dc32fddd06aa30b3bdf2f52d8e09db888d4e35b46a0"),
+])
+def test_adhm_spectrum_refusal_pinned(capsys, tmp_path, monkeypatch, name,
+                                      digest):
+    # sha256 of the stdout of the implementation that stored a cyclotomic
+    # element as a tuple of Fractions; the error names the polynomial
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"{name}.json").write_text(json.dumps(REFUSED_TRIPLES[name]))
+    assert run(["adhm", "spectrum", "--data", f"{name}.json"]) == 1
+    out = capsys.readouterr().out
+    assert "unsupported" in json.loads(out)["results"]["error"]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 CONV_KERNELS = {
     "rational": ({"source": ["a", "b"], "target": ["u", "v", "w"],
                   "entries": [["1/2", "-3"], ["2", "0"], ["5/3", "1"]]},
