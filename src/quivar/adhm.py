@@ -196,21 +196,17 @@ def _divisors(n: int):
 def _root_candidates(poly, f):
     """Every possible root of poly (poly[0] != 0) in the field, or None
     when its coefficients are beyond the search."""
-    if isinstance(f, PrimeField):
+    if f.kind == "prime":
         if f.p > FP_ROOT_SEARCH_CAP:
             raise FieldError(f"root search over F_{f.p} would try every "
                              f"element; p exceeds the cap of "
                              f"{FP_ROOT_SEARCH_CAP}")
         return map(f.from_int, range(f.p))
     # rational-root candidates; requires rational coefficients
-    fracs = []
-    for c in poly:
-        if isinstance(c, tuple):  # cyclotomic element
-            if any(x != 0 for x in c[1:]):
-                return None
-            fracs.append(c[0])
-        else:
-            fracs.append(Fraction(c))
+    try:
+        fracs = [f.rational_part(c) for c in poly]
+    except FieldError:
+        return None
     den = lcm(*[x.denominator for x in fracs])
     ints = [int(x * den) for x in fracs]
     cand = set()
@@ -219,7 +215,7 @@ def _root_candidates(poly, f):
             cand.add(Fraction(pn, qn))
             cand.add(Fraction(-pn, qn))
     out = [f.from_fraction(x) for x in sorted(cand)]
-    if isinstance(f, CyclotomicField):
+    if f.kind == "cyclotomic":
         # rational coefficients: roots come in rational multiples of
         # roots of unity as far as this searcher is concerned
         out = [f.mul(c, f.zeta_pow(k)) for c in out for k in range(f.m)]
@@ -281,15 +277,17 @@ def _eigenvalues(m: Mat):
     roots = _poly_roots(poly, m.field)
     if roots is None:
         if isinstance(m.field, CyclotomicField):
+            shown = [m.field.coeffs(c) for c in poly]
             raise AdhmError("eigenvalue search over Q(zeta_m) is "
                             "unsupported beyond rational multiples of "
-                            f"roots of unity: {poly}")
+                            f"roots of unity: {shown}")
         raise AdhmError(f"characteristic polynomial does not split: {poly}")
     return roots
 
 
 def joint_spectrum(x: Mat, y: Mat):
-    """Multiset of eigenvalue pairs of a commuting pair, sorted by str:
+    """Multiset of eigenvalue pairs of a commuting pair, sorted by str,
+    over Q(zeta_m) by the str of the pair of coefficient tuples (``coeffs``):
     each eigenvalue r of x, with multiplicity k, pairs with the
     eigenvalues of y restricted to the generalized eigenspace
     ker (x - r)^k. Raises AdhmError when a characteristic polynomial does
@@ -301,7 +299,9 @@ def joint_spectrum(x: Mat, y: Mat):
     f = x.field
     pairs = []
     for r, k in Counter(_eigenvalues(x)).items():
-        shifted = x - Mat.identity(f, x.rows).scale(r)
+        shifted = Mat._of(f, tuple(
+            tuple(f.sub(e, r) if c == i else e for c, e in enumerate(row))
+            for i, row in enumerate(x.data)), x.rows, x.cols)
         power = shifted
         for _ in range(k - 1):
             power = power @ shifted
@@ -311,6 +311,8 @@ def joint_spectrum(x: Mat, y: Mat):
             raise AdhmError("subspace not invariant")
         for s, mult in Counter(_eigenvalues(yr)).items():
             pairs.extend([(r, s)] * mult)
+    if isinstance(f, CyclotomicField):
+        return sorted(pairs, key=lambda rs: str(tuple(map(f.coeffs, rs))))
     return sorted(pairs, key=str)
 
 

@@ -5,9 +5,22 @@ inv/is_zero/...), with elements stored as plain immutable Python values:
 
 * rationals        -> ``fractions.Fraction`` (always in lowest terms)
 * prime field      -> ``int`` in ``[0, p)``
-* cyclotomic field -> tuple of ``Fraction`` of length ``euler_phi(m)``,
-                      coefficients w.r.t. ``1, z, ..., z^(phi(m)-1)`` reduced
-                      modulo the m-th cyclotomic polynomial.
+* cyclotomic field -> flat tuple of ``euler_phi(m) + 1`` ints
+                      ``(n_0, ..., n_{d-1}, den)``, the element
+                      ``(n_0 + n_1 z + ... + n_{d-1} z^(d-1)) / den`` reduced
+                      modulo the m-th cyclotomic polynomial, with den > 0 and
+                      gcd(n_0, ..., n_{d-1}, den) = 1. The form is canonical,
+                      so elements compare and hash as tuples; ``coeffs``
+                      gives the d coefficients as Fractions, which is what
+                      ``to_str``, ``rational_part`` and their messages print.
+
+Cyclotomic arithmetic works in ints and puts each result in lowest terms
+once, with one gcd (``_lowest``): ``add``/``sub`` over the lcm of the two
+denominators, ``conj`` and ``from_coeffs`` after one reduction by the table
+of zeta^j; ``neg`` keeps the denominator and needs none. Fractions appear
+only at the edges: reading input (``from_fraction``, ``from_coeffs``,
+``parse``), the ``coeffs`` accessor, and the extended Euclid in Q[x] that
+``inv`` keeps.
 
 ``dot(u, v)`` is the exact inner product sum u_k v_k, the one kernel that
 matrix products, characteristic polynomials, character pairings and power
@@ -16,8 +29,8 @@ the end: over Q the numerators over a running common denominator, then one
 ``Fraction``; over F_p the integer sum, then one reduction mod p; over
 Q(zeta_m) the integer product polynomials over a running common
 denominator, then one reduction by the integer table of zeta^j (Phi_m is
-monic) and one ``Fraction`` per coefficient. ``mul`` over Q(zeta_m) is the
-dot product of length one.
+monic) and one gcd. ``mul`` over Q(zeta_m) is the dot product of length
+one.
 
 Phi_m comes from integer long division, Phi_m = (x^m - 1) / prod(Phi_d :
 d | m, d < m), and a single table of zeta^j for j < m, with integer
@@ -184,6 +197,9 @@ class Rationals(Field):
             raise ZeroDivisionError("inverse of 0")
         return Fraction(1) / a
 
+    def rational_part(self, a) -> Fraction:
+        return a
+
     def spec(self):
         return {"kind": "rational"}
 
@@ -299,6 +315,32 @@ def _cleared(a):
     return [x.numerator * (den // x.denominator) for x in a], den
 
 
+def _lowest(nums, den):
+    """The element (*nums, den) of Q(zeta_m) in lowest terms: divided by
+    gcd(den, *nums). ``nums`` is a list of d ints and den > 0."""
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = [n // g for n in nums]
+        den //= g
+    nums.append(den)
+    return tuple(nums)
+
+
+def _combine(op, a, b):
+    """a + b or a - b (op is int add or sub) of two Q(zeta_m) elements, with
+    the numerators over the lcm of the two denominators."""
+    da, db = a[-1], b[-1]
+    if da == db:
+        s = list(map(op, a, b))
+    else:
+        g = gcd(da, db)
+        ra, rb = db // g, da // g
+        s = [op(x * ra, y * rb) for x, y in zip(a, b)]
+        da *= ra
+    s.pop()
+    return _lowest(s, da)
+
+
 class CyclotomicField(Field):
     kind = "cyclotomic"
 
@@ -322,29 +364,37 @@ class CyclotomicField(Field):
                 table.append(tuple((prev[i - 1] if i else 0) - top * phi[i]
                                    for i in range(d)))
         self._zeta_ints = table
-        self._zeta_pows = [tuple(map(Fraction, row)) for row in table]
+        self._zeta_pows = [row + (1,) for row in table]
+        self._zeros = (0,) * (d - 1)
+        self._int_tail = self._zeros + (1,)
 
     def from_int(self, n):
-        return tuple([Fraction(n)] + [Fraction(0)] * (self.degree - 1))
+        return (n,) + self._int_tail
 
     def from_fraction(self, q):
-        return tuple([Fraction(q)] + [Fraction(0)] * (self.degree - 1))
+        q = Fraction(q)
+        return (q.numerator,) + self._zeros + (q.denominator,)
 
     def from_coeffs(self, coeffs):
         """Element from coefficients of 1, z, z^2, ... (any length), reduced."""
         return self._reduce(*_cleared([Fraction(c) for c in coeffs]))
 
+    def coeffs(self, a) -> tuple:
+        """The coefficients of 1, z, ..., z^(d-1), as d Fractions."""
+        den = a[-1]
+        return tuple(Fraction(n, den) for n in a[:-1])
+
     def _reduce(self, coeffs, den):
         """The element (sum of coeffs[k] z^k) / den for integer coeffs of
         any length: the powers from z^d on are reduced by the integer table
-        of zeta^j, then each coefficient becomes one Fraction."""
+        of zeta^j, then the whole is put in lowest terms once."""
         d, m, table = self.degree, self.m, self._zeta_ints
         out = coeffs[:d] + [0] * (d - len(coeffs))
         for k in range(d, len(coeffs)):
             c = coeffs[k]
             if c:
                 out = [o + c * z for o, z in zip(out, table[k % m])]
-        return tuple(Fraction(c, den) for c in out)
+        return _lowest(out, den)
 
     def zeta(self):
         """The distinguished primitive m-th root of unity."""
@@ -354,10 +404,10 @@ class CyclotomicField(Field):
         return self._zeta_pows[j % self.m]
 
     def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return _combine(int.__add__, a, b)
 
     def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
+        return _combine(int.__sub__, a, b)
 
     def mul(self, a, b):
         return self.dot((a,), (b,))
@@ -365,16 +415,11 @@ class CyclotomicField(Field):
     def dot(self, u, v):
         # the integer coefficients of the unreduced sum of products, over
         # the running lcm of the terms' denominators
-        acc = [0] * (2 * self.degree - 1)
+        d = self.degree
+        acc = [0] * (2 * d - 1)
         den = 1
         for a, b in zip(u, v):
-            ca, da = _cleared(a)
-            if not any(ca):
-                continue
-            cb, db = _cleared(b)
-            if not any(cb):
-                continue
-            t = da * db
+            t = a[-1] * b[-1]
             if t == den:
                 r = 1
             else:
@@ -383,7 +428,9 @@ class CyclotomicField(Field):
                 if s != 1:
                     acc = [c * s for c in acc]
                     den *= s
-            for i, x in enumerate(ca):
+            cb = b[:d]
+            for i in range(d):
+                x = a[i]
                 if x:
                     x *= r
                     for j, y in enumerate(cb, i):
@@ -391,16 +438,18 @@ class CyclotomicField(Field):
         return self._reduce(acc, den)
 
     def neg(self, a):
-        return tuple(-x for x in a)
+        out = [-x for x in a]
+        out[-1] = a[-1]
+        return tuple(out)
 
     def is_zero(self, a):
-        return not any(a)
+        return not any(a[:-1])
 
     def inv(self, a):
-        if all(x == 0 for x in a):
+        if self.is_zero(a):
             raise ZeroDivisionError("inverse of 0")
         # extended Euclid for gcd(a, Phi_m) in Q[x]; Phi_m irreducible so gcd is 1
-        r0, r1 = [Fraction(c) for c in self._phi], [Fraction(x) for x in a]
+        r0, r1 = [Fraction(c) for c in self._phi], list(self.coeffs(a))
         s0, s1 = [], [Fraction(1)]
         _poly_trim(r1)
         while r1:
@@ -419,23 +468,22 @@ class CyclotomicField(Field):
 
     def conj(self, a):
         # zeta -> zeta^-1 moves the coefficient of z^k to z^((m - k) % m)
-        num, den = _cleared(a)
         coeffs = [0] * self.m
-        for k, c in enumerate(num):
-            coeffs[-k % self.m] = c
-        return self._reduce(coeffs, den)
+        for k in range(self.degree):
+            coeffs[-k % self.m] = a[k]
+        return self._reduce(coeffs, a[-1])
 
     def rational_part(self, a) -> Fraction:
         """Constant coefficient; raises if the element is not rational."""
-        if any(x != 0 for x in a[1:]):
-            raise FieldError(f"element {a} is not rational")
-        return a[0]
+        if any(a[1:-1]):
+            raise FieldError(f"element {self.coeffs(a)} is not rational")
+        return Fraction(a[0], a[-1])
 
     def spec(self):
         return {"kind": "cyclotomic", "m": self.m}
 
     def to_str(self, a):
-        return "[" + ",".join(str(x) for x in a) + "]"
+        return "[" + ",".join(str(x) for x in self.coeffs(a)) + "]"
 
     def parse(self, s):
         if isinstance(s, (list, tuple)):
@@ -445,7 +493,8 @@ class CyclotomicField(Field):
         return self.from_coeffs(coeffs)
 
     def random(self, rng, span=5):
-        return tuple(Fraction(rng.randint(-span, span)) for _ in range(self.degree))
+        return tuple([rng.randint(-span, span) for _ in range(self.degree)]
+                     + [1])
 
 
 QQ = Rationals()

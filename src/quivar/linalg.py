@@ -27,6 +27,14 @@ class Mat:
             cols = len(data[0]) if data else 0
         if len(data) != rows or any(len(r) != cols for r in data):
             raise FieldError("ragged matrix data")
+        if field.kind == "prime":
+            p = field.p
+            for r in data:
+                for x in r:
+                    if type(x) is not int or not 0 <= x < p:
+                        raise FieldError(f"entry {x!r} is not an element of "
+                                         f"F_{p}: expected an int in "
+                                         f"0..{p - 1}")
         self.field = field
         self.rows = rows
         self.cols = cols
@@ -77,16 +85,19 @@ class Mat:
         if self.field != other.field:
             raise FieldError("matrices over different fields")
 
-    def __add__(self, other):
+    def _entrywise(self, op, other):
         self._check_same_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise FieldError("shape mismatch in addition")
-        f = self.field
-        return Mat(f, [[f.add(a, b) for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.data, other.data)])
+        return Mat._of(self.field, tuple(tuple(map(op, ra, rb)) for ra, rb
+                                         in zip(self.data, other.data)),
+                       self.rows, self.cols)
+
+    def __add__(self, other):
+        return self._entrywise(self.field.add, other)
 
     def __sub__(self, other):
-        return self + other.scale(self.field.from_int(-1))
+        return self._entrywise(self.field.sub, other)
 
     def scale(self, c):
         f = self.field

@@ -49,7 +49,7 @@ class CharacterTable:
     def _weighted_conj(self, u):
         """size * conj(u) on each class, scaling by the integer size."""
         f = self.field
-        return tuple(tuple(size * c for c in f.conj(a))
+        return tuple(f.mul(f.from_int(size), f.conj(a))
                      for (_, size), a in zip(self.classes, u))
 
     @cached_property

@@ -389,6 +389,31 @@ def test_adhm_spectrum_refusal_pinned(capsys, tmp_path, monkeypatch, name,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# diag(1/2, -zeta, -zeta^2) over Q(zeta_3), -zeta^2 = 1 + zeta: pairs are
+# sorted by the str of their Fraction coefficients, where -zeta^2 comes
+# before 1/2; by the str of numerators over one denominator it would not
+ORDER_TRIPLE = {"field": {"kind": "cyclotomic", "m": 3}, "n": 3,
+                "x": [[["1/2"], ["0"], ["0"]], [["0"], ["0", "-1"], ["0"]],
+                      [["0"], ["0"], ["1", "1"]]],
+                "y": [[["1"], ["0"], ["0"]], [["0"], ["1"], ["0"]],
+                      [["0"], ["0"], ["1"]]],
+                "i": [[["1"]], [["1"]], [["1"]]],
+                "j": [["0"], ["0"], ["0"]]}
+
+
+def test_adhm_spectrum_order_pinned(capsys, tmp_path, monkeypatch):
+    # sha256 of the stdout of the implementation that stored a cyclotomic
+    # element as a tuple of Fractions
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "order.json").write_text(json.dumps(ORDER_TRIPLE))
+    assert run(["adhm", "spectrum", "--data", "order.json"]) == 0
+    out = capsys.readouterr().out
+    assert [p[0] for p in json.loads(out)["results"]["points"]] == \
+        ["[0,-1]", "[1,1]", "[1/2,0]"]
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "5f2f3d623c7e8e35224033349374169c2159d33334ed19565a9abd3a1ef7e617"
+
+
 CONV_KERNELS = {
     "rational": ({"source": ["a", "b"], "target": ["u", "v", "w"],
                   "entries": [["1/2", "-3"], ["2", "0"], ["5/3", "1"]]},

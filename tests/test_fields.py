@@ -1,13 +1,14 @@
 import random
 import time
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 
 from quivar.adhm import monomials_upto, power_traces
-from quivar.fields import (CyclotomicField, FieldError, PrimeField, QQ,
-                           _is_prime, cyclotomic_coeffs, field_from_spec)
+from quivar.fields import (CyclotomicField, Field, FieldError, PrimeField, QQ,
+                           _is_prime, _poly_divmod, _poly_trim,
+                           cyclotomic_coeffs, field_from_spec)
 from quivar.linalg import Mat
 
 
@@ -175,8 +176,9 @@ def test_field_equality_is_by_spec_with_identity_first():
 # -- the inner-product kernel against the generic loop ----------------------
 
 def _schoolbook_mul(f, a, b):
-    """Product in Q(zeta_m) by Fraction schoolbook multiplication and long
-    division by the monic Phi_m; shares no code with the field's kernel."""
+    """Product in Q(zeta_m) of two coefficient tuples, by Fraction schoolbook
+    multiplication and long division by the monic Phi_m; shares no code
+    with the field's kernel."""
     prod = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
@@ -191,8 +193,9 @@ def _schoolbook_mul(f, a, b):
 
 
 def _reference_mul(f, a, b):
-    return _schoolbook_mul(f, a, b) if isinstance(f, CyclotomicField) \
-        else f.mul(a, b)
+    if isinstance(f, CyclotomicField):
+        return f.from_coeffs(_schoolbook_mul(f, f.coeffs(a), f.coeffs(b)))
+    return f.mul(a, b)
 
 
 def _reference_dot(f, u, v):
@@ -215,7 +218,7 @@ def _random_element(f, rng):
     if isinstance(f, CyclotomicField):
         if rng.random() < 0.2:
             return f.zero()
-        return tuple(_random_fraction(rng) for _ in range(f.degree))
+        return f.from_coeffs([_random_fraction(rng) for _ in range(f.degree)])
     return _random_fraction(rng)
 
 
@@ -223,12 +226,14 @@ def _assert_canonical(f, x):
     if isinstance(f, PrimeField):
         assert type(x) is int and 0 <= x < f.p
         return
-    coeffs = x if isinstance(f, CyclotomicField) else (x,)
     if isinstance(f, CyclotomicField):
-        assert type(x) is tuple and len(x) == f.degree
-    for c in coeffs:
-        assert type(c) is Fraction
-        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+        # d numerators over one denominator, in lowest terms
+        assert type(x) is tuple and len(x) == f.degree + 1
+        assert all(type(c) is int for c in x)
+        assert x[-1] > 0 and gcd(*x) == 1
+        return
+    assert type(x) is Fraction
+    assert x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
 
 
 DOT_FIELDS = {"Q": [QQ], "F2": [PrimeField(2)], "F7": [PrimeField(7)],
@@ -259,7 +264,8 @@ def test_cyclotomic_mul_matches_schoolbook():
             a, b = _random_element(f, rng), _random_element(f, rng)
             got = f.mul(a, b)
             _assert_canonical(f, got)
-            assert got == _schoolbook_mul(f, a, b), (m, a, b)
+            assert f.coeffs(got) == _schoolbook_mul(f, f.coeffs(a),
+                                                    f.coeffs(b)), (m, a, b)
         z = f.zeta()
         assert f.conj(z) == f.zeta_pow(-1) and f.mul(z, f.conj(z)) == f.one()
 
@@ -322,3 +328,235 @@ def test_matmul_matches_reference_loop():
             prod = a @ b
             assert (prod.rows, prod.cols) == (rows, cols)
             assert prod == _reference_matmul(f, a, b)
+
+
+# -- the integer layout against the Fraction-tuple reference -----------------
+
+def _reference_cleared(a):
+    """(integer coefficients, denominator): a sequence of Fractions as integers
+    over the lcm of its denominators."""
+    den = lcm(*[x.denominator for x in a])
+    if den == 1:
+        return [x.numerator for x in a], 1
+    return [x.numerator * (den // x.denominator) for x in a], den
+
+
+class FractionCyclotomicField(Field):
+    """Q(zeta_m) with each element a tuple of phi(m) Fractions: the field as
+    it was before its elements became integers over one denominator, kept
+    verbatim as the reference for every operation."""
+
+    kind = "fraction-cyclotomic"
+
+    def __init__(self, m: int):
+        if m < 1:
+            raise FieldError("cyclotomic index must be >= 1")
+        self.m = m
+        phi = cyclotomic_coeffs(m)
+        d = self.degree = len(phi) - 1
+        self._phi = phi
+        # zeta^j for j = 0..m-1, reduced mod Phi_m, as integer rows (Phi_m
+        # is monic); zeta^m = 1 makes it cover every power, indexed by j % m
+        table = []
+        for k in range(m):
+            if k < d:
+                table.append(tuple(int(i == k) for i in range(d)))
+            else:
+                # x^k = x * x^(k-1), reduced via x^d = -(phi_0 + ... + phi_{d-1} x^{d-1})
+                prev = table[k - 1]
+                top = prev[d - 1]
+                table.append(tuple((prev[i - 1] if i else 0) - top * phi[i]
+                                   for i in range(d)))
+        self._zeta_ints = table
+        self._zeta_pows = [tuple(map(Fraction, row)) for row in table]
+
+    def from_int(self, n):
+        return tuple([Fraction(n)] + [Fraction(0)] * (self.degree - 1))
+
+    def from_fraction(self, q):
+        return tuple([Fraction(q)] + [Fraction(0)] * (self.degree - 1))
+
+    def from_coeffs(self, coeffs):
+        """Element from coefficients of 1, z, z^2, ... (any length), reduced."""
+        return self._reduce(*_reference_cleared([Fraction(c) for c in coeffs]))
+
+    def _reduce(self, coeffs, den):
+        """The element (sum of coeffs[k] z^k) / den for integer coeffs of
+        any length: the powers from z^d on are reduced by the integer table
+        of zeta^j, then each coefficient becomes one Fraction."""
+        d, m, table = self.degree, self.m, self._zeta_ints
+        out = coeffs[:d] + [0] * (d - len(coeffs))
+        for k in range(d, len(coeffs)):
+            c = coeffs[k]
+            if c:
+                out = [o + c * z for o, z in zip(out, table[k % m])]
+        return tuple(Fraction(c, den) for c in out)
+
+    def zeta(self):
+        """The distinguished primitive m-th root of unity."""
+        return self.zeta_pow(1)
+
+    def zeta_pow(self, j: int):
+        return self._zeta_pows[j % self.m]
+
+    def add(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    def mul(self, a, b):
+        return self.dot((a,), (b,))
+
+    def dot(self, u, v):
+        # the integer coefficients of the unreduced sum of products, over
+        # the running lcm of the terms' denominators
+        acc = [0] * (2 * self.degree - 1)
+        den = 1
+        for a, b in zip(u, v):
+            ca, da = _reference_cleared(a)
+            if not any(ca):
+                continue
+            cb, db = _reference_cleared(b)
+            if not any(cb):
+                continue
+            t = da * db
+            if t == den:
+                r = 1
+            else:
+                g = gcd(den, t)
+                s, r = t // g, den // g
+                if s != 1:
+                    acc = [c * s for c in acc]
+                    den *= s
+            for i, x in enumerate(ca):
+                if x:
+                    x *= r
+                    for j, y in enumerate(cb, i):
+                        acc[j] += x * y
+        return self._reduce(acc, den)
+
+    def neg(self, a):
+        return tuple(-x for x in a)
+
+    def is_zero(self, a):
+        return not any(a)
+
+    def inv(self, a):
+        if all(x == 0 for x in a):
+            raise ZeroDivisionError("inverse of 0")
+        # extended Euclid for gcd(a, Phi_m) in Q[x]; Phi_m irreducible so gcd is 1
+        r0, r1 = [Fraction(c) for c in self._phi], [Fraction(x) for x in a]
+        s0, s1 = [], [Fraction(1)]
+        _poly_trim(r1)
+        while r1:
+            q, r = _poly_divmod(r0, r1)
+            s = list(s0)
+            s += [Fraction(0)] * (len(q) + len(s1) - 1 - len(s))
+            for i, qi in enumerate(q):
+                for j, sj in enumerate(s1):
+                    s[i + j] -= qi * sj
+            r0, r1 = r1, r
+            s0, s1 = s1, _poly_trim(s)
+        c = r0[-1]  # gcd as a constant (deg 0 since Phi_m is irreducible)
+        if len(r0) != 1:
+            raise FieldError("cyclotomic polynomial unexpectedly reducible")
+        return self.from_coeffs([x / c for x in s0])
+
+    def conj(self, a):
+        # zeta -> zeta^-1 moves the coefficient of z^k to z^((m - k) % m)
+        num, den = _reference_cleared(a)
+        coeffs = [0] * self.m
+        for k, c in enumerate(num):
+            coeffs[-k % self.m] = c
+        return self._reduce(coeffs, den)
+
+    def rational_part(self, a) -> Fraction:
+        """Constant coefficient; raises if the element is not rational."""
+        if any(x != 0 for x in a[1:]):
+            raise FieldError(f"element {a} is not rational")
+        return a[0]
+
+    def spec(self):
+        return {"kind": "fraction-cyclotomic", "m": self.m}
+
+    def to_str(self, a):
+        return "[" + ",".join(str(x) for x in a) + "]"
+
+    def parse(self, s):
+        if isinstance(s, (list, tuple)):
+            return self.from_coeffs([Fraction(str(x)) for x in s])
+        body = str(s).strip().strip("[]")
+        coeffs = [Fraction(t) for t in body.split(",")] if body else []
+        return self.from_coeffs(coeffs)
+
+    def random(self, rng, span=5):
+        return tuple(Fraction(rng.randint(-span, span)) for _ in range(self.degree))
+
+
+def _coefficient_lists(rng, d):
+    """Seeded coefficient lists of length d: zero, rational, and integer
+    and rational ones with large numerators and denominators."""
+    big = 10 ** 30
+    yield [0] * d
+    yield [Fraction(rng.randint(-3, 3), 7)] + [0] * (d - 1)
+    yield [_random_fraction(rng) for _ in range(d)]
+    yield [rng.randint(-big, big) if rng.random() < 0.7 else 0
+           for _ in range(d)]
+    yield [Fraction(rng.randint(-big, big), rng.randint(1, 10 ** 12))
+           for _ in range(d)]
+
+
+def _rational_part_or_error(f, a):
+    try:
+        return f.rational_part(a)
+    except FieldError as err:
+        return str(err)
+
+
+def test_cyclotomic_matches_the_fraction_tuple_reference():
+    for m in range(1, 41):
+        f, ref = CyclotomicField(m), FractionCyclotomicField(m)
+        rng = random.Random(m)
+        d = f.degree
+        lists = list(_coefficient_lists(rng, d))
+        # a longer list exercises the reduction by zeta^m = 1 and Phi_m
+        lists.append([rng.randint(-5, 5) for _ in range(2 * m + 1)])
+        pairs = [(f.from_coeffs(c), ref.from_coeffs(c)) for c in lists]
+        for a, ra in pairs:
+            _assert_canonical(f, a)
+            assert f.coeffs(a) == ra
+            assert f.is_zero(a) == ref.is_zero(ra)
+            assert f.coeffs(f.neg(a)) == ref.neg(ra)
+            assert f.coeffs(f.conj(a)) == ref.conj(ra)
+            assert _rational_part_or_error(f, a) == \
+                _rational_part_or_error(ref, ra)
+            text = f.to_str(a)
+            assert text == ref.to_str(ra)
+            assert f.parse(text) == a and f.parse(list(f.coeffs(a))) == a
+            # Euclid in Q[x] swells coefficients: large ones at degree <= 4,
+            # the others at degree <= 8
+            height = max(abs(x.numerator) + x.denominator for x in ra)
+            if not ref.is_zero(ra) and (d <= 4 or d <= 8 and height < 10 ** 6):
+                inv = f.inv(a)
+                _assert_canonical(f, inv)
+                assert f.coeffs(inv) == ref.inv(ra)
+            for b, rb in pairs:
+                for op in ("add", "sub", "mul"):
+                    got = getattr(f, op)(a, b)
+                    _assert_canonical(f, got)
+                    assert f.coeffs(got) == getattr(ref, op)(ra, rb), (m, op)
+        elems, refs = zip(*pairs)
+        for k in range(len(elems) + 1):
+            got = f.dot(elems[:k], elems[::-1][:k])
+            _assert_canonical(f, got)
+            assert f.coeffs(got) == ref.dot(refs[:k], refs[::-1][:k])
+        for j in range(-m, 2 * m):
+            assert f.coeffs(f.zeta_pow(j)) == ref.zeta_pow(j)
+        for n in (0, 5, -3, 10 ** 30):
+            assert f.coeffs(f.from_int(n)) == ref.from_int(n)
+        for q in (Fraction(0), Fraction(-7, 4), Fraction(10 ** 20, 3)):
+            assert f.coeffs(f.from_fraction(q)) == ref.from_fraction(q)
+        assert f.coeffs(f.random(random.Random(m))) == \
+            ref.random(random.Random(m))
+        assert f.parse("") == f.zero() and ref.parse("") == ref.zero()

@@ -59,6 +59,31 @@ def test_det_prime_field():
     assert m.det() == (1 * 2 - 2 * 2) % 3
 
 
+@pytest.mark.parametrize("data", [[[5, 1], [0, 0]], [[6, 0], [0, 1]],
+                                  [[-1, 0], [0, 1]], [[Fraction(1), 0], [0, 1]]])
+def test_prime_field_entries_outside_0_to_p_refused(data):
+    # unreduced entries made rank() raise ZeroDivisionError on [[5, 1],
+    # [0, 0]] and gave det [[6, 0], [0, 1]] = 1 by accident
+    f5 = PrimeField(5)
+    with pytest.raises(FieldError, match=r"F_5: expected an int in 0\.\.4"):
+        Mat(f5, data)
+    # from_ints reduces mod p, so the same rows are accepted there
+    ints = [[int(x) for x in r] for r in data]
+    assert Mat.from_ints(f5, ints).data == \
+        tuple(tuple(x % 5 for x in r) for r in ints)
+
+
+@pytest.mark.parametrize("f", [QQ, PrimeField(5), CyclotomicField(5)],
+                         ids=["Q", "F5", "Q(zeta_5)"])
+def test_sub_is_add_of_the_negative(f):
+    rng = random.Random(13)
+    for rows, cols in ((0, 2), (2, 0), (2, 3)):
+        a, b = rand_mat(f, rows, cols, rng), rand_mat(f, rows, cols, rng)
+        assert a - b == a + b.scale(f.from_int(-1))
+    with pytest.raises(FieldError, match="shape mismatch in addition"):
+        rand_mat(f, 2, 2, rng) - rand_mat(f, 2, 3, rng)
+
+
 def test_empty_products():
     # inner dimension zero gives the zero matrix, not a ragged one
     a = Mat.zeros(QQ, 3, 0)

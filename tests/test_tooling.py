@@ -2,8 +2,9 @@
 finds every callable it wraps, the stability closures share no code with
 the brute-force oracle that checks them, inner products go through the
 fields' dot-product kernel, the pullback convolution that checks the
-matrix product stays off it, and exact elimination runs through one
-echelon basis."""
+matrix product stays off it, exact elimination runs through one echelon
+basis, and the integer layout of Q(zeta_m) elements stays inside
+``fields``."""
 
 import importlib.util
 import os
@@ -122,3 +123,29 @@ def test_every_elimination_is_one_echelon():
                adhm._staircase):
         names = _names(fn.__code__)
         assert "Echelon" in names and "inv" not in names, fn.__qualname__
+
+
+CYCLOTOMIC_INTERNALS = {"_cleared", "_reduce", "_zeta_ints", "_zeta_pows"}
+
+
+def test_cyclotomic_layout_stays_in_fields():
+    # a cyclotomic element is integers over one denominator; only fields.py
+    # reads that layout, and its arithmetic builds no Fraction
+    import ast
+    from quivar import adhm, fields
+    for path in sorted((ROOT / "src" / "quivar").glob("*.py")):
+        if path.name == "fields.py":
+            continue
+        tree = ast.parse(path.read_text())
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute)}
+        names |= {a.name for n in ast.walk(tree)
+                  if isinstance(n, ast.ImportFrom) for a in n.names}
+        assert not names & CYCLOTOMIC_INTERNALS, path.name
+    names = _names(adhm._root_candidates.__code__)
+    assert "rational_part" in names and "isinstance" not in names
+    cls = fields.CyclotomicField
+    for fn in (cls.add, cls.sub, cls.neg, cls.mul, cls.dot, cls.conj,
+               cls._reduce, fields._lowest, fields._combine):
+        assert "Fraction" not in _names(fn.__code__), fn.__qualname__
