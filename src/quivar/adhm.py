@@ -13,7 +13,12 @@ the field: rational roots among the divisor quotients of the end
 coefficients over Q, every element of F_p for p up to
 ``FP_ROOT_SEARCH_CAP`` (a larger p is refused with ``FieldError``), and
 rational multiples of roots of unity over Q(zeta_m), where a failed search
-is reported as unsupported rather than as "does not split".
+is reported as unsupported rather than as "does not split". The search
+clears the polynomial to integers once and tests each candidate exactly
+in ints (mod p over F_p), with the multiplicity from the first integer
+Hasse derivative that does not vanish; Q is the case m = 1 of Q(zeta_m).
+The restriction of y to a generalized eigenspace of x is read off the
+free coordinates of the kernel basis.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 
 from .fields import CyclotomicField, Field, FieldError, PrimeField, QQ
 from .linalg import Echelon, Mat, col_span, subspace_contains, subspace_sum
@@ -180,8 +185,8 @@ def _char_poly(m: Mat):
 
 
 # p beyond which the exhaustive root search over F_p is refused: p
-# evaluations of a polynomial of degree n <= 12 take half a second or less
-# on CPython 3.11
+# integer evaluations of a polynomial of degree n <= 12 take about 0.2 s on
+# CPython 3.11 (2-core x86-64 VM)
 FP_ROOT_SEARCH_CAP = 1 << 17
 
 
@@ -193,33 +198,68 @@ def _divisors(n: int):
     return small + [n // d for d in reversed(small) if d * d != n]
 
 
+def _fp_zeros(ints, p):
+    """(r, 1) for each nonzero residue r mod p at which the polynomial with
+    integer coefficients ``ints`` (low degree first) vanishes, ascending,
+    by Horner's rule in ints."""
+    rev = ints[::-1]
+    for r in range(1, p):
+        acc = 0
+        for a in rev:
+            acc = (acc * r + a) % p
+        if not acc:
+            yield r, 1
+
+
 def _root_candidates(poly, f):
-    """Every possible root of poly (poly[0] != 0) in the field, or None
-    when its coefficients are beyond the search."""
+    """(ints, candidates) for poly with poly[0] != 0: its coefficients
+    cleared to integers once, and the pairs (p, q) of the rational numbers
+    p / q that may be roots, or roots up to a power of zeta over Q(zeta_m),
+    in search order. None when a coefficient is not rational."""
     if f.kind == "prime":
         if f.p > FP_ROOT_SEARCH_CAP:
             raise FieldError(f"root search over F_{f.p} would try every "
                              f"element; p exceeds the cap of "
                              f"{FP_ROOT_SEARCH_CAP}")
-        return map(f.from_int, range(f.p))
-    # rational-root candidates; requires rational coefficients
+        # 0 is no root, and the others are found by evaluation mod p
+        return poly, _fp_zeros(poly, f.p)
     try:
         fracs = [f.rational_part(c) for c in poly]
     except FieldError:
         return None
     den = lcm(*[x.denominator for x in fracs])
-    ints = [int(x * den) for x in fracs]
+    ints = [x.numerator * (den // x.denominator) for x in fracs]
     cand = set()
     for pn in _divisors(ints[0]):
         for qn in _divisors(ints[-1]):
             cand.add(Fraction(pn, qn))
             cand.add(Fraction(-pn, qn))
-    out = [f.from_fraction(x) for x in sorted(cand)]
-    if f.kind == "cyclotomic":
-        # rational coefficients: roots come in rational multiples of
-        # roots of unity as far as this searcher is concerned
-        out = [f.mul(c, f.zeta_pow(k)) for c in out for k in range(f.m)]
-    return out
+    cand = sorted(cand)
+    if f.kind == "cyclotomic" and f.m % 2 == 0:
+        # -zeta^k = zeta^(k + m/2): the negative c, first in the sorted
+        # order, already give every c zeta^k
+        cand = [c for c in cand if c < 0]
+    return ints, [(c.numerator, c.denominator) for c in cand]
+
+
+def _scaled(ints, p, q):
+    """The integer coefficients s_e = a_e p^e q^(n-e) of q^n f(p t / q),
+    for f = sum a_e t^e of degree n: (p / q) z is a root of f of the same
+    multiplicity as z is of sum s_e t^e."""
+    n = len(ints) - 1
+    return [a * p ** e * q ** (n - e) for e, a in enumerate(ints)]
+
+
+def _multiplicity(s, vanishes):
+    """The multiplicity of z as a root of g = sum s_e t^e, where
+    ``vanishes(v)`` tells whether sum v_e t^e has the root z: the least j
+    with a nonzero Hasse derivative sum_e C(e, j) s_e z^(e - j), which
+    counts correctly in every characteristic (ordinary derivatives miss a
+    multiplicity >= p over F_p). Requires z != 0."""
+    j = 0
+    while vanishes([comb(e, j) * x for e, x in enumerate(s)]):
+        j += 1
+    return j
 
 
 def _poly_roots(poly, f):
@@ -228,44 +268,53 @@ def _poly_roots(poly, f):
     exhaustive search over prime fields up to FP_ROOT_SEARCH_CAP, where
     None means the polynomial does not split; over cyclotomic fields only
     rational multiples of roots of unity are tried, for rational
-    coefficients, so None there decides nothing."""
+    coefficients, so None there decides nothing.
+
+    Each candidate is tested exactly on the integer coefficients, and its
+    multiplicity read off the integer Hasse derivatives; over Q(zeta_m)
+    the conjugates c zeta^k with the same gcd(k, m) share theirs, since
+    the coefficients are rational. The roots come in search order, the
+    last one from Vieta's formula once only one is left."""
     roots = []
     cur = list(poly)
-
-    def eval_at(p, r):
-        acc = f.zero()
-        for c in reversed(p):
-            acc = f.add(f.mul(acc, r), c)
-        return acc
-
-    def deflate(p, r):
-        # synthetic division by (t - r)
-        out = [f.zero()] * (len(p) - 1)
-        carry = f.zero()
-        for k in range(len(p) - 1, 0, -1):
-            carry = f.add(p[k], f.mul(r, carry))
-            out[k - 1] = carry
-        return out
-
     while len(cur) > 1 and f.is_zero(cur[0]):  # candidates need cur[0] != 0
         roots.append(f.zero())
         cur = cur[1:]
-    if len(cur) > 2:
-        cand = _root_candidates(cur, f)
-        if cand is None:
+    left = len(cur) - 1  # roots of cur not found yet
+    if left > 1:
+        found = _root_candidates(cur, f)
+        if found is None:
             return None
-        # one pass: every root of a deflation is a root of cur, so a
-        # candidate that fails once never needs trying again
-        for r in cand:
-            while len(cur) > 2 and f.is_zero(eval_at(cur, r)):
-                roots.append(r)
-                cur = deflate(cur, r)
-            if len(cur) == 2:
+        ints, cands = found
+        if f.kind == "cyclotomic":
+            m, vanishes = f.m, f.vanishes_at_zeta_pow
+        elif f.kind == "prime":
+            m, vanishes = 1, lambda v, k: sum(v) % f.p == 0
+        else:
+            m, vanishes = 1, lambda v, k: sum(v) == 0
+        for p, q in cands:
+            s = _scaled(ints, p, q)
+            mults = {}  # by gcd(k, m)
+            for k in range(m):
+                g = gcd(k, m)
+                if g not in mults:
+                    mults[g] = _multiplicity(s, lambda v: vanishes(v, k))
+                mult = mults[g]
+                if mult:
+                    c = Fraction(p, q)
+                    roots += [f.from_coeffs([0] * k + [c]) if k else
+                              f.from_fraction(c)] * mult
+                    left -= mult
+                    if left <= 1:
+                        break
+            if left <= 1:
                 break
         else:
             return None
-    if len(cur) == 2:
-        roots.append(f.neg(f.div(cur[0], cur[1])))
+    if left == 1:
+        # the roots of cur sum to -cur[-2] / cur[-1]
+        known = f.dot(roots, [f.one()] * len(roots))
+        roots.append(f.sub(f.neg(f.div(cur[-2], cur[-1])), known))
     return roots
 
 
@@ -305,9 +354,16 @@ def joint_spectrum(x: Mat, y: Mat):
         power = shifted
         for _ in range(k - 1):
             power = power @ shifted
+        # column c of the kernel basis B is 1 at its free coordinate, its
+        # last nonzero entry, and 0 at the other free coordinates; so if
+        # y B = B Y, Y is the rows of y B at the free coordinates, and the
+        # product B Y = y B checks that the kernel is y-invariant
         basis = power.kernel_basis()
-        yr = basis.solve(y @ basis)
-        if yr is None:
+        free = [max(i for i, e in enumerate(col) if not f.is_zero(e))
+                for col in zip(*basis.data)]
+        yb = y @ basis
+        yr = Mat._of(f, tuple(yb.data[i] for i in free), len(free), len(free))
+        if basis @ yr != yb:
             raise AdhmError("subspace not invariant")
         for s, mult in Counter(_eigenvalues(yr)).items():
             pairs.extend([(r, s)] * mult)

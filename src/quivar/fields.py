@@ -1,7 +1,8 @@
 """Exact scalar arithmetic over Q, prime fields F_p, and cyclotomic fields Q(zeta_m).
 
 Every field exposes the same small interface (zero/one/add/sub/mul/dot/
-inv/is_zero/...), with elements stored as plain immutable Python values:
+row_sub/row_scale/inv/is_zero/...), with elements stored as plain immutable
+Python values:
 
 * rationals        -> ``fractions.Fraction`` (always in lowest terms)
 * prime field      -> ``int`` in ``[0, p)``
@@ -17,27 +18,32 @@ inv/is_zero/...), with elements stored as plain immutable Python values:
 Cyclotomic arithmetic works in ints and puts each result in lowest terms
 once, with one gcd (``_lowest``): ``add``/``sub`` over the lcm of the two
 denominators, ``conj`` and ``from_coeffs`` after one reduction by the table
-of zeta^j; ``neg`` keeps the denominator and needs none. Fractions appear
-only at the edges: reading input (``from_fraction``, ``from_coeffs``,
-``parse``), the ``coeffs`` accessor, and the extended Euclid in Q[x] that
-``inv`` keeps.
+of zeta^j; ``neg`` keeps the denominator and needs none. ``inv`` is the
+product of the other Galois conjugates zeta -> zeta^k over the rational
+norm, all in ints. Fractions appear only at the edges: reading input
+(``from_fraction``, ``from_coeffs``, ``parse``) and the ``coeffs`` accessor.
 
-``dot(u, v)`` is the exact inner product sum u_k v_k, the one kernel that
-matrix products, characteristic polynomials, character pairings and power
-traces go through. It accumulates in Python ints and normalises once, at
-the end: over Q the numerators over a running common denominator, then one
+The kernels compute in Python ints and normalise each result once.
+``dot(u, v)`` is the exact inner product sum u_k v_k that matrix products,
+characteristic polynomials, character pairings and power traces go through:
+over Q the numerators over a running common denominator, then one
 ``Fraction``; over F_p the integer sum, then one reduction mod p; over
 Q(zeta_m) the integer product polynomials over a running common
 denominator, then one reduction by the integer table of zeta^j (Phi_m is
 monic) and one gcd. ``mul`` over Q(zeta_m) is the dot product of length
-one.
+one. ``row_sub(u, c, v)`` = [u_k - c v_k] and ``row_scale(c, u)`` = [c u_k]
+are the row updates of elimination: one ``Fraction`` per changed entry over
+Q, ``(a - c b) % p`` over F_p, and over Q(zeta_m) c cleared once into the
+integer rows of its multiplication, then one gcd per changed entry.
+``vanishes_at_zeta_pow`` tests an integer polynomial at a power of zeta,
+for the root search of :mod:`quivar.adhm`.
 
 Phi_m comes from integer long division, Phi_m = (x^m - 1) / prod(Phi_d :
 d | m, d < m), and a single table of zeta^j for j < m, with integer
-entries, serves reduction (of products, ``from_coeffs`` and ``conj``) and
-powers, since zeta^m = 1. Primality of p is decided by deterministic
-Miller-Rabin. No floating point anywhere and no dependency outside the
-standard library; rank decisions downstream rely on exactness.
+entries, serves reduction (of products, ``from_coeffs``, conjugates and
+evaluations) and powers, since zeta^m = 1. Primality of p is decided by
+deterministic Miller-Rabin. No floating point anywhere and no dependency
+outside the standard library; rank decisions downstream rely on exactness.
 """
 
 from __future__ import annotations
@@ -113,6 +119,14 @@ class Field:
         """sum of u[k] * v[k] over zip(u, v); the zero for empty input."""
         raise NotImplementedError
 
+    def row_sub(self, u, c, v):
+        """The list [u[k] - c * v[k]] over zip(u, v)."""
+        raise NotImplementedError
+
+    def row_scale(self, c, u):
+        """The list [c * u[k]]."""
+        raise NotImplementedError
+
     def neg(self, a):
         raise NotImplementedError
 
@@ -186,6 +200,23 @@ class Rationals(Field):
                     num, den = num * (d // g) + n * (den // g), den // g * d
         return Fraction(num, den)
 
+    def row_sub(self, u, c, v):
+        # a - c b over the product of the three denominators: one Fraction
+        # per changed entry, none where b is 0
+        cn, cd = c.numerator, c.denominator
+        out = []
+        for a, b in zip(u, v):
+            bn = b.numerator
+            if bn and cn:
+                ad, bd = a.denominator, b.denominator
+                a = Fraction(a.numerator * cd * bd - cn * bn * ad, ad * cd * bd)
+            out.append(a)
+        return out
+
+    def row_scale(self, c, u):
+        cn, cd = c.numerator, c.denominator
+        return [Fraction(cn * a.numerator, cd * a.denominator) for a in u]
+
     def neg(self, a):
         return -a
 
@@ -236,6 +267,14 @@ class PrimeField(Field):
     def dot(self, u, v):
         return sum(map(int.__mul__, u, v)) % self.p
 
+    def row_sub(self, u, c, v):
+        p = self.p
+        return [(a - c * b) % p for a, b in zip(u, v)]
+
+    def row_scale(self, c, u):
+        p = self.p
+        return [c * a % p for a in u]
+
     def neg(self, a):
         return (-a) % self.p
 
@@ -259,32 +298,6 @@ class PrimeField(Field):
 
     def random(self, rng, span=5):
         return rng.randrange(self.p)
-
-
-def _poly_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_divmod(a, b):
-    """Division with remainder in Q[x]; coefficient lists, low degree first."""
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in b]
-    _poly_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    _poly_trim(r)
-    while len(r) >= len(b):
-        k = len(r) - len(b)
-        c = r[-1] / b[-1]
-        q[k] = c
-        for i, bc in enumerate(b):
-            r[k + i] -= c * bc
-        _poly_trim(r)
-    return q, r
 
 
 def cyclotomic_coeffs(m: int):
@@ -341,6 +354,16 @@ def _combine(op, a, b):
     return _lowest(s, da)
 
 
+def _through(rows, b):
+    """sum of b[j] rows[j] over the rows: the integer coordinates of the
+    numerators of b under a multiplication given by ``_times``."""
+    s = [0] * len(rows)
+    for x, row in zip(b, rows):
+        if x:
+            s = [y + x * z for y, z in zip(s, row)]
+    return s
+
+
 class CyclotomicField(Field):
     kind = "cyclotomic"
 
@@ -350,7 +373,6 @@ class CyclotomicField(Field):
         self.m = m
         phi = cyclotomic_coeffs(m)
         d = self.degree = len(phi) - 1
-        self._phi = phi
         # zeta^j for j = 0..m-1, reduced mod Phi_m, as integer rows (Phi_m
         # is monic); zeta^m = 1 makes it cover every power, indexed by j % m
         table = []
@@ -367,6 +389,7 @@ class CyclotomicField(Field):
         self._zeta_pows = [row + (1,) for row in table]
         self._zeros = (0,) * (d - 1)
         self._int_tail = self._zeros + (1,)
+        self._zero = (0,) + self._int_tail
 
     def from_int(self, n):
         return (n,) + self._int_tail
@@ -386,15 +409,51 @@ class CyclotomicField(Field):
 
     def _reduce(self, coeffs, den):
         """The element (sum of coeffs[k] z^k) / den for integer coeffs of
-        any length: the powers from z^d on are reduced by the integer table
-        of zeta^j, then the whole is put in lowest terms once."""
+        any length, in lowest terms."""
+        return _lowest(self._fold(coeffs), den)
+
+    def _fold(self, coeffs):
+        """The d integer coordinates of sum coeffs[k] z^k, for integer
+        coeffs of any length: the powers from z^d on are reduced by the
+        integer table of zeta^j."""
         d, m, table = self.degree, self.m, self._zeta_ints
         out = coeffs[:d] + [0] * (d - len(coeffs))
         for k in range(d, len(coeffs)):
             c = coeffs[k]
             if c:
                 out = [o + c * z for o, z in zip(out, table[k % m])]
-        return _lowest(out, den)
+        return out
+
+    def _at_zeta_pow(self, ints, k):
+        """The d integer coordinates of sum ints[e] zeta^(k e): the integer
+        polynomial ``ints`` (low degree first) at zeta^k. At k coprime to m
+        this is the Galois conjugate zeta -> zeta^k of sum ints[e] z^e."""
+        m = self.m
+        buckets = [0] * m
+        for e, x in enumerate(ints):
+            if x:
+                buckets[k * e % m] += x
+        return self._fold(buckets)
+
+    def vanishes_at_zeta_pow(self, ints, k) -> bool:
+        """Whether the integer polynomial ``ints`` (low degree first) has
+        the root zeta^k."""
+        return not any(self._at_zeta_pow(ints, k))
+
+    def _times(self, c):
+        """The multiplication by the numerator polynomial of c, as d integer
+        rows: row j holds the coordinates of that polynomial times z^j."""
+        d, xd = self.degree, self._zeta_ints[self.degree % self.m]
+        row = list(c[:-1])
+        rows = [row]
+        for _ in range(d - 1):
+            # times z: shift up, then reduce the overflow z^d by the table
+            top = row[-1]
+            row = [0] + row[:-1]
+            if top:
+                row = [x + top * z for x, z in zip(row, xd)]
+            rows.append(row)
+        return rows
 
     def zeta(self):
         """The distinguished primitive m-th root of unity."""
@@ -437,6 +496,40 @@ class CyclotomicField(Field):
                         acc[j] += x * y
         return self._reduce(acc, den)
 
+    def row_sub(self, u, c, v):
+        # c b is the numerators of b through the rows of c's multiplication
+        # over cden * bden, so c is cleared once per row and no product is
+        # reduced; each changed entry takes one gcd
+        zero, cden = self._zero, c[-1]
+        if c == zero:
+            return list(u)
+        times = self._times(c)
+        out = []
+        for a, b in zip(u, v):
+            if b != zero:
+                s = _through(times, b)
+                t, den = cden * b[-1], a[-1]
+                if t == den:
+                    s = [x - y for x, y in zip(a, s)]
+                else:
+                    g = gcd(den, t)
+                    ra, rs = t // g, den // g
+                    s = [x * ra - y * rs for x, y in zip(a, s)]
+                    den *= ra
+                a = _lowest(s, den)
+            out.append(a)
+        return out
+
+    def row_scale(self, c, u):
+        zero, cden = self._zero, c[-1]
+        times = self._times(c)
+        out = []
+        for a in u:
+            if a != zero:
+                a = _lowest(_through(times, a), cden * a[-1])
+            out.append(a)
+        return out
+
     def neg(self, a):
         out = [-x for x in a]
         out[-1] = a[-1]
@@ -448,30 +541,21 @@ class CyclotomicField(Field):
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of 0")
-        # extended Euclid for gcd(a, Phi_m) in Q[x]; Phi_m irreducible so gcd is 1
-        r0, r1 = [Fraction(c) for c in self._phi], list(self.coeffs(a))
-        s0, s1 = [], [Fraction(1)]
-        _poly_trim(r1)
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            s = list(s0)
-            s += [Fraction(0)] * (len(q) + len(s1) - 1 - len(s))
-            for i, qi in enumerate(q):
-                for j, sj in enumerate(s1):
-                    s[i + j] -= qi * sj
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_trim(s)
-        c = r0[-1]  # gcd as a constant (deg 0 since Phi_m is irreducible)
-        if len(r0) != 1:
-            raise FieldError("cyclotomic polynomial unexpectedly reducible")
-        return self.from_coeffs([x / c for x in s0])
+        # a = A / den with A integral: A times the product P of its other
+        # Galois conjugates zeta -> zeta^k is the norm N(A), a nonzero
+        # integer, so 1 / a = den P / N(A)
+        m, nums = self.m, a[:-1]
+        prod = self.one()
+        for k in range(2, m):
+            if gcd(k, m) == 1:
+                prod = self.mul(prod, self._at_zeta_pow(nums, k) + [1])
+        norm = self.mul(nums + (1,), prod)[0]
+        scale = a[-1] if norm > 0 else -a[-1]
+        return _lowest([x * scale for x in prod[:-1]], abs(norm))
 
     def conj(self, a):
-        # zeta -> zeta^-1 moves the coefficient of z^k to z^((m - k) % m)
-        coeffs = [0] * self.m
-        for k in range(self.degree):
-            coeffs[-k % self.m] = a[k]
-        return self._reduce(coeffs, a[-1])
+        # zeta -> zeta^-1
+        return _lowest(self._at_zeta_pow(a[:-1], -1), a[-1])
 
     def rational_part(self, a) -> Fraction:
         """Constant coefficient; raises if the element is not rational."""

@@ -171,8 +171,8 @@ class Mat:
             for r, pc in enumerate(pivots):
                 v[pc] = f.neg(red.data[r][fc])
             cols.append(v)
-        return Mat(f, list(zip(*cols)) if cols else [[] for _ in range(self.cols)],
-                   self.cols, len(cols))
+        return Mat._of(f, tuple(zip(*cols)) if cols else ((),) * self.cols,
+                       self.cols, len(cols))
 
     def solve(self, b: "Mat"):
         """One solution x of self @ x = b, or None if inconsistent."""
@@ -188,7 +188,7 @@ class Mat:
         for r, pc in enumerate(pivots):
             for j in range(b.cols):
                 sol[pc][j] = red.data[r][self.cols + j]
-        return Mat(f, sol, self.cols, b.cols)
+        return Mat._of(f, tuple(map(tuple, sol)), self.cols, b.cols)
 
     def det(self):
         """The rows added to an :class:`Echelon` in order are row operations
@@ -213,14 +213,17 @@ class Mat:
 
 class Echelon:
     """A reduced echelon basis {pivot: row} of F^n, grown one vector at a
-    time; each row is a list, 1 at its pivot and 0 at the other pivots."""
+    time; each row is a list, 1 at its pivot and 0 at the other pivots.
+    Every row update is one call to the field's ``row_sub`` or
+    ``row_scale``, which normalise each changed entry once."""
 
-    __slots__ = ("field", "n", "rows", "_is_zero", "_sub", "_mul", "_inv")
+    __slots__ = ("field", "n", "rows", "_is_zero", "_row_sub", "_row_scale",
+                 "_inv")
 
     def __init__(self, field: Field, n: int):
         self.field, self.n, self.rows = field, n, {}
-        self._is_zero, self._sub, self._mul, self._inv = (
-            field.is_zero, field.sub, field.mul, field.inv)
+        self._is_zero, self._row_sub, self._row_scale, self._inv = (
+            field.is_zero, field.row_sub, field.row_scale, field.inv)
 
     @classmethod
     def of(cls, field: Field, n: int, vectors):
@@ -236,23 +239,22 @@ class Echelon:
         """Reduce ``vec`` once against the rows. Return None if it lies in
         their span; else normalise it, clear its pivot from the other rows,
         store it and return (pivot, leading entry before normalising)."""
-        is_zero, sub, mul = self._is_zero, self._sub, self._mul
+        is_zero, row_sub = self._is_zero, self._row_sub
         rows = self.rows
         for pc, row in rows.items():
             c = vec[pc]
             if not is_zero(c):
-                vec = [sub(a, mul(c, b)) for a, b in zip(vec, row)]
+                vec = row_sub(vec, c, row)
         for pivot, lead in enumerate(vec):
             if not is_zero(lead):
                 break
         else:
             return None
-        inv = self._inv(lead)
-        vec = [mul(inv, a) for a in vec]
+        vec = self._row_scale(self._inv(lead), vec)
         for pc, row in rows.items():
             c = row[pivot]
             if not is_zero(c):
-                rows[pc] = [sub(a, mul(c, b)) for a, b in zip(row, vec)]
+                rows[pc] = row_sub(row, c, vec)
         rows[pivot] = vec
         return pivot, lead
 

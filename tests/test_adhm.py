@@ -2,16 +2,18 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 
 from quivar.adhm import (FP_ROOT_SEARCH_CAP, AdhmData, AdhmError, _char_poly,
-                         calogero_moser_check, count_codim2_ideals_f2,
+                         _poly_roots, calogero_moser_check,
+                         count_codim2_ideals_f2,
                          count_hilbert_orbits_f2_n2, ideal_from_triple,
                          is_hilbert_point, is_order_ideal, joint_spectrum,
                          monomials_upto, power_traces, triple_from_staircase)
-from quivar.fields import CyclotomicField, FieldError, PrimeField, QQ
+from quivar.fields import (CyclotomicField, FieldError, PrimeField, QQ,
+                           cyclotomic_coeffs)
 from quivar.linalg import Mat
 
 
@@ -173,6 +175,186 @@ def test_char_poly_matches_det(field, sizes, points):
             assert evaluate(field, poly, t) == want
 
 
+# -- the root search against the deflating one it replaced -------------
+
+def reference_divisors(n: int):
+    """Positive divisors of n != 0, ascending, by trial division up to
+    isqrt(|n|)."""
+    n = abs(n)
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def reference_root_candidates(poly, f):
+    """Every possible root of poly (poly[0] != 0) in the field, or None
+    when its coefficients are beyond the search."""
+    if f.kind == "prime":
+        if f.p > FP_ROOT_SEARCH_CAP:
+            raise FieldError(f"root search over F_{f.p} would try every "
+                             f"element; p exceeds the cap of "
+                             f"{FP_ROOT_SEARCH_CAP}")
+        return map(f.from_int, range(f.p))
+    # rational-root candidates; requires rational coefficients
+    try:
+        fracs = [f.rational_part(c) for c in poly]
+    except FieldError:
+        return None
+    den = lcm(*[x.denominator for x in fracs])
+    ints = [int(x * den) for x in fracs]
+    cand = set()
+    for pn in reference_divisors(ints[0]):
+        for qn in reference_divisors(ints[-1]):
+            cand.add(Fraction(pn, qn))
+            cand.add(Fraction(-pn, qn))
+    out = [f.from_fraction(x) for x in sorted(cand)]
+    if f.kind == "cyclotomic":
+        # rational coefficients: roots come in rational multiples of
+        # roots of unity as far as this searcher is concerned
+        out = [f.mul(c, f.zeta_pow(k)) for c in out for k in range(f.m)]
+    return out
+
+
+def reference_poly_roots(poly, f):
+    """Roots in the field with multiplicity, or None when the search finds
+    no root of a nonlinear factor: Horner evaluation and deflation with one
+    field operation per step."""
+    roots = []
+    cur = list(poly)
+
+    def eval_at(p, r):
+        acc = f.zero()
+        for c in reversed(p):
+            acc = f.add(f.mul(acc, r), c)
+        return acc
+
+    def deflate(p, r):
+        # synthetic division by (t - r)
+        out = [f.zero()] * (len(p) - 1)
+        carry = f.zero()
+        for k in range(len(p) - 1, 0, -1):
+            carry = f.add(p[k], f.mul(r, carry))
+            out[k - 1] = carry
+        return out
+
+    while len(cur) > 1 and f.is_zero(cur[0]):  # candidates need cur[0] != 0
+        roots.append(f.zero())
+        cur = cur[1:]
+    if len(cur) > 2:
+        cand = reference_root_candidates(cur, f)
+        if cand is None:
+            return None
+        # one pass: every root of a deflation is a root of cur, so a
+        # candidate that fails once never needs trying again
+        for r in cand:
+            while len(cur) > 2 and f.is_zero(eval_at(cur, r)):
+                roots.append(r)
+                cur = deflate(cur, r)
+            if len(cur) == 2:
+                break
+        else:
+            return None
+    if len(cur) == 2:
+        roots.append(f.neg(f.div(cur[0], cur[1])))
+    return roots
+
+
+def poly_mul(f, a, b):
+    out = [f.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = f.add(out[i + j], f.mul(x, y))
+    return out
+
+
+def seeded_polys(f, rng, factors, count, most=9):
+    """``count`` products of at most ``most`` factors drawn by
+    ``factors(rng)``, each times a random nonzero constant."""
+    for _ in range(count):
+        if f.kind == "prime":
+            poly = [rng.randrange(1, f.p)]
+        else:
+            poly = [f.from_fraction(Fraction(rng.choice([1, 1, -1, 2, -3]),
+                                             rng.choice([1, 1, 2, 5])))]
+        for _ in range(rng.randint(0, most)):
+            poly = poly_mul(f, poly, factors(rng))
+        yield poly
+
+
+def rational_factor(f, rng):
+    """t - c for a small rational c, often repeated across draws, or one
+    of a few quadratics irreducible over Q."""
+    if rng.random() < 0.2:
+        return [f.from_int(c) for c in rng.choice(
+            [(1, 0, 1), (-2, 0, 1), (1, 1, 1), (3, 0, -2), (5, 1, 1)])]
+    c = Fraction(rng.choice([0, 1, -1, 2, -2, 3, 6, -12]),
+                 rng.choice([1, 1, 1, 2, 3, 4]))
+    return [f.from_fraction(-c), f.one()]
+
+
+def assert_same_roots(f, poly):
+    got, want = _poly_roots(poly, f), reference_poly_roots(poly, f)
+    # the same list, so the same multiset in the same order
+    assert got == want, (f, poly)
+    if want is not None:
+        assert len(want) == len(poly) - 1
+
+
+def test_root_search_matches_the_deflating_reference_over_q():
+    rng = random.Random("roots over Q")
+    for poly in seeded_polys(QQ, rng, lambda r: rational_factor(QQ, r), 150):
+        assert_same_roots(QQ, poly)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_root_search_matches_the_deflating_reference_over_fp(p):
+    # multiplicities up to p + 2: ordinary derivatives vanish identically
+    # from the p-th on, Hasse derivatives do not
+    f = PrimeField(p)
+    rng = random.Random(f"roots over F{p}")
+    nonresidue = next(n for n in range(1, p) if pow(n, (p - 1) // 2, p) != 1) \
+        if p > 2 else None
+    quadratic = [1, 1, 1] if p == 2 else [(-nonresidue) % p, 0, 1]
+
+    def factor(rng):
+        if rng.random() < 0.15:
+            return quadratic
+        r = rng.randrange(p)
+        poly = [1]
+        for _ in range(rng.choice([1, 1, 1, p - 1, p, p + 2])):
+            poly = poly_mul(f, poly, [(-r) % p, 1])
+        return poly
+
+    for poly in seeded_polys(f, rng, factor, 60, most=4):
+        assert_same_roots(f, poly)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_root_search_matches_the_deflating_reference_over_cyclotomic(m):
+    # rescaled cyclotomic factors c^phi(o) Phi_o(t / c), whose roots are the
+    # c zeta with zeta of order o, for o | 2m: Q(zeta_m) holds -zeta^k;
+    # also rational factors, quadratics irreducible over Q, and factors
+    # t - zeta^k with a coefficient that is not rational
+    f = CyclotomicField(m)
+    rng = random.Random(f"roots over Q(zeta{m})")
+    orders = [o for o in range(1, 2 * m + 1) if (2 * m) % o == 0]
+
+    def factor(rng):
+        roll = rng.random()
+        if roll < 0.45:
+            c = Fraction(rng.choice([1, -1, 2, -3]), rng.choice([1, 1, 2]))
+            phi = cyclotomic_coeffs(rng.choice(orders))
+            deg = len(phi) - 1
+            return [f.from_fraction(a * c ** (deg - e))
+                    for e, a in enumerate(phi)]
+        if roll < 0.5:
+            return [f.neg(f.zeta_pow(rng.randrange(1, m) if m > 1 else 0)),
+                    f.one()]
+        return rational_factor(f, rng)
+
+    for poly in seeded_polys(f, rng, factor, 30, most=4):
+        assert_same_roots(f, poly)
+
+
 def test_power_traces_newton_identities():
     # p_k + c_{n-1} p_{k-1} + ... + c_{n-k+1} p_1 + k c_{n-k} = 0 for
     # k <= n, with det(t I - x) = sum c_j t^j and p_k = Tr(x^k)
@@ -253,6 +435,20 @@ def test_joint_spectrum_prime_under_cap_answers():
     # eigenvalues at the end of the search order, so every element is tried
     x = Mat.from_ints(f, [[p - 1, 0], [0, p - 2]])
     assert joint_spectrum(x, Mat.identity(f, 2)) == [(p - 2, 1), (p - 1, 1)]
+
+
+def test_joint_spectrum_prime_under_cap_twelve_eigenvalues():
+    # a 12 x 12 diagonal with its eigenvalues at the end of the search
+    # order: the search tests every residue in ints
+    p = next(q for q in range(FP_ROOT_SEARCH_CAP, 1, -1)
+             if all(q % d for d in range(2, isqrt(q) + 1)))
+    f = PrimeField(p)
+    x = Mat.from_ints(f, [[p - 1 - r if r == c else 0 for c in range(12)]
+                          for r in range(12)])
+    t0 = time.perf_counter()
+    spec = joint_spectrum(x, Mat.identity(f, 12))
+    assert time.perf_counter() - t0 < 1.0
+    assert spec == sorted(((p - 1 - r, 1) for r in range(12)), key=str)
 
 
 def test_joint_spectrum_requires_commuting():

@@ -7,8 +7,7 @@ import pytest
 
 from quivar.adhm import monomials_upto, power_traces
 from quivar.fields import (CyclotomicField, Field, FieldError, PrimeField, QQ,
-                           _is_prime, _poly_divmod, _poly_trim,
-                           cyclotomic_coeffs, field_from_spec)
+                           _is_prime, cyclotomic_coeffs, field_from_spec)
 from quivar.linalg import Mat
 
 
@@ -256,6 +255,27 @@ def test_dot_matches_reference(name):
             assert f.dot(u, v + v[:1]) == got
 
 
+@pytest.mark.parametrize("name", DOT_FIELDS)
+def test_row_kernels_match_the_per_entry_loop(name):
+    # one call per row, in place of one field sub and mul per entry
+    rng = random.Random(name + " rows")
+    for f in DOT_FIELDS[name]:
+        assert {"row_sub", "row_scale"} <= set(vars(type(f))), f
+        for n in [0, 1, 2, 3, 5, 8] * 4:
+            u = [_random_element(f, rng) for _ in range(n)]
+            v = [_random_element(f, rng) for _ in range(n)]
+            for c in (f.zero(), f.one(), _random_element(f, rng),
+                      _random_element(f, rng)):
+                got = f.row_sub(u, c, v)
+                assert got == [f.sub(a, f.mul(c, b)) for a, b in zip(u, v)]
+                scaled = f.row_scale(c, u)
+                assert scaled == [f.mul(c, a) for a in u]
+                for x in got + scaled:
+                    _assert_canonical(f, x)
+                # zip semantics, as for dot
+                assert f.row_sub(u, c, v + v[:1]) == got
+
+
 def test_cyclotomic_mul_matches_schoolbook():
     rng = random.Random(7)
     for m in range(1, 41):
@@ -339,6 +359,32 @@ def _reference_cleared(a):
     if den == 1:
         return [x.numerator for x in a], 1
     return [x.numerator * (den // x.denominator) for x in a], den
+
+
+def _poly_trim(c):
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _poly_divmod(a, b):
+    """Division with remainder in Q[x]; coefficient lists, low degree first."""
+    a = [Fraction(x) for x in a]
+    b = [Fraction(x) for x in b]
+    _poly_trim(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    r = list(a)
+    _poly_trim(r)
+    while len(r) >= len(b):
+        k = len(r) - len(b)
+        c = r[-1] / b[-1]
+        q[k] = c
+        for i, bc in enumerate(b):
+            r[k + i] -= c * bc
+        _poly_trim(r)
+    return q, r
 
 
 class FractionCyclotomicField(Field):
@@ -512,6 +558,28 @@ def _rational_part_or_error(f, a):
         return f.rational_part(a)
     except FieldError as err:
         return str(err)
+
+
+def test_cyclotomic_inverse_by_the_norm():
+    # degree-20 elements with 30-digit coefficients, whose Euclid in Q[x]
+    # took 3 to 23 s each; then every seeded element up to m = 24
+    rng = random.Random("norm inverse")
+    big = 10 ** 30
+    t0 = time.perf_counter()
+    for m in (25, 33, 32):
+        f = CyclotomicField(m)
+        a = f.from_coeffs([rng.randint(-big, big) for _ in range(21)])
+        inv = f.inv(a)
+        assert f.mul(a, inv) == f.one()
+    assert time.perf_counter() - t0 < 1.0
+    for m in range(1, 25):
+        f = CyclotomicField(m)
+        for c in _coefficient_lists(rng, f.degree):
+            a = f.from_coeffs(c)
+            if not f.is_zero(a):
+                inv = f.inv(a)
+                _assert_canonical(f, inv)
+                assert f.mul(a, inv) == f.one() == f.mul(inv, a)
 
 
 def test_cyclotomic_matches_the_fraction_tuple_reference():

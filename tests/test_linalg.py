@@ -343,6 +343,45 @@ def test_elimination_matches_the_reference_bytes(name):
         assert repr(square.det()) == repr(reference_det(square))
 
 
+def per_entry_echelon_add(f, rows, vec):
+    """Echelon.add with one field sub and mul per entry, as it ran before
+    the fields' row kernels: the same steps on the same {pivot: row}."""
+    is_zero, sub, mul = f.is_zero, f.sub, f.mul
+    for pc, row in rows.items():
+        c = vec[pc]
+        if not is_zero(c):
+            vec = [sub(a, mul(c, b)) for a, b in zip(vec, row)]
+    for pivot, lead in enumerate(vec):
+        if not is_zero(lead):
+            break
+    else:
+        return None
+    inv = f.inv(lead)
+    vec = [mul(inv, a) for a in vec]
+    for pc, row in rows.items():
+        c = row[pivot]
+        if not is_zero(c):
+            rows[pc] = [sub(a, mul(c, b)) for a, b in zip(row, vec)]
+    rows[pivot] = vec
+    return pivot, lead
+
+
+@pytest.mark.parametrize("name", REFERENCE_FIELDS)
+def test_echelon_matches_the_per_entry_loop(name):
+    f = REFERENCE_FIELDS[name]
+    rng = random.Random(name + " per entry")
+    for _ in range(60):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        m = degenerate_mat(f, rows, cols, rng)
+        ech, ref = Echelon(f, cols), {}
+        for row in m.data:
+            assert ech.add(row) == per_entry_echelon_add(f, ref, row)
+            assert repr(ech.rows) == repr(ref)
+        rank, pivots, red = m.rref()
+        assert pivots == sorted(ref)
+        assert red.data[:rank] == tuple(tuple(ref[pc]) for pc in pivots)
+
+
 @pytest.mark.parametrize("name", REFERENCE_FIELDS)
 def test_det_is_the_leibniz_sum(name):
     f = REFERENCE_FIELDS[name]

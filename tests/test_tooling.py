@@ -3,8 +3,8 @@ finds every callable it wraps, the stability closures share no code with
 the brute-force oracle that checks them, inner products go through the
 fields' dot-product kernel, the pullback convolution that checks the
 matrix product stays off it, exact elimination runs through one echelon
-basis, and the integer layout of Q(zeta_m) elements stays inside
-``fields``."""
+basis and the fields' row kernels, the root search stays in ints, and the
+integer layout of Q(zeta_m) elements stays inside ``fields``."""
 
 import importlib.util
 import os
@@ -114,6 +114,21 @@ def test_pullback_convolution_is_an_independent_cross_check():
     assert {"add", "mul"} <= names
 
 
+def test_row_updates_and_root_tests_stay_in_ints():
+    # Echelon.add updates a whole row through the field's row kernel, and
+    # the root search tests candidates on integer coefficients, with no
+    # field add or mul per step and no deflation
+    from quivar import adhm, linalg
+    names = _names(linalg.Echelon.add.__code__)
+    assert {"_row_sub", "_row_scale"} <= names
+    assert not names & {"sub", "mul", "_sub", "_mul"}
+    code = adhm._poly_roots.__code__
+    assert not _names(code) & {"add", "mul"}
+    local = set(code.co_varnames) | set(code.co_cellvars) | {
+        c.co_name for c in code.co_consts if hasattr(c, "co_name")}
+    assert not local & {"deflate", "eval_at"}
+
+
 def test_every_elimination_is_one_echelon():
     # RREF, the determinant, column spans, the stability spin and the
     # Hilbert staircase all add vectors to an Echelon; none of them runs
@@ -125,7 +140,8 @@ def test_every_elimination_is_one_echelon():
         assert "Echelon" in names and "inv" not in names, fn.__qualname__
 
 
-CYCLOTOMIC_INTERNALS = {"_cleared", "_reduce", "_zeta_ints", "_zeta_pows"}
+CYCLOTOMIC_INTERNALS = {"_cleared", "_reduce", "_fold", "_at_zeta_pow",
+                        "_times", "_zeta_ints", "_zeta_pows"}
 
 
 def test_cyclotomic_layout_stays_in_fields():
@@ -147,5 +163,7 @@ def test_cyclotomic_layout_stays_in_fields():
     assert "rational_part" in names and "isinstance" not in names
     cls = fields.CyclotomicField
     for fn in (cls.add, cls.sub, cls.neg, cls.mul, cls.dot, cls.conj,
-               cls._reduce, fields._lowest, fields._combine):
+               cls.inv, cls.row_sub, cls.row_scale, cls.vanishes_at_zeta_pow,
+               cls._reduce, cls._fold, cls._at_zeta_pow, cls._times,
+               fields._lowest, fields._combine):
         assert "Fraction" not in _names(fn.__code__), fn.__qualname__
