@@ -197,6 +197,8 @@ def mat_to_json(m: Mat):
 
 
 def parse_theta(q: Quiver, text) -> dict:
+    """``plus``, ``minus``, ``zero`` or a JSON object giving an int at each
+    vertex of the quiver and at no other key."""
     if text in (None, "plus"):
         return {k: 1 for k in q.vertices}
     if text == "minus":
@@ -205,9 +207,18 @@ def parse_theta(q: Quiver, text) -> dict:
         return {k: 0 for k in q.vertices}
     try:
         val = json.loads(text)
-        return {str(k): int(x) for k, x in val.items()}
-    except (TypeError, ValueError, AttributeError):
+    except ValueError:
+        val = None
+    if not isinstance(val, dict):
         raise InputError(f"bad theta {text!r}")
+    if set(val) != set(q.vertices):
+        raise InputError(f"theta {text!r} must give a value at exactly the "
+                         f"vertices {list(q.vertices)}")
+    for x in val.values():
+        if type(x) is not int:  # no fraction, float, string or bool
+            raise InputError(f"theta {text!r} has the non-integer value "
+                             f"{json.dumps(x)}")
+    return val
 
 
 # -- subcommand handlers (each returns a results dict) -----------------

@@ -5,12 +5,12 @@ desk-scale, and dense Gauss-Jordan over an exact field is auditable.
 Matrices are immutable after construction; all operations return new ones.
 Elimination lives in :class:`Echelon`, under RREF, determinants, column
 spans, the spin of :mod:`quivar.reps` and the staircase of :mod:`quivar.adhm`;
-only the brute-force oracle's packed F_p code keeps its own.
+the brute-force oracle's packed F_p code needs none.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations, product
 
 from .fields import Field, FieldError, PrimeField
@@ -334,15 +334,19 @@ def enumerate_subspaces(p: int, d: int):
 
 
 # -- packed F_p vectors ------------------------------------------------
-# A vector v of F_p^d is packed as its code sum_r v[r] p^r in 0..p^d - 1.
-# While the point space is small (p^d <= POINT_MASK_LIMIT) a subspace also
-# carries the bitmask of the codes of its points and a matrix acts by a
-# table on all codes, so membership is a shift; on a larger space a code is
-# tested digit by digit against the echelon basis and a matrix acts only on
-# the codes asked for. No work then grows with p^d beyond the small case, so
-# the subspace count alone bounds it.
+# A vector v of F_p^d is packed as its code sum_r v[r] p^r in 0..p^d - 1,
+# and a matrix acts on codes by :func:`code_map`: by a table on every code
+# while p^cols <= CODE_TABLE_LIMIT, else on the codes asked for. The
+# brute-force oracle of :mod:`quivar.reps` decides containment on the
+# projective points of F_p^d, the nonzero vectors whose first nonzero entry
+# is 1, one on each line: a subspace holds a vector exactly when it holds
+# the point on its line. The incidence index of (p, d) gives each point the
+# bitset of the members of the subspace family that contain it, bit n for
+# the n-th subspace of :func:`enumerate_subspaces`. Each point spans a line
+# of the family, so there are never more points than subspaces, and the
+# index is built in time linear in its incidences.
 
-POINT_MASK_LIMIT = 1 << 12
+CODE_TABLE_LIMIT = 1 << 12
 
 
 def vector_code(p: int, column) -> int:
@@ -362,9 +366,22 @@ def code_vector(p: int, d: int, code: int) -> list:
     return out
 
 
+def _xor_span(codes):
+    """Over F_2, where codes add by XOR: entry c is the sum of the codes[r]
+    with bit r of c set."""
+    out = [0]
+    for b in codes:
+        out += [x ^ b for x in out]
+    return out
+
+
 def _code_table(p: int, data, rows: int, cols: int):
     """Entry c is the code of data @ v, for the vector v of F_p^cols with
-    code c; built one row of the product at a time."""
+    code c; built one row of the product at a time, or over F_2 as the
+    span of the column codes."""
+    if p == 2:
+        return _xor_span([vector_code(2, [row[c] for row in data])
+                          for c in range(cols)])
     out = [0] * p ** cols
     for r in range(rows):
         vals = [0]  # row r of data @ v for the codes v seen so far
@@ -376,60 +393,12 @@ def _code_table(p: int, data, rows: int, cols: int):
     return out
 
 
-@lru_cache(maxsize=32)
-def subspace_points(p: int, d: int):
-    """The subspaces of :func:`enumerate_subspaces` in the same order, each
-    packed as ``(basis_codes, points)``: the codes of its basis columns, and
-    what :func:`point_test` reads membership from. ``points`` is the bitmask
-    of the codes of all its points when p^d <= POINT_MASK_LIMIT, and its
-    echelon basis as (pivot, basis vector) pairs otherwise."""
-    small = p ** d <= POINT_MASK_LIMIT
-    out = []
-    for rows in _echelon_rows(p, d):
-        basis = tuple(vector_code(p, row) for row in rows)
-        if small:
-            span = _code_table(p, [[row[r] for row in rows] for r in range(d)],
-                               d, len(rows))
-            bits = bytearray((p ** d + 7) >> 3)
-            for code in span:
-                bits[code >> 3] |= 1 << (code & 7)
-            points = int.from_bytes(bits, "little")
-        else:
-            points = tuple((row.index(1), tuple(row)) for row in rows)
-        out.append((basis, points))
-    return tuple(out)
-
-
-def _in_mask(mask: int, code: int) -> int:
-    return (mask >> code) & 1
-
-
-def _in_echelon(p: int, d: int, echelon, code: int) -> bool:
-    # v lies in the span exactly when it is the combination of the echelon
-    # basis with its own pivot entries as coefficients
-    v = code_vector(p, d, code)
-    w = [0] * d
-    for pivot, row in echelon:
-        a = v[pivot]
-        if a:
-            w = [(x + a * y) % p for x, y in zip(w, row)]
-    return w == v
-
-
-def point_test(p: int, d: int):
-    """``test(points, code)``: whether the vector of F_p^d with ``code`` lies
-    in a subspace packed by :func:`subspace_points` with ``points``."""
-    if p ** d <= POINT_MASK_LIMIT:
-        return _in_mask
-    return partial(_in_echelon, p, d)
-
-
 def code_map(m: Mat, codes=()):
     """The action of a matrix over F_p on codes, defined at least on
     ``codes``: the code of m @ v at the code of v. A list over all codes
-    when p^cols <= POINT_MASK_LIMIT, else a dict over ``codes``."""
+    when p^cols <= CODE_TABLE_LIMIT, else a dict over ``codes``."""
     p = m.field.p
-    if p ** m.cols <= POINT_MASK_LIMIT:
+    if p ** m.cols <= CODE_TABLE_LIMIT:
         return _code_table(p, m.data, m.rows, m.cols)
     out = {}
     for code in codes:
@@ -438,6 +407,83 @@ def code_map(m: Mat, codes=()):
             out[code] = vector_code(p, [sum(a * x for a, x in zip(row, v))
                                         for row in m.data])
     return out
+
+
+def _point_code(p: int, d: int, code: int) -> int:
+    """The code of the point on the line of a nonzero vector: the vector
+    scaled so that its first nonzero entry is 1."""
+    v = code_vector(p, d, code)
+    a = pow(next(x for x in v if x), -1, p)
+    return vector_code(p, [a * x for x in v])
+
+
+def _span_points(p: int, d: int, rows):
+    """The codes of the points of the span of reduced echelon rows: the
+    combinations whose first nonzero coefficient is 1, each point once."""
+    if p == 2:  # every nonzero vector is a point
+        return _xor_span([vector_code(2, row) for row in rows])[1:]
+    out = []
+    tail = [(0,) * d]  # the span of the rows after row n
+    for n in range(len(rows) - 1, -1, -1):
+        row = rows[n]
+        out += [vector_code(p, [x + y for x, y in zip(row, v)]) for v in tail]
+        if n:
+            tail = [[(y + a * x) % p for x, y in zip(row, v)]
+                    for a in range(p) for v in tail]
+    return out
+
+
+class Incidence:
+    """The points of F_p^d against its subspace family.
+
+    ``size`` counts the subspaces, in the order of
+    :func:`enumerate_subspaces`; bit n of a bitset stands for the n-th.
+    ``codes[i]`` is the code of point i (points by increasing code),
+    ``bits[i]`` the bitset of the subspaces that contain it and
+    ``by_dim[k]`` the bitset of the subspaces of dimension k.
+    """
+
+    __slots__ = ("p", "d", "size", "codes", "bits", "by_dim", "_at")
+
+    def __init__(self, p, d, codes, bits, counts):
+        self.p, self.d, self.codes, self.bits = p, d, codes, bits
+        self.size, by_dim = 0, []
+        for count in counts:  # the family runs by dimension
+            by_dim.append(((1 << count) - 1) << self.size)
+            self.size += count
+        self.by_dim = tuple(by_dim)
+        if p ** d <= CODE_TABLE_LIMIT:  # every nonzero code: no scaling
+            self._at = {vector_code(p, [a * x for x in code_vector(p, d, c)]): i
+                        for i, c in enumerate(codes) for a in range(1, p)}
+        else:
+            self._at = {c: i for i, c in enumerate(codes)}
+
+    def locate(self, code):
+        """The index of the point on the line of the vector with ``code``,
+        or None for the zero vector."""
+        at = self._at.get(code)
+        if at is None and code:
+            at = self._at[_point_code(self.p, self.d, code)]
+        return at
+
+
+@lru_cache(maxsize=32)
+def incidence_index(p: int, d: int) -> Incidence:
+    """The incidence index of F_p^d, built from :func:`_echelon_rows` in
+    family order: each subspace marks its own points, once each."""
+    nbytes = (gaussian_binomial_total(p, d) + 7) >> 3
+    # the points by leading position l: 1 at l, 0 before, anything after
+    codes = sorted(p ** l + p ** (l + 1) * t
+                   for l in range(d) for t in range(p ** (d - l - 1)))
+    marks = {c: bytearray(nbytes) for c in codes}
+    counts = [0] * (d + 1)
+    for n, rows in enumerate(_echelon_rows(p, d)):
+        byte, bit = n >> 3, 1 << (n & 7)
+        for c in _span_points(p, d, rows):
+            marks[c][byte] |= bit
+        counts[len(rows)] += 1
+    bits = tuple(int.from_bytes(marks.pop(c), "little") for c in codes)
+    return Incidence(p, d, tuple(codes), bits, counts)
 
 
 def gaussian_binomial_total(p: int, d: int) -> int:

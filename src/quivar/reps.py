@@ -15,26 +15,33 @@ subspace and ``max_core`` the annihilator of the x^T-spin of its
 annihilator. A finite-field brute-force enumerator serves as an
 independent oracle.
 
-The oracle shares no elimination with the closures. Over F_p it packs a
-vector as its base-p code and decides every containment (invariance under
-an edge, S inside Ker j, Im i inside S) on the codes of basis columns: a
-map sends each code to the code of its image, and membership of a code in
-a subspace is one bit of the subspace's point mask, or, where F_p^d has
-more than ``linalg.POINT_MASK_LIMIT`` points, a digit-by-digit check
-against its echelon basis. Its work is bounded by the subspace count that
-``limit`` caps, not by p^d or by the framing.
+The oracle shares no elimination with the closures. Over F_p it decides
+every subspace at once. The incidence index of :mod:`quivar.linalg` gives
+each projective point of a vertex space the bitset of the subspaces that
+contain it, and a graded tuple of subspaces is one bit of a bitset over the
+product of the vertex families, first vertex major. An edge a: t -> h
+clears the tuples whose subspace at t holds a point c while the one at h
+lacks a(c), grouped by the point of a(c); S lies in Ker j when it holds no
+point that j does not kill, and contains Im i when it holds the point of
+each nonzero column of i. So each condition is a few big-int operations per
+point, a theta's violations are a union over dimension vectors, and the
+lowest violating bit is the witness a lexicographic scan would meet first.
+The work is bounded by the subspace and point counts, which ``limit`` and
+``INCIDENCE_LIMIT`` cap, not by p^d or by the framing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from operator import mul
 from fractions import Fraction
 from math import lcm
 
 from .fields import Field, FieldError, PrimeField
 from .linalg import (Echelon, Mat, annihilator_rows, code_map, col_span,
-                     enumerate_subspaces, gaussian_binomial_total, point_test,
-                     subspace_contains, subspace_points, vector_code)
+                     enumerate_subspaces, gaussian_binomial_total,
+                     incidence_index, subspace_contains, vector_code)
 from .quiver import Quiver, check_dimvector, dot, star_pairs
 
 
@@ -342,65 +349,97 @@ def slope(theta: dict, d: dict) -> Fraction:
 # -- brute-force oracles over small prime fields -----------------------
 
 DEFAULT_SUBSPACE_LIMIT = 10 ** 6
+# the point bitsets of one vertex's incidence index, in bits: one per point
+# and subspace, so at most 128 MiB
+INCIDENCE_LIMIT = 1 << 30
+
+
+def _tensor(sizes, parts):
+    """The bitset of the graded tuples whose member at each vertex n lies in
+    the bitset ``parts[n]`` over the ``sizes[n]`` subspaces there.
+
+    A graded tuple is numbered in the product of the vertex families in
+    lexicographic order, the first vertex major, so each set bit of the
+    tuples over the vertices so far opens a block holding the next part."""
+    acc, width = parts[0], sizes[0]
+    for bits, size in zip(parts[1:], sizes[1:]):
+        if acc:
+            acc = int(format(acc, f"0{width}b").translate(
+                {48: "0" * size, 49: format(bits, f"0{size}b")}), 2)
+        width *= size
+    return acc
 
 
 def _invariant_tuples(rep: Rep, limit: int):
-    """The invariant graded subspaces of a representation over F_p, as
-    indices into the subspace family of each vertex.
+    """The invariant graded subspaces of a representation over F_p, as a
+    bitset over the graded tuples of :func:`_tensor`.
 
     Returns the vertices (in quiver order), their families from
-    :func:`enumerate_subspaces`, the packed families from
-    :func:`subspace_points` and a generator of the index tuples of the
-    subspaces invariant under every edge map, in lexicographic order. An
-    edge carries a tail subspace into a head subspace when the image code
-    of each tail basis column is a point of the head subspace.
+    :func:`enumerate_subspaces`, their incidence indexes and the bitset of
+    the tuples invariant under every edge map. An edge a: t -> h fails on
+    the tuples whose subspace at t holds a point c while the one at h does
+    not hold a(c); grouped by the point of a(c), that is one bitset at t
+    and one at h per image point.
     """
     if not isinstance(rep.field, PrimeField):
         raise RepError("brute-force enumeration requires a prime field")
     p = rep.field.p
+    verts = list(rep.quiver.vertices)
+    sizes = [gaussian_binomial_total(p, rep.v[k]) for k in verts]
     count = 1
-    for d in rep.v.values():
-        count *= gaussian_binomial_total(p, d)
+    for n in sizes:
+        count *= n
     if count > limit:
         raise RepError(f"subspace enumeration size {count} exceeds limit {limit}")
-    verts = list(rep.quiver.vertices)
+    for k, n in zip(verts, sizes):
+        d = rep.v[k]
+        bits = (p ** d - 1) // (p - 1) * n
+        if bits > INCIDENCE_LIMIT:
+            raise RepError(f"incidence index of F_{p}^{d} needs {bits} bits, "
+                           f"over {INCIDENCE_LIMIT}")
     pos = {k: n for n, k in enumerate(verts)}
     families = [enumerate_subspaces(p, rep.v[k]) for k in verts]
-    packed = [subspace_points(p, rep.v[k]) for k in verts]
-    tests = [point_test(p, rep.v[k]) for k in verts]
-    # edges checked once the subspace at depth n is picked: those whose
-    # later endpoint is at depth n, as (code map, tail depth, head depth)
-    checks = [[] for _ in verts]
+    index = [incidence_index(p, rep.v[k]) for k in verts]
+    everything = [(1 << n) - 1 for n in sizes]
+    good = list(everything)  # per vertex: the subspaces no loop fails
+    bad = 0  # the tuples failed by an edge between two vertices
     for e in rep.quiver.edges:
         t, h = pos[e.tail], pos[e.head]
-        image = code_map(rep.mats[e.name],
-                         (b for basis, _ in packed[t] for b in basis))
-        checks[max(t, h)].append((image, t, h))
-    chosen = [0] * len(verts)
-    picked = [None] * len(verts)  # (basis codes, points) per depth
-
-    def rec(depth):
-        if depth == len(verts):
-            yield tuple(chosen)
-            return
-        here = checks[depth]
-        for idx, sub in enumerate(packed[depth]):
-            chosen[depth] = idx
-            picked[depth] = sub
-            if all(tests[h](picked[h][1], image[b])
-                   for image, t, h in here for b in picked[t][0]):
-                yield from rec(depth + 1)
-
-    return verts, families, packed, rec(0)
+        src, dst = index[t], index[h]
+        image = code_map(rep.mats[e.name], src.codes)
+        locate = dst.locate
+        held = {}  # image point -> the subspaces at t holding a preimage
+        for code, bits in zip(src.codes, src.bits):
+            q = locate(image[code])
+            if q is not None:
+                held[q] = held.get(q, 0) | bits
+        for q, bits in held.items():
+            lacks = everything[h] & ~dst.bits[q]  # the subspaces at h without q
+            if t == h:
+                good[t] &= ~(bits & lacks)
+            else:
+                parts = list(everything)
+                parts[t], parts[h] = bits, lacks
+                bad |= _tensor(sizes, parts)
+    return verts, families, index, _tensor(sizes, good) & ~bad
 
 
 def invariant_subspaces_bruteforce(rep: Rep, limit: int = DEFAULT_SUBSPACE_LIMIT):
     """All graded subspaces invariant under every edge map, by exhaustive
-    enumeration of row-reduced echelon bases per vertex. Prime fields only."""
+    enumeration of row-reduced echelon bases per vertex, in lexicographic
+    order. Prime fields only."""
     verts, families, _, tuples = _invariant_tuples(rep, limit)
-    return [GradedSubspace._canonical(
-                rep.field, rep.v, {k: fam[i] for k, fam, i in zip(verts, families, t)})
-            for t in tuples]
+    out = []
+    digits = bin(tuples)[:1:-1]  # bit n of the bitset is digits[n]
+    n = digits.find("1")
+    while n >= 0:
+        bases, rest = {}, n
+        for k, fam in zip(reversed(verts), reversed(families)):
+            rest, at = divmod(rest, len(fam))
+            bases[k] = fam[at]
+        out.append(GradedSubspace._canonical(rep.field, rep.v, bases))
+        n = digits.find("1", n + 1)
+    return out
 
 
 def semistable_bruteforce(fr: FramedRep, theta: dict,
@@ -410,69 +449,84 @@ def semistable_bruteforce(fr: FramedRep, theta: dict,
 
     The criterion characterizes (semi)stability for points on the moment
     fiber; any quadruple is accepted and checked against the same
-    inequalities. A subspace lies in Ker j when j sends the code of each of
-    its basis columns to 0; it contains Im i when the code of each column of
-    i is one of its points.
+    inequalities. A subspace lies in Ker j when it holds no point that j
+    does not send to 0; it contains Im i when it holds the point of each
+    nonzero column of i.
     """
     return _bruteforce_reports(fr, [theta], limit)[0]
 
 
 def _bruteforce_reports(fr: FramedRep, thetas, limit: int = DEFAULT_SUBSPACE_LIMIT):
     """The report of :func:`semistable_bruteforce` at each theta of
-    ``thetas``, all from one scan of the invariant graded subspaces; the
-    scan stops once every theta has its first violation."""
+    ``thetas``, all from one bitset of invariant graded subspaces.
+
+    For each dimension vector the invariant tuples of that dimension inside
+    Ker j, and those containing Im i, are one bitset each; a theta's
+    violations are the union of those its inequalities reject, and the
+    witness is the lowest violating tuple, the first in lexicographic
+    order."""
     verts = list(fr.quiver.vertices)
-    undecided = []  # (index, theta * scale per vertex, its pairing with v)
-    for n, theta in enumerate(thetas):
+    weights = []  # (theta * scale per vertex, its pairing with v)
+    for theta in thetas:
         th = [Fraction(theta[k]) for k in verts]
         scale = lcm(*(t.denominator for t in th))
         weight = [int(t * scale) for t in th]
-        undecided.append((n, weight, sum(w * fr.v[k] for w, k in zip(weight, verts))))
-    _, _, packed, tuples = _invariant_tuples(fr.rep, limit)
+        weights.append((weight, sum(w * fr.v[k] for w, k in zip(weight, verts))))
+    _, _, index, tuples = _invariant_tuples(fr.rep, limit)
     p = fr.field.p
-    dims, in_ker, has_im = [], [], []
-    for k, fam in zip(verts, packed):
-        codes = [b for basis, _ in fam for b in basis]
-        j_image = code_map(fr.j[k], codes)
-        kernel = {b for b in codes if not j_image[b]}
-        i = fr.i[k]
-        i_codes = [vector_code(p, [row[c] for row in i.data])
-                   for c in range(i.cols)]
-        test = point_test(p, fr.v[k])
-        holds = [True] * len(fam)  # holds each column of i seen so far
-        for c in i_codes:
-            holds = [ok and test(pts, c) for ok, (_, pts) in zip(holds, fam)]
-        dims.append([len(basis) for basis, _ in fam])
-        in_ker.append([kernel.issuperset(basis) for basis, _ in fam])
+    sizes = [ix.size for ix in index]
+    in_ker, has_im = [], []
+    for k, ix in zip(verts, index):
+        j_image = code_map(fr.j[k], ix.codes)
+        outside = 0  # the subspaces holding a point not sent to 0 by j
+        for code, bits in zip(ix.codes, ix.bits):
+            if j_image[code]:
+                outside |= bits
+        holds = everything = (1 << ix.size) - 1
+        for col in zip(*fr.i[k].data):
+            q = ix.locate(vector_code(p, col))
+            if q is not None:
+                holds &= ix.bits[q]
+        in_ker.append(everything & ~outside)
         has_im.append(holds)
-    full = [fr.v[k] for k in verts]
-    semistable = [True] * len(thetas)
+
+    def of_dim(parts, d):
+        """The invariant tuples of dimension vector d whose member at each
+        vertex lies in that vertex's part."""
+        cut = [bits & ix.by_dim[n] for bits, ix, n in zip(parts, index, d)]
+        return tuples & _tensor(sizes, cut) if all(cut) else 0
+
+    full = tuple(fr.v[k] for k in verts)
+    first = [None] * len(thetas)  # (lowest violating bit, its dimensions)
     stable = [True] * len(thetas)
-    witness = [None] * len(thetas)
-    for t in tuples:
-        ker = all(col[n] for col, n in zip(in_ker, t))
-        im = all(col[n] for col, n in zip(has_im, t))
-        if not (ker or im):
-            continue
-        d = [dk[n] for dk, n in zip(dims, t)]
+    for d in product(*(range(n + 1) for n in full)):
         proper = any(d) and d != full
-        decided = False
-        for n, weight, tv in undecided:
-            ts = sum(w * x for w, x in zip(weight, d))
-            if ker and ts > 0 or im and ts > tv:
-                # the first violation is the witness; this theta is decided
-                semistable[n] = stable[n] = False
-                at = dict(zip(verts, d))
-                witness[n] = {k: at[k] for k in fr.v}
-                decided = True
-            elif proper and (ker and ts >= 0 or im and ts >= tv):
+        ts = [(sum(map(mul, weight, d)), tv) for weight, tv in weights]
+        # each bitset is built only if some theta's inequalities read it
+        read_k = read_i = False
+        for t, tv in ts:
+            read_k = read_k or t > 0 or proper and t >= 0
+            read_i = read_i or t > tv or proper and t >= tv
+        k_d = of_dim(in_ker, d) if read_k else 0
+        i_d = of_dim(has_im, d) if read_i else 0
+        if not (k_d or i_d):
+            continue
+        for n, (t, tv) in enumerate(ts):
+            worse = (k_d if t > 0 else 0) | (i_d if t > tv else 0)
+            if worse:
+                low = worse & -worse
+                if first[n] is None or low < first[n][0]:
+                    first[n] = (low, d)
+            elif proper and (k_d and t >= 0 or i_d and t >= tv):
                 stable[n] = False
-        if decided:
-            undecided = [u for u in undecided if semistable[u[0]]]
-            if not undecided:
-                break
-    reports = [{"semistable": a, "stable": b, "witness": c}
-               for a, b, c in zip(semistable, stable, witness)]
+    reports = []
+    for found, ok in zip(first, stable):
+        if found is None:
+            reports.append({"semistable": True, "stable": ok, "witness": None})
+        else:
+            at = dict(zip(verts, found[1]))
+            reports.append({"semistable": False, "stable": False,
+                            "witness": {k: at[k] for k in fr.v}})
     return reports
 
 

@@ -251,6 +251,31 @@ def test_rep_brute_limit_is_exit_2(capsys, tmp_path, monkeypatch):
     assert capsys.readouterr().out == ""
 
 
+# theta is a JSON int at each vertex of the quiver and at no other key:
+# a fraction was once truncated to 0 (answering semistable at theta = 0,
+# where (1/2, 0) has the witness {"1": 1, "2": 0}), a missing vertex
+# crashed the oracle with a KeyError, an unknown one was dropped and true
+# was read as 1
+@pytest.mark.parametrize("action, theta", [
+    ("brute", '{"1": 0.5, "2": 0}'),
+    ("brute", '{"1": "1/2", "2": 0}'),
+    ("brute", '{"1": 2}'),
+    ("stable", '{"1": 2}'),
+    ("brute", '{"1": 2, "2": -1, "3": 0}'),
+    ("brute", '{"1": true, "2": 0}'),
+    ("brute", '[2, -1]'),
+], ids=["fraction", "string", "missing vertex", "missing vertex, stable",
+        "unknown vertex", "bool", "list"])
+def test_rep_bad_theta_is_exit_2(capsys, tmp_path, monkeypatch, action,
+                                 theta):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "brute.json").write_text(json.dumps(BRUTE_REP))
+    assert run(["rep", action, "--rep", "brute.json", "--theta", theta]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("qv: input error:") and "theta" in captured.err
+
+
 # a rational Jordan-double quadruple, stable at theta = -1 only, and an
 # A2-double quadruple over F_3 with no framing at vertex 2, stable at
 # theta = +1 only; both verdicts come from the closure deciders

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivar.fields import CyclotomicField, FieldError, PrimeField, QQ
-from quivar.linalg import (POINT_MASK_LIMIT, Echelon, Mat, code_map, col_span,
-                           enumerate_subspaces, gaussian_binomial_total,
-                           point_test, preimage, subspace_contains,
-                           subspace_intersect, subspace_points, subspace_sum)
+from quivar.linalg import (CODE_TABLE_LIMIT, Echelon, Mat, annihilator_rows,
+                           code_map, col_span, enumerate_subspaces,
+                           gaussian_binomial_total, incidence_index, preimage,
+                           subspace_contains, subspace_intersect,
+                           subspace_sum)
 
 
 def rand_mat(field, rows, cols, rng):
@@ -158,7 +159,7 @@ def test_enumerate_subspaces_is_one_cached_tuple():
     family = enumerate_subspaces(3, 2)
     assert isinstance(family, tuple)
     assert enumerate_subspaces(3, 2) is family
-    assert subspace_points(3, 2) is subspace_points(3, 2)
+    assert incidence_index(3, 2) is incidence_index(3, 2)
 
 
 def code(p, column):
@@ -169,33 +170,46 @@ def vector(f, d, c):
     return Mat.column(f, [(c // f.p ** r) % f.p for r in range(d)])
 
 
-# (2, 3) .. (5, 2) carry point masks; (67, 2) and (17, 3) have more than
-# POINT_MASK_LIMIT points and are tested against the echelon basis
+# (2, 3) .. (5, 2) lie within CODE_TABLE_LIMIT, where every nonzero code
+# is looked up directly; (67, 2) and (17, 3) lie past it, where a code is
+# scaled to its point first
 @pytest.mark.parametrize("p, d", [(2, 0), (2, 3), (3, 2), (5, 2), (67, 2),
                                   (17, 3)])
 def test_subspace_points_follow_the_family(p, d):
     f = PrimeField(p)
     rng = random.Random(p * 10 + d)
     family = enumerate_subspaces(p, d)
-    packed = subspace_points(p, d)
-    test = point_test(p, d)
-    assert len(packed) == len(family)
-    assert isinstance(packed[-1][1], int) == (p ** d <= POINT_MASK_LIMIT)
-    for s, (basis, points) in zip(family, packed):
-        cols = s.transpose().data
-        assert basis == tuple(code(p, c) for c in cols)
-        # a point is a member exactly when it lies in the subspace: every
-        # code of a small space, else the subspace's own points and others
-        if p ** d <= POINT_MASK_LIMIT:
-            codes = range(p ** d)
-        else:
-            combos = [s @ Mat.column(f, [rng.randrange(p) for _ in cols])
-                      for _ in range(3)]
-            codes = [code(p, v.transpose().data[0]) for v in combos] + \
-                [rng.randrange(p ** d) for _ in range(6)]
-        for c in codes:
-            member = subspace_contains(s, vector(f, d, c))
-            assert bool(test(points, c)) == member
+    index = incidence_index(p, d)
+    assert index.size == len(family)
+    # the points: one nonzero vector with first nonzero entry 1 per line
+    cols = [[(c // p ** r) % p for r in range(d)] for c in index.codes]
+    assert len(cols) == (p ** d - 1) // (p - 1)
+    assert all(next(x for x in col if x) == 1 for col in cols)
+    # each point's bitset is the set of subspaces that contain it, as
+    # subspace_contains decides: the annihilator of s kills the point. All
+    # points at once by one product per subspace, a sample one by one
+    grid = Mat(f, list(zip(*cols)), d, len(cols))
+    members = [0] * len(cols)
+    for n, s in enumerate(family):
+        assert index.by_dim[s.cols] >> n & 1
+        killed = annihilator_rows(s) @ grid
+        for i in range(len(cols)):
+            if all(row[i] == 0 for row in killed.data):
+                members[i] |= 1 << n
+    assert list(index.bits) == members
+    for i in range(0, len(cols), max(1, len(cols) // 12)):
+        point = Mat.column(f, cols[i])
+        assert index.bits[i] == sum(1 << n for n, s in enumerate(family)
+                                    if subspace_contains(s, point))
+    assert sum(index.by_dim) == (1 << len(family)) - 1
+    # locate finds the point on the line of any nonzero vector, and None
+    # for the zero vector
+    assert index.locate(0) is None
+    codes = range(1, p ** d) if p ** d <= CODE_TABLE_LIMIT else \
+        [rng.randrange(1, p ** d) for _ in range(40)]
+    for c in codes:
+        point = Mat.column(f, cols[index.locate(c)])
+        assert col_span(vector(f, d, c)) == col_span(point)
 
 
 @pytest.mark.parametrize("p, rows, cols", [(2, 3, 2), (3, 2, 3), (5, 0, 2),
@@ -207,7 +221,7 @@ def test_code_map_is_the_product_on_codes(p, rows, cols):
     m = rand_mat(f, rows, cols, rng)
     codes = [rng.randrange(p ** cols) for _ in range(20)]
     image = code_map(m, codes)
-    if p ** cols <= POINT_MASK_LIMIT:
+    if p ** cols <= CODE_TABLE_LIMIT:
         assert len(image) == p ** cols  # a table over every code
         codes = range(p ** cols)
     else:

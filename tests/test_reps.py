@@ -5,10 +5,9 @@ from fractions import Fraction
 import pytest
 
 from quivar.fields import PrimeField, QQ
-import quivar.linalg
 from quivar.linalg import (Mat, annihilator_rows, enumerate_subspaces,
-                           preimage, subspace_contains, subspace_intersect,
-                           subspace_points, subspace_sum)
+                           incidence_index, preimage, subspace_contains,
+                           subspace_intersect, subspace_sum)
 from quivar.quiver import (double, jordan_quiver, make_quiver, opposite,
                            type_a_quiver)
 from quivar.reps import (FramedRep, GradedSubspace, Rep, RepError,
@@ -350,28 +349,38 @@ REFERENCE_SHAPES = [
 ]
 
 
-@pytest.fixture(params=["masks", "echelon"])
-def point_regime(request, monkeypatch):
-    """Runs a test once with point masks and once with every subspace
-    tested against its echelon basis, the form used on large spaces."""
-    if request.param == "echelon":
-        monkeypatch.setattr(quivar.linalg, "POINT_MASK_LIMIT", 0)
-    subspace_points.cache_clear()
+# one-vertex spaces past CODE_TABLE_LIMIT: code maps act on the points
+# asked for, and each image code is scaled to the point on its line
+BEYOND_TABLE_SHAPES = {
+    67: [(double(make_quiver(["1"], [])), [{"1": 2}]),
+         (double(jordan_quiver()), [{"0": 1}, {"0": 2}])],
+    17: [(double(make_quiver(["1"], [])), [{"1": 3}]),
+         (double(jordan_quiver()), [{"0": 3}])],
+}
+
+
+@pytest.fixture(params=["masks"])
+def point_regime(request):
+    """Builds every incidence index afresh for the test, so that the point
+    masks it checks come from the index's own construction."""
+    incidence_index.cache_clear()
     yield request.param
-    subspace_points.cache_clear()
+    incidence_index.cache_clear()
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 67, 17])
 def test_packed_oracle_matches_reference(p, point_regime):
     rng = random.Random(p)
     f = PrimeField(p)
-    for dq, vs in REFERENCE_SHAPES:
+    beyond = p in BEYOND_TABLE_SHAPES
+    for dq, vs in BEYOND_TABLE_SHAPES[p] if beyond else REFERENCE_SHAPES:
         for v in vs:
             if p == 5 and sum(v.values()) > 3:
                 continue
-            for _ in range(3):
+            for _ in range(2 if beyond else 3):
                 w = {k: rng.choice([0, 1, 1, 2]) for k in v}
-                w[rng.choice(list(v))] = 0  # no framing at some vertex
+                if not beyond:
+                    w[rng.choice(list(v))] = 0  # no framing at some vertex
                 fr = random_framed_rep(dq, v, w, f, rng)
                 assert invariant_subspaces_bruteforce(fr.rep) == \
                     reference_invariant_subspaces(fr.rep)
@@ -477,6 +486,21 @@ def test_im_i_is_checked_on_every_column(point_regime):
                 {"1": [[1, 0], [0, 1]]}, {"1": zeros(2, 2)})
     assert semistable_bruteforce(fr, {"1": -1}) == STABLE
     assert reference_semistable(fr, {"1": -1}) == STABLE
+
+
+def test_witness_is_the_first_violating_tuple():
+    # over F_2 with no framing, a1* sends the lines <(1,0)> and <(0,1)> of
+    # V_1 onto V_2 and kills <(1,1)>. At theta = (2, -1) the first
+    # violating tuple in lexicographic order is (<(1,0)>, V_2), of
+    # dimension (1, 1); the dimension (1, 0) violates only later, at
+    # (<(1,1)>, 0), though all its violations end before those of (1, 1)
+    fr = framed(double(type_a_quiver(2)), 2, {"1": 2, "2": 1},
+                {"1": 0, "2": 0}, {"a1": [[0], [0]], "a1*": [[1, 1]]},
+                {"1": zeros(2, 0), "2": zeros(1, 0)},
+                {"1": zeros(0, 2), "2": zeros(0, 1)})
+    theta = {"1": 2, "2": -1}
+    assert semistable_bruteforce(fr, theta) == unstable({"1": 1, "2": 1})
+    assert reference_semistable(fr, theta) == unstable({"1": 1, "2": 1})
 
 
 def test_slope():

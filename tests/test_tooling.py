@@ -1,10 +1,11 @@
 """The package runs on the standard library alone, the benchmark's tracer
 finds every callable it wraps, the stability closures share no code with
-the brute-force oracle that checks them, inner products go through the
-fields' dot-product kernel, the pullback convolution that checks the
-matrix product stays off it, exact elimination runs through one echelon
-basis and the fields' row kernels, the root search stays in ints, and the
-integer layout of Q(zeta_m) elements stays inside ``fields``."""
+the brute-force oracle that checks them, whose per-subspace membership
+tests stay deleted, inner products go through the fields' dot-product
+kernel, the pullback convolution that checks the matrix product stays off
+it, exact elimination runs through one echelon basis and the fields' row
+kernels, the root search stays in ints, and the integer layout of
+Q(zeta_m) elements stays inside ``fields``."""
 
 import importlib.util
 import os
@@ -64,7 +65,12 @@ def test_traced_callables_resolve():
 
 
 ORACLE_NAMES = {"_invariant_tuples", "code_map", "subspace_points",
-                "point_test", "vector_code"}
+                "point_test", "vector_code", "incidence_index", "Incidence",
+                "locate", "_tensor", "_span_points", "_point_code",
+                "_xor_span", "_code_table", "_bruteforce_reports"}
+# the per-subspace membership tests that the incidence index replaced
+RETIRED_ORACLE_NAMES = {"subspace_points", "point_test", "_in_mask",
+                        "_in_echelon"}
 
 
 def _names(code):
@@ -86,6 +92,17 @@ def test_closures_share_no_code_with_the_bruteforce_oracle():
                     linalg.Echelon.add, linalg.Echelon.column_basis]
     for fn in closure_code:
         assert not _names(fn.__code__) & ORACLE_NAMES, fn.__name__
+
+
+def test_no_module_defines_a_retired_membership_test():
+    import ast
+    for path in sorted((ROOT / "src" / "quivar").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined = {n.name for n in ast.walk(tree)
+                   if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        defined |= {t.id for n in ast.walk(tree) if isinstance(n, ast.Assign)
+                    for t in n.targets if isinstance(t, ast.Name)}
+        assert not defined & RETIRED_ORACLE_NAMES, path.name
 
 
 def test_inner_products_use_the_field_kernel():
