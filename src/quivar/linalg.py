@@ -10,8 +10,11 @@ the brute-force oracle's packed F_p code needs none.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
+from operator import add
 
 from .fields import Field, FieldError, PrimeField
 
@@ -302,23 +305,27 @@ def preimage(a: Mat, s: Mat) -> Mat:
     return col_span((n @ a).kernel_basis())
 
 
+def _cells(d: int):
+    """The cells of the subspace family of F_p^d, in family order: by
+    dimension, then pivot columns. Each is its pivot columns and the free
+    entries (row, column) of its reduced row-echelon bases, row by row."""
+    for k in range(d + 1):
+        for pivots in combinations(range(d), k):
+            yield pivots, [(r, c) for r, pc in enumerate(pivots)
+                           for c in range(pc + 1, d) if c not in pivots]
+
+
 def _echelon_rows(p: int, d: int):
     """The reduced row-echelon bases of all subspaces of F_p^d, as lists of
     int rows: by dimension, then pivot columns, then free entries."""
-    for k in range(d + 1):
-        for pivots in combinations(range(d), k):
-            free_pos = []
+    for pivots, free_pos in _cells(d):
+        for vals in product(range(p), repeat=len(free_pos)):
+            rows = [[0] * d for _ in pivots]
             for r, pc in enumerate(pivots):
-                for c in range(pc + 1, d):
-                    if c not in pivots:
-                        free_pos.append((r, c))
-            for vals in product(range(p), repeat=len(free_pos)):
-                rows = [[0] * d for _ in range(k)]
-                for r, pc in enumerate(pivots):
-                    rows[r][pc] = 1
-                for (r, c), v in zip(free_pos, vals):
-                    rows[r][c] = v
-                yield rows
+                rows[r][pc] = 1
+            for (r, c), v in zip(free_pos, vals):
+                rows[r][c] = v
+            yield rows
 
 
 @lru_cache(maxsize=32)
@@ -329,7 +336,7 @@ def enumerate_subspaces(p: int, d: int):
     The family is cached: a repeated call returns the same tuple object.
     """
     field = PrimeField(p)
-    return tuple(Mat.from_ints(field, rows).transpose() if rows else
+    return tuple(Mat._of(field, tuple(zip(*rows)), d, len(rows)) if rows else
                  Mat.zeros(field, d, 0) for rows in _echelon_rows(p, d))
 
 
@@ -340,13 +347,19 @@ def enumerate_subspaces(p: int, d: int):
 # brute-force oracle of :mod:`quivar.reps` decides containment on the
 # projective points of F_p^d, the nonzero vectors whose first nonzero entry
 # is 1, one on each line: a subspace holds a vector exactly when it holds
-# the point on its line. The incidence index of (p, d) gives each point the
-# bitset of the members of the subspace family that contain it, bit n for
-# the n-th subspace of :func:`enumerate_subspaces`. Each point spans a line
-# of the family, so there are never more points than subspaces, and the
-# index is built in time linear in its incidences.
+# the point on its line, and :func:`point_images` tabulates a matrix on the
+# points alone. The incidence index of (p, d) gives each point the
+# subspaces of the family that hold it, and those whose reduced echelon
+# basis has it as a row. Both come cell by cell from the echelon equations
+# the point must satisfy, so the index costs its incidences and nothing for
+# a subspace that misses the point. Each point keeps them as bitsets, bit n
+# for the n-th subspace of :func:`enumerate_subspaces`, while the bitsets
+# of all points fit in POINT_BITS_LIMIT bits, and as sorted lists of
+# positions beyond: a point then lies in few of many subspaces, and a
+# bitset per point would cost the whole family for each point.
 
 CODE_TABLE_LIMIT = 1 << 12
+POINT_BITS_LIMIT = 1 << 27
 
 
 def vector_code(p: int, column) -> int:
@@ -366,26 +379,17 @@ def code_vector(p: int, d: int, code: int) -> list:
     return out
 
 
-def _xor_span(codes):
-    """Over F_2, where codes add by XOR: entry c is the sum of the codes[r]
-    with bit r of c set."""
-    out = [0]
-    for b in codes:
-        out += [x ^ b for x in out]
-    return out
-
-
-def _code_table(p: int, data, rows: int, cols: int):
+def _code_table(p: int, data, rows: int, cols: int, lead=None):
     """Entry c is the code of data @ v, for the vector v of F_p^cols with
-    code c; built one row of the product at a time, or over F_2 as the
-    span of the column codes."""
-    if p == 2:
-        return _xor_span([vector_code(2, [row[c] for row in data])
-                          for c in range(cols)])
-    out = [0] * p ** cols
+    code c; built one row of the product at a time. With ``lead`` = l, v
+    is instead the point with 1 at l, 0 before it and code c for its
+    entries after l."""
+    first = 0 if lead is None else lead + 1
+    out = [0] * p ** (cols - first)
     for r in range(rows):
-        vals = [0]  # row r of data @ v for the codes v seen so far
-        for c in range(cols):
+        # row r of data @ v for the codes v seen so far
+        vals = [0 if lead is None else data[r][lead] % p]
+        for c in range(first, cols):
             x = data[r][c] % p
             vals = [(y + a * x) % p for a in range(p) for y in vals]
         w = p ** r
@@ -409,6 +413,15 @@ def code_map(m: Mat, codes=()):
     return out
 
 
+def point_images(m: Mat) -> list:
+    """The codes of m @ v for the points v of F_p^cols, in the order of
+    :func:`incidence_index`: by leading position, then by the code of the
+    entries after it. A table over the (p^cols - 1)/(p - 1) points only,
+    one leading position at a time."""
+    return [c for lead in range(m.cols)
+            for c in _code_table(m.field.p, m.data, m.rows, m.cols, lead)]
+
+
 def _point_code(p: int, d: int, code: int) -> int:
     """The code of the point on the line of a nonzero vector: the vector
     scaled so that its first nonzero entry is 1."""
@@ -417,19 +430,115 @@ def _point_code(p: int, d: int, code: int) -> int:
     return vector_code(p, [a * x for x in v])
 
 
-def _span_points(p: int, d: int, rows):
-    """The codes of the points of the span of reduced echelon rows: the
-    combinations whose first nonzero coefficient is 1, each point once."""
-    if p == 2:  # every nonzero vector is a point
-        return _xor_span([vector_code(2, row) for row in rows])[1:]
+def _bitset(positions, size: int) -> int:
+    """The bitset over ``size`` places with the given positions set."""
+    marks = bytearray((size + 7) >> 3)
+    for n in positions:
+        marks[n >> 3] |= 1 << (n & 7)
+    return int.from_bytes(marks, "little")
+
+
+def _cell_table(p: int, d: int):
+    """The cells of :func:`_cells` by the leading position l of the points
+    their subspaces may hold, that is, by each pivot column l.
+
+    The free entry at place j of a cell's m weighs p^(m - 1 - j) in the
+    subspace's position within the cell. Under l a cell is its first
+    position; per non-pivot column c, the terms (pivot column, weight) of
+    the free entries in column c; its other pivot columns; the (column,
+    weight) of the free entries in the row of pivot l; and the weights of
+    the free entries in its other rows."""
+    by_lead, start = [[] for _ in range(d)], 0
+    for pivots, free_pos in _cells(d):
+        m = len(free_pos)
+        weights = [p ** (m - 1 - j) for j in range(m)]
+        columns = {c: [] for c in range(d) if c not in pivots}
+        for (r, c), w in zip(free_pos, weights):
+            columns[c].append((pivots[r], w))
+        for r, lead in enumerate(pivots):
+            by_lead[lead].append((
+                start, list(columns.items()),
+                [pc for pc in pivots if pc != lead],
+                [(c, w) for (s, c), w in zip(free_pos, weights) if s == r],
+                [w for (s, _), w in zip(free_pos, weights) if s != r]))
+        start += p ** m
+    return by_lead
+
+
+def _solutions(p: int, terms, target: int, base: int, steps) -> list:
+    """The offsets base + sum w x over the x in F_p^len(terms) with
+    sum a x = target, for terms (a, w).
+
+    The last term with a != 0 is solved for, and the terms with a = 0 run
+    over F_p. The other terms run over F_p too, the last of them as one
+    slice per offset: as its entry x runs over F_p, w times the solved
+    entry runs through a rotation of ``steps[b, w]``, the sequence of
+    w (-b x mod p), for b its coefficient over the solved one's."""
+    if len(terms) == 1:  # most columns: a single free entry
+        (a, w), = terms
+        if a:
+            return [base + w * (target * pow(a, -1, p) % p)]
+        return [] if target else list(range(base, base + p * w, w))
+    live = [n for n, (a, _) in enumerate(terms) if a]
+    if not live:
+        offsets = [] if target else [base]
+    else:
+        *others, last = live
+        a, w = terms[last]
+        scale = pow(a, -1, p)
+        sums = [(base, target * scale)]  # (offset, the solved entry unreduced)
+        for n in others[:-1]:
+            b, v = terms[n][0] * scale, terms[n][1]
+            sums = [(o + x * v, t - b * x) for o, t in sums for x in range(p)]
+        if others:
+            b, v = terms[others[-1]][0] * scale % p, terms[others[-1]][1]
+            seq = steps.get((b, w))
+            if seq is None:
+                seq = steps[b, w] = [w * (-b * x % p) for x in range(p)]
+            inv, offsets = pow(b, -1, p), []
+            for o, t in sums:
+                k = p - t * inv % p
+                offsets += map(add, range(o, o + p * v, v), seq[k:] + seq[:k])
+        else:
+            offsets = [o + w * (t % p) for o, t in sums]
+    for a, w in terms:
+        if not a:
+            offsets = [o + x for o in offsets for x in range(0, p * w, w)]
+    return offsets
+
+
+def _holders(p: int, cells, v, steps) -> list:
+    """The positions in the family of the subspaces that hold the point v:
+    in each of the cells of v's leading position, those whose free entries
+    solve, column by column, v[c] = sum v[pivot] x."""
     out = []
-    tail = [(0,) * d]  # the span of the rows after row n
-    for n in range(len(rows) - 1, -1, -1):
-        row = rows[n]
-        out += [vector_code(p, [x + y for x, y in zip(row, v)]) for v in tail]
-        if n:
-            tail = [[(y + a * x) % p for x, y in zip(row, v)]
-                    for a in range(p) for v in tail]
+    for start, columns, _, _, _ in cells:
+        offsets = [start]
+        for c, terms in columns:
+            coeffs = [(v[pc], w) for pc, w in terms]
+            if len(offsets) == 1:
+                offsets = _solutions(p, coeffs, v[c], offsets[0], steps)
+            else:
+                part = _solutions(p, coeffs, v[c], 0, steps)
+                offsets = [o + x for o in offsets for x in part]
+            if not offsets:
+                break
+        out += offsets
+    return out
+
+
+def _bases(p: int, cells, v) -> list:
+    """The positions in the family of the subspaces whose reduced echelon
+    basis has the point v as a row, from the cells of v's leading position:
+    v sets the free entries of the row at that pivot, and must vanish at
+    the other pivots."""
+    out = []
+    for start, _, others, row, free in cells:
+        if not any(map(v.__getitem__, others)):
+            offsets = [start + sum(v[c] * w for c, w in row)]
+            for w in free:
+                offsets = [o + x for o in offsets for x in range(0, p * w, w)]
+            out += offsets
     return out
 
 
@@ -437,18 +546,27 @@ class Incidence:
     """The points of F_p^d against its subspace family.
 
     ``size`` counts the subspaces, in the order of
-    :func:`enumerate_subspaces`; bit n of a bitset stands for the n-th.
-    ``codes[i]`` is the code of point i (points by increasing code),
-    ``bits[i]`` the bitset of the subspaces that contain it and
-    ``by_dim[k]`` the bitset of the subspaces of dimension k.
+    :func:`enumerate_subspaces`; bit n of a bitset stands for the n-th, and
+    ``by_dim[k]`` is the bitset of those of dimension k. ``codes[i]`` is
+    the code of point i; the points run by leading position, then by the
+    code of their entries after it, as in :func:`point_images`.
+
+    For each point the index keeps the subspaces that hold it, and those
+    whose reduced echelon basis has it as a row: a subspace is invariant
+    under a map, or lies in a kernel, when the images of its basis rows
+    are. Both are bitsets while they fit in POINT_BITS_LIMIT bits, and
+    sorted lists of positions otherwise; the queries answer in bitsets
+    either way.
     """
 
-    __slots__ = ("p", "d", "size", "codes", "bits", "by_dim", "_at")
+    __slots__ = ("p", "d", "size", "codes", "by_dim", "_held", "_based",
+                 "_as_bits", "_at")
 
-    def __init__(self, p, d, codes, bits, counts):
-        self.p, self.d, self.codes, self.bits = p, d, codes, bits
+    def __init__(self, p, d, codes, held, based, counts, as_bits):
+        self.p, self.d, self.codes = p, d, codes
+        self._held, self._based, self._as_bits = held, based, as_bits
         self.size, by_dim = 0, []
-        for count in counts:  # the family runs by dimension
+        for count in counts:
             by_dim.append(((1 << count) - 1) << self.size)
             self.size += count
         self.by_dim = tuple(by_dim)
@@ -466,24 +584,73 @@ class Incidence:
             at = self._at[_point_code(self.p, self.d, code)]
         return at
 
+    def holding(self, i: int) -> int:
+        """The bitset of the subspaces that hold point i."""
+        held = self._held[i]
+        return held if self._as_bits else _bitset(held, self.size)
+
+    def holding_all(self, points) -> int:
+        """The bitset of the subspaces that hold all of the points."""
+        acc = (1 << self.size) - 1
+        for i in points:
+            acc &= self.holding(i)
+        return acc
+
+    def based_on_any(self, points) -> int:
+        """The bitset of the subspaces with a basis row among the points."""
+        if not self._as_bits:
+            return _bitset(chain.from_iterable(map(self._based.__getitem__,
+                                                   points)), self.size)
+        acc = 0
+        for i in points:
+            acc |= self._based[i]
+        return acc
+
+    def breaking(self, groups) -> int:
+        """The bitset of the subspaces with a basis row among the points
+        ``groups[q]`` that do not hold the point q, for some q."""
+        if self._as_bits:
+            acc = 0
+            for q, points in groups.items():
+                acc |= self.based_on_any(points) & ~self._held[q]
+            return acc
+        out = []
+        for q, points in groups.items():
+            held = self._held[q]
+            for c in points:
+                for n in self._based[c]:
+                    at = bisect_left(held, n)
+                    if at == len(held) or held[at] != n:
+                        out.append(n)
+        return _bitset(out, self.size)
+
 
 @lru_cache(maxsize=32)
 def incidence_index(p: int, d: int) -> Incidence:
-    """The incidence index of F_p^d, built from :func:`_echelon_rows` in
-    family order: each subspace marks its own points, once each."""
-    nbytes = (gaussian_binomial_total(p, d) + 7) >> 3
+    """The incidence index of F_p^d, built point by point from the echelon
+    equations of each cell of the family."""
+    cells = _cell_table(p, d)
+    counts = [0] * (d + 1)  # the family runs by dimension
+    for pivots, free_pos in _cells(d):
+        counts[len(pivots)] += p ** len(free_pos)
+    size = sum(counts)
     # the points by leading position l: 1 at l, 0 before, anything after
-    codes = sorted(p ** l + p ** (l + 1) * t
-                   for l in range(d) for t in range(p ** (d - l - 1)))
-    marks = {c: bytearray(nbytes) for c in codes}
-    counts = [0] * (d + 1)
-    for n, rows in enumerate(_echelon_rows(p, d)):
-        byte, bit = n >> 3, 1 << (n & 7)
-        for c in _span_points(p, d, rows):
-            marks[c][byte] |= bit
-        counts[len(rows)] += 1
-    bits = tuple(int.from_bytes(marks.pop(c), "little") for c in codes)
-    return Incidence(p, d, tuple(codes), bits, counts)
+    codes = tuple(p ** l + p ** (l + 1) * t
+                  for l in range(d) for t in range(p ** (d - l - 1)))
+    as_bits = len(codes) * size <= POINT_BITS_LIMIT
+    held, based, steps = [], [], {}
+    kind = "i" if size < 1 << 31 else "q"  # a type code wide enough
+    for l in range(d):
+        for t in range(p ** (d - l - 1)):
+            v = [0] * l + [1] + code_vector(p, d - l - 1, t)
+            h, b = _holders(p, cells[l], v, steps), _bases(p, cells[l], v)
+            if as_bits:
+                held.append(_bitset(h, size))
+                based.append(_bitset(b, size))
+            else:
+                held.append(array(kind, sorted(h)))
+                based.append(array(kind, b))
+    return Incidence(p, d, codes, tuple(held), tuple(based), counts, as_bits)
 
 
 def gaussian_binomial_total(p: int, d: int) -> int:

@@ -17,17 +17,17 @@ independent oracle.
 
 The oracle shares no elimination with the closures. Over F_p it decides
 every subspace at once. The incidence index of :mod:`quivar.linalg` gives
-each projective point of a vertex space the bitset of the subspaces that
-contain it, and a graded tuple of subspaces is one bit of a bitset over the
-product of the vertex families, first vertex major. An edge a: t -> h
-clears the tuples whose subspace at t holds a point c while the one at h
-lacks a(c), grouped by the point of a(c); S lies in Ker j when it holds no
-point that j does not kill, and contains Im i when it holds the point of
-each nonzero column of i. So each condition is a few big-int operations per
-point, a theta's violations are a union over dimension vectors, and the
-lowest violating bit is the witness a lexicographic scan would meet first.
-The work is bounded by the subspace and point counts, which ``limit`` and
-``INCIDENCE_LIMIT`` cap, not by p^d or by the framing.
+each projective point of a vertex space the subspaces that hold it and
+those whose reduced echelon basis has it as a row, and a graded tuple of
+subspaces is one bit of a bitset over the product of the vertex families,
+first vertex major. An edge a: t -> h breaks the tuples whose subspace at
+t has a basis row c while the one at h lacks a(c), grouped by the point of
+a(c); S lies in Ker j when j kills its basis rows, and contains Im i when
+it holds the point of each nonzero column of i. So each condition is a few
+bitset operations per point, a theta's violations are a union over
+dimension vectors, and the lowest violating bit is the witness a
+lexicographic scan would meet first. The work is bounded by the incidences
+of points and subspaces, not by the framing; ``limit`` caps the tuples.
 """
 
 from __future__ import annotations
@@ -36,12 +36,13 @@ from dataclasses import dataclass
 from itertools import product
 from operator import mul
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .fields import Field, FieldError, PrimeField
-from .linalg import (Echelon, Mat, annihilator_rows, code_map, col_span,
+from .linalg import (Echelon, Mat, annihilator_rows, col_span,
                      enumerate_subspaces, gaussian_binomial_total,
-                     incidence_index, subspace_contains, vector_code)
+                     incidence_index, point_images, subspace_contains,
+                     vector_code)
 from .quiver import Quiver, check_dimvector, dot, star_pairs
 
 
@@ -349,9 +350,15 @@ def slope(theta: dict, d: dict) -> Fraction:
 # -- brute-force oracles over small prime fields -----------------------
 
 DEFAULT_SUBSPACE_LIMIT = 10 ** 6
-# the point bitsets of one vertex's incidence index, in bits: one per point
-# and subspace, so at most 128 MiB
-INCIDENCE_LIMIT = 1 << 30
+
+
+def _members(bits: int):
+    """The positions of the set bits of a bitset, in increasing order."""
+    digits = bin(bits)[:1:-1]  # bit n of the bitset is digits[n]
+    n = digits.find("1")
+    while n >= 0:
+        yield n
+        n = digits.find("1", n + 1)
 
 
 def _tensor(sizes, parts):
@@ -370,57 +377,69 @@ def _tensor(sizes, parts):
     return acc
 
 
+def _pairs(sizes, t, h, rows):
+    """The bitset of the graded tuples whose member at vertex h lies in
+    ``rows[n]`` when the one at vertex t is the n-th there.
+
+    Built as one string of bits, highest first: a row per member of the
+    earlier of t and h, each bit spread over the vertices after the later
+    one, each row repeated for the vertices between them and the whole for
+    the vertices before."""
+    strs = [format(r, f"0{sizes[h]}b") for r in reversed(rows)]
+    if t > h:
+        strs = ["".join(col) for col in zip(*strs)]
+        t, h = h, t
+    inner = prod(sizes[h + 1:])
+    if inner > 1:
+        strs = [s.translate({48: "0" * inner, 49: "1" * inner}) for s in strs]
+    return int("".join(s * prod(sizes[t + 1:h]) for s in strs)
+               * prod(sizes[:t]), 2)
+
+
 def _invariant_tuples(rep: Rep, limit: int):
     """The invariant graded subspaces of a representation over F_p, as a
     bitset over the graded tuples of :func:`_tensor`.
 
     Returns the vertices (in quiver order), their families from
     :func:`enumerate_subspaces`, their incidence indexes and the bitset of
-    the tuples invariant under every edge map. An edge a: t -> h fails on
-    the tuples whose subspace at t holds a point c while the one at h does
-    not hold a(c); grouped by the point of a(c), that is one bitset at t
-    and one at h per image point.
+    the tuples invariant under every edge map. An edge a: t -> h breaks
+    the tuples whose subspace at t has a basis row c while the one at h
+    does not hold a(c), with the rows c grouped by the point of a(c). A
+    loop breaks subspaces at t alone; an edge between two vertices breaks,
+    for each subspace at t, a row of subspaces at h, and the rows are
+    lifted to the graded tuples at once.
     """
     if not isinstance(rep.field, PrimeField):
         raise RepError("brute-force enumeration requires a prime field")
     p = rep.field.p
     verts = list(rep.quiver.vertices)
     sizes = [gaussian_binomial_total(p, rep.v[k]) for k in verts]
-    count = 1
-    for n in sizes:
-        count *= n
+    count = prod(sizes)
     if count > limit:
         raise RepError(f"subspace enumeration size {count} exceeds limit {limit}")
-    for k, n in zip(verts, sizes):
-        d = rep.v[k]
-        bits = (p ** d - 1) // (p - 1) * n
-        if bits > INCIDENCE_LIMIT:
-            raise RepError(f"incidence index of F_{p}^{d} needs {bits} bits, "
-                           f"over {INCIDENCE_LIMIT}")
     pos = {k: n for n, k in enumerate(verts)}
     families = [enumerate_subspaces(p, rep.v[k]) for k in verts]
     index = [incidence_index(p, rep.v[k]) for k in verts]
     everything = [(1 << n) - 1 for n in sizes]
-    good = list(everything)  # per vertex: the subspaces no loop fails
-    bad = 0  # the tuples failed by an edge between two vertices
+    good = list(everything)  # per vertex: the subspaces no loop breaks
+    bad = 0  # the tuples an edge between two vertices breaks
     for e in rep.quiver.edges:
         t, h = pos[e.tail], pos[e.head]
         src, dst = index[t], index[h]
-        image = code_map(rep.mats[e.name], src.codes)
-        locate = dst.locate
-        held = {}  # image point -> the subspaces at t holding a preimage
-        for code, bits in zip(src.codes, src.bits):
-            q = locate(image[code])
-            if q is not None:
-                held[q] = held.get(q, 0) | bits
-        for q, bits in held.items():
-            lacks = everything[h] & ~dst.bits[q]  # the subspaces at h without q
-            if t == h:
-                good[t] &= ~(bits & lacks)
-            else:
-                parts = list(everything)
-                parts[t], parts[h] = bits, lacks
-                bad |= _tensor(sizes, parts)
+        groups = {}  # image point -> the points at t sent onto its line
+        for c, code in enumerate(point_images(rep.mats[e.name])):
+            q = dst.locate(code)
+            if q is not None and (t != h or q != c):
+                groups.setdefault(q, []).append(c)
+        if t == h:
+            good[t] &= ~src.breaking(groups)
+        elif groups:
+            rows = [0] * sizes[t]  # per subspace at t: those at h it breaks
+            for q, points in groups.items():
+                lacks = everything[h] & ~dst.holding(q)
+                for n in _members(src.based_on_any(points)):
+                    rows[n] |= lacks
+            bad |= _pairs(sizes, t, h, rows)
     return verts, families, index, _tensor(sizes, good) & ~bad
 
 
@@ -430,15 +449,12 @@ def invariant_subspaces_bruteforce(rep: Rep, limit: int = DEFAULT_SUBSPACE_LIMIT
     order. Prime fields only."""
     verts, families, _, tuples = _invariant_tuples(rep, limit)
     out = []
-    digits = bin(tuples)[:1:-1]  # bit n of the bitset is digits[n]
-    n = digits.find("1")
-    while n >= 0:
+    for n in _members(tuples):
         bases, rest = {}, n
         for k, fam in zip(reversed(verts), reversed(families)):
             rest, at = divmod(rest, len(fam))
             bases[k] = fam[at]
         out.append(GradedSubspace._canonical(rep.field, rep.v, bases))
-        n = digits.find("1", n + 1)
     return out
 
 
@@ -449,9 +465,9 @@ def semistable_bruteforce(fr: FramedRep, theta: dict,
 
     The criterion characterizes (semi)stability for points on the moment
     fiber; any quadruple is accepted and checked against the same
-    inequalities. A subspace lies in Ker j when it holds no point that j
-    does not send to 0; it contains Im i when it holds the point of each
-    nonzero column of i.
+    inequalities. A subspace lies in Ker j when j sends each row of its
+    reduced echelon basis to 0; it contains Im i when it holds the point of
+    each nonzero column of i.
     """
     return _bruteforce_reports(fr, [theta], limit)[0]
 
@@ -477,18 +493,12 @@ def _bruteforce_reports(fr: FramedRep, thetas, limit: int = DEFAULT_SUBSPACE_LIM
     sizes = [ix.size for ix in index]
     in_ker, has_im = [], []
     for k, ix in zip(verts, index):
-        j_image = code_map(fr.j[k], ix.codes)
-        outside = 0  # the subspaces holding a point not sent to 0 by j
-        for code, bits in zip(ix.codes, ix.bits):
-            if j_image[code]:
-                outside |= bits
-        holds = everything = (1 << ix.size) - 1
-        for col in zip(*fr.i[k].data):
-            q = ix.locate(vector_code(p, col))
-            if q is not None:
-                holds &= ix.bits[q]
-        in_ker.append(everything & ~outside)
-        has_im.append(holds)
+        outside = ix.based_on_any(  # a basis row that j does not kill
+            c for c, code in enumerate(point_images(fr.j[k])) if code)
+        in_ker.append(((1 << ix.size) - 1) & ~outside)
+        columns = (vector_code(p, col) for col in zip(*fr.i[k].data))
+        has_im.append(ix.holding_all(
+            q for q in map(ix.locate, columns) if q is not None))
 
     def of_dim(parts, d):
         """The invariant tuples of dimension vector d whose member at each

@@ -1,16 +1,18 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quivar import linalg
 from quivar.fields import CyclotomicField, FieldError, PrimeField, QQ
 from quivar.linalg import (CODE_TABLE_LIMIT, Echelon, Mat, annihilator_rows,
                            code_map, col_span, enumerate_subspaces,
-                           gaussian_binomial_total, incidence_index, preimage,
-                           subspace_contains, subspace_intersect,
-                           subspace_sum)
+                           gaussian_binomial_total, incidence_index,
+                           point_images, preimage, subspace_contains,
+                           subspace_intersect, subspace_sum)
 
 
 def rand_mat(field, rows, cols, rng):
@@ -175,7 +177,7 @@ def vector(f, d, c):
 # scaled to its point first
 @pytest.mark.parametrize("p, d", [(2, 0), (2, 3), (3, 2), (5, 2), (67, 2),
                                   (17, 3)])
-def test_subspace_points_follow_the_family(p, d):
+def test_subspace_points_follow_the_family(p, d, monkeypatch):
     f = PrimeField(p)
     rng = random.Random(p * 10 + d)
     family = enumerate_subspaces(p, d)
@@ -185,23 +187,34 @@ def test_subspace_points_follow_the_family(p, d):
     cols = [[(c // p ** r) % p for r in range(d)] for c in index.codes]
     assert len(cols) == (p ** d - 1) // (p - 1)
     assert all(next(x for x in col if x) == 1 for col in cols)
-    # each point's bitset is the set of subspaces that contain it, as
-    # subspace_contains decides: the annihilator of s kills the point. All
-    # points at once by one product per subspace, a sample one by one
+    # the subspaces that hold each point, as subspace_contains decides: the
+    # annihilator of s kills the point. All points at once by one product
+    # per subspace, a sample one by one. And those whose canonical basis,
+    # the reduced echelon rows, has the point as a column
     grid = Mat(f, list(zip(*cols)), d, len(cols))
-    members = [0] * len(cols)
+    members, rows = [0] * len(cols), [0] * len(cols)
     for n, s in enumerate(family):
         assert index.by_dim[s.cols] >> n & 1
         killed = annihilator_rows(s) @ grid
         for i in range(len(cols)):
             if all(row[i] == 0 for row in killed.data):
                 members[i] |= 1 << n
-    assert list(index.bits) == members
+            if list(cols[i]) in [list(c) for c in zip(*s.data)]:
+                rows[i] |= 1 << n
     for i in range(0, len(cols), max(1, len(cols) // 12)):
         point = Mat.column(f, cols[i])
-        assert index.bits[i] == sum(1 << n for n, s in enumerate(family)
-                                    if subspace_contains(s, point))
+        assert members[i] == sum(1 << n for n, s in enumerate(family)
+                                 if subspace_contains(s, point))
     assert sum(index.by_dim) == (1 << len(family)) - 1
+    # both forms of the index: the points' subspaces as bitsets, and with
+    # the bitset budget set to 0 as lists of positions
+    for limit in (linalg.POINT_BITS_LIMIT, 0):
+        monkeypatch.setattr(linalg, "POINT_BITS_LIMIT", limit)
+        incidence_index.cache_clear()
+        index = incidence_index(p, d)
+        assert [index.holding(i) for i in range(len(cols))] == members
+        assert [index.based_on_any([i]) for i in range(len(cols))] == rows
+    incidence_index.cache_clear()
     # locate finds the point on the line of any nonzero vector, and None
     # for the zero vector
     assert index.locate(0) is None
@@ -229,6 +242,43 @@ def test_code_map_is_the_product_on_codes(p, rows, cols):
     for c in codes:
         want = (m @ vector(f, cols, c)).transpose().data[0] if rows else ()
         assert image[c] == code(p, want)
+
+
+def test_the_index_grows_with_its_incidences():
+    # F_11617^2, the first plane past the bitset budget: 11618 points and
+    # 11620 subspaces, each point in two. Bitsets per point over the
+    # family, of holders and of basis rows, would take 2 * 11618 * 11620
+    # bits, about 34 MB; the lists of positions take a few
+    incidence_index.cache_clear()
+    tracemalloc.start()
+    try:
+        index = incidence_index(11617, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        incidence_index.cache_clear()
+    # (1, 5) lies on its line and on the whole plane; it is a basis row of
+    # its line only
+    assert bin(index.holding(5)).count("1") == 2
+    assert bin(index.based_on_any([5])).count("1") == 1
+    assert peak < 12 * 2 ** 20
+
+
+# code tables over the points only, in the index's order of the points;
+# (67, 2, 2) .. (17, 3, 3) have more than CODE_TABLE_LIMIT codes
+@pytest.mark.parametrize("p, rows, cols", [(3, 2, 2), (5, 1, 3), (2, 3, 2),
+                                           (5, 0, 2), (67, 2, 1), (67, 2, 2),
+                                           (67, 1, 2), (17, 3, 3)])
+def test_point_images_map_the_points_of_the_index(p, rows, cols):
+    f = PrimeField(p)
+    rng = random.Random(p * 13 + cols)
+    src = incidence_index(p, cols)
+    for m in (rand_mat(f, rows, cols, rng), Mat.zeros(f, rows, cols)):
+        images = point_images(m)
+        assert len(images) == len(src.codes)
+        for c, image in zip(src.codes, images):
+            want = (m @ vector(f, cols, c)).transpose().data[0] if rows else ()
+            assert image == code(p, want)
 
 
 @settings(max_examples=40, deadline=None)

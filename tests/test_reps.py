@@ -1,9 +1,11 @@
+import itertools
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
+from quivar import linalg
 from quivar.fields import PrimeField, QQ
 from quivar.linalg import (Mat, annihilator_rows, enumerate_subspaces,
                            incidence_index, preimage, subspace_contains,
@@ -11,7 +13,7 @@ from quivar.linalg import (Mat, annihilator_rows, enumerate_subspaces,
 from quivar.quiver import (double, jordan_quiver, make_quiver, opposite,
                            type_a_quiver)
 from quivar.reps import (FramedRep, GradedSubspace, Rep, RepError,
-                         _bruteforce_reports, endomorphism_space, im_i,
+                         _bruteforce_reports, _pairs, endomorphism_space, im_i,
                          invariant_subspaces_bruteforce, is_stable_minus,
                          is_stable_plus, ker_j, max_core, min_closure,
                          moment_residual, preprojective_check,
@@ -349,27 +351,32 @@ REFERENCE_SHAPES = [
 ]
 
 
-# one-vertex spaces past CODE_TABLE_LIMIT: code maps act on the points
-# asked for, and each image code is scaled to the point on its line
+# spaces past CODE_TABLE_LIMIT, where each image code is scaled to the
+# point on its line before it is located; the A2 shapes cross edges
+# between two vertices, into and out of F_67^2 at v = (2, 1)
 BEYOND_TABLE_SHAPES = {
     67: [(double(make_quiver(["1"], [])), [{"1": 2}]),
-         (double(jordan_quiver()), [{"0": 1}, {"0": 2}])],
+         (double(jordan_quiver()), [{"0": 1}, {"0": 2}]),
+         (double(type_a_quiver(2)), [{"1": 1, "2": 1}, {"1": 2, "2": 1}])],
     17: [(double(make_quiver(["1"], [])), [{"1": 3}]),
          (double(jordan_quiver()), [{"0": 3}])],
 }
 
 
-@pytest.fixture(params=["masks"])
-def point_regime(request):
-    """Builds every incidence index afresh for the test, so that the point
-    masks it checks come from the index's own construction."""
+@pytest.fixture(params=["masks", "lists"])
+def incidence_storage(request, monkeypatch):
+    """Builds every incidence index afresh for the test, keeping each
+    point's subspaces as bitsets ("masks") or, with the bitset budget set
+    to 0, as sorted lists of positions ("lists")."""
+    if request.param == "lists":
+        monkeypatch.setattr(linalg, "POINT_BITS_LIMIT", 0)
     incidence_index.cache_clear()
     yield request.param
     incidence_index.cache_clear()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 67, 17])
-def test_packed_oracle_matches_reference(p, point_regime):
+def test_packed_oracle_matches_reference(p, incidence_storage):
     rng = random.Random(p)
     f = PrimeField(p)
     beyond = p in BEYOND_TABLE_SHAPES
@@ -466,6 +473,22 @@ LARGE_CASES = {
 }
 
 
+def test_bruteforce_answers_the_plane_over_a_large_prime():
+    # F_30011^2: 30014 subspaces and 30012 points, each point in two of
+    # them. A bitset per point over the whole family would be 9 * 10^8
+    # bits; the index keeps lists there. x is nilpotent and j = 0, so the
+    # line Ker x destabilizes at theta > 0
+    fr = framed(double(jordan_quiver()), 30011, {"0": 2}, {"0": 1},
+                {"x": [[0, 1], [0, 0]], "x*": zeros(2, 2)},
+                {"0": [[0], [5]]}, {"0": [[0, 0]]})
+    start = time.perf_counter()
+    assert semistable_bruteforce(fr, {"0": 1}) == unstable({"0": 1})
+    assert semistable_bruteforce(fr, {"0": -1}) == STABLE
+    assert semistable_bruteforce(fr, {"0": 2}) == unstable({"0": 1})
+    assert len(invariant_subspaces_bruteforce(fr.rep)) == 3
+    assert time.perf_counter() - start < 3.0
+
+
 @pytest.mark.parametrize("name", list(LARGE_CASES))
 def test_bruteforce_scales_with_the_subspace_count(name):
     q, p, v, w, mats, i, j, verdicts, found = LARGE_CASES[name]
@@ -480,12 +503,27 @@ def test_bruteforce_scales_with_the_subspace_count(name):
     assert time.perf_counter() - start < 2.0
 
 
-def test_im_i_is_checked_on_every_column(point_regime):
+def test_im_i_is_checked_on_every_column(incidence_storage):
     # Im i is all of F_5^2: a line holds its first column but not Im i
     fr = framed(double(make_quiver(["1"], [])), 5, {"1": 2}, {"1": 2}, {},
                 {"1": [[1, 0], [0, 1]]}, {"1": zeros(2, 2)})
     assert semistable_bruteforce(fr, {"1": -1}) == STABLE
     assert reference_semistable(fr, {"1": -1}) == STABLE
+
+
+@pytest.mark.parametrize("t, h", [(0, 2), (2, 0), (1, 3), (3, 1), (0, 3),
+                                  (2, 1)])
+def test_pairs_lifts_an_edge_relation_to_the_graded_tuples(t, h):
+    # tuples numbered first vertex major; the pair (t, h) may skip vertices
+    # between them and leave some before and after
+    sizes = [2, 3, 2, 3]
+    rng = random.Random(t * 4 + h)
+    rows = [rng.getrandbits(sizes[h]) for _ in range(sizes[t])]
+    want = 0
+    for n, tup in enumerate(itertools.product(*map(range, sizes))):
+        if rows[tup[t]] >> tup[h] & 1:
+            want |= 1 << n
+    assert _pairs(sizes, t, h, rows) == want
 
 
 def test_witness_is_the_first_violating_tuple():

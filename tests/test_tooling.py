@@ -66,8 +66,10 @@ def test_traced_callables_resolve():
 
 ORACLE_NAMES = {"_invariant_tuples", "code_map", "subspace_points",
                 "point_test", "vector_code", "incidence_index", "Incidence",
-                "locate", "_tensor", "_span_points", "_point_code",
-                "_xor_span", "_code_table", "_bruteforce_reports"}
+                "locate", "point_images", "holding", "holding_all",
+                "based_on_any", "breaking", "_tensor", "_pairs", "_members",
+                "_cell_table", "_solutions", "_holders", "_bases", "_bitset",
+                "_point_code", "_code_table", "_bruteforce_reports"}
 # the per-subspace membership tests that the incidence index replaced
 RETIRED_ORACLE_NAMES = {"subspace_points", "point_test", "_in_mask",
                         "_in_echelon"}
