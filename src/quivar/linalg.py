@@ -422,14 +422,6 @@ def point_images(m: Mat) -> list:
             for c in _code_table(m.field.p, m.data, m.rows, m.cols, lead)]
 
 
-def _point_code(p: int, d: int, code: int) -> int:
-    """The code of the point on the line of a nonzero vector: the vector
-    scaled so that its first nonzero entry is 1."""
-    v = code_vector(p, d, code)
-    a = pow(next(x for x in v if x), -1, p)
-    return vector_code(p, [a * x for x in v])
-
-
 def _bitset(positions, size: int) -> int:
     """The bitset over ``size`` places with the given positions set."""
     marks = bytearray((size + 7) >> 3)
@@ -570,19 +562,36 @@ class Incidence:
             by_dim.append(((1 << count) - 1) << self.size)
             self.size += count
         self.by_dim = tuple(by_dim)
-        if p ** d <= CODE_TABLE_LIMIT:  # every nonzero code: no scaling
+        if p ** d <= CODE_TABLE_LIMIT:  # every nonzero code, no scaling
             self._at = {vector_code(p, [a * x for x in code_vector(p, d, c)]): i
                         for i, c in enumerate(codes) for a in range(1, p)}
         else:
-            self._at = {c: i for i, c in enumerate(codes)}
+            self._at = None
 
     def locate(self, code):
         """The index of the point on the line of the vector with ``code``,
-        or None for the zero vector."""
-        at = self._at.get(code)
-        if at is None and code:
-            at = self._at[_point_code(self.p, self.d, code)]
-        return at
+        or None for the zero vector. Past the table of every code, the
+        vector is scaled to its point: the points with leading position l
+        start at index sum p^(d - 1 - k) over k < l, and run by the code
+        of their entries after l."""
+        if self._at is not None:
+            return self._at.get(code)
+        if not code:
+            return None
+        p, at, lead = self.p, 0, 0
+        while not code % p:
+            code //= p
+            at += p ** (self.d - 1 - lead)
+            lead += 1
+        code, a = divmod(code, p)
+        if a != 1:
+            scale, tail, w = pow(a, -1, p), 0, 1
+            while code:
+                code, x = divmod(code, p)
+                tail += x * scale % p * w
+                w *= p
+            code = tail
+        return at + code
 
     def holding(self, i: int) -> int:
         """The bitset of the subspaces that hold point i."""

@@ -69,7 +69,7 @@ ORACLE_NAMES = {"_invariant_tuples", "code_map", "subspace_points",
                 "locate", "point_images", "holding", "holding_all",
                 "based_on_any", "breaking", "_tensor", "_pairs", "_members",
                 "_cell_table", "_solutions", "_holders", "_bases", "_bitset",
-                "_point_code", "_code_table", "_bruteforce_reports"}
+                "_code_table", "_bruteforce_reports"}
 # the per-subspace membership tests that the incidence index replaced
 RETIRED_ORACLE_NAMES = {"subspace_points", "point_test", "_in_mask",
                         "_in_echelon"}
