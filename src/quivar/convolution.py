@@ -91,17 +91,29 @@ def convolve(k32: FiniteKernel, k21: FiniteKernel) -> FiniteKernel:
 def convolve_via_pullback(k32: FiniteKernel, k21: FiniteKernel) -> FiniteKernel:
     """The same convolution through the triple-product formula: pull both
     kernels back to X3 x X2 x X1, multiply pointwise, push forward along
-    the projection to X3 x X1. Used as a cross-check of ``convolve``."""
+    the projection to X3 x X1. Used as a cross-check of ``convolve``.
+
+    For each x3 the pushforward sums over x2 in X2 order, and the pulled-back
+    product at (x3, x2, -) is the row k21(x2, -) times the scalar k32(x3, x2).
+    So each nonzero k32(x3, x2) is one update acc - (-k32(x3, x2)) row21
+    through the field's ``row_sub``, the row kernel of elimination, and a
+    zero k32(x3, x2) adds nothing. The check never reaches ``dot``, the
+    matrix product or ``convolve``. Refuses mismatched inner sets with
+    ConvError and kernels over different fields with FieldError, as
+    ``convolve`` does."""
     if k21.target != k32.source:
         raise ConvError("inner finite sets do not match")
+    k32.mat._check_same_field(k21.mat)
     fld = k32.field
+    is_zero, neg, row_sub = fld.is_zero, fld.neg, fld.row_sub
     x1, x3 = k21.source, k32.target
+    zeros = [fld.zero()] * len(x1)
     rows = []
     for row32 in k32.mat.data:  # one row of X3 x X1, summed over X2 in order
-        acc = [fld.zero()] * len(x1)
+        acc = zeros
         for x, row21 in zip(row32, k21.mat.data):
-            for ai, y in enumerate(row21):
-                acc[ai] = fld.add(acc[ai], fld.mul(x, y))
+            if not is_zero(x):
+                acc = row_sub(acc, neg(x), row21)
         rows.append(tuple(acc))
     return FiniteKernel(x1, x3, Mat._of(fld, tuple(rows), len(x3), len(x1)))
 
@@ -455,15 +467,14 @@ class GradedKernelAlgebra:
 
 
 def expand_in_basis(k: FiniteKernel, basis):
-    """Coefficients of k in the linear span of the basis kernels, or None."""
+    """Coefficients of k in the linear span of the basis kernels, or None.
+    The span of no kernels is {0}: an empty basis gives [] for the zero
+    kernel and None for any other."""
     fld = k.field
-    cols = []
-    for b in basis:
-        cols.append([b.mat.data[r][c] for r in range(b.mat.rows)
-                     for c in range(b.mat.cols)])
-    target = [[k.mat.data[r][c]] for r in range(k.mat.rows)
-              for c in range(k.mat.cols)]
-    m = Mat(fld, list(map(list, zip(*cols))), len(target), len(basis))
+    entries = [(r, c) for r in range(k.mat.rows) for c in range(k.mat.cols)]
+    m = Mat(fld, [[b.mat.data[r][c] for b in basis] for r, c in entries],
+            len(entries), len(basis))
+    target = [[k.mat.data[r][c]] for r, c in entries]
     sol = m.solve(Mat(fld, target, len(target), 1))
     if sol is None:
         return None

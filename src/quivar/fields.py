@@ -23,7 +23,8 @@ product of the other Galois conjugates zeta -> zeta^k over the rational
 norm, all in ints. Fractions appear only at the edges: reading input
 (``from_fraction``, ``from_coeffs``, ``parse``) and the ``coeffs`` accessor.
 
-The kernels compute in Python ints and normalise each result once.
+The kernels compute in Python ints and normalise each result once; over Q
+they read each operand once, as its ``as_integer_ratio`` pair.
 ``dot(u, v)`` is the exact inner product sum u_k v_k that matrix products,
 characteristic polynomials, character pairings and power traces go through:
 over Q the numerators over a running common denominator, then one
@@ -32,8 +33,9 @@ Q(zeta_m) the integer product polynomials over a running common
 denominator, then one reduction by the integer table of zeta^j (Phi_m is
 monic) and one gcd. ``mul`` over Q(zeta_m) is the dot product of length
 one. ``row_sub(u, c, v)`` = [u_k - c v_k] and ``row_scale(c, u)`` = [c u_k]
-are the row updates of elimination: one ``Fraction`` per changed entry over
-Q, ``(a - c b) % p`` over F_p, and over Q(zeta_m) c cleared once into the
+are the row updates of elimination and of the pullback convolution in
+:mod:`quivar.convolution`: one ``Fraction`` per changed entry over Q,
+``(a - c b) % p`` over F_p, and over Q(zeta_m) c cleared once into the
 integer rows of its multiplication, then one gcd per changed entry.
 ``vanishes_at_zeta_pow`` tests an integer polynomial at a power of zeta,
 for the root search of :mod:`quivar.adhm`.
@@ -187,35 +189,45 @@ class Rationals(Field):
         return a * b
 
     def dot(self, u, v):
-        # numerators over the running lcm of the terms' denominators
+        # numerators over the running lcm of the terms' denominators; each
+        # operand is read once, as its (numerator, denominator) pair
         num, den = 0, 1
         for a, b in zip(u, v):
-            n = a.numerator * b.numerator
-            if n:
-                d = a.denominator * b.denominator
-                if d == den:
-                    num += n
-                else:
-                    g = gcd(den, d)
-                    num, den = num * (d // g) + n * (den // g), den // g * d
+            an, ad = a.as_integer_ratio()
+            if an:
+                bn, bd = b.as_integer_ratio()
+                if bn:
+                    d = ad * bd
+                    if d == den:
+                        num += an * bn
+                    else:
+                        g = gcd(den, d)
+                        num = num * (d // g) + an * bn * (den // g)
+                        den = den // g * d
         return Fraction(num, den)
 
     def row_sub(self, u, c, v):
         # a - c b over the product of the three denominators: one Fraction
-        # per changed entry, none where b is 0
-        cn, cd = c.numerator, c.denominator
+        # per changed entry, none where b or c is 0
+        cn, cd = c.as_integer_ratio()
+        if not cn:
+            return list(u)
         out = []
         for a, b in zip(u, v):
-            bn = b.numerator
-            if bn and cn:
-                ad, bd = a.denominator, b.denominator
-                a = Fraction(a.numerator * cd * bd - cn * bn * ad, ad * cd * bd)
+            bn, bd = b.as_integer_ratio()
+            if bn:
+                an, ad = a.as_integer_ratio()
+                a = Fraction(an * cd * bd - cn * bn * ad, ad * cd * bd)
             out.append(a)
         return out
 
     def row_scale(self, c, u):
-        cn, cd = c.numerator, c.denominator
-        return [Fraction(cn * a.numerator, cd * a.denominator) for a in u]
+        cn, cd = c.as_integer_ratio()
+        out = []
+        for a in u:
+            an, ad = a.as_integer_ratio()
+            out.append(Fraction(cn * an, cd * ad))
+        return out
 
     def neg(self, a):
         return -a

@@ -17,7 +17,8 @@ from quivar.convolution import (ConvError, Correspondence, FiniteGroup,
                                 identity_kernel, invariant_algebra,
                                 pullback, pushforward, symmetric_group,
                                 validate_action)
-from quivar.fields import PrimeField, QQ
+from quivar.fields import (CyclotomicField, FieldError, PrimeField, QQ,
+                           Rationals)
 from quivar.linalg import Mat
 
 
@@ -57,15 +58,76 @@ def test_apply_and_push_pull():
     assert apply_kernel(k, f) == {"a": Fraction(5), "b": Fraction(1)}
 
 
+F2, F5, Z3 = PrimeField(2), PrimeField(5), CyclotomicField(3)
+FORMULA_ENTRIES = (
+    (QQ, lambda rng: QQ.random(rng, 4)),
+    (QQ, lambda rng: Fraction(rng.randint(-9, 9), rng.randint(1, 12))),
+    (F2, lambda rng: F2.random(rng)),
+    (F5, lambda rng: F5.random(rng)),
+    (Z3, lambda rng: Z3.mul(Z3.random(rng, 4),
+                            Z3.from_fraction(Fraction(1, rng.randint(1, 6))))),
+)
+
+
 def test_convolution_formulas_agree():
+    # integer and non-integer Q, F_2, F_5 and Q(zeta_3), with X1, X2 and X3
+    # empty at times; k32 gets zero rows and zero entries, where the
+    # pullback makes no row update
     rng = random.Random(4)
-    for _ in range(50):
-        sizes = [rng.randint(1, 4) for _ in range(3)]
-        sets = [finset([f"x{k}_{i}" for i in range(n)])
-                for k, n in enumerate(sizes)]
-        k21 = rand_kernel(sets[0], sets[1], rng)
-        k32 = rand_kernel(sets[1], sets[2], rng)
-        assert convolve(k32, k21).mat == convolve_via_pullback(k32, k21).mat
+    zero_rows = zero_entries = 0
+    for fld, entry in FORMULA_ENTRIES:
+        for _ in range(50):
+            sizes = [rng.randint(0, 4) for _ in range(3)]
+            sets = [finset([f"x{k}_{i}" for i in range(n)])
+                    for k, n in enumerate(sizes)]
+            k21 = FiniteKernel(sets[0], sets[1], Mat(
+                fld, [[entry(rng) for _ in sets[0].labels]
+                      for _ in sets[1].labels], sizes[1], sizes[0]))
+            rows32 = [[fld.zero() if rng.random() < 0.3 else entry(rng)
+                       for _ in sets[1].labels] for _ in sets[2].labels]
+            for row in rows32:
+                if rng.random() < 0.2:
+                    row[:] = [fld.zero()] * len(row)
+            zero_rows += sum(bool(row) and all(map(fld.is_zero, row))
+                             for row in rows32)
+            zero_entries += sum(map(fld.is_zero, sum(rows32, [])))
+            k32 = FiniteKernel(sets[1], sets[2],
+                               Mat(fld, rows32, sizes[2], sizes[1]))
+            assert convolve(k32, k21).mat == convolve_via_pullback(k32, k21).mat
+    assert zero_rows and zero_entries
+
+
+class _WrongDot(Rationals):
+    def dot(self, u, v):
+        return super().dot(u, v) + 1
+
+
+class _WrongRowSub(Rationals):
+    def row_sub(self, u, c, v):  # u + c v
+        return super().row_sub(u, -c, v)
+
+
+def test_each_convolution_formula_checks_the_other():
+    # convolve runs on dot and the pullback on row_sub, so a wrong kernel
+    # in either makes the two formulas disagree, and only its own is wrong
+    x = finset(["a", "b"])
+    ints = [[1, 2], [3, 4]]
+    right = convolve(*[FiniteKernel(x, x, Mat.from_ints(QQ, ints))] * 2)
+    for fld, broken, intact in ((_WrongDot(), convolve, convolve_via_pullback),
+                                (_WrongRowSub(), convolve_via_pullback,
+                                 convolve)):
+        k = FiniteKernel(x, x, Mat.from_ints(fld, ints))
+        assert intact(k, k).mat.data == right.mat.data
+        assert broken(k, k).mat.data != right.mat.data
+
+
+def test_pullback_refuses_kernels_over_different_fields():
+    x = finset(["a", "b"])
+    k32 = FiniteKernel(x, x, Mat.from_ints(F5, [[1, 2], [3, 4]]))
+    k21 = FiniteKernel(x, x, Mat(QQ, [[Fraction(1, 2), 0], [0, 1]]))
+    for fn in (convolve, convolve_via_pullback):
+        with pytest.raises(FieldError, match="matrices over different fields"):
+            fn(k32, k21)
 
 
 def test_pullback_convolution_onto_the_empty_set():
@@ -405,3 +467,11 @@ def test_expand_in_basis():
     assert expand_in_basis(combo, [e, s]) == [Fraction(2), Fraction(3)]
     outside = FiniteKernel(x, x, Mat.from_ints(QQ, [[0, 1], [0, 0]]))
     assert expand_in_basis(outside, [e, s]) is None
+
+
+def test_expand_in_the_empty_basis():
+    # the span of no kernels is {0}
+    x = finset(["a", "b"])
+    assert expand_in_basis(FiniteKernel(x, x, Mat.zeros(QQ, 2, 2)), []) == []
+    assert expand_in_basis(identity_kernel(x), []) is None
+    assert expand_in_basis(identity_kernel(finset([])), []) == []
