@@ -330,13 +330,16 @@ def _eigenvalues(m: Mat):
             raise AdhmError("eigenvalue search over Q(zeta_m) is "
                             "unsupported beyond rational multiples of "
                             f"roots of unity: {shown}")
+        if m.field.kind == "rational":  # printed as Fractions, int or not
+            poly = [Fraction(c) for c in poly]
         raise AdhmError(f"characteristic polynomial does not split: {poly}")
     return roots
 
 
 def joint_spectrum(x: Mat, y: Mat):
-    """Multiset of eigenvalue pairs of a commuting pair, sorted by str,
-    over Q(zeta_m) by the str of the pair of coefficient tuples (``coeffs``):
+    """Multiset of eigenvalue pairs of a commuting pair, sorted by str: over
+    Q by the str of the pair as two Fractions, integral or not, and over
+    Q(zeta_m) by the str of the pair of coefficient tuples (``coeffs``):
     each eigenvalue r of x, with multiplicity k, pairs with the
     eigenvalues of y restricted to the generalized eigenspace
     ker (x - r)^k. Raises AdhmError when a characteristic polynomial does
@@ -369,6 +372,8 @@ def joint_spectrum(x: Mat, y: Mat):
             pairs.extend([(r, s)] * mult)
     if isinstance(f, CyclotomicField):
         return sorted(pairs, key=lambda rs: str(tuple(map(f.coeffs, rs))))
+    if f.kind == "rational":
+        return sorted(pairs, key=lambda rs: str(tuple(map(Fraction, rs))))
     return sorted(pairs, key=str)
 
 

@@ -112,6 +112,9 @@ def parse_rational_vector(q: Quiver, text, default=None) -> dict:
 
 def _parse_entry(fieldobj, x):
     if isinstance(x, list):
+        if fieldobj.kind != "cyclotomic":
+            raise InputError(f"entry {json.dumps(x)} is a coefficient list, "
+                             f"which needs a cyclotomic field")
         return fieldobj.from_coeffs([Fraction(str(c)) for c in x])
     if isinstance(x, int):
         return fieldobj.from_int(x)

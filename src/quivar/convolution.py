@@ -9,7 +9,6 @@ Hecke algebras over small finite fields, and graded-degree bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
 from itertools import product
 
 from .fields import Field, PrimeField, QQ
@@ -322,7 +321,7 @@ def algebra_center_dim(constants) -> int:
     rows = []
     for j in range(n):
         for k in range(n):
-            row = [Fraction(constants[i][j][k] - constants[j][i][k])
+            row = [constants[i][j][k] - constants[j][i][k]
                    for i in range(n)]
             rows.append(row)
     m = Mat(QQ, rows, len(rows), n)

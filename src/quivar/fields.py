@@ -4,7 +4,15 @@ Every field exposes the same small interface (zero/one/add/sub/mul/dot/
 row_sub/row_scale/inv/is_zero/...), with elements stored as plain immutable
 Python values:
 
-* rationals        -> ``fractions.Fraction`` (always in lowest terms)
+* rationals        -> ``int`` when integral, else ``fractions.Fraction`` in
+                      lowest terms with denominator > 1. The type follows
+                      the value, so ``==``, ``hash`` and ``str`` are those
+                      of the number; every constructor and op returns this
+                      form, and ``linalg.Mat`` puts its entries over Q in it
+                      (refusing any entry that is not an int or a Fraction).
+                      ``repr`` does differ (``3`` against ``Fraction(3,
+                      1)``), so :mod:`quivar.adhm` prints and sorts lists
+                      of elements over Q as Fractions
 * prime field      -> ``int`` in ``[0, p)``
 * cyclotomic field -> flat tuple of ``euler_phi(m) + 1`` ints
                       ``(n_0, ..., n_{d-1}, den)``, the element
@@ -23,20 +31,24 @@ product of the other Galois conjugates zeta -> zeta^k over the rational
 norm, all in ints. Fractions appear only at the edges: reading input
 (``from_fraction``, ``from_coeffs``, ``parse``) and the ``coeffs`` accessor.
 
-The kernels compute in Python ints and normalise each result once; over Q
-they read each operand once, as its ``as_integer_ratio`` pair.
+The kernels compute in Python ints and normalise each result once. Over Q
+they first try the C-level integer path, ``sum(map(int.__mul__, u, v))``
+and ``int.__sub__``/``int.__mul__`` over the rows, which raises TypeError
+at the first Fraction; only then do they read each operand once, as its
+``as_integer_ratio`` pair, and build one canonical ratio per result.
 ``dot(u, v)`` is the exact inner product sum u_k v_k that matrix products,
 characteristic polynomials, character pairings and power traces go through:
-over Q the numerators over a running common denominator, then one
-``Fraction``; over F_p the integer sum, then one reduction mod p; over
+over Q one integer sum, or the numerators over a running common
+denominator; over F_p the integer sum, then one reduction mod p; over
 Q(zeta_m) the integer product polynomials over a running common
 denominator, then one reduction by the integer table of zeta^j (Phi_m is
 monic) and one gcd. ``mul`` over Q(zeta_m) is the dot product of length
 one. ``row_sub(u, c, v)`` = [u_k - c v_k] and ``row_scale(c, u)`` = [c u_k]
 are the row updates of elimination and of the pullback convolution in
-:mod:`quivar.convolution`: one ``Fraction`` per changed entry over Q,
-``(a - c b) % p`` over F_p, and over Q(zeta_m) c cleared once into the
-integer rows of its multiplication, then one gcd per changed entry.
+:mod:`quivar.convolution`: over Q one int per entry of integer rows,
+else one ratio per changed entry; ``(a - c b) % p`` over F_p; and over
+Q(zeta_m) c cleared once into the integer rows of its multiplication,
+then one gcd per changed entry.
 ``vanishes_at_zeta_pow`` tests an integer polynomial at a power of zeta,
 for the root search of :mod:`quivar.adhm`.
 
@@ -51,6 +63,7 @@ outside the standard library; rank decisions downstream rely on exactness.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 
 
@@ -170,25 +183,47 @@ class Field:
         return f"Field({self.spec()})"
 
 
+def _canon(q):
+    """The canonical form of the rational q, an int or a Fraction: the int
+    when q is integral, else q."""
+    if type(q) is int:
+        return q
+    return q.numerator if q.denominator == 1 else q
+
+
+def _ratio(num, den):
+    """The element num / den of Q in canonical form, for den > 0."""
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
 class Rationals(Field):
     kind = "rational"
 
     def from_int(self, n):
-        return Fraction(n)
+        return n if type(n) is int else _canon(Fraction(n))
 
     def from_fraction(self, q):
-        return Fraction(q)
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        return _canon(q)
 
     def add(self, a, b):
-        return a + b
+        return _canon(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _canon(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _canon(a * b)
 
     def dot(self, u, v):
+        # on ints one C-level sum: int.__mul__ raises TypeError on a
+        # Fraction first operand and returns NotImplemented for a Fraction
+        # second one, which sum refuses with TypeError
+        try:
+            return sum(map(int.__mul__, u, v))
+        except TypeError:
+            pass
         # numerators over the running lcm of the terms' denominators; each
         # operand is read once, as its (numerator, denominator) pair
         num, den = 0, 1
@@ -204,33 +239,46 @@ class Rationals(Field):
                         g = gcd(den, d)
                         num = num * (d // g) + an * bn * (den // g)
                         den = den // g * d
-        return Fraction(num, den)
+        return _ratio(num, den)
 
     def row_sub(self, u, c, v):
-        # a - c b over the product of the three denominators: one Fraction
-        # per changed entry, none where b or c is 0
+        # on ints one C-level pass, which the int.__mul__ and int.__sub__
+        # descriptors break off with TypeError at the first Fraction
+        if type(c) is int:
+            try:
+                return list(map(int.__sub__, u, map(int.__mul__, v, repeat(c))))
+            except TypeError:
+                pass
+        # a - c b over the product of the three denominators: one ratio per
+        # changed entry, none where b or c is 0
         cn, cd = c.as_integer_ratio()
         if not cn:
-            return list(u)
+            return [_canon(a) for a in u]
         out = []
         for a, b in zip(u, v):
             bn, bd = b.as_integer_ratio()
             if bn:
                 an, ad = a.as_integer_ratio()
-                a = Fraction(an * cd * bd - cn * bn * ad, ad * cd * bd)
-            out.append(a)
+                out.append(_ratio(an * cd * bd - cn * bn * ad, ad * cd * bd))
+            else:
+                out.append(_canon(a))
         return out
 
     def row_scale(self, c, u):
+        if type(c) is int:
+            try:
+                return list(map(int.__mul__, u, repeat(c)))
+            except TypeError:
+                pass
         cn, cd = c.as_integer_ratio()
         out = []
         for a in u:
             an, ad = a.as_integer_ratio()
-            out.append(Fraction(cn * an, cd * ad))
+            out.append(_ratio(cn * an, cd * ad))
         return out
 
     def neg(self, a):
-        return -a
+        return _canon(-a)
 
     def is_zero(self, a):
         return a == 0
@@ -238,10 +286,11 @@ class Rationals(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return Fraction(1) / a
+        n, d = a.as_integer_ratio()
+        return _ratio(-d, -n) if n < 0 else _ratio(d, n)
 
-    def rational_part(self, a) -> Fraction:
-        return a
+    def rational_part(self, a):
+        return _canon(a)
 
     def spec(self):
         return {"kind": "rational"}
@@ -250,10 +299,10 @@ class Rationals(Field):
         return str(a)
 
     def parse(self, s):
-        return Fraction(s)
+        return _canon(Fraction(s))
 
     def random(self, rng, span=5):
-        return Fraction(rng.randint(-span, span))
+        return rng.randint(-span, span)
 
 
 class PrimeField(Field):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, product
 from operator import add
@@ -38,6 +39,15 @@ class Mat:
                         raise FieldError(f"entry {x!r} is not an element of "
                                          f"F_{p}: expected an int in "
                                          f"0..{p - 1}")
+        elif field.kind == "rational":
+            for r in data:
+                for k, x in enumerate(r):
+                    if type(x) is not int:
+                        if not isinstance(x, Fraction):
+                            raise FieldError(f"entry {x!r} is not an element "
+                                             f"of Q: expected an int or a "
+                                             f"Fraction")
+                        r[k] = field.from_fraction(x)
         self.field = field
         self.rows = rows
         self.cols = cols

@@ -200,7 +200,12 @@ def positive_roots(c):
 def freudenthal_mult(c, lam, mu) -> int:
     """Weight multiplicity of mu in the irreducible module with highest
     weight lam (both in fundamental-weight coordinates), via the
-    Freudenthal recursion over the finite positive-root list."""
+    Freudenthal recursion over the finite positive-root list.
+
+    C^-1 is cleared once to adj(C) / det(C), so the recursion runs in ints:
+    ``inner`` is det(C) times the form, which cancels from the quotient of
+    the recursion, and the root coordinates C^-1 (lam - m) are a divmod by
+    det(C) > 0."""
     if classify_cartan(c) != "finite":
         raise RootsError("Freudenthal recursion requires finite type")
     n = len(c)
@@ -209,24 +214,29 @@ def freudenthal_mult(c, lam, mu) -> int:
     if any(x < 0 for x in lam):
         raise RootsError("highest weight must be dominant")
     cm = Mat.from_ints(QQ, c)
-    cinv = cm.solve(Mat.identity(QQ, n))
+    det = cm.det()  # > 0: the finite type is positive definite
+    adj = cm.solve(Mat.identity(QQ, n)).scale(det).data  # integral
 
-    def inner(a, b):  # both in fundamental-weight coords
-        return sum(a[i] * cinv.data[i][j] * b[j]
-                   for i in range(n) for j in range(n))
+    def inner(a, b):  # det(C) (a, b), both in fundamental-weight coords
+        return sum(a[i] * adj[i][j] * b[j] for i in range(n) for j in range(n))
 
     def root_gap(m):
         # coefficients k with lam - m = sum k_i alpha_i, or None
         diff = [lam[i] - m[i] for i in range(n)]
-        ks = [sum(cinv.data[i][j] * diff[j] for j in range(n)) for i in range(n)]
-        if any(k.denominator != 1 or k < 0 for k in ks):
-            return None
-        return tuple(int(k) for k in ks)
+        ks = []
+        for row in adj:
+            k, r = divmod(sum(x * y for x, y in zip(row, diff)), det)
+            if r or k < 0:
+                return None
+            ks.append(k)
+        return tuple(ks)
 
     pos = positive_roots(c)
     pos_w = [tuple(sum(c[i][j] * r[j] for j in range(n)) for i in range(n))
              for r in pos]  # in fundamental-weight coords
     rho = (1,) * n
+    lr = tuple(lam[i] + rho[i] for i in range(n))
+    top = inner(lr, lr)
     memo = {}
 
     def mult(m):
@@ -238,7 +248,7 @@ def freudenthal_mult(c, lam, mu) -> int:
         if all(k == 0 for k in gap):
             memo[m] = 1
             return 1
-        num = Fraction(0)
+        num = 0
         for aw in pos_w:
             k = 1
             while True:
@@ -249,16 +259,15 @@ def freudenthal_mult(c, lam, mu) -> int:
                 if mv:
                     num += mv * inner(nu, aw)
                 k += 1
-        lr = tuple(lam[i] + rho[i] for i in range(n))
         mr = tuple(m[i] + rho[i] for i in range(n))
-        denom = inner(lr, lr) - inner(mr, mr)
+        denom = top - inner(mr, mr)
         if denom <= 0:
             memo[m] = 0
             return 0
-        val = 2 * num / denom
-        if val.denominator != 1 or val < 0:
+        val, rest = divmod(2 * num, denom)
+        if rest or val < 0:
             raise RootsError("Freudenthal recursion produced a non-integer")
-        memo[m] = int(val)
-        return memo[m]
+        memo[m] = val
+        return val
 
     return mult(mu)

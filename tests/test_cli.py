@@ -414,6 +414,61 @@ def test_adhm_spectrum_refusal_pinned(capsys, tmp_path, monkeypatch, name,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# x = [[0, -1], [1, 0]] and [[0, 1/2], [1, 0]] over Q: t^2 + 1 and t^2 - 1/2
+# do not split, and the refusal prints the polynomial as Fractions
+NON_SPLIT_TRIPLES = {
+    name: {"field": {"kind": "rational"}, "n": 2, "x": x,
+           "y": [["1", "0"], ["0", "1"]], "i": ["1", "0"], "j": ["0", "0"]}
+    for name, x in [("rotation", [["0", "-1"], ["1", "0"]]),
+                    ("sqrt_half", [["0", "1/2"], ["1", "0"]])]}
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("rotation",
+     "d4c73e2b79261d1d8fc414637a5eb95909f17b3a6984ae2982f8f87beb9a5c69"),
+    ("sqrt_half",
+     "2a4dfc1f3d15f3cbe15902869fe6fffe08a40176f849861edaf2e612b127003f"),
+])
+def test_adhm_spectrum_non_split_pinned(capsys, tmp_path, monkeypatch, name,
+                                        digest):
+    # sha256 of the stdout of the implementation that stored every element
+    # of Q as a Fraction
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"{name}.json").write_text(json.dumps(NON_SPLIT_TRIPLES[name]))
+    assert run(["adhm", "spectrum", "--data", f"{name}.json"]) == 1
+    out = capsys.readouterr().out
+    assert "does not split" in json.loads(out)["results"]["error"]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("field", [{"kind": "rational"},
+                                   {"kind": "prime", "p": 5}],
+                         ids=["Q", "F5"])
+@pytest.mark.parametrize("command", ["adhm", "rep", "conv"])
+def test_coefficient_list_entry_needs_a_cyclotomic_field(
+        capsys, tmp_path, monkeypatch, field, command):
+    # a list entry over Q or F_p raised AttributeError from from_coeffs
+    monkeypatch.chdir(tmp_path)
+    if command == "adhm":
+        data = {"field": field, "n": 2, "x": [[["1", "0"], "0"], ["0", "1"]],
+                "y": [["1", "0"], ["0", "1"]], "i": ["1", "0"],
+                "j": ["0", "0"]}
+        argv = ["adhm", "check", "--data", "in.json"]
+    elif command == "rep":
+        data = {"quiver": "jordan", "field": field, "v": {"0": 1},
+                "mats": {"x": [[[1, 2]]]}}
+        argv = ["rep", "traces", "--rep", "in.json"]
+    else:
+        data = {"field": field, "source": ["a"], "target": ["b"],
+                "entries": [[[1]]]}
+        argv = ["conv", "mul", "--k1", "in.json", "--k2", "in.json"]
+    (tmp_path / "in.json").write_text(json.dumps(data))
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "coefficient list, which needs a cyclotomic field" in captured.err
+
+
 # diag(1/2, -zeta, -zeta^2) over Q(zeta_3), -zeta^2 = 1 + zeta: pairs are
 # sorted by the str of their Fraction coefficients, where -zeta^2 comes
 # before 1/2; by the str of numerators over one denominator it would not

@@ -231,8 +231,49 @@ def _assert_canonical(f, x):
         assert all(type(c) is int for c in x)
         assert x[-1] > 0 and gcd(*x) == 1
         return
+    # an int when integral, else a Fraction in lowest terms
+    if type(x) is int:
+        return
     assert type(x) is Fraction
-    assert x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
+    assert x.denominator > 1 and gcd(x.numerator, x.denominator) == 1
+
+
+def test_rational_ops_return_the_canonical_form():
+    # an int when integral, also from Fraction operands, else a Fraction
+    # in lowest terms; every op and kernel against Fraction arithmetic
+    half = Fraction(1, 2)
+    for got, want in [(QQ.add(half, half), 1), (QQ.mul(2, half), 1),
+                      (QQ.inv(-1), -1), (QQ.parse("4/2"), 2),
+                      (QQ.from_int(Fraction(7)), 7),
+                      (QQ.zero(), 0), (QQ.one(), 1), (QQ.dot([], []), 0)]:
+        assert type(got) is int and got == want
+    rng = random.Random("canonical Q")
+    pool = [0, 1, -1, 3, Fraction(0), Fraction(4), Fraction(-2), half,
+            Fraction(-3, 2), Fraction(5, 6), Fraction(10 ** 20, 3)]
+    for a in pool:
+        for b in pool:
+            ops = [(QQ.add(a, b), Fraction(a) + b),
+                   (QQ.sub(a, b), Fraction(a) - b),
+                   (QQ.mul(a, b), Fraction(a) * b)]
+            if b:
+                ops += [(QQ.div(a, b), Fraction(a) / b),
+                        (QQ.inv(b), 1 / Fraction(b))]
+            for got, want in ops:
+                _assert_canonical(QQ, got)
+                assert got == want
+    for _ in range(200):
+        n = rng.randint(0, 5)
+        u, v = rng.choices(pool, k=n), rng.choices(pool, k=n)
+        c = rng.choice(pool)
+        got = [QQ.dot(u, v), QQ.neg(c), QQ.from_fraction(c),
+               QQ.rational_part(c), QQ.parse(str(c)), QQ.random(rng)]
+        got += QQ.row_sub(u, c, v) + QQ.row_scale(c, u)
+        for x in got:
+            _assert_canonical(QQ, x)
+        assert got[0] == sum((Fraction(a) * b for a, b in zip(u, v)),
+                             Fraction(0))
+        assert got[6:] == [a - c * b for a, b in zip(u, v)] + \
+            [c * a for a in u]
 
 
 DOT_FIELDS = {"Q": [QQ], "F2": [PrimeField(2)], "F7": [PrimeField(7)],

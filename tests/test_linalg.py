@@ -76,6 +76,23 @@ def test_prime_field_entries_outside_0_to_p_refused(data):
         tuple(tuple(x % 5 for x in r) for r in ints)
 
 
+@pytest.mark.parametrize("entry", [0.5, 2.0, True, "1/2", None])
+def test_rational_entries_other_than_int_or_fraction_refused(entry):
+    # a float entry made det() of [[0.5, 1], [2, 3]] the float -0.5
+    with pytest.raises(FieldError, match="element of Q: expected an int or "
+                                         "a Fraction"):
+        Mat(QQ, [[entry, 1], [2, 3]])
+    assert Mat(QQ, [[Fraction(1, 2), 1], [2, 3]]).det() == Fraction(-1, 2)
+
+
+def test_rational_entries_are_canonical():
+    # an integral Fraction entry is stored as its int
+    m = Mat(QQ, [[Fraction(4, 2), Fraction(1, 2)], [Fraction(0), 3]])
+    assert [list(map(type, r)) for r in m.data] == [[int, Fraction],
+                                                    [int, int]]
+    assert m.data == ((2, Fraction(1, 2)), (0, 3))
+
+
 @pytest.mark.parametrize("f", [QQ, PrimeField(5), CyclotomicField(5)],
                          ids=["Q", "F5", "Q(zeta_5)"])
 def test_sub_is_add_of_the_negative(f):

@@ -5,8 +5,8 @@ tests stay deleted, inner products go through the fields' dot-product
 kernel, the pullback convolution that checks the matrix product stays off
 it and makes one row update per nonzero middle entry, exact elimination
 runs through one echelon basis and the fields' row kernels, the root
-search stays in ints, and the integer layout of Q(zeta_m) elements stays
-inside ``fields``."""
+search stays in ints, the integer layout of Q(zeta_m) elements stays
+inside ``fields``, and the kernels over Q build no Fraction on ints."""
 
 import importlib.util
 import os
@@ -188,3 +188,24 @@ def test_cyclotomic_layout_stays_in_fields():
                cls._reduce, cls._fold, cls._at_zeta_pow, cls._times,
                fields._lowest, fields._combine):
         assert "Fraction" not in _names(fn.__code__), fn.__qualname__
+
+
+def test_rational_kernels_build_no_fraction_on_ints(monkeypatch):
+    # on int operands dot, row_sub and row_scale take the integer path, so
+    # no Fraction is built; one Fraction operand takes the ratio path
+    from fractions import Fraction
+    from quivar import fields
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was built")
+
+    qq = fields.QQ
+    u, v = [3, 0, -2, 10 ** 30], [1, 5, 7, -4]
+    monkeypatch.setattr(fields, "Fraction", refuse)
+    assert qq.dot(u, v) == 3 - 14 - 4 * 10 ** 30
+    assert qq.row_sub(u, -3, v) == [6, 15, 19, 10 ** 30 - 12]
+    assert qq.row_sub(u, 0, v) == u
+    assert qq.row_scale(2, u) == [6, 0, -4, 2 * 10 ** 30]
+    assert qq.dot([], []) == 0 and qq.row_sub([], 1, []) == []
+    with pytest.raises(AssertionError, match="a Fraction was built"):
+        qq.row_scale(2, [Fraction(1, 3)])
