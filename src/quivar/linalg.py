@@ -352,8 +352,8 @@ def enumerate_subspaces(p: int, d: int):
 
 # -- packed F_p vectors ------------------------------------------------
 # A vector v of F_p^d is packed as its code sum_r v[r] p^r in 0..p^d - 1,
-# and a matrix acts on codes by :func:`code_map`: by a table on every code
-# while p^cols <= CODE_TABLE_LIMIT, else on the codes asked for. The
+# and the incidence index locates a code by a table over every code while
+# p^d <= CODE_TABLE_LIMIT, else arithmetically. The
 # brute-force oracle of :mod:`quivar.reps` decides containment on the
 # projective points of F_p^d, the nonzero vectors whose first nonzero entry
 # is 1, one on each line: a subspace holds a vector exactly when it holds
@@ -389,37 +389,19 @@ def code_vector(p: int, d: int, code: int) -> list:
     return out
 
 
-def _code_table(p: int, data, rows: int, cols: int, lead=None):
-    """Entry c is the code of data @ v, for the vector v of F_p^cols with
-    code c; built one row of the product at a time. With ``lead`` = l, v
-    is instead the point with 1 at l, 0 before it and code c for its
-    entries after l."""
-    first = 0 if lead is None else lead + 1
-    out = [0] * p ** (cols - first)
+def _code_table(p: int, data, rows: int, cols: int, lead: int):
+    """Entry c is the code of data @ v, for the point v of F_p^cols with 1
+    at ``lead``, 0 before it and code c for its entries after it; built
+    one row of the product at a time."""
+    out = [0] * p ** (cols - lead - 1)
     for r in range(rows):
         # row r of data @ v for the codes v seen so far
-        vals = [0 if lead is None else data[r][lead] % p]
-        for c in range(first, cols):
+        vals = [data[r][lead] % p]
+        for c in range(lead + 1, cols):
             x = data[r][c] % p
             vals = [(y + a * x) % p for a in range(p) for y in vals]
         w = p ** r
         out = [o + w * y for o, y in zip(out, vals)]
-    return out
-
-
-def code_map(m: Mat, codes=()):
-    """The action of a matrix over F_p on codes, defined at least on
-    ``codes``: the code of m @ v at the code of v. A list over all codes
-    when p^cols <= CODE_TABLE_LIMIT, else a dict over ``codes``."""
-    p = m.field.p
-    if p ** m.cols <= CODE_TABLE_LIMIT:
-        return _code_table(p, m.data, m.rows, m.cols)
-    out = {}
-    for code in codes:
-        if code not in out:
-            v = code_vector(p, m.cols, code)
-            out[code] = vector_code(p, [sum(a * x for a, x in zip(row, v))
-                                        for row in m.data])
     return out
 
 

@@ -1,21 +1,36 @@
 """Root combinatorics: the defect p(v), bounded root lists, regularity of
 hyper-Kaehler parameters, moment-fiber flatness/component analysis, Cartan
-classification, and weight bookkeeping with a Freudenthal oracle."""
+classification, and weight bookkeeping with a Freudenthal oracle. Each
+Cartan matrix is decided once, into a cached datum, and the decompositions
+of v into roots are counted by a memo instead of listed."""
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from operator import mul, sub
 
 from .fields import QQ
 from .linalg import Mat
-from .quiver import (Quiver, aq_form, cartan, cartan_form, check_dimvector,
-                     dot)
+from .quiver import Quiver, aq_form, cartan, check_dimvector, dot
 
 
 class RootsError(ValueError):
     pass
+
+
+def _ints(xs, what: str, n: int = None) -> tuple:
+    """The entries of xs as ints, n of them if n is given, or RootsError."""
+    xs = tuple(xs)
+    ints = tuple(map(int, xs))
+    if ints != xs:
+        raise RootsError(f"{what} entries must be integers: {list(xs)}")
+    if n is not None and len(ints) != n:
+        raise RootsError(f"{what} must have {n} entries, not {len(ints)}")
+    return ints
 
 
 @dataclass(frozen=True)
@@ -29,7 +44,7 @@ class HKParam:
     def make(lam_re: dict, theta: dict, lam_im: dict = None):
         lam = {k: (Fraction(lam_re.get(k, 0)),
                    Fraction((lam_im or {}).get(k, 0))) for k in set(lam_re) | set(theta)}
-        return HKParam(lam, {k: int(x) for k, x in theta.items()})
+        return HKParam(lam, dict(zip(theta, _ints(theta.values(), "theta"))))
 
 
 def p_defect(q: Quiver, v: dict) -> int:
@@ -39,18 +54,14 @@ def p_defect(q: Quiver, v: dict) -> int:
 
 
 def rprime_below(q: Quiver, v: dict):
-    """All 0 < alpha <= v with C_Q alpha.alpha <= 2, by box enumeration."""
+    """All 0 < alpha <= v with C_Q alpha.alpha <= 2, in lexicographic order."""
     v = check_dimvector(q, v)
     verts = list(q.vertices)
-    out = []
-    for tup in product(*[range(v[k] + 1) for k in verts]):
-        if all(x == 0 for x in tup):
-            continue
-        alpha = dict(zip(verts, tup))
-        if cartan_form(q, alpha, alpha) <= 2:
-            out.append(alpha)
-    out.sort(key=lambda a: tuple(a[k] for k in verts))
-    return out
+    c = cartan(q)
+    return [dict(zip(verts, tup))
+            for tup in product(*[range(v[k] + 1) for k in verts])
+            if any(tup) and
+            sum(x * sum(map(mul, row, tup)) for x, row in zip(tup, c)) <= 2]
 
 
 def is_v_regular(q: Quiver, param: HKParam, v: dict) -> dict:
@@ -66,13 +77,16 @@ def is_v_regular(q: Quiver, param: HKParam, v: dict) -> dict:
     return result
 
 
-def classify_cartan(c) -> str:
-    """finite | affine | indefinite, for symmetric C with C_ii <= 2.
+# the type of C and, in finite type, det C, adj C and the positive roots in
+# simple-root and in fundamental-weight coordinates
+_Datum = namedtuple("_Datum", "kind det adj pos pos_w", defaults=[None] * 4)
 
-    finite: positive definite (leading principal minors > 0); affine:
-    det = 0 with all proper principal minors > 0; otherwise indefinite.
-    """
+
+@lru_cache(maxsize=32)
+def _datum(c: tuple) -> _Datum:
+    """The datum of C, given as a tuple of rows; C is validated once."""
     n = len(c)
+    c = tuple(_ints(row, "Cartan matrix row", n) for row in c)
     if any(c[i][j] != c[j][i] for i in range(n) for j in range(n)):
         raise RootsError("Cartan matrix must be symmetric")
     if any(c[i][i] > 2 for i in range(n)):
@@ -82,44 +96,37 @@ def classify_cartan(c) -> str:
     def minor(idx):
         return m.submatrix(idx, idx).det()
 
-    leading = [minor(list(range(k + 1))) for k in range(n)]
-    if all(x > 0 for x in leading):
-        return "finite"
-    # proper principal minors, all subsets of size < n
-    full = minor(list(range(n)))
-    if full == 0:
-        proper_ok = True
-        for mask in range(1, 2 ** n - 1):
-            idx = [i for i in range(n) if mask >> i & 1]
-            if minor(idx) <= 0:
-                proper_ok = False
-                break
-        if proper_ok:
-            return "affine"
-    return "indefinite"
+    if all(minor(list(range(k + 1))) > 0 for k in range(n)):
+        det = minor(list(range(n)))
+        adj = m.solve(Mat.identity(QQ, n)).scale(det).data  # integral
+        pos = tuple(positive_roots(c))
+        return _Datum("finite", det, tuple(map(tuple, adj)), pos,
+                      tuple(tuple(sum(map(mul, row, r)) for row in c)
+                            for r in pos))
+    if minor(list(range(n))) == 0 and all(
+            minor([i for i in range(n) if mask >> i & 1]) > 0
+            for mask in range(1, 2 ** n - 1)):
+        return _Datum("affine")
+    return _Datum("indefinite")
 
 
-def _decompositions(v_tup, roots, start):
-    """Multiset decompositions of v_tup into roots[start:], non-increasing."""
-    if all(x == 0 for x in v_tup):
-        return [()]
-    out = []
-    for k in range(start, len(roots)):
-        r = roots[k]
-        if all(a >= b for a, b in zip(v_tup, r)):
-            rest = tuple(a - b for a, b in zip(v_tup, r))
-            for tail in _decompositions(rest, roots, k):
-                out.append((k,) + tail)
-    return out
+def classify_cartan(c) -> str:
+    """finite | affine | indefinite, for symmetric C with C_ii <= 2.
+
+    finite: positive definite (leading principal minors > 0); affine:
+    det = 0 with all proper principal minors > 0; otherwise indefinite.
+    """
+    return _datum(tuple(map(tuple, c))).kind
 
 
 def gg_analysis(q: Quiver, lam: dict, v: dict) -> dict:
     """Flatness and component analysis of the lambda-fiber of the moment map.
 
-    Enumerates all multiset decompositions of v into roots alpha <= v with
-    lambda . alpha = 0, compares p(v) with the summed defects, and reports
-    the equality decompositions (the irreducible components) together with
-    the common component dimension 1 + 2 A_Q v.v - v.v.
+    Counts the multiset decompositions of v into roots alpha <= v with
+    lambda . alpha = 0, and the set of their summed defects, by a memo over
+    (remainder, first root); flat when no sum exceeds p(v). A walk through
+    the remainders that can still reach p(v) finds the equality ones (the
+    irreducible components), of common dimension 1 + 2 A_Q v.v - v.v.
 
     Restricted to finite/affine Cartan type, where the bounded root list
     coincides with the genuine root system.
@@ -132,30 +139,47 @@ def gg_analysis(q: Quiver, lam: dict, v: dict) -> dict:
     if kind == "indefinite":
         raise RootsError("indefinite Cartan type is not supported")
     verts = list(q.vertices)
-    rlam = [a for a in rprime_below(q, v)
-            if sum(lam[k] * a[k] for k in a) == 0]
-    roots_tup = sorted([tuple(a[k] for k in verts) for a in rlam], reverse=True)
+    roots = sorted([tuple(a[k] for k in verts) for a in rprime_below(q, v)
+                    if sum(lam[k] * a[k] for k in a) == 0], reverse=True)
+    pr = [p_defect(q, dict(zip(verts, r))) for r in roots]  # >= 0
+    memo = {}
+
+    def state(rem, start):
+        # the number of decompositions of rem into roots[start:], and the
+        # bitset of their summed defects
+        if (rem, start) not in memo:
+            count = sums = int(not any(rem))
+            for k in range(start, len(roots)):
+                rest = tuple(map(sub, rem, roots[k]))
+                if min(rest) >= 0:
+                    n, s = state(rest, k)
+                    count += n
+                    sums |= s << pr[k]
+            memo[rem, start] = count, sums
+        return memo[rem, start]
+
+    def walk(rem, start, need):
+        # the decompositions of rem into roots[start:] with summed defect
+        # need, non-increasing, in the order of a full listing
+        out = [] if any(rem) else [()]
+        for k in range(start, len(roots)):
+            rest = tuple(map(sub, rem, roots[k]))
+            if min(rest) >= 0 and need >= pr[k] and \
+                    state(rest, k)[1] >> need - pr[k] & 1:
+                out += [(k,) + tail for tail in walk(rest, k, need - pr[k])]
+        return out
+
     v_tup = tuple(v[k] for k in verts)
-    decomps = _decompositions(v_tup, roots_tup, 0)
+    count, sums = state(v_tup, 0)
     pv = p_defect(q, v)
-    pr = {r: p_defect(q, dict(zip(verts, r))) for r in roots_tup}
-    flat = True
-    strict = True
-    components = []
-    for d in decomps:
-        parts = [roots_tup[k] for k in d]
-        total = sum(pr[r] for r in parts)
-        if total > pv:
-            flat = False
-        if total == pv:
-            components.append([dict(zip(verts, r)) for r in parts])
-            if len(parts) > 1:
-                strict = False
-    component_dim = 1 + 2 * aq_form(q, v, v) - dot(v, v)
-    return {"cartan_type": kind, "flat": flat, "strict": strict,
-            "num_decompositions": len(decomps),
-            "components": components,
-            "component_dim": component_dim}
+    equal = walk(v_tup, 0, pv) if pv >= 0 and sums >> pv & 1 else []
+    return {"cartan_type": kind,
+            "flat": not sums or sums.bit_length() - 1 <= pv,
+            "strict": all(len(d) <= 1 for d in equal),
+            "num_decompositions": count,
+            "components": [[dict(zip(verts, roots[k])) for k in d]
+                           for d in equal],
+            "component_dim": 1 + 2 * aq_form(q, v, v) - dot(v, v)}
 
 
 # -- weights -----------------------------------------------------------
@@ -205,17 +229,14 @@ def freudenthal_mult(c, lam, mu) -> int:
     C^-1 is cleared once to adj(C) / det(C), so the recursion runs in ints:
     ``inner`` is det(C) times the form, which cancels from the quotient of
     the recursion, and the root coordinates C^-1 (lam - m) are a divmod by
-    det(C) > 0."""
-    if classify_cartan(c) != "finite":
+    det(C) > 0. Both, and the positive roots, come from the datum of C."""
+    kind, det, adj, _, pos_w = _datum(tuple(map(tuple, c)))
+    if kind != "finite":
         raise RootsError("Freudenthal recursion requires finite type")
-    n = len(c)
-    lam = tuple(int(x) for x in lam)
-    mu = tuple(int(x) for x in mu)
+    n = len(adj)
+    lam, mu = _ints(lam, "highest weight", n), _ints(mu, "weight", n)
     if any(x < 0 for x in lam):
         raise RootsError("highest weight must be dominant")
-    cm = Mat.from_ints(QQ, c)
-    det = cm.det()  # > 0: the finite type is positive definite
-    adj = cm.solve(Mat.identity(QQ, n)).scale(det).data  # integral
 
     def inner(a, b):  # det(C) (a, b), both in fundamental-weight coords
         return sum(a[i] * adj[i][j] * b[j] for i in range(n) for j in range(n))
@@ -231,9 +252,6 @@ def freudenthal_mult(c, lam, mu) -> int:
             ks.append(k)
         return tuple(ks)
 
-    pos = positive_roots(c)
-    pos_w = [tuple(sum(c[i][j] * r[j] for j in range(n)) for i in range(n))
-             for r in pos]  # in fundamental-weight coords
     rho = (1,) * n
     lr = tuple(lam[i] + rho[i] for i in range(n))
     top = inner(lr, lr)

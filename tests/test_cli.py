@@ -75,6 +75,55 @@ def test_roots_gg(report):
     assert len(rep["results"]["components"]) == 2
 
 
+# the cyclic quiver of affine type A~2 and the Kronecker quiver
+ROOTS_QUIVERS = {
+    "cyclic": {"vertices": ["0", "1", "2"],
+               "edges": [{"name": "a", "tail": "0", "head": "1"},
+                         {"name": "b", "tail": "1", "head": "2"},
+                         {"name": "c", "tail": "2", "head": "0"}]},
+    "kronecker": {"vertices": ["a", "b"],
+                  "edges": [{"name": "x", "tail": "a", "head": "b"},
+                            {"name": "y", "tail": "a", "head": "b"}]},
+}
+CYCLIC_V = '{"0":2,"1":2,"2":2}'
+CYCLIC_LAM = '{"0":1,"1":-1,"2":0}'
+
+
+@pytest.mark.parametrize("action, quiver, v, lam, digest", [
+    ("gg", "a2", '{"1":1,"2":1}', None,
+     "cc30a38a9d58714efc9d0984acf204ddef3494930efa75dc9f34faefccc727b9"),
+    ("gg", "jordan", "4", None,
+     "5d340a49bf8aabdf9d10696e6963d56fe17f6aaea52c2a918ce1e0ba66baf19e"),
+    ("gg", "cyclic.json", CYCLIC_V, None,
+     "cf237178cdc41d517b5874c5afc72b6b5f6326e51565fdb0876da01b99614c1a"),
+    ("gg", "cyclic.json", CYCLIC_V, CYCLIC_LAM,
+     "01361b1b578c024329891e0d4eb84422ed8f02590a0fca0e6372fcc3c803a9a3"),
+    ("gg", "kronecker.json", '{"a":2,"b":2}', None,
+     "bed46d7a39c34bf523f1150dbf92e1a7b88fe6fe2f64fc7f6745070b4433e3e1"),
+    ("list", "a2", '{"1":1,"2":1}', None,
+     "3b7136e75a75a9719dc33239873b7860971eae08e5bb99e82524d73da68431ad"),
+    ("list", "jordan", "4", None,
+     "ebefec71af81f93849daa5b640fdc56b69a4e7c931d1774c575060130ec29ee0"),
+    ("list", "cyclic.json", CYCLIC_V, None,
+     "7a4893fba405e12478145c34200b69960e1d29a034936ff401a76e89d6366fa3"),
+    ("list", "cyclic.json", CYCLIC_V, CYCLIC_LAM,
+     "0fa4c1dec066b93641662520f3d08ab7545960c88f1331b60fcc334c9de4fdbf"),
+    ("list", "kronecker.json", '{"a":2,"b":2}', None,
+     "e831e2124d2df1d9b22644440a62621e9fb18bbb3dfd285d88934c8cc651e210"),
+])
+def test_roots_report_pinned(capsys, tmp_path, monkeypatch, action, quiver,
+                             v, lam, digest):
+    # sha256 of the stdout of the earlier implementation, which listed every
+    # decomposition of v into roots before reading the report from the list
+    monkeypatch.chdir(tmp_path)
+    for name, data in ROOTS_QUIVERS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    extra = ["--lam", lam] if lam else []
+    assert run(["roots", action, "--quiver", quiver, "--v", v, *extra]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_expectation_failure_is_exit_1(report):
     rep = report("roots", "regular", "--quiver", "a2", "--v", '{"1":1,"2":1}',
                  "--theta", '{"1":1,"2":-1}', "--expect", "regular",

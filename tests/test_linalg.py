@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from quivar import linalg
 from quivar.fields import CyclotomicField, FieldError, PrimeField, QQ
 from quivar.linalg import (CODE_TABLE_LIMIT, Echelon, Mat, annihilator_rows,
-                           code_map, col_span, enumerate_subspaces,
+                           col_span, enumerate_subspaces,
                            gaussian_binomial_total, incidence_index,
                            point_images, preimage, subspace_contains,
                            subspace_intersect, subspace_sum)
@@ -240,25 +240,6 @@ def test_subspace_points_follow_the_family(p, d, monkeypatch):
     for c in codes:
         point = Mat.column(f, cols[index.locate(c)])
         assert col_span(vector(f, d, c)) == col_span(point)
-
-
-@pytest.mark.parametrize("p, rows, cols", [(2, 3, 2), (3, 2, 3), (5, 0, 2),
-                                           (5, 2, 0), (3, 2, 2), (67, 2, 2),
-                                           (67, 0, 2), (101, 14, 1)])
-def test_code_map_is_the_product_on_codes(p, rows, cols):
-    f = PrimeField(p)
-    rng = random.Random(p * 7 + rows)
-    m = rand_mat(f, rows, cols, rng)
-    codes = [rng.randrange(p ** cols) for _ in range(20)]
-    image = code_map(m, codes)
-    if p ** cols <= CODE_TABLE_LIMIT:
-        assert len(image) == p ** cols  # a table over every code
-        codes = range(p ** cols)
-    else:
-        assert set(image) == set(codes)  # only the codes asked for
-    for c in codes:
-        want = (m @ vector(f, cols, c)).transpose().data[0] if rows else ()
-        assert image[c] == code(p, want)
 
 
 def test_the_index_grows_with_its_incidences():

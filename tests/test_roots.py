@@ -4,7 +4,8 @@ from itertools import product
 
 import pytest
 
-from quivar.quiver import jordan_quiver, make_quiver, type_a_quiver, cartan
+from quivar.quiver import (aq_form, cartan, dot, jordan_quiver, make_quiver,
+                           type_a_quiver)
 from quivar.roots import (HKParam, RootsError, classify_cartan,
                           freudenthal_mult, gg_analysis, is_dominant,
                           is_v_regular, p_defect, positive_roots,
@@ -93,6 +94,84 @@ def test_gg_single_vertex():
     assert rep["component_dim"] == 0
 
 
+def _decompositions(v_tup, roots, start):
+    """Multiset decompositions of v_tup into roots[start:], non-increasing."""
+    if all(x == 0 for x in v_tup):
+        return [()]
+    out = []
+    for k in range(start, len(roots)):
+        r = roots[k]
+        if all(a >= b for a, b in zip(v_tup, r)):
+            rest = tuple(a - b for a, b in zip(v_tup, r))
+            for tail in _decompositions(rest, roots, k):
+                out.append((k,) + tail)
+    return out
+
+
+def _reference_gg(q, lam, v):
+    """The report of gg_analysis read off the list of every decomposition
+    of v into the roots alpha <= v with lambda . alpha = 0."""
+    lam = {k: Fraction(lam.get(k, 0)) for k in q.vertices}
+    if sum(lam[k] * v[k] for k in v) != 0:
+        raise RootsError("lambda . v must vanish for the fiber to be nonempty")
+    kind = classify_cartan(cartan(q))
+    if kind == "indefinite":
+        raise RootsError("indefinite Cartan type is not supported")
+    verts = list(q.vertices)
+    roots = sorted([tuple(a[k] for k in verts) for a in rprime_below(q, v)
+                    if sum(lam[k] * a[k] for k in a) == 0], reverse=True)
+    decomps = _decompositions(tuple(v[k] for k in verts), roots, 0)
+    pv = p_defect(q, v)
+    pr = {r: p_defect(q, dict(zip(verts, r))) for r in roots}
+    flat, strict, components = True, True, []
+    for d in decomps:
+        parts = [roots[k] for k in d]
+        total = sum(pr[r] for r in parts)
+        if total > pv:
+            flat = False
+        if total == pv:
+            components.append([dict(zip(verts, r)) for r in parts])
+            if len(parts) > 1:
+                strict = False
+    return {"cartan_type": kind, "flat": flat, "strict": strict,
+            "num_decompositions": len(decomps), "components": components,
+            "component_dim": 1 + 2 * aq_form(q, v, v) - dot(v, v)}
+
+
+def _gg_grid():
+    """(quiver, lambda, v): the Jordan quiver with v <= 8 at lambda = 0; A2,
+    A3, the cyclic quiver of type A~2 and the Kronecker quiver with every
+    entry of v at most 3, at lambda = 0, (1, -1, 0) and (2, 0, -1) (the
+    first two entries on two vertices)."""
+    jordan = jordan_quiver()
+    for n in range(9):
+        yield jordan, {"0": 0}, {"0": n}
+    cyclic = make_quiver(["0", "1", "2"],
+                         [("a", "0", "1"), ("b", "1", "2"), ("c", "2", "0")])
+    kronecker = make_quiver(["a", "b"], [("x", "a", "b"), ("y", "a", "b")])
+    for q in (type_a_quiver(2), type_a_quiver(3), cyclic, kronecker):
+        verts = list(q.vertices)
+        for lam in ((0, 0, 0), (1, -1, 0), (2, 0, -1)):
+            for tup in product(range(4), repeat=len(verts)):
+                yield q, dict(zip(verts, lam)), dict(zip(verts, tup))
+
+
+def test_gg_matches_the_listed_decompositions():
+    # the whole report, component order included, against the enumeration
+    # of every decomposition; v = 0 (p(0) = 1, no component) is in the grid
+    cases = 0
+    for q, lam, v in _gg_grid():
+        try:
+            want = _reference_gg(q, lam, v)
+        except RootsError:
+            with pytest.raises(RootsError):
+                gg_analysis(q, lam, v)
+            continue
+        assert gg_analysis(q, lam, v) == want, (q.vertices, lam, v)
+        cases += 1
+    assert cases > 150
+
+
 def test_gg_requires_pairing_zero():
     with pytest.raises(RootsError):
         gg_analysis(type_a_quiver(2), {"1": 1, "2": 0}, {"1": 1, "2": 1})
@@ -159,3 +238,45 @@ def test_freudenthal_gates():
         freudenthal_mult([[2, -2], [-2, 2]], (1, 0), (1, 0))
     with pytest.raises(RootsError):
         freudenthal_mult([[2]], (-1,), (1,))
+
+
+# each bad input was accepted or failed with IndexError before: a wrong
+# length was cut by zip or indexed past the end, and int() truncated
+@pytest.mark.parametrize("c", [[[2, -1], [-1]], [[2, -1]], [[2], [-1]]])
+def test_non_square_cartan_refused(c):
+    with pytest.raises(RootsError, match="entries"):
+        classify_cartan(c)
+    with pytest.raises(RootsError, match="entries"):
+        freudenthal_mult(c, (1, 0), (1, 0))
+
+
+def test_non_integral_cartan_refused():
+    with pytest.raises(RootsError, match="integers"):
+        classify_cartan([[2, -0.5], [-0.5, 2]])
+    with pytest.raises(RootsError, match="integers"):
+        freudenthal_mult([[Fraction(3, 2)]], (1,), (1,))
+
+
+@pytest.mark.parametrize("lam, mu", [((1, 2), (0,)), ((1,), (0, 0)),
+                                     ((), (0,)), ((1,), ())])
+def test_weights_of_the_wrong_length_refused(lam, mu):
+    with pytest.raises(RootsError, match="entries"):
+        freudenthal_mult([[2]], lam, mu)
+    with pytest.raises(RootsError, match="entries"):
+        freudenthal_mult(cartan(type_a_quiver(2)), lam + (0,), mu + (0,) * 3)
+
+
+@pytest.mark.parametrize("lam, mu", [((1.5,), (1,)), ((1,), (0.5,)),
+                                     ((Fraction(1, 2),), (1,))])
+def test_non_integral_weights_refused(lam, mu):
+    with pytest.raises(RootsError, match="integers"):
+        freudenthal_mult([[2]], lam, mu)
+    # integral values of other types are the same weight
+    assert freudenthal_mult([[2]], (2.0,), (Fraction(0),)) == 1
+
+
+@pytest.mark.parametrize("theta", [0.5, Fraction(1, 2), -1.25])
+def test_non_integral_theta_refused(theta):
+    with pytest.raises(RootsError, match="integers"):
+        HKParam.make({"1": 0}, {"1": theta})
+    assert HKParam.make({"1": 0}, {"1": 2.0}).theta == {"1": 2}

@@ -6,7 +6,9 @@ kernel, the pullback convolution that checks the matrix product stays off
 it and makes one row update per nonzero middle entry, exact elimination
 runs through one echelon basis and the fields' row kernels, the root
 search stays in ints, the integer layout of Q(zeta_m) elements stays
-inside ``fields``, and the kernels over Q build no Fraction on ints."""
+inside ``fields``, the kernels over Q build no Fraction on ints, and the
+root layer reads each Cartan matrix once and lists no fiber
+decomposition it does not report."""
 
 import importlib.util
 import os
@@ -106,6 +108,30 @@ def test_no_module_defines_a_retired_membership_test():
         defined |= {t.id for n in ast.walk(tree) if isinstance(n, ast.Assign)
                     for t in n.targets if isinstance(t, ast.Name)}
         assert not defined & RETIRED_ORACLE_NAMES, path.name
+
+
+def test_root_layer_reads_one_datum_and_lists_no_decomposition():
+    # the Freudenthal recursion reads det C, adj C and the positive roots
+    # from the cached datum of C instead of redoing them per call, and the
+    # fiber analysis counts decompositions instead of listing them
+    import ast
+    import time
+    from quivar import roots
+    from quivar.quiver import jordan_quiver
+    for path in sorted((ROOT / "src" / "quivar").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert "_decompositions" not in {
+            n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)
+        }, path.name
+    names = _names(roots.freudenthal_mult.__code__)
+    assert not names & {"classify_cartan", "positive_roots", "solve", "Mat"}
+    # v = 60 on the Jordan quiver has 966,467 decompositions, one of them a
+    # component (p(v) = 1); listing them all took 23 s
+    t0 = time.perf_counter()
+    rep = roots.gg_analysis(jordan_quiver(), {}, {"0": 60})
+    assert time.perf_counter() - t0 < 2.0
+    assert rep["num_decompositions"] == 966467
+    assert rep["components"] == [[{"0": 60}]]
 
 
 def test_inner_products_use_the_field_kernel():
