@@ -25,13 +25,14 @@ from .linalg import Mat
 from .mckay import McKayError, delta_vector, mckay_graph_quiver, \
     mckay_quiver, table_by_name, verify_ade
 from .quiver import (Quiver, QuiverError, adjacency, cartan, cb_frame,
-                     cycles, dims, double, frame, jordan_quiver,
-                     make_quiver, quiver_from_json, quiver_to_json,
-                     type_a_quiver)
-from .reps import (FramedRep, Rep, RepError, endomorphism_space,
-                   is_stable_minus, is_stable_plus, moment_residual,
-                   preprojective_check, semistable_bruteforce,
-                   trace_signature, unframed_fiber_obstruction)
+                     check_dimvector, cycles, dims, double, frame,
+                     jordan_quiver, make_quiver, quiver_from_json,
+                     quiver_to_json, type_a_quiver)
+from .reps import (DEFAULT_SUBSPACE_LIMIT, FramedRep, Rep, RepError,
+                   endomorphism_space, is_stable_minus, is_stable_plus,
+                   moment_residual, preprojective_check,
+                   semistable_bruteforce, trace_signature,
+                   unframed_fiber_obstruction)
 from .roots import (HKParam, RootsError, gg_analysis, is_dominant,
                     is_v_regular, p_defect, rprime_below, weight_of)
 
@@ -95,7 +96,7 @@ def parse_dimvector(q: Quiver, text, default=None) -> dict:
         return {inner[0]: val}
     if not isinstance(val, dict):
         raise InputError(f"bad dimension vector {text!r}")
-    return {str(k): int(x) for k, x in val.items()}
+    return {str(k): x for k, x in val.items()}
 
 
 def parse_rational_vector(q: Quiver, text, default=None) -> dict:
@@ -138,14 +139,13 @@ def load_rep(path) -> tuple:
     try:
         q = load_quiver_ref(d["quiver"])
         fieldobj = field_from_spec(d["field"])
-        v = {str(k): int(x) for k, x in d["v"].items()}
+        v = check_dimvector(q, {str(k): x for k, x in d["v"].items()})
         mats = {e.name: parse_matrix(fieldobj, d["mats"][e.name],
                                      v[e.head], v[e.tail]) for e in q.edges}
         rep = Rep(q, fieldobj, v, mats)
         if "w" not in d:
             return rep
-        w = {str(k): int(x) for k, x in d["w"].items()}
-        w = {k: w.get(k, 0) for k in q.vertices}
+        w = check_dimvector(q, {k: d["w"].get(k, 0) for k in q.vertices})
         i = {k: parse_matrix(fieldobj, d["i"].get(k, []), v[k], w[k])
              if w[k] or d["i"].get(k) else Mat.zeros(fieldobj, v[k], w[k])
              for k in q.vertices}
@@ -302,6 +302,12 @@ def cmd_roots(args):
     raise InputError(f"unknown roots action {act!r}")
 
 
+def _subspace_limit():
+    """The brute-force oracle's cap, overridable through QV_LIMIT."""
+    from .acceptance import enumeration_limit
+    return enumeration_limit(DEFAULT_SUBSPACE_LIMIT)
+
+
 def cmd_rep(args):
     r = load_rep(args.rep)
     rep0 = r.rep if isinstance(r, FramedRep) else r
@@ -336,7 +342,8 @@ def cmd_rep(args):
             verdict = is_stable_minus(r)
         else:
             theta = parse_theta(q, theta_text)
-            verdict = semistable_bruteforce(r, theta)["stable"]
+            verdict = semistable_bruteforce(r, theta,
+                                            _subspace_limit())["stable"]
         out = {"theta": theta_text, "stable": verdict}
         if args.expect == "stable" and not verdict:
             raise CheckFailed(out)
@@ -350,10 +357,7 @@ def cmd_rep(args):
         if not isinstance(r, FramedRep):
             raise InputError("brute-force stability needs a framed representation")
         theta = parse_theta(q, args.theta)
-        from .acceptance import enumeration_limit
-        from .reps import DEFAULT_SUBSPACE_LIMIT
-        rep = semistable_bruteforce(r, theta,
-                                    enumeration_limit(DEFAULT_SUBSPACE_LIMIT))
+        rep = semistable_bruteforce(r, theta, _subspace_limit())
         if args.expect == "stable" and not rep["stable"]:
             raise CheckFailed(rep)
         return rep
@@ -460,41 +464,42 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--quiver", help="file, inline name (jordan, a2, ...), "
-                                         "or double:<name>")
-        sp.add_argument("--v")
-        sp.add_argument("--w")
-        sp.add_argument("--lambda", dest="lam")
-        sp.add_argument("--theta")
-        sp.add_argument("--expect")
+    # the shared options; each subcommand declares the ones its handler reads
+    shared = {"--quiver": {"help": "file, inline name (jordan, a2, ...), "
+                                   "or double:<name>"},
+              "--v": {}, "--w": {}, "--lambda": {"dest": "lam"},
+              "--theta": {}, "--expect": {}}
+
+    def common(sp, *names):
+        for name in names:
+            sp.add_argument(name, **shared[name])
 
     sp = sub.add_parser("quiver")
     sp.add_argument("action", choices=["show", "double", "frame", "cb_frame",
                                        "adjacency", "cartan", "cycles"])
     sp.add_argument("--maxlen", type=int, default=3)
-    common(sp)
+    common(sp, "--quiver", "--w")
 
     sp = sub.add_parser("dims")
-    common(sp)
+    common(sp, "--quiver", "--v", "--w")
 
     sp = sub.add_parser("roots")
     sp.add_argument("action", choices=["list", "regular", "gg", "weight"])
-    common(sp)
+    common(sp, *shared)
 
     sp = sub.add_parser("rep")
     sp.add_argument("action", choices=["moment", "check", "stable", "traces",
                                        "brute", "endo"])
     sp.add_argument("--rep", required=True)
     sp.add_argument("--maxlen", type=int, default=3)
-    common(sp)
+    common(sp, "--lambda", "--theta", "--expect")
 
     sp = sub.add_parser("adhm")
     sp.add_argument("action", choices=["check", "ideal", "spectrum", "traces",
                                        "cm"])
     sp.add_argument("--data", required=True)
     sp.add_argument("--maxdeg", type=int, default=3)
-    common(sp)
+    common(sp, "--lambda", "--expect")
 
     sp = sub.add_parser("mckay")
     sp.add_argument("action", choices=["build"])

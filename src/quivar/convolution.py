@@ -2,7 +2,8 @@
 
 Kernels on products of finite sets, pushforward/pullback along maps, the
 two equivalent convolution formulas, correspondence composition, invariant
-subalgebras under a finite group action, group algebras, flag-variety
+subalgebras under a finite group action (orbits numbered in one scan of
+the index pairs, so by their least pair), group algebras, flag-variety
 Hecke algebras over small finite fields, and graded-degree bookkeeping.
 """
 
@@ -210,10 +211,11 @@ def symmetric_group(n: int) -> FiniteGroup:
     return FiniteGroup(table, tuple("".join(map(str, p)) for p in perms))
 
 
-def validate_action(g: FiniteGroup, x: FinSet, action: dict):
+def validate_action(g: FiniteGroup, x: FinSet, action: dict) -> list:
     """action[(g, x)] -> x; checks that every image lies in x, that the
     identity acts trivially, and that pi[h k] = pi[h] o pi[k] for each pair
-    (h, k), where pi[h] is the tuple of indices of the images of x under h."""
+    (h, k), where pi[h] is the tuple of indices of the images of x under h.
+    Returns pi."""
     pos = {a: i for i, a in enumerate(x.labels)}
     try:
         pi = [tuple(pos[action[(h, a)]] for a in x.labels) for h in range(g.n)]
@@ -226,6 +228,7 @@ def validate_action(g: FiniteGroup, x: FinSet, action: dict):
         for k, pk in enumerate(pi):
             if pi[g.mul(h, k)] != tuple(map(ph.__getitem__, pk)):
                 raise ConvError("action is not compatible with the product")
+    return pi
 
 
 @dataclass
@@ -253,32 +256,29 @@ def _orbit_constants(points, reps, orbit_of):
 
 def invariant_algebra(g: FiniteGroup, x: FinSet, action: dict) -> OrbitAlgebra:
     """Orbit-basis presentation of the G-invariant convolution subalgebra
-    of kernels on X x X, under the diagonal action."""
-    validate_action(g, x, action)
-    pairs = [(a, b) for a in x.labels for b in x.labels]
-    seen = set()
-    orbits = []
-    for pr in pairs:
-        if pr in seen:
-            continue
-        orb = set()
-        for h in range(g.n):
-            orb.add((action[(h, pr[0])], action[(h, pr[1])]))
-        orbits.append(frozenset(orb))
-        seen |= orb
-    # canonical order: by the lexicographically least pair in each orbit
-    lab_idx = {a: i for i, a in enumerate(x.labels)}
-    orbits.sort(key=lambda o: min((lab_idx[a], lab_idx[b]) for a, b in o))
-    member = {}
-    for k, o in enumerate(orbits):
-        for pr in o:
-            member[pr] = k
-    reps = [min(o, key=lambda pr: (lab_idx[pr[0]], lab_idx[pr[1]]))
-            for o in orbits]
-    constants = _orbit_constants(x.labels, reps, lambda a, b: member[(a, b)])
-    diag = frozenset((a, a) for a in x.labels)
-    unit = orbits.index(diag)
-    return OrbitAlgebra(x, orbits, constants, unit)
+    of kernels on X x X, under the diagonal action.
+
+    One scan of the index pairs (a, b) in order numbers the orbits: the
+    first pair not yet numbered opens orbit k, every image (pi[h][a],
+    pi[h][b]) gets k, and (a, b) is its representative. So the orbits come
+    ordered by their least index pair, and the unit is orbit 0, the
+    diagonal. Raises ConvError when X is empty or the diagonal is not one
+    orbit (G not transitive on X): then there is no unit orbit."""
+    pi = validate_action(g, x, action)
+    n = len(x)
+    member = [[None] * n for _ in range(n)]
+    reps = []
+    for a, b in product(range(n), repeat=2):
+        if member[a][b] is None:
+            for p in pi:
+                member[p[a]][p[b]] = len(reps)
+            reps.append((a, b))
+    if not n or any(member[a][a] for a in range(n)):
+        raise ConvError("invariant_algebra needs G transitive on a nonempty X")
+    lab = x.labels
+    orbits = [frozenset((lab[p[a]], lab[p[b]]) for p in pi) for a, b in reps]
+    constants = _orbit_constants(range(n), reps, lambda a, b: member[a][b])
+    return OrbitAlgebra(x, orbits, constants, 0)
 
 
 def group_algebra(g: FiniteGroup) -> dict:
@@ -294,22 +294,21 @@ def group_algebra(g: FiniteGroup) -> dict:
 def group_algebra_matches_invariant(g: FiniteGroup) -> bool:
     """The bijection orbit((g1, g2)) <-> g1^{-1} g2 carries the invariant
     algebra of G acting on itself to the group algebra."""
-    x = finset([f"g{k}" for k in range(g.n)])
-    action = {(h, f"g{k}"): f"g{g.mul(h, k)}" for h in range(g.n)
-              for k in range(g.n)}
+    x = finset(range(g.n))
+    action = {(h, k): g.mul(h, k) for h in range(g.n) for k in range(g.n)}
     inv = invariant_algebra(g, x, action)
     if len(inv.orbits) != g.n:
         return False
     # orbit k corresponds to the group element g1^{-1} g2 for any member
     orbit_elem = []
     for o in inv.orbits:
-        vals = {g.mul(g.inverse(int(a[1:])), int(b[1:])) for a, b in o}
+        vals = {g.mul(g.inverse(a), b) for a, b in o}
         if len(vals) != 1:
             return False
         orbit_elem.append(vals.pop())
     # convolution of indicators composes relations: (x, y) in O_i and
     # (y, z) in O_j give e_i * e_j = e_k for the orbit k of the product
-    one_hot = [[int(e == c) for e in orbit_elem] for c in range(g.n)]
+    one_hot = [[e == c for e in orbit_elem] for c in range(g.n)]  # 1 is True
     return all(inv.constants[i][j] == one_hot[g.mul(a, b)]
                for i, a in enumerate(orbit_elem)
                for j, b in enumerate(orbit_elem))

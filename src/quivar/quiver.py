@@ -76,10 +76,20 @@ def type_a_quiver(n: int) -> Quiver:
 # -- dimension vectors -------------------------------------------------
 
 def check_dimvector(q: Quiver, v: dict):
+    """v with int entries. Raises QuiverError unless its keys are the
+    vertices of q and each entry is an integer >= 0: an integral float such
+    as 2.0 is read as 2, but 2.7 or "2" is refused, never truncated."""
     if set(v) != set(q.vertices):
         raise QuiverError(f"dimension vector keys {sorted(v)} do not match vertices")
-    if any(int(x) < 0 for x in v.values()):
-        raise QuiverError("negative entry in dimension vector")
+    for x in v.values():
+        try:
+            integral = int(x) == x
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
+            raise QuiverError(f"dimension vector entry {x!r} is not an integer")
+        if x < 0:
+            raise QuiverError("negative entry in dimension vector")
     return {str(k): int(x) for k, x in v.items()}
 
 

@@ -138,6 +138,56 @@ def test_input_error_is_exit_2(report, capsys):
     assert run(["quiver", "unknownaction"]) == 2
 
 
+# a non-integral dimension vector entry is refused, never truncated: these
+# once ran as v = 1
+def test_non_integral_dimension_vector_is_exit_2(capsys):
+    assert run(["dims", "--quiver", "jordan", "--v", '{"0": 1.9}']) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not an integer" in captured.err
+
+
+@pytest.mark.parametrize("key", ["v", "w"])
+def test_non_integral_rep_dimension_is_exit_2(capsys, tmp_path, key):
+    d = {"quiver": "double:jordan", "field": {"kind": "rational"},
+         "v": {"0": 1}, "w": {"0": 1}, "mats": {"x": [["0"]], "x*": [["0"]]},
+         "i": {"0": [["1"]]}, "j": {"0": [["0"]]}}
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(d))
+    assert run(["rep", "traces", "--rep", str(path)]) == 0
+    capsys.readouterr()
+    d[key] = {"0": 1.5}
+    path.write_text(json.dumps(d))
+    assert run(["rep", "traces", "--rep", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not an integer" in captured.err
+
+
+# each subcommand declares exactly the options its handler reads; these
+# were once accepted and ignored
+UNREAD_OPTIONS = [("quiver", opt) for opt in
+                  ("--v", "--lambda", "--theta", "--expect")] + \
+    [("dims", opt) for opt in ("--lambda", "--theta", "--expect")] + \
+    [("rep", opt) for opt in ("--quiver", "--v", "--w")] + \
+    [("adhm", opt) for opt in ("--quiver", "--v", "--w", "--theta")]
+
+
+@pytest.mark.parametrize("command, option", UNREAD_OPTIONS)
+def test_unread_option_is_exit_2(capsys, tmp_path, command, option):
+    (tmp_path / "rep.json").write_text(json.dumps(BRUTE_REP))
+    (tmp_path / "triple.json").write_text(json.dumps(ADHM_TRIPLES["rational"]))
+    argv = {"quiver": ["quiver", "show", "--quiver", "a2"],
+            "dims": ["dims", "--quiver", "a2", "--v", '{"1":1,"2":1}'],
+            "rep": ["rep", "traces", "--rep", str(tmp_path / "rep.json")],
+            "adhm": ["adhm", "check", "--data",
+                     str(tmp_path / "triple.json")]}[command]
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert run(argv + [option, "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {option} 1" in captured.err
+
+
 def test_mckay_build(report):
     rep = report("mckay", "build", "--group", "bd:2")
     assert rep["results"]["ade_type"] == "D~4"
@@ -292,12 +342,16 @@ def test_rep_brute_report_pinned(capsys, tmp_path, monkeypatch):
         "62b130082523d88f3156b6bfc9ebecd55ce1d4ac41217bbd43b05467531761c6"
 
 
-def test_rep_brute_limit_is_exit_2(capsys, tmp_path, monkeypatch):
+# `rep stable` with a JSON theta runs the same brute-force oracle, under
+# the same QV_LIMIT cap; it once ran under the default cap and exited 0
+@pytest.mark.parametrize("action", ["brute", "stable"])
+def test_rep_brute_limit_is_exit_2(capsys, tmp_path, monkeypatch, action):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("QV_LIMIT", "3")
     (tmp_path / "brute.json").write_text(json.dumps(BRUTE_REP))
-    assert run(BRUTE_ARGV) == 2
-    assert capsys.readouterr().out == ""
+    assert run(["rep", action] + BRUTE_ARGV[2:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exceeds limit 3" in captured.err
 
 
 # theta is a JSON int at each vertex of the quiver and at no other key:

@@ -8,6 +8,7 @@ import pytest
 from quivar import convolution
 from quivar.convolution import (ConvError, Correspondence, FiniteGroup,
                                 FiniteKernel, GradedKernelAlgebra,
+                                OrbitAlgebra, _orbit_constants,
                                 algebra_center_dim, apply_kernel,
                                 compose_corr, convolve, convolve_via_pullback,
                                 diagonal_corr, expand_in_basis, finset,
@@ -352,6 +353,95 @@ def test_group_algebra_match_sees_a_corrupted_constant(monkeypatch, entry):
 
     monkeypatch.setattr(convolution, "invariant_algebra", corrupted)
     assert not group_algebra_matches_invariant(g)
+
+
+def invariant_algebra_reference(g, x, action):
+    """The earlier invariant_algebra: orbits rebuilt from label pairs
+    through the action, sorted by their least index pair, each searched
+    again for that pair, and the unit found by list lookup."""
+    validate_action(g, x, action)
+    pairs = [(a, b) for a in x.labels for b in x.labels]
+    seen = set()
+    orbits = []
+    for pr in pairs:
+        if pr in seen:
+            continue
+        orb = set()
+        for h in range(g.n):
+            orb.add((action[(h, pr[0])], action[(h, pr[1])]))
+        orbits.append(frozenset(orb))
+        seen |= orb
+    # canonical order: by the lexicographically least pair in each orbit
+    lab_idx = {a: i for i, a in enumerate(x.labels)}
+    orbits.sort(key=lambda o: min((lab_idx[a], lab_idx[b]) for a, b in o))
+    member = {}
+    for k, o in enumerate(orbits):
+        for pr in o:
+            member[pr] = k
+    reps = [min(o, key=lambda pr: (lab_idx[pr[0]], lab_idx[pr[1]]))
+            for o in orbits]
+    constants = _orbit_constants(x.labels, reps, lambda a, b: member[(a, b)])
+    diag = frozenset((a, a) for a in x.labels)
+    unit = orbits.index(diag)
+    return OrbitAlgebra(x, orbits, constants, unit)
+
+
+def dihedral_action_on_square():
+    """The 8 symmetries of a square, as permutations of its vertices in
+    cyclic order, acting on vertex labels whose sorted order is not the
+    cyclic one."""
+    rot, ref = (1, 2, 3, 0), (0, 3, 2, 1)
+    perms = {tuple(range(4))}
+    while True:
+        more = {tuple(p[q[i]] for i in range(4))
+                for p in perms for q in (rot, ref)} - perms
+        if not more:
+            break
+        perms |= more
+    perms = sorted(perms)
+    assert len(perms) == 8
+    idx = {p: k for k, p in enumerate(perms)}
+    table = tuple(tuple(idx[tuple(p[q[i]] for i in range(4))] for q in perms)
+                  for p in perms)
+    g = FiniteGroup(table, tuple(map(str, range(8))))
+    labels = ["ne", "nw", "sw", "se"]
+    return g, finset(labels), {(h, labels[i]): labels[perms[h][i]]
+                               for h in range(8) for i in range(4)}
+
+
+@pytest.mark.parametrize("make", [
+    natural_action_s3,
+    lambda: left_regular_action(relabelled(symmetric_group(4),
+                                           [(5 * k + 7) % 24
+                                            for k in range(24)])),
+    dihedral_action_on_square,
+], ids=["S3 on 3 points", "relabelled S4 on itself", "D4 on a square"])
+def test_invariant_algebra_matches_the_reference(make):
+    # orbits in order, constants and unit; on S_4 the labels g0..g23 sort
+    # as g0, g1, g10, ..., not in index order
+    g, x, action = make()
+    new, ref = invariant_algebra(g, x, action), \
+        invariant_algebra_reference(g, x, action)
+    assert len(ref.orbits) > 1
+    assert new == ref  # x, orbits, constants and unit_index
+
+
+def test_invariant_algebra_refuses_a_non_transitive_action():
+    # S_2 swaps a and b and fixes c: the diagonal is two orbits, so no
+    # orbit is the unit; this was a bare ValueError from a list lookup
+    g = symmetric_group(2)
+    x = finset("abc")
+    swap = {"a": "b", "b": "a", "c": "c"}
+    action = {(h, s): swap[s] if h else s for h in range(2) for s in "abc"}
+    validate_action(g, x, action)
+    with pytest.raises(ConvError, match="transitive"):
+        invariant_algebra(g, x, action)
+
+
+def test_invariant_algebra_refuses_an_empty_set():
+    g = symmetric_group(2)
+    with pytest.raises(ConvError, match="nonempty"):
+        invariant_algebra(g, finset([]), {})
 
 
 def test_hecke_small():

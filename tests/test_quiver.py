@@ -3,10 +3,10 @@ import random
 import pytest
 
 from quivar.quiver import (QuiverError, adjacency, aq_form, cartan,
-                           cartan_form, cb_frame, cycles, dims, dot, double,
-                           frame, jordan_quiver, make_quiver, opposite,
-                           quiver_from_json, quiver_to_json, star_pairs,
-                           type_a_quiver)
+                           cartan_form, cb_frame, check_dimvector, cycles,
+                           dims, dot, double, frame, jordan_quiver,
+                           make_quiver, opposite, quiver_from_json,
+                           quiver_to_json, star_pairs, type_a_quiver)
 
 
 def test_adjacency_examples():
@@ -81,6 +81,18 @@ def test_dims_one_vertex():
 def test_dims_zero_vector():
     d = dims(type_a_quiver(2), {"1": 0, "2": 0}, {"1": 0, "2": 0})
     assert d["dim_rep"] == 0 and d["dim_gv"] == 0 and d["nakajima_dim"] == 0
+
+
+@pytest.mark.parametrize("x", [2.7, 0.5, "2", None, float("inf")])
+def test_non_integral_dimvector_refused(x):
+    # int() once truncated 2.7 to 2
+    with pytest.raises(QuiverError, match="not an integer"):
+        check_dimvector(jordan_quiver(), {"0": x})
+
+
+def test_integral_float_dimvector_read_as_int():
+    v = check_dimvector(jordan_quiver(), {"0": 2.0})
+    assert v == {"0": 2} and type(v["0"]) is int
 
 
 def test_dimvector_validation():

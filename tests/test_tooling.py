@@ -8,7 +8,8 @@ runs through one echelon basis and the fields' row kernels, the root
 search stays in ints, the integer layout of Q(zeta_m) elements stays
 inside ``fields``, the kernels over Q build no Fraction on ints, and the
 root layer reads each Cartan matrix once and lists no fiber
-decomposition it does not report."""
+decomposition it does not report, and the orbit algebra numbers its orbits
+in one scan, with no sort and no label strings."""
 
 import importlib.util
 import os
@@ -132,6 +133,17 @@ def test_root_layer_reads_one_datum_and_lists_no_decomposition():
     assert time.perf_counter() - t0 < 2.0
     assert rep["num_decompositions"] == 966467
     assert rep["components"] == [[{"0": 60}]]
+
+
+def test_orbit_algebra_numbers_orbits_in_one_scan():
+    # the orbits come out ordered by their least index pair from one scan
+    # of the index pairs, so nothing sorts them or searches them for that
+    # pair, and the group-algebra check runs on the integer labels
+    from quivar import convolution
+    names = _names(convolution.invariant_algebra.__code__)
+    assert not names & {"sort", "sorted", "min"}
+    assert "int" not in _names(
+        convolution.group_algebra_matches_invariant.__code__)
 
 
 def test_inner_products_use_the_field_kernel():
