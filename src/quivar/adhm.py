@@ -15,10 +15,10 @@ coefficients over Q, every element of F_p for p up to
 rational multiples of roots of unity over Q(zeta_m), where a failed search
 is reported as unsupported rather than as "does not split". The search
 clears the polynomial to integers once and tests each candidate exactly
-in ints (mod p over F_p), with the multiplicity from the first integer
-Hasse derivative that does not vanish; Q is the case m = 1 of Q(zeta_m).
-The restriction of y to a generalized eigenspace of x is read off the
-free coordinates of the kernel basis.
+in ints (mod p over F_p) by the integer steps of :mod:`quivar.poly`, with
+the multiplicity from the first Hasse derivative that does not vanish; Q
+is the case m = 1 of Q(zeta_m). The restriction of y to a generalized
+eigenspace of x is read off the free coordinates of the kernel basis.
 """
 
 from __future__ import annotations
@@ -26,11 +26,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import comb, gcd, isqrt, lcm
+from itertools import count, product
+from math import gcd, isqrt
 
 from .fields import CyclotomicField, Field, FieldError, PrimeField, QQ
 from .linalg import Echelon, Mat, col_span, subspace_contains, subspace_sum
+from .poly import cleared, hasse, roots_mod, scaled
 
 
 class AdhmError(ValueError):
@@ -198,19 +199,6 @@ def _divisors(n: int):
     return small + [n // d for d in reversed(small) if d * d != n]
 
 
-def _fp_zeros(ints, p):
-    """(r, 1) for each nonzero residue r mod p at which the polynomial with
-    integer coefficients ``ints`` (low degree first) vanishes, ascending,
-    by Horner's rule in ints."""
-    rev = ints[::-1]
-    for r in range(1, p):
-        acc = 0
-        for a in rev:
-            acc = (acc * r + a) % p
-        if not acc:
-            yield r, 1
-
-
 def _root_candidates(poly, f):
     """(ints, candidates) for poly with poly[0] != 0: its coefficients
     cleared to integers once, and the pairs (p, q) of the rational numbers
@@ -221,33 +209,19 @@ def _root_candidates(poly, f):
             raise FieldError(f"root search over F_{f.p} would try every "
                              f"element; p exceeds the cap of "
                              f"{FP_ROOT_SEARCH_CAP}")
-        # 0 is no root, and the others are found by evaluation mod p
-        return poly, _fp_zeros(poly, f.p)
+        # the roots are found by evaluation mod p (0 is none)
+        return poly, ((r, 1) for r in roots_mod(poly, f.p))
     try:
-        fracs = [f.rational_part(c) for c in poly]
+        ints = cleared([f.rational_part(c) for c in poly])[0]
     except FieldError:
         return None
-    den = lcm(*[x.denominator for x in fracs])
-    ints = [x.numerator * (den // x.denominator) for x in fracs]
-    cand = set()
-    for pn in _divisors(ints[0]):
-        for qn in _divisors(ints[-1]):
-            cand.add(Fraction(pn, qn))
-            cand.add(Fraction(-pn, qn))
-    cand = sorted(cand)
+    cand = sorted({Fraction(s * pn, qn) for pn in _divisors(ints[0])
+                   for qn in _divisors(ints[-1]) for s in (1, -1)})
     if f.kind == "cyclotomic" and f.m % 2 == 0:
         # -zeta^k = zeta^(k + m/2): the negative c, first in the sorted
         # order, already give every c zeta^k
         cand = [c for c in cand if c < 0]
     return ints, [(c.numerator, c.denominator) for c in cand]
-
-
-def _scaled(ints, p, q):
-    """The integer coefficients s_e = a_e p^e q^(n-e) of q^n f(p t / q),
-    for f = sum a_e t^e of degree n: (p / q) z is a root of f of the same
-    multiplicity as z is of sum s_e t^e."""
-    n = len(ints) - 1
-    return [a * p ** e * q ** (n - e) for e, a in enumerate(ints)]
 
 
 def _multiplicity(s, vanishes):
@@ -256,10 +230,7 @@ def _multiplicity(s, vanishes):
     with a nonzero Hasse derivative sum_e C(e, j) s_e z^(e - j), which
     counts correctly in every characteristic (ordinary derivatives miss a
     multiplicity >= p over F_p). Requires z != 0."""
-    j = 0
-    while vanishes([comb(e, j) * x for e, x in enumerate(s)]):
-        j += 1
-    return j
+    return next(j for j in count() if not vanishes(hasse(s, j)))
 
 
 def _poly_roots(poly, f):
@@ -293,7 +264,7 @@ def _poly_roots(poly, f):
         else:
             m, vanishes = 1, lambda v, k: sum(v) == 0
         for p, q in cands:
-            s = _scaled(ints, p, q)
+            s = scaled(ints, p, q)
             mults = {}  # by gcd(k, m)
             for k in range(m):
                 g = gcd(k, m)

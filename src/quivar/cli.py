@@ -145,7 +145,7 @@ def load_rep(path) -> tuple:
         rep = Rep(q, fieldobj, v, mats)
         if "w" not in d:
             return rep
-        w = check_dimvector(q, {k: d["w"].get(k, 0) for k in q.vertices})
+        w = check_dimvector(q, {**dict.fromkeys(q.vertices, 0), **d["w"]})
         i = {k: parse_matrix(fieldobj, d["i"].get(k, []), v[k], w[k])
              if w[k] or d["i"].get(k) else Mat.zeros(fieldobj, v[k], w[k])
              for k in q.vertices}
@@ -399,7 +399,10 @@ def cmd_adhm(args):
 
 
 def cmd_mckay(args):
-    t = table_by_name(args.group)
+    try:  # the tables are fixed but for n: a refusal is a bad name or n
+        t = table_by_name(args.group)
+    except McKayError as err:
+        raise InputError(f"bad --group {args.group!r}: {err}")
     rep = verify_ade(t)
     return {"group": t.name, "order": t.order,
             "quiver": quiver_to_json(mckay_graph_quiver(t)),

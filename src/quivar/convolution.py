@@ -14,6 +14,7 @@ from itertools import product
 
 from .fields import Field, PrimeField, QQ
 from .linalg import Mat
+from .poly import q_binomial
 
 
 class ConvError(ValueError):
@@ -415,7 +416,7 @@ def hecke_algebra(n: int, q: int) -> dict:
         raise ConvError("hecke_algebra needs n >= 2 and q >= 2")
     work = 1
     for k in range(1, n + 1):  # [n]_q! * n!, stopping once over the cap
-        work *= k * sum(q ** e for e in range(k))
+        work *= k * q_binomial(k, 1, q)
         if work > HECKE_WORK_CAP:
             raise ConvError(f"hecke_algebra({n}, {q}): [n]_q! * n! flag "
                             f"pairs exceed the cap of {HECKE_WORK_CAP}")

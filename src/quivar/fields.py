@@ -52,19 +52,21 @@ then one gcd per changed entry.
 ``vanishes_at_zeta_pow`` tests an integer polynomial at a power of zeta,
 for the root search of :mod:`quivar.adhm`.
 
-Phi_m comes from integer long division, Phi_m = (x^m - 1) / prod(Phi_d :
-d | m, d < m), and a single table of zeta^j for j < m, with integer
-entries, serves reduction (of products, ``from_coeffs``, conjugates and
-evaluations) and powers, since zeta^m = 1. Primality of p is decided by
-deterministic Miller-Rabin. No floating point anywhere and no dependency
-outside the standard library; rank decisions downstream rely on exactness.
+Phi_m, the table of zeta^j for j < m and the clearing of ``from_coeffs``
+come from :mod:`quivar.poly`; ``_fold`` is the one reduction by the table,
+for products, ``_times``, conjugates and evaluations, and zeta^m = 1 makes
+the table give every power. Primality of p is decided by deterministic
+Miller-Rabin. No floating point anywhere and no dependency outside the
+standard library; rank decisions downstream rely on exactness.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from math import gcd, lcm
+from math import gcd
+
+from .poly import cleared, divmod_monic
 
 
 class FieldError(ValueError):
@@ -370,23 +372,9 @@ def cyclotomic_coeffs(m: int):
         num = [-1] + [0] * (d - 1) + [1]
         for e, den in phi.items():
             if d % e == 0:
-                quo = [0] * (len(num) - len(den) + 1)
-                for k in reversed(range(len(quo))):
-                    c = quo[k] = num[k + len(den) - 1]
-                    for i, b in enumerate(den):
-                        num[k + i] -= c * b
-                num = quo
+                num = divmod_monic(num, den)[0]
         phi[d] = num
     return phi[m]
-
-
-def _cleared(a):
-    """(integer coefficients, denominator): a sequence of Fractions as integers
-    over the lcm of its denominators."""
-    den = lcm(*[x.denominator for x in a])
-    if den == 1:
-        return [x.numerator for x in a], 1
-    return [x.numerator * (den // x.denominator) for x in a], den
 
 
 def _lowest(nums, den):
@@ -434,20 +422,12 @@ class CyclotomicField(Field):
         self.m = m
         phi = cyclotomic_coeffs(m)
         d = self.degree = len(phi) - 1
-        # zeta^j for j = 0..m-1, reduced mod Phi_m, as integer rows (Phi_m
-        # is monic); zeta^m = 1 makes it cover every power, indexed by j % m
-        table = []
-        for k in range(m):
-            if k < d:
-                table.append(tuple(int(i == k) for i in range(d)))
-            else:
-                # x^k = x * x^(k-1), reduced via x^d = -(phi_0 + ... + phi_{d-1} x^{d-1})
-                prev = table[k - 1]
-                top = prev[d - 1]
-                table.append(tuple((prev[i - 1] if i else 0) - top * phi[i]
-                                   for i in range(d)))
-        self._zeta_ints = table
-        self._zeta_pows = [row + (1,) for row in table]
+        # zeta^j for j < m, each z times the one before mod Phi_m; zeta^m = 1
+        # makes it cover every power, indexed by j % m
+        table = self._zeta_ints = [[1] + [0] * (d - 1)]
+        for _ in range(m - 1):
+            table.append(divmod_monic([0] + table[-1], phi)[1])
+        self._zeta_pows = [(*row, 1) for row in table]
         self._zeros = (0,) * (d - 1)
         self._int_tail = self._zeros + (1,)
         self._zero = (0,) + self._int_tail
@@ -461,7 +441,7 @@ class CyclotomicField(Field):
 
     def from_coeffs(self, coeffs):
         """Element from coefficients of 1, z, z^2, ... (any length), reduced."""
-        return self._reduce(*_cleared([Fraction(c) for c in coeffs]))
+        return self._reduce(*cleared([Fraction(c) for c in coeffs]))
 
     def coeffs(self, a) -> tuple:
         """The coefficients of 1, z, ..., z^(d-1), as d Fractions."""
@@ -504,16 +484,9 @@ class CyclotomicField(Field):
     def _times(self, c):
         """The multiplication by the numerator polynomial of c, as d integer
         rows: row j holds the coordinates of that polynomial times z^j."""
-        d, xd = self.degree, self._zeta_ints[self.degree % self.m]
-        row = list(c[:-1])
-        rows = [row]
-        for _ in range(d - 1):
-            # times z: shift up, then reduce the overflow z^d by the table
-            top = row[-1]
-            row = [0] + row[:-1]
-            if top:
-                row = [x + top * z for x, z in zip(row, xd)]
-            rows.append(row)
+        rows = [list(c[:-1])]
+        for _ in range(self.degree - 1):  # z times the row before, folded
+            rows.append(self._fold([0] + rows[-1]))
         return rows
 
     def zeta(self):

@@ -18,6 +18,7 @@ from itertools import chain, combinations, product
 from operator import add
 
 from .fields import Field, FieldError, PrimeField
+from .poly import q_binomial
 
 
 class Mat:
@@ -656,11 +657,4 @@ def incidence_index(p: int, d: int) -> Incidence:
 
 def gaussian_binomial_total(p: int, d: int) -> int:
     """Total number of subspaces of F_p^d (sum of Gaussian binomials)."""
-    total = 0
-    for k in range(d + 1):
-        num = den = 1
-        for i in range(k):
-            num *= p ** (d - i) - 1
-            den *= p ** (k - i) - 1
-        total += num // den
-    return total
+    return sum(q_binomial(d, k, p) for k in range(d + 1))

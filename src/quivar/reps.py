@@ -36,13 +36,14 @@ from dataclasses import dataclass
 from itertools import product
 from operator import mul
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
 from .fields import Field, FieldError, PrimeField
 from .linalg import (Echelon, Mat, annihilator_rows, col_span,
                      enumerate_subspaces, gaussian_binomial_total,
                      incidence_index, point_images, subspace_contains,
                      vector_code)
+from .poly import cleared
 from .quiver import Quiver, check_dimvector, dot, star_pairs
 
 
@@ -81,14 +82,15 @@ class FramedRep:
     j: dict  # vertex -> Mat of shape w_i x v_i
 
     def __post_init__(self):
-        star_pairs(self.rep.quiver)  # require double provenance
-        v = self.rep.v
-        for k in self.rep.quiver.vertices:
-            wi = int(self.w.get(k, 0))
+        q, v = self.rep.quiver, self.rep.v
+        star_pairs(q)  # require double provenance
+        w = check_dimvector(q, {**dict.fromkeys(q.vertices, 0), **self.w})
+        object.__setattr__(self, "w", w)
+        for k in q.vertices:
             mi, mj = self.i[k], self.j[k]
-            if (mi.rows, mi.cols) != (v[k], wi):
+            if (mi.rows, mi.cols) != (v[k], w[k]):
                 raise RepError(f"i[{k}] has wrong shape")
-            if (mj.rows, mj.cols) != (wi, v[k]):
+            if (mj.rows, mj.cols) != (w[k], v[k]):
                 raise RepError(f"j[{k}] has wrong shape")
 
     @property
@@ -484,9 +486,7 @@ def _bruteforce_reports(fr: FramedRep, thetas, limit: int = DEFAULT_SUBSPACE_LIM
     verts = list(fr.quiver.vertices)
     weights = []  # (theta * scale per vertex, its pairing with v)
     for theta in thetas:
-        th = [Fraction(theta[k]) for k in verts]
-        scale = lcm(*(t.denominator for t in th))
-        weight = [int(t * scale) for t in th]
+        weight = cleared([Fraction(theta[k]) for k in verts])[0]
         weights.append((weight, sum(w * fr.v[k] for w, k in zip(weight, verts))))
     _, _, index, tuples = _invariant_tuples(fr.rep, limit)
     p = fr.field.p

@@ -162,6 +162,24 @@ def test_non_integral_rep_dimension_is_exit_2(capsys, tmp_path, key):
     assert captured.out == "" and "not an integer" in captured.err
 
 
+# w is 0 at a vertex the file omits, but a key that is no vertex is
+# refused, as in v; it was once dropped
+def test_foreign_framing_key_is_exit_2(capsys, tmp_path):
+    d = {"quiver": "double:a2", "field": {"kind": "rational"},
+         "v": {"1": 1, "2": 0}, "w": {"1": 1},
+         "mats": {"a1": [[]], "a1*": []},
+         "i": {"1": [["1"]]}, "j": {"1": [["0"]]}}
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(d))
+    assert run(["rep", "traces", "--rep", str(path)]) == 0
+    capsys.readouterr()
+    d["w"]["zz"] = 3
+    path.write_text(json.dumps(d))
+    assert run(["rep", "traces", "--rep", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "do not match vertices" in captured.err
+
+
 # each subcommand declares exactly the options its handler reads; these
 # were once accepted and ignored
 UNREAD_OPTIONS = [("quiver", opt) for opt in
@@ -210,6 +228,16 @@ def test_mckay_report_pinned(capsys, group, digest):
     assert run(["mckay", "build", "--group", group]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# an unknown name or an n out of range is an input error, like a
+# non-integer n; these once printed a failed-check report and exited 1
+@pytest.mark.parametrize("group", ["foo", "bd:1", "cyclic:0", "cyclic:x"])
+def test_mckay_bad_group_is_exit_2(capsys, group):
+    assert run(["mckay", "build", "--group", group]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("qv: input error:")
 
 
 def test_prime_beyond_exact_bound_is_exit_2(report, tmp_path):
@@ -679,3 +707,95 @@ def test_conv_group_refuses_a_names_list_of_the_wrong_length(capsys,
     assert run(["conv", "group", "--table", str(path)]) == 2
     out = capsys.readouterr()
     assert out.out == "" and "bad group table" in out.err
+
+
+# a framed quadruple on the Jordan double off the fiber, one on it, and an
+# unframed A2-double representation, for `rep check`
+CHECK_REPS = {
+    "framed": STABLE_REPS["rational"],
+    "onfiber": {"quiver": "double:jordan", "field": {"kind": "rational"},
+                "v": {"0": 2}, "w": {"0": 1},
+                "mats": {"x": [["0", "1"], ["0", "0"]],
+                         "x*": [["0", "0"], ["0", "0"]]},
+                "i": {"0": [["0"], ["1"]]}, "j": {"0": [["0", "0"]]}},
+    "unframed": {"quiver": "double:a2", "field": {"kind": "rational"},
+                 "v": {"1": 1, "2": 1},
+                 "mats": {"a1": [["1"]], "a1*": [["2"]]}},
+}
+
+
+@pytest.mark.parametrize("argv, code, digest", [
+    (["quiver", "frame", "--quiver", "a2"], 0,
+     "782a44c1a616e480226a6e200f01e9037c6f2a2c3feb5492580d86933c4b1076"),
+    (["quiver", "cb_frame", "--quiver", "a2", "--w", '{"1":1,"2":0}'], 0,
+     "93a69ea865b809a095fd129eb60878f0b6f64052fac16bdf2f715df312ee145b"),
+    (["quiver", "adjacency", "--quiver", "double:a2"], 0,
+     "720b22281160735e7fb5cb1312fc15efe61205460476b4bf35bba8f1ff32fd14"),
+    (["quiver", "cartan", "--quiver", "double:a2"], 0,
+     "3a848754617efc851dad134ab3f8e7682386f3baf9d9ed785d6ddd425e8bc63d"),
+    (["quiver", "cycles", "--quiver", "double:a2"], 0,
+     "f25fde0553614055b4ed02838a1c25f4b8fabc1fd044f2f87ead913389cc9476"),
+    (["quiver", "cycles", "--quiver", "jordan", "--maxlen", "2"], 0,
+     "436a95c248c20b8e3e3256dfd7f618bc566c63bf6afd585d9c173422720a4662"),
+    (["roots", "weight", "--quiver", "a2", "--v", '{"1":1,"2":1}',
+      "--w", '{"1":1,"2":1}'], 0,
+     "54aec205873e5807dd2fc317394da1c63acf5c1e4ca29282625c61925d7d774d"),
+    (["roots", "weight", "--quiver", "a2", "--v", '{"1":1,"2":0}',
+      "--w", '{"1":0,"2":1}'], 0,
+     "2af69a7bb94bcff97e53acb92f07b85ba9b861c591a2cb75580cdf4e375d02b5"),
+    (["rep", "check", "--rep", "framed.json"], 0,
+     "f87c1e328536bb14da18be563930a4b93ac2df9e331c9249ca9c4ae5ffc0397a"),
+    (["rep", "check", "--rep", "framed.json", "--lambda", "1"], 0,
+     "01906cfd4cadced87f0dc0a931ce371cf658bbad3b9743801597566885a43c29"),
+    (["rep", "check", "--rep", "onfiber.json", "--expect", "fiber"], 0,
+     "f7eaa27b68d1a0b7671cbdc0c847a9750f5a5ee8f4b25103d9ecd979ace2ebcb"),
+    (["rep", "check", "--rep", "unframed.json"], 0,
+     "788459a18d37476bb907dba3bb19fb1631acc0f755ed3114f577942d29857e74"),
+    (["rep", "check", "--rep", "unframed.json", "--lambda",
+      '{"1":2,"2":-2}'], 0,
+     "4c2727e877d1e0b1c94c8bd6676768c045d5c14ecb1ca7fa71e0e6dcb54777a3"),
+    (["rep", "check", "--rep", "unframed.json", "--expect", "fiber"], 1,
+     "92ca4a31bebc84b05a3dfd18cb613d2fbade77a79cc40ac49ab8ae325d6dcc4a"),
+])
+def test_quiver_weight_and_check_reports_pinned(capsys, tmp_path,
+                                                monkeypatch, argv, code,
+                                                digest):
+    # sha256 of the stdout of the implementation before the shared
+    # polynomial layer, for handlers no other test runs
+    monkeypatch.chdir(tmp_path)
+    for name, data in CHECK_REPS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    assert run(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["quiver", "cb_frame", "--quiver", "a2"],
+    ["roots", "weight", "--quiver", "a2", "--v", '{"1":1,"2":1}'],
+], ids=["cb_frame", "roots weight"])
+def test_missing_w_is_exit_2(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "requires" in captured.err and "--w" in captured.err
+
+
+@pytest.mark.parametrize("ok", [True, False])
+def test_selftest_reports_each_check(capsys, monkeypatch, ok):
+    from quivar import acceptance
+
+    def run_all(seed):
+        checks = [{"name": "first", "ok": True, "elapsed": 0.5, "bound": 1.0},
+                  {"name": "second", "ok": ok, "elapsed": 0.25, "bound": 2.0}]
+        return {"seed": seed, "passed": ok, "checks": checks}
+
+    monkeypatch.setattr(acceptance, "run_all", run_all)
+    assert run(["--seed", "3", "selftest"]) == (0 if ok else 1)
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "[PASS] first (0.5s, bound 1.0s)",
+        f"[{'PASS' if ok else 'FAIL'}] second (0.25s, bound 2.0s)"]
+    rep = json.loads(captured.out)
+    assert rep["ok"] is ok and rep["seed"] == 3
+    assert rep["results"]["passed"] is ok

@@ -10,8 +10,8 @@ from quivar.fields import PrimeField, QQ
 from quivar.linalg import (Mat, annihilator_rows, enumerate_subspaces,
                            incidence_index, preimage, subspace_contains,
                            subspace_intersect, subspace_sum)
-from quivar.quiver import (double, jordan_quiver, make_quiver, opposite,
-                           type_a_quiver)
+from quivar.quiver import (QuiverError, double, jordan_quiver, make_quiver,
+                           opposite, type_a_quiver)
 from quivar.reps import (FramedRep, GradedSubspace, Rep, RepError,
                          _bruteforce_reports, _pairs, endomorphism_space, im_i,
                          invariant_subspaces_bruteforce, is_stable_minus,
@@ -38,6 +38,30 @@ def test_shape_validation():
                                "x*": Mat.zeros(QQ, 1, 2)})
     with pytest.raises(RepError):
         Rep(dq, QQ, {"0": 2}, {"x": Mat.zeros(QQ, 2, 2)})
+
+
+# the framing goes through check_dimvector: w = 1.5 was once accepted and
+# kept (its shape read as 1), and a key that is no vertex was kept too
+@pytest.mark.parametrize("w", [{"0": 1.5}, {"0": 1, "1": 0}],
+                         ids=["non-integral", "foreign key"])
+def test_framing_is_a_dimension_vector(w):
+    dq = double(jordan_quiver())
+    rep = Rep(dq, QQ, {"0": 1}, {"x": Mat.zeros(QQ, 1, 1),
+                                 "x*": Mat.zeros(QQ, 1, 1)})
+    i, j = {"0": Mat.zeros(QQ, 1, 1)}, {"0": Mat.zeros(QQ, 1, 1)}
+    with pytest.raises(QuiverError):
+        FramedRep(rep, w, i, j)
+    assert FramedRep(rep, {"0": 1.0}, i, j).w == {"0": 1}
+
+
+def test_framing_defaults_to_zero_at_an_omitted_vertex():
+    dq = double(type_a_quiver(2))
+    rep = Rep(dq, QQ, {"1": 1, "2": 0},
+              {"a1": Mat.zeros(QQ, 1, 0), "a1*": Mat.zeros(QQ, 0, 1)})
+    fr = FramedRep(rep, {"1": 1}, {"1": Mat.zeros(QQ, 1, 1),
+                                   "2": Mat.zeros(QQ, 0, 0)},
+                   {"1": Mat.zeros(QQ, 1, 1), "2": Mat.zeros(QQ, 0, 0)})
+    assert fr.w == {"1": 1, "2": 0}
 
 
 def test_moment_residual_zero_on_fiber():

@@ -8,8 +8,9 @@ runs through one echelon basis and the fields' row kernels, the root
 search stays in ints, the integer layout of Q(zeta_m) elements stays
 inside ``fields``, the kernels over Q build no Fraction on ints, and the
 root layer reads each Cartan matrix once and lists no fiber
-decomposition it does not report, and the orbit algebra numbers its orbits
-in one scan, with no sort and no label strings."""
+decomposition it does not report, the orbit algebra numbers its orbits
+in one scan, with no sort and no label strings, and the integer
+polynomial steps and q-numbers have one home, ``quivar.poly``."""
 
 import importlib.util
 import os
@@ -247,3 +248,48 @@ def test_rational_kernels_build_no_fraction_on_ints(monkeypatch):
     assert qq.dot([], []) == 0 and qq.row_sub([], 1, []) == []
     with pytest.raises(AssertionError, match="a Fraction was built"):
         qq.row_scale(2, [Fraction(1, 3)])
+
+
+# the integer polynomial steps that once had a copy in adhm or fields
+RETIRED_POLY_NAMES = {"_fp_zeros", "_scaled", "_cleared"}
+
+
+def test_polynomial_steps_live_in_poly():
+    # Phi_m, clearing denominators, the integer root test's steps and the
+    # q-numbers have one home, which imports no module of the package, so
+    # that fields can build on it
+    import ast
+    from quivar import adhm, convolution, fields, linalg
+    for path in sorted((ROOT / "src" / "quivar").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imports = [n for n in ast.walk(tree)
+                   if isinstance(n, (ast.Import, ast.ImportFrom))]
+        math_names = {a.name for n in imports if isinstance(n, ast.ImportFrom)
+                      and n.module == "math" for a in n.names}
+        if path.name == "poly.py":
+            assert not any(isinstance(n, ast.ImportFrom) and n.level
+                           for n in imports)
+            modules = [a.name for n in imports if isinstance(n, ast.Import)
+                       for a in n.names]
+            modules += [n.module for n in imports
+                        if isinstance(n, ast.ImportFrom)]
+            assert not any(m.split(".")[0] == "quivar" for m in modules)
+            continue
+        defined = {n.name for n in ast.walk(tree)
+                   if isinstance(n, ast.FunctionDef)}
+        assert not defined & RETIRED_POLY_NAMES, path.name
+        # lcm clears denominators and comb takes Hasse derivatives
+        assert not math_names & {"lcm", "comb"}, path.name
+    uses = [(fields.cyclotomic_coeffs, {"divmod_monic"}),
+            (fields.CyclotomicField.__init__, {"divmod_monic"}),
+            (fields.CyclotomicField.from_coeffs, {"cleared"}),
+            (adhm._root_candidates, {"cleared", "roots_mod"}),
+            (adhm._poly_roots, {"scaled"}),
+            (adhm._multiplicity, {"hasse"}),
+            (linalg.gaussian_binomial_total, {"q_binomial"}),
+            (convolution.hecke_algebra, {"q_binomial"})]
+    for fn, names in uses:
+        assert names <= _names(fn.__code__), fn.__qualname__
+    # the multiplication rows are z^j times c folded by the table, the one
+    # reduction by it
+    assert "_fold" in _names(fields.CyclotomicField._times.__code__)
