@@ -24,8 +24,8 @@ from .mckay import cyclic_table, binary_dihedral_table, exceptional_table, \
     mckay_quiver, verify_ade
 from .quiver import (cartan, dims, double, jordan_quiver, make_quiver,
                      type_a_quiver)
-from .reps import (FramedRep, Rep, _bruteforce_reports, is_stable_minus,
-                   is_stable_plus, moment_residual, random_framed_rep,
+from .reps import (FramedRep, Rep, is_stable_minus, is_stable_plus,
+                   moment_residual, random_framed_rep, semistable_bruteforce,
                    trace_signature, unframed_fiber_obstruction)
 from .roots import freudenthal_mult, gg_analysis, weight_of
 
@@ -143,9 +143,9 @@ def _all_framed(dq, v, w, field):
 
 
 def _agree(fr) -> bool:
-    # both brute-force verdicts from one enumeration of invariant subspaces
-    plus, minus = _bruteforce_reports(fr, [{k: 1 for k in fr.v},
-                                           {k: -1 for k in fr.v}])
+    # both verdicts read the invariant subspaces the quadruple keeps
+    plus = semistable_bruteforce(fr, {k: 1 for k in fr.v})
+    minus = semistable_bruteforce(fr, {k: -1 for k in fr.v})
     return (plus["stable"] == is_stable_plus(fr)
             and minus["stable"] == is_stable_minus(fr))
 

@@ -29,8 +29,8 @@ from .quiver import (Quiver, QuiverError, adjacency, cartan, cb_frame,
                      jordan_quiver, make_quiver, quiver_from_json,
                      quiver_to_json, type_a_quiver)
 from .reps import (DEFAULT_SUBSPACE_LIMIT, FramedRep, Rep, RepError,
-                   endomorphism_space, is_stable_minus, is_stable_plus,
-                   moment_residual, preprojective_check,
+                   check_theta, endomorphism_space, is_stable_minus,
+                   is_stable_plus, moment_residual, preprojective_check,
                    semistable_bruteforce, trace_signature,
                    unframed_fiber_obstruction)
 from .roots import (HKParam, RootsError, gg_analysis, is_dominant,
@@ -209,19 +209,9 @@ def parse_theta(q: Quiver, text) -> dict:
     if text == "zero":
         return {k: 0 for k in q.vertices}
     try:
-        val = json.loads(text)
-    except ValueError:
-        val = None
-    if not isinstance(val, dict):
-        raise InputError(f"bad theta {text!r}")
-    if set(val) != set(q.vertices):
-        raise InputError(f"theta {text!r} must give a value at exactly the "
-                         f"vertices {list(q.vertices)}")
-    for x in val.values():
-        if type(x) is not int:  # no fraction, float, string or bool
-            raise InputError(f"theta {text!r} has the non-integer value "
-                             f"{json.dumps(x)}")
-    return val
+        return check_theta(q, json.loads(text))
+    except ValueError as err:  # bad JSON, or check_theta's RepError
+        raise InputError(f"bad theta {text!r}: {err}")
 
 
 # -- subcommand handlers (each returns a results dict) -----------------

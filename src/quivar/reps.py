@@ -28,13 +28,18 @@ bitset operations per point, a theta's violations are a union over
 dimension vectors, and the lowest violating bit is the witness a
 lexicographic scan would meet first. The work is bounded by the incidences
 of points and subspaces, not by the framing; ``limit`` caps the tuples.
+Only the scan over dimension vectors reads theta, so the rest is
+computed once per quadruple and kept on it: a :class:`Rep` keeps its
+incidence indexes and invariant tuples, a :class:`FramedRep` its Ker j
+and Im i bitsets per vertex, each keyed by the :class:`Mat` objects it
+read, so rebinding an edge map, ``i[k]`` or ``j[k]`` recomputes them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from operator import mul
+from operator import is_, mul
 from fractions import Fraction
 from math import prod
 
@@ -92,6 +97,8 @@ class FramedRep:
                 raise RepError(f"i[{k}] has wrong shape")
             if (mj.rows, mj.cols) != (w[k], v[k]):
                 raise RepError(f"j[{k}] has wrong shape")
+            if mi.field != self.rep.field or mj.field != self.rep.field:
+                raise FieldError(f"framing at vertex {k} over wrong field")
 
     @property
     def quiver(self):
@@ -342,6 +349,22 @@ def is_stable_minus(fr: FramedRep) -> bool:
                  ((k, col) for k in fr.v for col in zip(*fr.i[k].data)))[1]
 
 
+def check_theta(q: Quiver, theta) -> dict:
+    """theta as given, after checking that it is a dict with a value at
+    exactly the vertices of q, each an int or a Fraction (not a bool, a
+    float or a string). Raises RepError."""
+    if not isinstance(theta, dict):
+        raise RepError("theta must map each vertex to a value")
+    if set(theta) != set(q.vertices):
+        raise RepError(f"theta must give a value at exactly the vertices "
+                       f"{list(q.vertices)}")
+    for x in theta.values():
+        if type(x) is not int and not isinstance(x, Fraction):
+            raise RepError(f"theta has the value {x!r}, not an int or a "
+                           f"Fraction")
+    return theta
+
+
 def slope(theta: dict, d: dict) -> Fraction:
     total = sum(d.values())
     if total == 0:
@@ -398,38 +421,64 @@ def _pairs(sizes, t, h, rows):
                * prod(sizes[:t]), 2)
 
 
-def _invariant_tuples(rep: Rep, limit: int):
-    """The invariant graded subspaces of a representation over F_p, as a
-    bitset over the graded tuples of :func:`_tensor`.
-
-    Returns the vertices (in quiver order), their families from
-    :func:`enumerate_subspaces`, their incidence indexes and the bitset of
-    the tuples invariant under every edge map. An edge a: t -> h breaks
-    the tuples whose subspace at t has a basis row c while the one at h
-    does not hold a(c), with the rows c grouped by the point of a(c). A
-    loop breaks subspaces at t alone; an edge between two vertices breaks,
-    for each subspace at t, a row of subspaces at h, and the rows are
-    lifted to the graded tuples at once.
-    """
+def _families(rep: Rep, limit: int):
+    """The vertices (in quiver order) and their families from
+    :func:`enumerate_subspaces`, after the checks of every brute-force
+    call: a prime field, then at most ``limit`` graded tuples."""
     if not isinstance(rep.field, PrimeField):
         raise RepError("brute-force enumeration requires a prime field")
     p = rep.field.p
     verts = list(rep.quiver.vertices)
-    sizes = [gaussian_binomial_total(p, rep.v[k]) for k in verts]
-    count = prod(sizes)
+    count = prod(gaussian_binomial_total(p, rep.v[k]) for k in verts)
     if count > limit:
         raise RepError(f"subspace enumeration size {count} exceeds limit {limit}")
+    return verts, [enumerate_subspaces(p, rep.v[k]) for k in verts]
+
+
+def _memo(owner, name: str, mats: tuple, build):
+    """``build()``, kept on ``owner`` as ``name`` together with the
+    :class:`Mat` objects it read, and rebuilt once one of ``mats`` is not
+    the object it read."""
+    held = owner.__dict__.get(name)
+    if held is None or not all(map(is_, held[0], mats)):
+        held = (mats, build())
+        object.__setattr__(owner, name, held)
+    return held[1]
+
+
+def _invariant_tuples(rep: Rep):
+    """The incidence indexes of the vertices (in quiver order) and the
+    bitset of :func:`_invariant_bits`, kept on ``rep`` until an edge map is
+    rebound."""
+    mats = tuple(rep.mats[e.name] for e in rep.quiver.edges)
+    return _memo(rep, "_invariant_memo", mats,
+                 lambda: _invariant_bits(rep, mats))
+
+
+def _invariant_bits(rep: Rep, mats: tuple):
+    """The incidence indexes of the vertices and the invariant graded
+    subspaces of a representation over F_p, as a bitset over the graded
+    tuples of :func:`_tensor`; ``mats`` are the edge maps in quiver order.
+
+    An edge a: t -> h breaks the tuples whose subspace at t has a basis
+    row c while the one at h does not hold a(c), with the rows c grouped
+    by the point of a(c). A loop breaks subspaces at t alone; an edge
+    between two vertices breaks, for each subspace at t, a row of
+    subspaces at h, and the rows are lifted to the graded tuples at once.
+    """
+    p = rep.field.p
+    verts = list(rep.quiver.vertices)
     pos = {k: n for n, k in enumerate(verts)}
-    families = [enumerate_subspaces(p, rep.v[k]) for k in verts]
     index = [incidence_index(p, rep.v[k]) for k in verts]
+    sizes = [ix.size for ix in index]
     everything = [(1 << n) - 1 for n in sizes]
     good = list(everything)  # per vertex: the subspaces no loop breaks
     bad = 0  # the tuples an edge between two vertices breaks
-    for e in rep.quiver.edges:
+    for e, m in zip(rep.quiver.edges, mats):
         t, h = pos[e.tail], pos[e.head]
         src, dst = index[t], index[h]
         groups = {}  # image point -> the points at t sent onto its line
-        for c, code in enumerate(point_images(rep.mats[e.name])):
+        for c, code in enumerate(point_images(m)):
             q = dst.locate(code)
             if q is not None and (t != h or q != c):
                 groups.setdefault(q, []).append(c)
@@ -442,14 +491,40 @@ def _invariant_tuples(rep: Rep, limit: int):
                 for n in _members(src.based_on_any(points)):
                     rows[n] |= lacks
             bad |= _pairs(sizes, t, h, rows)
-    return verts, families, index, _tensor(sizes, good) & ~bad
+    return index, _tensor(sizes, good) & ~bad
+
+
+def _framing_cuts(fr: FramedRep, verts, index):
+    """Per vertex, the bitsets of the subspaces inside Ker j and of those
+    containing Im i, kept on ``fr`` until an ``i[k]`` or ``j[k]`` is
+    rebound."""
+    mats = tuple(fr.i[k] for k in verts) + tuple(fr.j[k] for k in verts)
+    return _memo(fr, "_framing_memo", mats,
+                 lambda: _framing_bits(fr, verts, index))
+
+
+def _framing_bits(fr: FramedRep, verts, index):
+    """The bitsets of :func:`_framing_cuts`. A subspace lies in Ker j when
+    j sends each row of its reduced echelon basis to 0; it contains Im i
+    when it holds the point of each nonzero column of i."""
+    p = fr.field.p
+    in_ker, has_im = [], []
+    for k, ix in zip(verts, index):
+        outside = ix.based_on_any(  # a basis row that j does not kill
+            c for c, code in enumerate(point_images(fr.j[k])) if code)
+        in_ker.append(((1 << ix.size) - 1) & ~outside)
+        columns = (vector_code(p, col) for col in zip(*fr.i[k].data))
+        has_im.append(ix.holding_all(
+            q for q in map(ix.locate, columns) if q is not None))
+    return in_ker, has_im
 
 
 def invariant_subspaces_bruteforce(rep: Rep, limit: int = DEFAULT_SUBSPACE_LIMIT):
     """All graded subspaces invariant under every edge map, by exhaustive
     enumeration of row-reduced echelon bases per vertex, in lexicographic
     order. Prime fields only."""
-    verts, families, _, tuples = _invariant_tuples(rep, limit)
+    verts, families = _families(rep, limit)
+    _, tuples = _invariant_tuples(rep)
     out = []
     for n in _members(tuples):
         bases, rest = {}, n
@@ -467,38 +542,20 @@ def semistable_bruteforce(fr: FramedRep, theta: dict,
 
     The criterion characterizes (semi)stability for points on the moment
     fiber; any quadruple is accepted and checked against the same
-    inequalities. A subspace lies in Ker j when j sends each row of its
-    reduced echelon basis to 0; it contains Im i when it holds the point of
-    each nonzero column of i.
+    inequalities. For each dimension vector the inequalities read, the
+    invariant tuples of that dimension inside Ker j, and those containing
+    Im i, are one bitset each; the violations are the union of those the
+    inequalities reject, and the witness is the lowest violating tuple,
+    the first in lexicographic order.
     """
-    return _bruteforce_reports(fr, [theta], limit)[0]
-
-
-def _bruteforce_reports(fr: FramedRep, thetas, limit: int = DEFAULT_SUBSPACE_LIMIT):
-    """The report of :func:`semistable_bruteforce` at each theta of
-    ``thetas``, all from one bitset of invariant graded subspaces.
-
-    For each dimension vector the invariant tuples of that dimension inside
-    Ker j, and those containing Im i, are one bitset each; a theta's
-    violations are the union of those its inequalities reject, and the
-    witness is the lowest violating tuple, the first in lexicographic
-    order."""
-    verts = list(fr.quiver.vertices)
-    weights = []  # (theta * scale per vertex, its pairing with v)
-    for theta in thetas:
-        weight = cleared([Fraction(theta[k]) for k in verts])[0]
-        weights.append((weight, sum(w * fr.v[k] for w, k in zip(weight, verts))))
-    _, _, index, tuples = _invariant_tuples(fr.rep, limit)
-    p = fr.field.p
+    verts, _ = _families(fr.rep, limit)
+    check_theta(fr.quiver, theta)
+    index, tuples = _invariant_tuples(fr.rep)
+    in_ker, has_im = _framing_cuts(fr, verts, index)
+    weight = cleared([Fraction(theta[k]) for k in verts])[0]
+    full = tuple(fr.v[k] for k in verts)
+    tv = sum(map(mul, weight, full))
     sizes = [ix.size for ix in index]
-    in_ker, has_im = [], []
-    for k, ix in zip(verts, index):
-        outside = ix.based_on_any(  # a basis row that j does not kill
-            c for c, code in enumerate(point_images(fr.j[k])) if code)
-        in_ker.append(((1 << ix.size) - 1) & ~outside)
-        columns = (vector_code(p, col) for col in zip(*fr.i[k].data))
-        has_im.append(ix.holding_all(
-            q for q in map(ix.locate, columns) if q is not None))
 
     def of_dim(parts, d):
         """The invariant tuples of dimension vector d whose member at each
@@ -506,38 +563,26 @@ def _bruteforce_reports(fr: FramedRep, thetas, limit: int = DEFAULT_SUBSPACE_LIM
         cut = [bits & ix.by_dim[n] for bits, ix, n in zip(parts, index, d)]
         return tuples & _tensor(sizes, cut) if all(cut) else 0
 
-    full = tuple(fr.v[k] for k in verts)
-    first = [None] * len(thetas)  # (lowest violating bit, its dimensions)
-    stable = [True] * len(thetas)
+    first = None  # (lowest violating bit, its dimensions)
+    stable = True
     for d in product(*(range(n + 1) for n in full)):
         proper = any(d) and d != full
-        ts = [(sum(map(mul, weight, d)), tv) for weight, tv in weights]
-        # each bitset is built only if some theta's inequalities read it
-        read_k = read_i = False
-        for t, tv in ts:
-            read_k = read_k or t > 0 or proper and t >= 0
-            read_i = read_i or t > tv or proper and t >= tv
-        k_d = of_dim(in_ker, d) if read_k else 0
-        i_d = of_dim(has_im, d) if read_i else 0
-        if not (k_d or i_d):
-            continue
-        for n, (t, tv) in enumerate(ts):
-            worse = (k_d if t > 0 else 0) | (i_d if t > tv else 0)
-            if worse:
-                low = worse & -worse
-                if first[n] is None or low < first[n][0]:
-                    first[n] = (low, d)
-            elif proper and (k_d and t >= 0 or i_d and t >= tv):
-                stable[n] = False
-    reports = []
-    for found, ok in zip(first, stable):
-        if found is None:
-            reports.append({"semistable": True, "stable": ok, "witness": None})
-        else:
-            at = dict(zip(verts, found[1]))
-            reports.append({"semistable": False, "stable": False,
-                            "witness": {k: at[k] for k in fr.v}})
-    return reports
+        t = sum(map(mul, weight, d))
+        # each bitset is built only if the inequalities read it
+        k_d = of_dim(in_ker, d) if t > 0 or proper and t >= 0 else 0
+        i_d = of_dim(has_im, d) if t > tv or proper and t >= tv else 0
+        worse = (k_d if t > 0 else 0) | (i_d if t > tv else 0)
+        if worse:
+            low = worse & -worse
+            if first is None or low < first[0]:
+                first = (low, d)
+        elif proper and (k_d or i_d):
+            stable = False
+    if first is None:
+        return {"semistable": True, "stable": stable, "witness": None}
+    at = dict(zip(verts, first[1]))
+    return {"semistable": False, "stable": False,
+            "witness": {k: at[k] for k in fr.v}}
 
 
 # -- endomorphisms -----------------------------------------------------

@@ -1,19 +1,21 @@
+import importlib.util
 import itertools
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from quivar import linalg
-from quivar.fields import PrimeField, QQ
+from quivar.fields import FieldError, PrimeField, QQ
 from quivar.linalg import (Mat, annihilator_rows, enumerate_subspaces,
                            incidence_index, preimage, subspace_contains,
                            subspace_intersect, subspace_sum)
 from quivar.quiver import (QuiverError, double, jordan_quiver, make_quiver,
                            opposite, type_a_quiver)
 from quivar.reps import (FramedRep, GradedSubspace, Rep, RepError,
-                         _bruteforce_reports, _pairs, endomorphism_space, im_i,
+                         _invariant_tuples, _pairs, endomorphism_space, im_i,
                          invariant_subspaces_bruteforce, is_stable_minus,
                          is_stable_plus, ker_j, max_core, min_closure,
                          moment_residual, preprojective_check,
@@ -427,9 +429,12 @@ def test_packed_oracle_matches_reference(p, incidence_storage):
                     if got["witness"] is not None:
                         assert list(got["witness"]) == list(want["witness"])
                     wants.append(want)
-                # all four thetas from one scan, as acceptance criterion 4
-                # takes theta = +1 and -1
-                assert _bruteforce_reports(fr, thetas) == wants
+                # again, now reading the invariant subspaces and the Ker j
+                # and Im i bitsets the quadruple keeps
+                assert [semistable_bruteforce(fr, t) for t in thetas] == wants
+                index, _ = _invariant_tuples(fr.rep)
+                assert all(ix._as_bits == (incidence_storage == "masks")
+                           for ix in index if ix.d)  # F_p^0 has no points
 
 
 def framed(q, p, v, w, mats, i, j):
@@ -594,3 +599,132 @@ def test_graded_subspace_canonical():
         full = {k: Mat.identity(f, d) for k, d in amb.items()}
         assert GradedSubspace.zero(f, amb) == GradedSubspace(f, amb, zero)
         assert GradedSubspace.full(f, amb) == GradedSubspace(f, amb, full)
+
+
+def test_framing_over_another_field_is_refused():
+    # i and j over F_3 on a representation over F_2 were once accepted:
+    # the oracle read their entries mod 2 and the spin divided by 0
+    f2, f3 = PrimeField(2), PrimeField(3)
+    dq = double(jordan_quiver())
+    rep = Rep(dq, f2, {"0": 1}, {"x": Mat(f2, [[0]]), "x*": Mat(f2, [[0]])})
+    for i, j in [(Mat(f3, [[2]]), Mat(f3, [[2]])),
+                 (Mat(f2, [[1]]), Mat(f3, [[2]])),
+                 (Mat(f3, [[2]]), Mat(f2, [[1]]))]:
+        with pytest.raises(FieldError):
+            FramedRep(rep, {"0": 1}, {"0": i}, {"0": j})
+    with pytest.raises(FieldError):
+        FramedRep(rep, {"0": 1}, {"0": Mat(QQ, [[1]])}, {"0": Mat(f2, [[1]])})
+
+
+@pytest.mark.parametrize("theta", [
+    {"1": 1}, {"1": 1, "2": 1, "3": 1}, {"1": True, "2": 0},
+    {"1": 0.5, "2": 0}, {"1": "1", "2": 0}, [1, 1]],
+    ids=["missing vertex", "unknown vertex", "bool", "float", "string",
+         "list"])
+def test_bruteforce_refuses_a_bad_theta(theta):
+    fr = framed(double(type_a_quiver(2)), 2, {"1": 1, "2": 1},
+                {"1": 1, "2": 1}, {"a1": [[1]], "a1*": [[0]]},
+                {"1": [[1]], "2": [[0]]}, {"1": [[0]], "2": [[1]]})
+    with pytest.raises(RepError, match="theta"):
+        semistable_bruteforce(fr, theta)
+
+
+# -- the per-quadruple memo of the oracle --------------------------------
+
+def test_rebinding_a_map_recomputes_the_oracle():
+    # each rebinding flips the verdict, so a stale memo would show
+    p, f = 2, PrimeField(2)
+    dq = double(jordan_quiver())
+
+    def quadruple(x, i, j):
+        return framed(dq, p, {"0": 2}, {"0": 1},
+                      {"x": x, "x*": zeros(2, 2)}, {"0": i}, {"0": j})
+
+    shift = [[0, 0], [1, 0]]
+    cases = [  # (x, i, j before), what is rebound to what, theta
+        ((shift, [[1], [0]], [[0, 0]]), ("j", [[0, 1]]), {"0": 1}),
+        ((shift, [[0], [1]], [[0, 1]]), ("i", [[1], [0]]), {"0": -1}),
+        ((zeros(2, 2), [[1], [0]], [[0, 1]]), ("x", shift), {"0": -1}),
+    ]
+    for (x, i, j), (which, new), theta in cases:
+        fr = quadruple(x, i, j)
+        before = semistable_bruteforce(fr, theta)
+        found = invariant_subspaces_bruteforce(fr.rep)
+        m = Mat(f, new)
+        if which == "x":
+            fr.rep.mats["x"] = m
+            x = new
+        elif which == "i":
+            fr.i["0"] = m
+            i = new
+        else:
+            fr.j["0"] = m
+            j = new
+        fresh = quadruple(x, i, j)
+        after = semistable_bruteforce(fr, theta)
+        assert after == semistable_bruteforce(fresh, theta) != before
+        assert after == reference_semistable(fresh, theta)
+        assert invariant_subspaces_bruteforce(fr.rep) == \
+            invariant_subspaces_bruteforce(fresh.rep)
+        assert (invariant_subspaces_bruteforce(fr.rep) != found) == \
+            (which == "x")
+
+
+def test_warm_memo_still_checks_the_limit():
+    dq = double(jordan_quiver())
+    fr = random_framed_rep(dq, {"0": 3}, {"0": 1}, PrimeField(2),
+                           random.Random(0))
+    semistable_bruteforce(fr, {"0": 1})
+    invariant_subspaces_bruteforce(fr.rep)
+    with pytest.raises(RepError, match="exceeds limit"):
+        semistable_bruteforce(fr, {"0": 1}, limit=3)
+    with pytest.raises(RepError, match="exceeds limit"):
+        invariant_subspaces_bruteforce(fr.rep, limit=3)
+
+
+def _benchmark_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads",
+        Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_shared_memo_answers_as_fresh_quadruples():
+    # every quadruple shape of the benchmark's F_p oracle workload: a call
+    # that reads the memo of an earlier call answers as a fresh quadruple
+    wl = _benchmark_workloads()
+    specs = wl.round_specs("oracle_fp", 1, 0)
+    assert {(s["quiver"], tuple(s["v"].values())) for s in specs} == \
+        set(wl.FP_SHAPES)
+    for spec in specs:
+        verts, edges = wl.FP_QUIVERS[spec["quiver"]]
+        dq = double(make_quiver(verts, edges))
+        v, w = spec["v"], {k: 1 for k in verts}
+
+        def quadruple():
+            return framed(dq, spec["p"], v, w, spec["mats"], spec["i"],
+                          spec["j"])
+
+        mixed = dict(zip(verts, [2, -1, 0]))
+        zero = dict(zip(verts, [0, 1, 0]))
+        thetas = [{k: 1 for k in verts}, {k: -1 for k in verts}, mixed, zero]
+        for a, b in itertools.combinations(thetas, 2):
+            shared = quadruple()
+            assert [semistable_bruteforce(shared, a),
+                    semistable_bruteforce(shared, b)] == \
+                [semistable_bruteforce(quadruple(), a),
+                 semistable_bruteforce(quadruple(), b)]
+
+
+def test_invariant_subspaces_unchanged_by_a_stability_call():
+    rng = random.Random(5)
+    f = PrimeField(3)
+    for dq, v in [(double(type_a_quiver(2)), {"1": 2, "2": 1}),
+                  (double(jordan_quiver()), {"0": 2})]:
+        fr = random_framed_rep(dq, v, {k: 1 for k in v}, f, rng)
+        before = invariant_subspaces_bruteforce(fr.rep)
+        semistable_bruteforce(fr, {k: -1 for k in v})
+        assert invariant_subspaces_bruteforce(fr.rep) == before
+        assert before == reference_invariant_subspaces(fr.rep)

@@ -9,8 +9,10 @@ search stays in ints, the integer layout of Q(zeta_m) elements stays
 inside ``fields``, the kernels over Q build no Fraction on ints, and the
 root layer reads each Cartan matrix once and lists no fiber
 decomposition it does not report, the orbit algebra numbers its orbits
-in one scan, with no sort and no label strings, and the integer
-polynomial steps and q-numbers have one home, ``quivar.poly``."""
+in one scan, with no sort and no label strings, the integer
+polynomial steps and q-numbers have one home, ``quivar.poly``, and the
+brute-force oracle keeps its memo on the quadruple, in no module-level
+cache."""
 
 import importlib.util
 import os
@@ -74,7 +76,9 @@ ORACLE_NAMES = {"_invariant_tuples", "code_map", "subspace_points",
                 "locate", "point_images", "holding", "holding_all",
                 "based_on_any", "breaking", "_tensor", "_pairs", "_members",
                 "_cell_table", "_solutions", "_holders", "_bases", "_bitset",
-                "_code_table", "_bruteforce_reports"}
+                "_code_table", "_bruteforce_reports", "_families", "_memo",
+                "_invariant_bits", "_framing_cuts", "_framing_bits",
+                "_invariant_memo", "_framing_memo"}
 # the per-subspace membership tests that the incidence index replaced
 RETIRED_ORACLE_NAMES = {"subspace_points", "point_test", "_in_mask",
                         "_in_echelon"}
@@ -99,6 +103,18 @@ def test_closures_share_no_code_with_the_bruteforce_oracle():
                     linalg.Echelon.add, linalg.Echelon.column_basis]
     for fn in closure_code:
         assert not _names(fn.__code__) & ORACLE_NAMES, fn.__name__
+
+
+def test_oracle_memo_lives_on_the_quadruple():
+    # the oracle keeps its work on the Rep and FramedRep it read, not in a
+    # module-level cache that would outlive them
+    import ast
+    tree = ast.parse((ROOT / "src" / "quivar" / "reps.py").read_text())
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {a.name for n in ast.walk(tree)
+              if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+    assert not names & {"lru_cache", "cache", "functools"}
 
 
 def test_no_module_defines_a_retired_membership_test():
