@@ -215,13 +215,21 @@ def _root_candidates(poly, f):
         ints = cleared([f.rational_part(c) for c in poly])[0]
     except FieldError:
         return None
-    cand = sorted({Fraction(s * pn, qn) for pn in _divisors(ints[0])
-                   for qn in _divisors(ints[-1]) for s in (1, -1)})
+    # every q divides the lead, so p / q = p (lead // q) / lead: the ints
+    # p (lead // q) order the candidates as the rationals do, and equal
+    # rationals share one
+    lead = abs(ints[-1])
+    keys = {s * pn * (lead // qn) for pn in _divisors(ints[0])
+            for qn in _divisors(lead) for s in (1, -1)}
     if f.kind == "cyclotomic" and f.m % 2 == 0:
         # -zeta^k = zeta^(k + m/2): the negative c, first in the sorted
         # order, already give every c zeta^k
-        cand = [c for c in cand if c < 0]
-    return ints, [(c.numerator, c.denominator) for c in cand]
+        keys = [c for c in keys if c < 0]
+    cand = []
+    for c in sorted(keys):
+        g = gcd(c, lead)  # lead // q for the p / q in lowest terms
+        cand.append((c // g, lead // g))
+    return ints, cand
 
 
 def _multiplicity(s, vanishes):

@@ -30,6 +30,8 @@ of zeta^j; ``neg`` keeps the denominator and needs none. ``inv`` is the
 product of the other Galois conjugates zeta -> zeta^k over the rational
 norm, all in ints. Fractions appear only at the edges: reading input
 (``from_fraction``, ``from_coeffs``, ``parse``) and the ``coeffs`` accessor.
+``rational_ints`` gives a rational element as its ints (num, den) and
+``mul_int`` scales the numerators by an int, for the McKay pairings.
 
 The kernels compute in Python ints and normalise each result once. Over Q
 they first try the C-level integer path, ``sum(map(int.__mul__, u, v))``
@@ -591,11 +593,20 @@ class CyclotomicField(Field):
         # zeta -> zeta^-1
         return _lowest(self._at_zeta_pow(a[:-1], -1), a[-1])
 
-    def rational_part(self, a) -> Fraction:
-        """Constant coefficient; raises if the element is not rational."""
+    def mul_int(self, a, n: int):
+        """n a for an int n: the numerators scaled, with one gcd."""
+        return _lowest([x * n for x in a[:-1]], a[-1])
+
+    def rational_ints(self, a) -> tuple:
+        """The ints (num, den) of a rational element num / den, den > 0 and
+        in lowest terms; raises if the element is not rational."""
         if any(a[1:-1]):
             raise FieldError(f"element {self.coeffs(a)} is not rational")
-        return Fraction(a[0], a[-1])
+        return a[0], a[-1]
+
+    def rational_part(self, a) -> Fraction:
+        """Constant coefficient; raises if the element is not rational."""
+        return Fraction(*self.rational_ints(a))
 
     def spec(self):
         return {"kind": "cyclotomic", "m": self.m}

@@ -658,3 +658,11 @@ def incidence_index(p: int, d: int) -> Incidence:
 def gaussian_binomial_total(p: int, d: int) -> int:
     """Total number of subspaces of F_p^d (sum of Gaussian binomials)."""
     return sum(q_binomial(d, k, p) for k in range(d + 1))
+
+
+@lru_cache(maxsize=32)
+def family_size(p: int, d: int) -> int:
+    """:func:`gaussian_binomial_total`, kept per (p, d) like the family of
+    :func:`enumerate_subspaces`: the limit check of every brute-force call
+    reads it before the family is built."""
+    return gaussian_binomial_total(p, d)

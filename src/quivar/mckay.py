@@ -4,11 +4,18 @@ Tables for the cyclic and binary dihedral families are generated from the
 standard formulas; the three exceptional groups (orders 24, 48, 120) ship
 as embedded exact cyclotomic data. Every table self-verifies at
 construction: class sizes, orthogonality, degree sums, and the reality and
-degree of the distinguished 2-dimensional character. All of these, and
-the McKay multiplicities, use the one class-function pairing
-``CharacterTable.inner``, with each character row conjugated and weighted
-by its class sizes once per table; the McKay matrix is computed once per
-table and kept on it (``CharacterTable.mckay_matrix``).
+degree of the distinguished 2-dimensional character. Each character row
+is conjugated and weighted by its integer class sizes once per table, and
+every check is decided on integers: one field ``dot`` of a weighted row
+with a class function is |G| times their pairing, compared whole with |G|
+or 0 for orthogonality, and as the ints num / den of a rational for a
+multiplicity, which is a nonnegative integer iff den |G| divides num with
+a quotient >= 0. No Fraction is built; ``CharacterTable.inner`` gives the
+pairing itself as one. The McKay matrix is computed once per table and
+kept on it (``CharacterTable.mckay_matrix``), its lower half read off the
+upper one, since chi_E is real. The tables ``cyclic:n`` and ``bd:n`` are
+refused before they are built when their pairing work k^3 phi(m)^2 (k
+classes over Q(zeta_m)) exceeds ``MCKAY_WORK_CAP``.
 
 The affine ADE type of a McKay graph is read off its shape: a loop (A~0),
 a double edge (A~1), a cycle (A~n), or a tree whose branch vertices and
@@ -49,23 +56,35 @@ class CharacterTable:
     def _weighted_conj(self, u):
         """size * conj(u) on each class, scaling by the integer size."""
         f = self.field
-        return tuple(f.mul(f.from_int(size), f.conj(a))
+        return tuple(f.mul_int(f.conj(a), size)
                      for (_, size), a in zip(self.classes, u))
 
     @cached_property
     def _weighted_chars(self):
         return tuple(self._weighted_conj(row) for row in self.chars)
 
-    def _pair(self, weighted, v) -> Fraction:
-        """(1/|G|) sum of weighted * v, where weighted is size * conj(u)."""
-        f = self.field
-        return f.rational_part(f.dot(weighted, v)) / self.order
+    def _pair(self, weighted, v) -> tuple:
+        """|G| <u, v> = sum of weighted * v, where weighted is size *
+        conj(u), as the ints (num, den) of num / den; raises FieldError
+        when it is not rational."""
+        return self.field.rational_ints(self.field.dot(weighted, v))
+
+    def _multiplicity(self, weighted, v):
+        """<u, v> when it is a nonnegative integer, else None: the integer
+        pairing num / den is |G| times it, so den * |G| must divide num."""
+        try:
+            num, den = self._pair(weighted, v)
+        except FieldError:
+            return None
+        mult, rest = divmod(num, den * self.order)
+        return mult if not rest and mult >= 0 else None
 
     def inner(self, u, v) -> Fraction:
         """Class-weighted Hermitian pairing of two class functions (rows of
         values on the classes): (1/|G|) sum of size * conj(u) * v. The
         table's own rows are weighted once, in ``_weighted_chars``."""
-        return self._pair(self._weighted_conj(u), v)
+        num, den = self._pair(self._weighted_conj(u), v)
+        return Fraction(num, den * self.order)
 
     def validate(self):
         if sum(s for _, s in self.classes) != self.order:
@@ -73,61 +92,88 @@ class CharacterTable:
         k = len(self.classes)
         if len(self.chars) != k:
             raise McKayError("number of characters != number of classes")
-        # the pairing is Hermitian, so (i, j) fails iff (j, i) does: j >= i
-        # suffices and meets the first failure of a row-major scan
+        f = self.field
+        # the dot is |G| <chi_i, chi_j>, compared whole, so a pairing that
+        # is not rational fails like one that is not |G| delta_ij; it is
+        # Hermitian, so (i, j) fails iff (j, i) does: j >= i suffices and
+        # meets the first failure of a row-major scan
+        order, zero = f.from_int(self.order), f.zero()
         for i, weighted in enumerate(self._weighted_chars):
             for j in range(i, k):
-                expect = Fraction(int(i == j))
-                if self._pair(weighted, self.chars[j]) != expect:
+                expect = order if i == j else zero
+                if f.dot(weighted, self.chars[j]) != expect:
                     raise McKayError(f"orthogonality fails at ({i},{j})")
         if sum(d * d for d in self.degrees) != self.order:
             raise McKayError("degree squares do not sum to the group order")
-        f = self.field
         triv = self.chars[self.trivial_index]
         if any(row != f.one() for row in triv):
             raise McKayError("trivial character is not identically 1")
         e = self.chi_e
-        if self.field.rational_part(e[0]) != 2:
+        if e[0] != f.from_int(2):
             raise McKayError("distinguished character must have degree 2")
         for val in e:
             if f.conj(val) != val:
                 raise McKayError("distinguished character must be real-valued")
         for weighted in self._weighted_chars:
-            mult = self._pair(weighted, e)
-            if mult.denominator != 1 or mult < 0:
+            if self._multiplicity(weighted, e) is None:
                 raise McKayError("distinguished row is not a character")
 
     @cached_property
     def mckay_matrix(self):
         """a[i][j] = multiplicity of L_i in L_j (x) E, as exact character
         inner products, computed once per table; entries asserted
-        nonnegative integers and (for self-dual E) symmetric."""
+        nonnegative integers. chi_E is real (``validate``), so
+        <chi_j, chi_i chi_E> is the conjugate of <chi_i, chi_j chi_E>, and
+        equal to it once rational: only j >= i is computed, and the matrix
+        is symmetric."""
         f = self.field
         k = len(self.chars)
         twisted = [[f.mul(x, y) for x, y in zip(row, self.chi_e)]
                    for row in self.chars]
         a = [[0] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(k):
-                try:
-                    val = self._pair(self._weighted_chars[i], twisted[j])
-                except FieldError:
-                    raise McKayError("non-rational multiplicity") from None
-                if val.denominator != 1 or val < 0:
-                    raise McKayError(f"multiplicity a[{i}][{j}] = {val} is "
-                                     "not a nonnegative integer")
-                a[i][j] = int(val)
-        for i in range(k):
-            for j in range(k):
-                if a[i][j] != a[j][i]:
-                    raise McKayError("McKay adjacency is not symmetric")
+        for i, weighted in enumerate(self._weighted_chars):
+            for j in range(i, k):
+                mult = self._multiplicity(weighted, twisted[j])
+                if mult is None:
+                    raise McKayError(f"multiplicity a[{i}][{j}] is not a "
+                                     "nonnegative integer")
+                a[i][j] = a[j][i] = mult
         return tuple(tuple(r) for r in a)
+
+
+# Cap on the pairing work k^3 phi(m)^2 of a table with k classes over
+# Q(zeta_m): k^2 pairings of k products, each of phi(m)^2 integer products.
+# It accepts every cyclic:n with n <= 52 and bd:n with n <= 36 (and some
+# larger n, up to cyclic:72 and bd:42, whose phi(m) is small).
+MCKAY_WORK_CAP = 250_000_000
+
+
+def _euler_phi(m: int) -> int:
+    """The degree phi(m) of Q(zeta_m), from the prime factors of m."""
+    out, rest, p = m, m, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            out -= out // p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return out - out // rest if rest > 1 else out
+
+
+def _check_work(k: int, m: int):
+    """Refuse the table, before it is built, when its pairing work exceeds
+    MCKAY_WORK_CAP; k^3 alone is tried first, so a huge n costs nothing."""
+    if k ** 3 > MCKAY_WORK_CAP or k ** 3 * _euler_phi(m) ** 2 > MCKAY_WORK_CAP:
+        raise McKayError(f"the pairing work k^3 phi(m)^2 with "
+                         f"k = {k}, m = {m} exceeds the cap of "
+                         f"{MCKAY_WORK_CAP}")
 
 
 def cyclic_table(n: int) -> CharacterTable:
     """Z/n embedded in SL2 as diag(zeta, zeta^-1)."""
     if n < 1:
         raise McKayError("n must be >= 1")
+    _check_work(n, n)
     f = CyclotomicField(max(n, 1))
     classes = tuple((f"g^{a}", 1) for a in range(n))
     chars = []
@@ -143,6 +189,7 @@ def binary_dihedral_table(n: int) -> CharacterTable:
     """Dicyclic group of order 4n: <a, b | a^{2n}=1, b^2=a^n, bab^-1=a^-1>."""
     if n < 2:
         raise McKayError("n must be >= 2")
+    _check_work(n + 3, 4 * n)
     f = CyclotomicField(4 * n)
 
     def z2n(k):  # zeta_{2n}^k inside Q(zeta_{4n})

@@ -7,7 +7,7 @@ from math import isqrt, lcm
 import pytest
 
 from quivar.adhm import (FP_ROOT_SEARCH_CAP, AdhmData, AdhmError, _char_poly,
-                         _poly_roots, calogero_moser_check,
+                         _poly_roots, _root_candidates, calogero_moser_check,
                          count_codim2_ideals_f2,
                          count_hilbert_orbits_f2_n2, ideal_from_triple,
                          is_hilbert_point, is_order_ideal, joint_spectrum,
@@ -353,6 +353,37 @@ def test_root_search_matches_the_deflating_reference_over_cyclotomic(m):
 
     for poly in seeded_polys(f, rng, factor, 30, most=4):
         assert_same_roots(f, poly)
+
+
+def fraction_sorted_candidates(ints, f):
+    """The search order of the rational candidates as Fractions: the
+    sorted set of +-p / q over the divisors of the end coefficients, only
+    the negative ones over Q(zeta_m) for even m."""
+    cand = sorted({Fraction(s * pn, qn) for pn in reference_divisors(ints[0])
+                   for qn in reference_divisors(ints[-1]) for s in (1, -1)})
+    if f.kind == "cyclotomic" and f.m % 2 == 0:
+        cand = [c for c in cand if c < 0]
+    return [(c.numerator, c.denominator) for c in cand]
+
+
+@pytest.mark.parametrize("f", [QQ, CyclotomicField(3), CyclotomicField(4)],
+                         ids=["Q", "Q(zeta3)", "Q(zeta4)"])
+def test_integer_root_candidates_match_the_fraction_order(f):
+    # the candidates are sorted by the ints p (|lead| // q); non-monic
+    # polynomials with composite end coefficients, some negative, give
+    # many equal quotients p / q and leads with many divisors
+    rng = random.Random(f"candidates over {f.spec()}")
+    for _ in range(200):
+        deg = rng.randint(2, 6)
+        coeffs = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 720),
+                           rng.choice([1, 1, 2, 3, 4, 6, 10]))]
+        coeffs += [Fraction(rng.randint(-50, 50), rng.choice([1, 2, 7]))
+                   for _ in range(deg - 1)]
+        coeffs.append(Fraction(rng.choice([-1, 1]) * rng.randint(2, 360),
+                               rng.choice([1, 3, 5])))
+        poly = [f.from_fraction(c) for c in coeffs]
+        ints, cand = _root_candidates(poly, f)
+        assert cand == fraction_sorted_candidates(ints, f), (f, coeffs)
 
 
 def test_power_traces_newton_identities():

@@ -240,6 +240,17 @@ def test_mckay_bad_group_is_exit_2(capsys, group):
     assert captured.err.startswith("qv: input error:")
 
 
+# the pairing work k^3 phi(m)^2 is estimated from n before any table is
+# built; cyclic:53 and bd:37 are the first n over the cap
+@pytest.mark.parametrize("group", ["cyclic:53", "bd:37", f"cyclic:{10 ** 40}"])
+def test_mckay_work_cap_is_exit_2(capsys, group):
+    t0 = time.perf_counter()
+    assert run(["mckay", "build", "--group", group]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exceeds the cap" in captured.err
+
+
 def test_prime_beyond_exact_bound_is_exit_2(report, tmp_path):
     # 2^89 - 1 is prime, but beyond the bound where the test is exact
     path = tmp_path / "triple.json"

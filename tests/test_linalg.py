@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from quivar import linalg
 from quivar.fields import CyclotomicField, FieldError, PrimeField, QQ
 from quivar.linalg import (CODE_TABLE_LIMIT, Echelon, Mat, annihilator_rows,
-                           col_span, enumerate_subspaces,
+                           col_span, enumerate_subspaces, family_size,
                            gaussian_binomial_total, incidence_index,
                            point_images, preimage, subspace_contains,
                            subspace_intersect, subspace_sum)
@@ -169,6 +169,10 @@ def test_enumerate_subspaces_counts():
     assert len(enumerate_subspaces(2, 3)) == 16
     assert len(enumerate_subspaces(3, 2)) == 6
     assert gaussian_binomial_total(2, 3) == 16
+    # the limit check's memo of the same count
+    for p, d in [(2, 3), (3, 2), (5, 4), (2, 0)]:
+        assert family_size(p, d) == gaussian_binomial_total(p, d) \
+            == len(enumerate_subspaces(p, d))
     # every enumerated subspace is in canonical column-span form
     for s in enumerate_subspaces(2, 2):
         assert s == col_span(s)

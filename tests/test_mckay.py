@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from quivar.mckay import (McKayError, binary_dihedral_table, cyclic_table,
+from quivar.mckay import (McKayError, _check_work, _euler_phi,
+                          binary_dihedral_table, cyclic_table,
                           exceptional_table, identify_affine_ade,
                           mckay_graph_quiver, mckay_quiver, table_by_name,
                           verify_ade)
@@ -211,3 +212,61 @@ def test_corrupted_chi_e_rejected():
 def test_unknown_names():
     with pytest.raises(McKayError):
         table_by_name("bx")
+
+
+def test_non_rational_pairing_is_a_mckay_error():
+    # chi_1(g) = 1 makes <chi_0, chi_1> = (2 + zeta^2) / 3, not rational:
+    # this once leaked the field's FieldError
+    t = cyclic_table(3)
+    chars = [list(r) for r in t.chars]
+    chars[1][1] = t.field.one()
+    with pytest.raises(McKayError, match=r"orthogonality fails at \(0,1\)"):
+        replace(t, chars=tuple(tuple(r) for r in chars))
+
+
+@pytest.mark.parametrize("values", [(2, 1, 0), (2, 0, 0), (2, 5, 5)],
+                         ids=["not rational", "not integral", "negative"])
+def test_distinguished_row_must_be_a_character(values):
+    # real rows of degree 2 on Z/3 whose pairings with chi_1 are
+    # (2 + zeta^2) / 3, 2 / 3 and -1; the first once leaked FieldError
+    t = cyclic_table(3)
+    with pytest.raises(McKayError, match="distinguished row is not a character"):
+        replace(t, chi_e=tuple(map(t.field.from_int, values)))
+
+
+def oracle_tables():
+    out = [cyclic_table(n) for n in range(1, 11)]
+    out += [binary_dihedral_table(n) for n in range(2, 7)]
+    return out + [exceptional_table(k) for k in ("bt", "bo", "bi")]
+
+
+@pytest.mark.parametrize("t", oracle_tables(), ids=lambda t: t.name)
+def test_integer_mckay_matrix_matches_the_fraction_pairing(t):
+    # every entry of both halves from the Fraction-valued inner product:
+    # the integer matrix computes only j >= i
+    f = t.field
+    twisted = [[f.mul(x, y) for x, y in zip(row, t.chi_e)] for row in t.chars]
+    k = len(t.chars)
+    full = [[t.inner(t.chars[i], twisted[j]) for j in range(k)]
+            for i in range(k)]
+    assert all(type(x) is Fraction for row in full for x in row)
+    assert full == [[full[j][i] for j in range(k)] for i in range(k)]
+    assert [list(r) for r in t.mckay_matrix] == full
+
+
+def test_work_cap_refuses_from_cyclic_53_and_bd_37():
+    # cyclic:n has n classes over Q(zeta_n), bd:n has n + 3 over Q(zeta_4n)
+    def refused(k, m):
+        try:
+            _check_work(k, m)
+        except McKayError as err:
+            assert "exceeds the cap" in str(err)
+            return True
+        return False
+
+    assert not any(refused(n, n) for n in range(1, 53)) and refused(53, 53)
+    assert not any(refused(n + 3, 4 * n) for n in range(2, 37))
+    assert refused(40, 148) and refused(10 ** 30, 10 ** 30)
+    assert [_euler_phi(m) for m in (1, 2, 12, 53, 148)] == [1, 1, 4, 52, 72]
+    with pytest.raises(McKayError, match="exceeds the cap"):
+        table_by_name("bd:37")

@@ -179,6 +179,20 @@ def test_inner_products_use_the_field_kernel():
     assert "dot" in names and "mul" not in names
 
 
+def test_mckay_checks_decide_on_integer_pairings():
+    # the table checks and the McKay multiplicities compare |G| times a
+    # pairing, an integer, with no Fraction; only `inner` builds one
+    from quivar import fields, mckay
+    table = mckay.CharacterTable
+    cls = fields.CyclotomicField
+    for fn in (table._pair, table._multiplicity, table._weighted_conj,
+               table.validate, table.mckay_matrix.func, cls.mul_int,
+               cls.rational_ints):
+        assert "Fraction" not in _names(fn.__code__), fn.__qualname__
+    assert "Fraction" in _names(table.inner.__code__)
+    assert "mul" not in _names(table._weighted_conj.__code__)
+
+
 def test_pullback_convolution_is_an_independent_cross_check():
     # `qv conv mul` reports dual_formula_agrees by comparing convolve with
     # convolve_via_pullback, which must therefore not reach the matrix
