@@ -12,6 +12,7 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
+from math import prod
 
 from . import __version__
 from .adhm import (AdhmData, AdhmError, calogero_moser_check,
@@ -27,7 +28,7 @@ from .mckay import McKayError, delta_vector, mckay_graph_quiver, \
 from .quiver import (Quiver, QuiverError, adjacency, cartan, cb_frame,
                      check_dimvector, cycles, dims, double, frame,
                      jordan_quiver, make_quiver, quiver_from_json,
-                     quiver_to_json, type_a_quiver)
+                     quiver_to_json, type_a_quiver, walk_counts)
 from .reps import (DEFAULT_SUBSPACE_LIMIT, FramedRep, Rep, RepError,
                    check_theta, endomorphism_space, is_stable_minus,
                    is_stable_plus, moment_residual, preprojective_check,
@@ -214,6 +215,34 @@ def parse_theta(q: Quiver, text) -> dict:
         raise InputError(f"bad theta {text!r}: {err}")
 
 
+# -- caps on inputs whose work grows exponentially in their size -------
+
+# Both are checked before any work, and qv exits 2 above them. The cycle
+# enumeration visits every walk of length L <= maxlen and rotates a closed
+# one L times, so its work is the sum of L^2 W_L over the W_L walks of each
+# length: maxlen <= 310 on the Jordan quiver, <= 14 on its double. The
+# roots below v come from a walk over the box of all alpha <= v.
+CYCLE_WORK_CAP = 10_000_000
+ROOTS_BOX_CAP = 250_000
+
+
+def _check_cycle_work(q: Quiver, maxlen: int):
+    work = 0
+    for length, walks in zip(range(1, maxlen + 1), walk_counts(q)):
+        work += length * length * walks
+        if work > CYCLE_WORK_CAP:
+            raise InputError(f"--maxlen {maxlen}: the cycle work, the sum of "
+                             f"L^2 times the walks of length L <= maxlen, "
+                             f"exceeds the cap of {CYCLE_WORK_CAP}")
+
+
+def _check_box(q: Quiver, v: dict):
+    box = prod(x + 1 for x in check_dimvector(q, v).values())
+    if box > ROOTS_BOX_CAP:
+        raise InputError(f"--v: the box prod(v_i + 1) = {box} of roots below "
+                         f"v exceeds the cap of {ROOTS_BOX_CAP}")
+
+
 # -- subcommand handlers (each returns a results dict) -----------------
 
 def cmd_quiver(args):
@@ -235,6 +264,7 @@ def cmd_quiver(args):
     if act == "cartan":
         return {"cartan": cartan(q), "vertices": list(q.vertices)}
     if act == "cycles":
+        _check_cycle_work(q, args.maxlen)
         cyc = cycles(q, args.maxlen)
         return {"maxlen": args.maxlen,
                 "cycles": [[e.name for e in c] for c in cyc]}
@@ -264,10 +294,12 @@ def cmd_roots(args):
     if act == "list":
         if v is None:
             raise InputError("roots list requires --v")
+        _check_box(q, v)
         return {"p_v": p_defect(q, v), "rprime": rprime_below(q, v)}
     if act == "regular":
         if v is None:
             raise InputError("roots regular requires --v")
+        _check_box(q, v)
         lam = parse_rational_vector(q, args.lam, {k: Fraction(0) for k in q.vertices})
         theta = parse_theta(q, args.theta)
         param = HKParam.make({k: lam.get(k, 0) for k in q.vertices}, theta)
@@ -278,6 +310,7 @@ def cmd_roots(args):
     if act == "gg":
         if v is None:
             raise InputError("roots gg requires --v")
+        _check_box(q, v)
         lam = parse_rational_vector(q, args.lam, {k: Fraction(0) for k in q.vertices})
         rep = gg_analysis(q, lam, v)
         rep["components"] = [[dict(a) for a in comp] for comp in rep["components"]]
@@ -339,6 +372,7 @@ def cmd_rep(args):
             raise CheckFailed(out)
         return out
     if act == "traces":
+        _check_cycle_work(q, args.maxlen)
         sig = trace_signature(rep0, args.maxlen)
         return {"maxlen": args.maxlen,
                 "signature": [{"cycle": list(c), "trace": rep0.field.to_str(t)}

@@ -5,6 +5,11 @@ two equivalent convolution formulas, correspondence composition, invariant
 subalgebras under a finite group action (orbits numbered in one scan of
 the index pairs, so by their least pair), group algebras, flag-variety
 Hecke algebras over small finite fields, and graded-degree bookkeeping.
+
+A group action is checked on the group's generators, which suffices for
+a homomorphism (see ``validate_action``); ``FiniteGroup`` picks them once,
+greedily. ``hecke_algebra`` finds the (pivot, row) pairs of each flag's
+keys once, so the relative position of a flag pair only eliminates.
 """
 
 from __future__ import annotations
@@ -159,12 +164,14 @@ class FiniteGroup:
     the full n^3 check
     table[table[a][b]] == table[a] o table[b] for every pair (a, b). Such a
     table is a group, so the identity and the inverse of each element are
-    computed once here and trusted afterwards. Any failure raises
-    ConvError."""
+    computed once here and trusted afterwards, with a generating set: each
+    element, in order, that the ones chosen before it do not generate.
+    Any failure raises ConvError."""
     table: tuple  # table[a][b] = a * b
     names: tuple
     identity: int = dataclass_field(init=False, repr=False, compare=False)
     _inverses: tuple = dataclass_field(init=False, repr=False, compare=False)
+    generators: tuple = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.table)
@@ -191,6 +198,20 @@ class FiniteGroup:
         object.__setattr__(self, "identity", e)
         object.__setattr__(self, "_inverses",
                            tuple(row.index(e) for row in rows))
+        # each element outside the subgroup that the generators before it
+        # generate is the next generator; the subgroup is then regrown as
+        # the products x s, from the identity on
+        gens, closure = [], {e}
+        for a in ident:
+            if a not in closure:
+                gens.append(a)
+                closure, todo = {e}, [e]
+                for x in todo:
+                    for y in map(rows[x].__getitem__, gens):
+                        if y not in closure:
+                            closure.add(y)
+                            todo.append(y)
+        object.__setattr__(self, "generators", tuple(gens))
 
     @property
     def n(self):
@@ -214,9 +235,14 @@ def symmetric_group(n: int) -> FiniteGroup:
 
 def validate_action(g: FiniteGroup, x: FinSet, action: dict) -> list:
     """action[(g, x)] -> x; checks that every image lies in x, that the
-    identity acts trivially, and that pi[h k] = pi[h] o pi[k] for each pair
-    (h, k), where pi[h] is the tuple of indices of the images of x under h.
-    Returns pi."""
+    identity acts trivially, and that pi[s k] = pi[s] o pi[k] for each
+    generator s of g and each k, where pi[h] is the tuple of indices of the
+    images of x under h. Returns pi.
+
+    The generators suffice: every h is a word s h' in them, and by
+    induction on its length pi[s h' k] = pi[s] o pi[h' k]
+    = pi[s] o pi[h'] o pi[k] = pi[s h'] o pi[k], so pi[h k] = pi[h] o pi[k]
+    for every pair (h, k)."""
     pos = {a: i for i, a in enumerate(x.labels)}
     try:
         pi = [tuple(pos[action[(h, a)]] for a in x.labels) for h in range(g.n)]
@@ -225,9 +251,10 @@ def validate_action(g: FiniteGroup, x: FinSet, action: dict) -> list:
             from None
     if pi[g.identity] != tuple(range(len(x))):
         raise ConvError("identity does not act trivially")
-    for h, ph in enumerate(pi):
+    for s in g.generators:
+        ps, row = pi[s], g.table[s]
         for k, pk in enumerate(pi):
-            if pi[g.mul(h, k)] != tuple(map(ph.__getitem__, pk)):
+            if pi[row[k]] != tuple(map(ps.__getitem__, pk)):
                 raise ConvError("action is not compatible with the product")
     return pi
 
@@ -295,22 +322,23 @@ def group_algebra(g: FiniteGroup) -> dict:
 def group_algebra_matches_invariant(g: FiniteGroup) -> bool:
     """The bijection orbit((g1, g2)) <-> g1^{-1} g2 carries the invariant
     algebra of G acting on itself to the group algebra."""
-    x = finset(range(g.n))
-    action = {(h, k): g.mul(h, k) for h in range(g.n) for k in range(g.n)}
+    n, table, inverses = g.n, g.table, g._inverses
+    x = finset(range(n))
+    action = {(h, k): y for h in range(n) for k, y in enumerate(table[h])}
     inv = invariant_algebra(g, x, action)
-    if len(inv.orbits) != g.n:
+    if len(inv.orbits) != n:
         return False
     # orbit k corresponds to the group element g1^{-1} g2 for any member
     orbit_elem = []
     for o in inv.orbits:
-        vals = {g.mul(g.inverse(a), b) for a, b in o}
+        vals = {table[inverses[a]][b] for a, b in o}
         if len(vals) != 1:
             return False
         orbit_elem.append(vals.pop())
     # convolution of indicators composes relations: (x, y) in O_i and
     # (y, z) in O_j give e_i * e_j = e_k for the orbit k of the product
-    one_hot = [[e == c for e in orbit_elem] for c in range(g.n)]  # 1 is True
-    return all(inv.constants[i][j] == one_hot[g.mul(a, b)]
+    one_hot = [[e == c for e in orbit_elem] for c in range(n)]  # 1 is True
+    return all(inv.constants[i][j] == one_hot[table[a][b]]
                for i, a in enumerate(orbit_elem)
                for j, b in enumerate(orbit_elem))
 
@@ -380,18 +408,21 @@ def _adapted_basis(flag):
 
 def _relative_position(f, g, q):
     """Rank matrix dim(F_i & G_j) = i + j - rank(F_i + G_j), 0 < i, j < n,
-    of the flag f (keys) and the flag with adapted basis g: one elimination
-    per i adds g_1, g_2, ... to the reduced rows of F_i."""
+    of the flag f, given as the (pivot, row) pairs of its keys, and the
+    flag with adapted basis g: one elimination per i adds g_1, g_2, ... to
+    the reduced rows of F_i."""
     out = []
-    for i, key in enumerate(f, 1):
-        basis = [(_pivot(r), r) for r in key]
+    for i, pairs in enumerate(f, 1):
+        basis = list(pairs)
         for j, v in enumerate(g, 1):
             for p, r in basis:
                 if v[p]:
                     v = [(x - v[p] * y) % q for x, y in zip(v, r)]
-            if any(v):
-                inv = pow(v[_pivot(v)], -1, q)
-                basis.append((_pivot(v), [x * inv % q for x in v]))
+            for c, x in enumerate(v):  # a nonzero remainder: its pivot
+                if x:
+                    inv = pow(x, -1, q)
+                    basis.append((c, [y * inv % q for y in v]))
+                    break
             out.append(i + j - len(basis))
     return tuple(out)
 
@@ -422,9 +453,10 @@ def hecke_algebra(n: int, q: int) -> dict:
                             f"pairs exceed the cap of {HECKE_WORK_CAP}")
     flags = complete_flags(n, q)
     bases = [_adapted_basis(fl) for fl in flags]
+    pivoted = [[[(_pivot(r), r) for r in key] for key in fl] for fl in flags]
     index, reps, from_f0 = {}, [], []
     for b, g in enumerate(bases):
-        pos = _relative_position(flags[0], g, q)
+        pos = _relative_position(pivoted[0], g, q)
         if pos not in index:
             index[pos] = len(reps)
             reps.append((0, b))
@@ -433,7 +465,7 @@ def hecke_algebra(n: int, q: int) -> dict:
     def orbit_of(a, b):
         if a == 0:
             return from_f0[b]
-        return index[_relative_position(flags[a], bases[b], q)]
+        return index[_relative_position(pivoted[a], bases[b], q)]
 
     c = _orbit_constants(range(len(flags)), reps, orbit_of)
     result = {"n": n, "q": q, "num_flags": len(flags),

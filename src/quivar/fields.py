@@ -1,8 +1,8 @@
 """Exact scalar arithmetic over Q, prime fields F_p, and cyclotomic fields Q(zeta_m).
 
 Every field exposes the same small interface (zero/one/add/sub/mul/dot/
-row_sub/row_scale/inv/is_zero/...), with elements stored as plain immutable
-Python values:
+matmul/row_sub/row_scale/inv/is_zero/...), with elements stored as plain
+immutable Python values:
 
 * rationals        -> ``int`` when integral, else ``fractions.Fraction`` in
                       lowest terms with denominator > 1. The type follows
@@ -38,14 +38,20 @@ they first try the C-level integer path, ``sum(map(int.__mul__, u, v))``
 and ``int.__sub__``/``int.__mul__`` over the rows, which raises TypeError
 at the first Fraction; only then do they read each operand once, as its
 ``as_integer_ratio`` pair, and build one canonical ratio per result.
-``dot(u, v)`` is the exact inner product sum u_k v_k that matrix products,
-characteristic polynomials, character pairings and power traces go through:
+``dot(u, v)`` is the exact inner product sum u_k v_k that characteristic
+polynomials, character pairings and power traces go through:
 over Q one integer sum, or the numerators over a running common
 denominator; over F_p the integer sum, then one reduction mod p; over
 Q(zeta_m) the integer product polynomials over a running common
 denominator, then one reduction by the integer table of zeta^j (Phi_m is
 monic) and one gcd. ``mul`` over Q(zeta_m) is the dot product of length
-one. ``row_sub(u, c, v)`` = [u_k - c v_k] and ``row_scale(c, u)`` = [c u_k]
+one. ``matmul(rows, cols)`` is the product kernel of ``linalg.Mat @``, the
+``dot`` of each row with each column: that loop in the base class and over
+Q(zeta_m); over F_p one integer sum through ``operator.mul`` and one
+reduction mod p per entry; over Q one type scan of both operands, then on
+all ints one integer sum through ``operator.mul`` per entry, at half the
+cost of the ``int.__mul__`` descriptor, and on any Fraction ``dot`` per
+entry. ``row_sub(u, c, v)`` = [u_k - c v_k] and ``row_scale(c, u)`` = [c u_k]
 are the row updates of elimination and of the pullback convolution in
 :mod:`quivar.convolution`: over Q one int per entry of integer rows,
 else one ratio per changed entry; ``(a - c b) % p`` over F_p; and over
@@ -64,8 +70,9 @@ standard library; rank decisions downstream rely on exactness.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd
 
 from .poly import cleared, divmod_monic
@@ -137,6 +144,12 @@ class Field:
     def dot(self, u, v):
         """sum of u[k] * v[k] over zip(u, v); the zero for empty input."""
         raise NotImplementedError
+
+    def matmul(self, rows, cols):
+        """The matrix product as a tuple of row tuples, entry (i, j) the
+        ``dot`` of rows[i] and cols[j]: the kernel of ``linalg.Mat @``."""
+        dot = self.dot
+        return tuple(tuple([dot(r, c) for c in cols]) for r in rows)
 
     def row_sub(self, u, c, v):
         """The list [u[k] - c * v[k]] over zip(u, v)."""
@@ -245,6 +258,18 @@ class Rationals(Field):
                         den = den // g * d
         return _ratio(num, den)
 
+    def matmul(self, rows, cols):
+        # one type scan per operand: on all-int operands each entry is one
+        # C-level sum through operator.mul, at half the cost of the
+        # int.__mul__ descriptor that dot needs to refuse a Fraction; on any
+        # Fraction, dot per entry
+        ints, times = {int}.issuperset, operator.mul
+        if (ints(map(type, chain.from_iterable(rows)))
+                and ints(map(type, chain.from_iterable(cols)))):
+            return tuple(tuple([sum(map(times, r, c)) for c in cols])
+                         for r in rows)
+        return super().matmul(rows, cols)
+
     def row_sub(self, u, c, v):
         # on ints one C-level pass, which the int.__mul__ and int.__sub__
         # descriptors break off with TypeError at the first Fraction
@@ -331,6 +356,13 @@ class PrimeField(Field):
 
     def dot(self, u, v):
         return sum(map(int.__mul__, u, v)) % self.p
+
+    def matmul(self, rows, cols):
+        # the entries of a Mat over F_p are ints in [0, p): one C-level sum
+        # and one reduction per entry
+        p, times = self.p, operator.mul
+        return tuple(tuple([sum(map(times, r, c)) % p for c in cols])
+                     for r in rows)
 
     def row_sub(self, u, c, v):
         p = self.p

@@ -3,6 +3,8 @@
 Everything is small and dense on purpose: the objects of interest are
 desk-scale, and dense Gauss-Jordan over an exact field is auditable.
 Matrices are immutable after construction; all operations return new ones.
+The product ``@`` has one code path, the field's product kernel
+``Field.matmul`` on the rows of the left factor and the columns of the right.
 Elimination lives in :class:`Echelon`, under RREF, determinants, column
 spans, the spin of :mod:`quivar.reps` and the staircase of :mod:`quivar.adhm`;
 the brute-force oracle's packed F_p code needs none.
@@ -122,10 +124,8 @@ class Mat:
         self._check_same_field(other)
         if self.cols != other.rows:
             raise FieldError("shape mismatch in product")
-        dot = self.field.dot
         cols = tuple(zip(*other.data)) if other.rows else ((),) * other.cols
-        return Mat._of(self.field,
-                       tuple(tuple([dot(r, c) for c in cols]) for r in self.data),
+        return Mat._of(self.field, self.field.matmul(self.data, cols),
                        self.rows, other.cols)
 
     def transpose(self):

@@ -206,6 +206,24 @@ def dims(q: Quiver, v: dict, w: dict = None) -> dict:
     return out
 
 
+def walk_counts(q: Quiver):
+    """W_1, W_2, ...: the number of walks of each length L, the sum of the
+    entries of A^L, read off the integer vectors A^L 1 of walks by their
+    last vertex. Ends at the first L with no walk, which comes exactly when
+    q has no oriented cycle; else it goes on for ever."""
+    idx = q.vertex_index
+    arrows = [(idx[e.tail], idx[e.head]) for e in q.edges]
+    ends = [1] * len(q.vertices)
+    while True:
+        nxt = [0] * len(ends)
+        for t, h in arrows:
+            nxt[h] += ends[t]
+        if not any(nxt):
+            return
+        ends = nxt
+        yield sum(ends)
+
+
 def cycles(q: Quiver, maxlen: int):
     """Based oriented cycles of length <= maxlen.
 

@@ -251,6 +251,45 @@ def test_mckay_work_cap_is_exit_2(capsys, group):
     assert captured.out == "" and "exceeds the cap" in captured.err
 
 
+# the first inputs over the caps: the cycle work of maxlen 311 on the Jordan
+# quiver and 15 on its double, and the box 63^3 of v = (62, 62, 62) on a3
+BOX_62 = '{"1":62,"2":62,"3":62}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["quiver", "cycles", "--quiver", "jordan", "--maxlen", "311"],
+    ["quiver", "cycles", "--quiver", "double:jordan", "--maxlen", "15"],
+    ["quiver", "cycles", "--quiver", "jordan", "--maxlen", str(10 ** 40)],
+    ["rep", "traces", "--rep", "onfiber.json", "--maxlen", "15"],
+    ["roots", "list", "--quiver", "a3", "--v", BOX_62],
+    ["roots", "regular", "--quiver", "a3", "--v", BOX_62],
+    ["roots", "gg", "--quiver", "a3", "--v", BOX_62],
+])
+def test_input_over_a_work_cap_is_exit_2(capsys, tmp_path, monkeypatch,
+                                         argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "onfiber.json").write_text(json.dumps(CHECK_REPS["onfiber"]))
+    t0 = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exceeds the cap" in captured.err
+
+
+def test_work_caps_admit_the_inputs_below_them():
+    # the last inputs under each cap pass the check, which stops on a
+    # quiver without oriented cycles whatever maxlen is
+    from quivar import cli
+    from quivar.quiver import double, jordan_quiver, type_a_quiver
+    cases = [(jordan_quiver(), 310), (double(jordan_quiver()), 14),
+             (double(type_a_quiver(2)), 3), (type_a_quiver(3), 10 ** 40)]
+    for q, maxlen in cases:
+        cli._check_cycle_work(q, maxlen)
+    cli._check_box(type_a_quiver(3), {"1": 61, "2": 62, "3": 62})
+    with pytest.raises(cli.InputError):
+        cli._check_box(type_a_quiver(3), {"1": 62, "2": 62, "3": 62})
+
+
 def test_prime_beyond_exact_bound_is_exit_2(report, tmp_path):
     # 2^89 - 1 is prime, but beyond the bound where the test is exact
     path = tmp_path / "triple.json"

@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -98,9 +98,10 @@ def test_convolution_formulas_agree():
     assert zero_rows and zero_entries
 
 
-class _WrongDot(Rationals):
-    def dot(self, u, v):
-        return super().dot(u, v) + 1
+class _WrongMatmul(Rationals):
+    def matmul(self, rows, cols):  # every entry one too big
+        return tuple(tuple(x + 1 for x in row)
+                     for row in super().matmul(rows, cols))
 
 
 class _WrongRowSub(Rationals):
@@ -109,12 +110,14 @@ class _WrongRowSub(Rationals):
 
 
 def test_each_convolution_formula_checks_the_other():
-    # convolve runs on dot and the pullback on row_sub, so a wrong kernel
-    # in either makes the two formulas disagree, and only its own is wrong
+    # convolve runs on the product kernel matmul and the pullback on
+    # row_sub, so a wrong kernel in either makes the two formulas disagree,
+    # and only its own is wrong
     x = finset(["a", "b"])
     ints = [[1, 2], [3, 4]]
     right = convolve(*[FiniteKernel(x, x, Mat.from_ints(QQ, ints))] * 2)
-    for fld, broken, intact in ((_WrongDot(), convolve, convolve_via_pullback),
+    for fld, broken, intact in ((_WrongMatmul(), convolve,
+                                 convolve_via_pullback),
                                 (_WrongRowSub(), convolve_via_pullback,
                                  convolve)):
         k = FiniteKernel(x, x, Mat.from_ints(fld, ints))
@@ -329,6 +332,35 @@ def test_single_entry_corruptions_of_an_action_are_refused(make, tries):
         action[key] = image
 
 
+def _closure(g, gens):
+    """The elements of g that are products of ``gens``, the identity too."""
+    out, todo = {g.identity}, [g.identity]
+    for a in todo:
+        for s in gens:
+            if g.mul(a, s) not in out:
+                out.add(g.mul(a, s))
+                todo.append(g.mul(a, s))
+    return out
+
+
+@pytest.mark.parametrize("g", [
+    symmetric_group(3), symmetric_group(4),
+    relabelled(symmetric_group(4), [(5 * k + 7) % 24 for k in range(24)]),
+    *[cyclic_group(n) for n in range(1, 7)]],
+    ids=["S3", "S4", "S4 relabelled", *[f"C{n}" for n in range(1, 7)]])
+def test_generators_generate_the_group(g):
+    # validate_action checks the action on these alone; each is new, that
+    # is, not a product of the ones before it, and none is the identity
+    gens = g.generators
+    assert _closure(g, gens) == set(range(g.n))
+    for k, s in enumerate(gens):
+        assert s not in _closure(g, gens[:k])
+    if g.n == 1:  # the trivial group: only the identity check applies
+        assert gens == ()
+        x = finset(["p"])
+        assert validate_action(g, x, {(0, "p"): "p"}) == [(0,)]
+
+
 def test_validate_action_refuses_images_outside_the_set():
     g, x, action = natural_action_s3()
     action[(1, "2")] = "4"
@@ -525,6 +557,55 @@ def test_hecke_properties(n, q):
             adjacent += 1
             assert _hecke_mul(c, st, basis[s]) == _hecke_mul(c, ts, basis[t])
     assert adjacent == n - 2
+
+
+def _span_key_f2(vectors):
+    """The subspace of F_2^n spanned by ``vectors``, as complete_flags keys
+    it: its reduced-echelon rows, ordered by pivot column."""
+    rows = []
+    for v in vectors:
+        v = list(v)
+        for r in rows:
+            p = r.index(1)
+            if v[p]:
+                v = [x ^ y for x, y in zip(v, r)]
+        if any(v):
+            p = v.index(1)
+            rows = [[x ^ y for x, y in zip(r, v)] if r[p] else r for r in rows]
+            rows.append(v)
+    return tuple(sorted((tuple(r) for r in rows), key=lambda r: r.index(1)))
+
+
+def test_hecke_constants_match_brute_force_orbits_of_gl3_f2():
+    # GL_3(F_2), all 168 matrices, acts on the 21 flags; the orbits of flag
+    # pairs are numbered by their first pair (f0, b) and counted directly,
+    # so the labelling pos(f0, b) = i, pos(b, b_k) = j is checked, and not
+    # only the properties that its opposite shares
+    flags = convolution.complete_flags(3, 2)
+    where = {f: a for a, f in enumerate(flags)}
+    group = [g for g in (tuple(zip(*[iter(bits)] * 3))
+                         for bits in product((0, 1), repeat=9))
+             if len(_span_key_f2(g)) == 3]
+    assert len(group) == 168
+
+    def act(g, flag):
+        image = tuple(_span_key_f2([[sum(x * y for x, y in zip(row, v)) % 2
+                                     for row in g] for v in key])
+                      for key in flag)
+        return where[image]
+
+    moved = [[act(g, f) for f in flags] for g in group]
+    member, firsts = {}, []
+    for b in range(len(flags)):
+        if (0, b) not in member:
+            for image in moved:
+                member[image[0], image[b]] = len(firsts)
+            firsts.append(b)
+    assert len(member) == len(flags) ** 2 and len(firsts) == 6
+    c = [[[sum(member[0, b] == i and member[b, bk] == j
+               for b in range(len(flags))) for bk in firsts]
+          for j in range(6)] for i in range(6)]
+    assert hecke_algebra(3, 2)["constants"] == c
 
 
 def test_hecke_refuses_outside_cap():

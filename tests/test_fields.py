@@ -378,17 +378,39 @@ def test_power_traces_match_product_then_trace(f):
                 _assert_canonical(f, t)
 
 
+def _matmul_cases():
+    """(name, field, entry maker taking the rng, and the factor "a" or "b"
+    whose last row gets one Fraction, or None)."""
+    def ints(rng):  # small ints and ints far above 2^64
+        return rng.choice((rng.randint(-4, 4), rng.randint(-2**80, 2**80)))
+
+    yield "Q", QQ, lambda rng: _random_element(QQ, rng), None
+    yield "Q ints", QQ, ints, None
+    yield "Q Fraction in a", QQ, ints, "a"
+    yield "Q Fraction in b", QQ, ints, "b"
+    for f in (PrimeField(2), PrimeField(3), PrimeField(2**61 - 1),
+              CyclotomicField(8)):
+        yield repr(f), f, lambda rng, f=f: _random_element(f, rng), None
+
+
 def test_matmul_matches_reference_loop():
-    rng = random.Random(5)
-    for f in (QQ, PrimeField(3), CyclotomicField(8)):
+    # Mat @ runs on the field's product kernel: the dot loop, the all-int
+    # sums over Q with their fallback on a Fraction, or the sums mod p
+    for name, f, entry, lone in _matmul_cases():
+        rng = random.Random(5)
         for rows, inner, cols in ((2, 3, 4), (1, 1, 1), (3, 0, 2), (0, 2, 3)):
-            a = Mat(f, [[_random_element(f, rng) for _ in range(inner)]
-                        for _ in range(rows)], rows, inner)
-            b = Mat(f, [[_random_element(f, rng) for _ in range(cols)]
-                        for _ in range(inner)], inner, cols)
+            a = [[entry(rng) for _ in range(inner)] for _ in range(rows)]
+            b = [[entry(rng) for _ in range(cols)] for _ in range(inner)]
+            side = {"a": a, "b": b}.get(lone)
+            if side and side[-1]:  # one Fraction: the last row's last entry
+                side[-1][-1] = Fraction(2 * side[-1][-1] + 1, 2)
+            a, b = Mat(f, a, rows, inner), Mat(f, b, inner, cols)
             prod = a @ b
-            assert (prod.rows, prod.cols) == (rows, cols)
-            assert prod == _reference_matmul(f, a, b)
+            assert (prod.rows, prod.cols) == (rows, cols), name
+            assert prod == _reference_matmul(f, a, b), name
+            for row in prod.data:
+                for x in row:
+                    _assert_canonical(f, x)
 
 
 # -- the integer layout against the Fraction-tuple reference -----------------

@@ -169,10 +169,15 @@ def test_inner_products_use_the_field_kernel():
     from quivar import adhm, fields, linalg, mckay, reps
     for cls in (fields.Rationals, fields.PrimeField, fields.CyclotomicField):
         assert "dot" in vars(cls), cls.__name__
-    for fn in (linalg.Mat.__matmul__, adhm._char_poly,
+    for fn in (fields.Field.matmul, adhm._char_poly,
                mckay.CharacterTable._pair, adhm.power_traces):
         names = _names(fn.__code__)
         assert "dot" in names and not names & {"add", "mul"}, fn.__qualname__
+    # the matrix product has one code path, the field's product kernel,
+    # whose base version is the dot loop above
+    names = _names(linalg.Mat.__matmul__.__code__)
+    assert "matmul" in names and not names & {"dot", "add", "mul"}
+    assert "matmul" not in vars(fields.CyclotomicField)
     # the spin's images: it names `add` only as Echelon.add, and a per-term
     # loop would name the field's mul
     names = _names(reps._spin.__code__)
