@@ -27,8 +27,8 @@ from .mckay import McKayError, delta_vector, mckay_graph_quiver, \
     mckay_quiver, table_by_name, verify_ade
 from .quiver import (Quiver, QuiverError, adjacency, cartan, cb_frame,
                      check_dimvector, cycles, dims, double, frame,
-                     jordan_quiver, make_quiver, quiver_from_json,
-                     quiver_to_json, type_a_quiver, walk_counts)
+                     jordan_quiver, quiver_from_json, quiver_to_json,
+                     type_a_quiver, walk_counts)
 from .reps import (DEFAULT_SUBSPACE_LIMIT, FramedRep, Rep, RepError,
                    check_theta, endomorphism_space, is_stable_minus,
                    is_stable_plus, moment_residual, preprojective_check,
@@ -217,13 +217,17 @@ def parse_theta(q: Quiver, text) -> dict:
 
 # -- caps on inputs whose work grows exponentially in their size -------
 
-# Both are checked before any work, and qv exits 2 above them. The cycle
-# enumeration visits every walk of length L <= maxlen and rotates a closed
-# one L times, so its work is the sum of L^2 W_L over the W_L walks of each
-# length: maxlen <= 310 on the Jordan quiver, <= 14 on its double. The
-# roots below v come from a walk over the box of all alpha <= v.
+# Each is checked before any work, and qv exits 2 above them. The cycle
+# enumeration visits each walk of length L <= maxlen once and spends O(L) on
+# a closed one, so the sum of L^2 W_L over the W_L walks of each length
+# bounds its work: maxlen <= 310 on the Jordan quiver, <= 14 on its double.
+# The roots below v come from a walk over the box of all alpha <= v. The
+# `roots gg` memo has at most R * box states of the R roots, each trying up
+# to R roots, and recurses to depth sum(v) < box: max(R^2, sum(v)) * box
+# bounds the work and keeps the depth at most 799.
 CYCLE_WORK_CAP = 10_000_000
 ROOTS_BOX_CAP = 250_000
+ROOTS_GG_CAP = 640_000
 
 
 def _check_cycle_work(q: Quiver, maxlen: int):
@@ -241,6 +245,16 @@ def _check_box(q: Quiver, v: dict):
     if box > ROOTS_BOX_CAP:
         raise InputError(f"--v: the box prod(v_i + 1) = {box} of roots below "
                          f"v exceeds the cap of {ROOTS_BOX_CAP}")
+
+
+def _check_gg_work(q: Quiver, v: dict):
+    depth, box = sum(v.values()), prod(x + 1 for x in v.values())
+    # depth * box bounds the measure below, so the roots are listed under it
+    if depth * box > ROOTS_GG_CAP or \
+            max(len(rprime_below(q, v)) ** 2, depth) * box > ROOTS_GG_CAP:
+        raise InputError(f"--v: the fibre work max(R^2, sum(v)) * prod(v_i "
+                         f"+ 1) of the R roots below v exceeds the cap of "
+                         f"{ROOTS_GG_CAP}")
 
 
 # -- subcommand handlers (each returns a results dict) -----------------
@@ -311,6 +325,7 @@ def cmd_roots(args):
         if v is None:
             raise InputError("roots gg requires --v")
         _check_box(q, v)
+        _check_gg_work(q, v)
         lam = parse_rational_vector(q, args.lam, {k: Fraction(0) for k in q.vertices})
         rep = gg_analysis(q, lam, v)
         rep["components"] = [[dict(a) for a in comp] for comp in rep["components"]]

@@ -1,10 +1,10 @@
 """Convolution calculus on finite sets.
 
-Kernels on products of finite sets, pushforward/pullback along maps, the
-two equivalent convolution formulas, correspondence composition, invariant
-subalgebras under a finite group action (orbits numbered in one scan of
-the index pairs, so by their least pair), group algebras, flag-variety
-Hecke algebras over small finite fields, and graded-degree bookkeeping.
+Kernels on products of finite sets and their convolution (the matrix
+product, and the triple-product formula as its cross-check), correspondence
+composition, invariant subalgebras under a finite group action (orbits
+numbered in one scan of the index pairs, so by their least pair), group
+algebras, and flag-variety Hecke algebras over small finite fields.
 
 A group action is checked on the group's generators, which suffices for
 a homomorphism (see ``validate_action``); ``FiniteGroup`` picks them once,
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from itertools import product
 
-from .fields import Field, PrimeField, QQ
+from .fields import PrimeField
 from .linalg import Mat
 from .poly import q_binomial
 
@@ -60,31 +60,6 @@ class FiniteKernel:
     @property
     def field(self):
         return self.mat.field
-
-
-def identity_kernel(x: FinSet, field: Field = QQ) -> FiniteKernel:
-    return FiniteKernel(x, x, Mat.identity(field, len(x)))
-
-
-def apply_kernel(k: FiniteKernel, f: dict) -> dict:
-    """(K f)(x2) = sum over x1 of K(x2, x1) f(x1)."""
-    fld = k.field
-    vec = Mat(fld, [[f[a]] for a in k.source.labels], len(k.source), 1)
-    out = k.mat @ vec
-    return {b: out.data[r][0] for r, b in enumerate(k.target.labels)}
-
-
-def pushforward(p: dict, x: FinSet, y: FinSet, f: dict, field: Field = QQ):
-    """(p_* f)(y) = sum of f over the fiber of p above y."""
-    out = {b: field.zero() for b in y.labels}
-    for a in x.labels:
-        out[p[a]] = field.add(out[p[a]], f[a])
-    return out
-
-
-def pullback(p: dict, f: dict) -> dict:
-    """(p^* f)(x) = f(p(x))."""
-    return {a: f[b] for a, b in p.items()}
 
 
 def convolve(k32: FiniteKernel, k21: FiniteKernel) -> FiniteKernel:
@@ -137,10 +112,6 @@ class Correspondence:
         for a, b in self.pairs:
             if a not in self.x1.labels or b not in self.x2.labels:
                 raise ConvError("correspondence pair outside the product")
-
-
-def diagonal_corr(x: FinSet) -> Correspondence:
-    return Correspondence(x, x, frozenset((a, a) for a in x.labels))
 
 
 def compose_corr(z12: Correspondence, z23: Correspondence) -> Correspondence:
@@ -219,9 +190,6 @@ class FiniteGroup:
 
     def mul(self, a, b):
         return self.table[a][b]
-
-    def inverse(self, a):
-        return self._inverses[a]
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -343,19 +311,6 @@ def group_algebra_matches_invariant(g: FiniteGroup) -> bool:
                for j, b in enumerate(orbit_elem))
 
 
-def algebra_center_dim(constants) -> int:
-    """Dimension of the center of an algebra given by structure constants."""
-    n = len(constants)
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            row = [constants[i][j][k] - constants[j][i][k]
-                   for i in range(n)]
-            rows.append(row)
-    m = Mat(QQ, rows, len(rows), n)
-    return m.kernel_basis().cols
-
-
 # -- flag varieties over F_q and Hecke algebras ------------------------
 
 # Cap on the flag pairs, [n]_q! * n!, whose relative position
@@ -475,58 +430,3 @@ def hecke_algebra(n: int, q: int) -> dict:
         result["relation"] = {"T_coeff": c[1][1][1], "unit_coeff": c[1][1][0]}
     return result
 
-
-# -- graded bookkeeping ------------------------------------------------
-
-@dataclass
-class GradedKernelAlgebra:
-    """Finite model of a graded convolution algebra: basis kernels on a
-    single finite set, each with an assigned integer degree; component
-    labels (r, s) carry even declared dimensions d_rs = (d_r + d_s)/2."""
-    x: FinSet
-    basis: list      # list of FiniteKernel on x
-    degrees: list    # integer degree per basis kernel
-    component_dims: dict = None  # r -> d_r (even), optional
-
-    def __post_init__(self):
-        if self.component_dims:
-            for r, dr in self.component_dims.items():
-                for s, ds in self.component_dims.items():
-                    if (dr + ds) % 2 != 0:
-                        raise ConvError("component dimensions must have "
-                                        "even pairwise sums")
-
-
-def expand_in_basis(k: FiniteKernel, basis):
-    """Coefficients of k in the linear span of the basis kernels, or None.
-    The span of no kernels is {0}: an empty basis gives [] for the zero
-    kernel and None for any other."""
-    fld = k.field
-    entries = [(r, c) for r in range(k.mat.rows) for c in range(k.mat.cols)]
-    m = Mat(fld, [[b.mat.data[r][c] for b in basis] for r, c in entries],
-            len(entries), len(basis))
-    target = [[k.mat.data[r][c]] for r, c in entries]
-    sol = m.solve(Mat(fld, target, len(target), 1))
-    if sol is None:
-        return None
-    return [sol.data[r][0] for r in range(len(basis))]
-
-
-def graded_product_check(a: GradedKernelAlgebra) -> dict:
-    """Verify that products of basis kernels only involve terms of the
-    summed degree; returns a witness on failure."""
-    for i, ki in enumerate(a.basis):
-        for j, kj in enumerate(a.basis):
-            prod = convolve(ki, kj)
-            coeffs = expand_in_basis(prod, a.basis)
-            if coeffs is None:
-                return {"ok": False, "witness": (i, j),
-                        "reason": "product not in the span of the basis"}
-            for k, c in enumerate(coeffs):
-                if not prod.field.is_zero(c) and \
-                        a.degrees[k] != a.degrees[i] + a.degrees[j]:
-                    return {"ok": False, "witness": (i, j),
-                            "reason": f"degree {a.degrees[k]} term in a "
-                                      f"product of degrees {a.degrees[i]} "
-                                      f"and {a.degrees[j]}"}
-    return {"ok": True}

@@ -230,35 +230,53 @@ def cycles(q: Quiver, maxlen: int):
     Each cycle is an edge sequence with head(e_k) = tail(e_{k+1}) cyclically,
     based at the tail of its first edge. Cycles are deduplicated under the
     rotations that preserve the basepoint (traces are rotation-invariant),
-    so a 2-cycle through two distinct vertices is reported once per vertex.
+    so a 2-cycle through two distinct vertices is reported once per vertex;
+    of each class the rotation with the least tuple of edge names is kept.
+
+    The walks grow on a stack, not by recursion. The base-preserving
+    rotations of a closed walk compare as those of its loops at the base,
+    none a prefix of another, so it is kept when they form a necklace.
     """
     if maxlen < 1:
         raise QuiverError("maxlen must be >= 1")
+    leaving = {v: q.edges_out_of(v) for v in q.vertices}
     out = []
-    seen = set()
-
-    def record(path, base):
-        names = tuple(e.name for e in path)
-        rots = [names[k:] + names[:k] for k in range(len(path))
-                if path[k].tail == base]
-        canon = min(rots)
-        if canon not in seen:
-            seen.add(canon)
-            out.append([q.edge(n) for n in canon])
-
-    def extend(path, start, current):
-        if len(path) >= 1 and current == start:
-            record(path, start)
-        if len(path) == maxlen:
-            return
-        for e in q.edges_out_of(current):
-            extend(path + [e], start, e.head)
-
-    for v in q.vertices:
-        extend([], v, v)
+    for base in q.vertices:
+        path, loops, starts = [], [], [0]  # starts[-1]: the open loop's start
+        stack = [iter(leaving[base])]
+        while stack:
+            e = next(stack[-1], None)
+            if e is None:
+                stack.pop()
+            else:
+                path.append(e)
+                if e.head == base:
+                    loops.append(tuple(a.name for a in path[starts[-1]:]))
+                    starts.append(len(path))
+                    if _is_necklace(loops):
+                        out.append(list(path))
+                if len(path) < maxlen:
+                    stack.append(iter(leaving[e.head]))
+                    continue
+            # back off the last edge: its walks are done, or it reached maxlen
+            if path and path.pop().head == base:
+                loops.pop()
+                starts.pop()
     # canonical overall order: by length, then by name tuple
     out.sort(key=lambda cyc: (len(cyc), tuple(e.name for e in cyc)))
     return out
+
+
+def _is_necklace(s) -> bool:
+    """Whether s is least among its rotations, in one pass: p is the period
+    of the prefix read so far (Fredricksen-Kessler-Maiorana)."""
+    p = 1
+    for i in range(1, len(s)):
+        if s[i] != s[i - p]:
+            if s[i] < s[i - p]:
+                return False
+            p = i + 1
+    return len(s) % p == 0
 
 
 # -- JSON --------------------------------------------------------------

@@ -49,7 +49,7 @@ from .linalg import (Echelon, Mat, annihilator_rows, col_span,
                      incidence_index, point_images, subspace_contains,
                      vector_code)
 from .poly import cleared
-from .quiver import Quiver, check_dimvector, dot, star_pairs
+from .quiver import Quiver, check_dimvector, cycles, dot, star_pairs
 
 
 class RepError(ValueError):
@@ -150,9 +150,6 @@ class GradedSubspace:
     def is_zero(self):
         return self.total_dim() == 0
 
-    def is_full(self):
-        return all(b.cols == self.ambient[k] for k, b in self.bases.items())
-
     def __eq__(self, other):
         return (isinstance(other, GradedSubspace)
                 and self.ambient == other.ambient and self.bases == other.bases)
@@ -241,24 +238,10 @@ def trace_of_cycle(rep: Rep, cycle):
 
 def trace_signature(rep: Rep, maxlen: int):
     """Traces of all cycles up to maxlen, in the canonical cycle order."""
-    from .quiver import cycles as _cycles
     sig = []
-    for cyc in _cycles(rep.quiver, maxlen):
+    for cyc in cycles(rep.quiver, maxlen):
         sig.append((tuple(e.name for e in cyc), trace_of_cycle(rep, cyc)))
     return sig
-
-
-def s_equivalence_probe(r1: Rep, r2: Rep, maxlen: int) -> dict:
-    """Compare trace signatures; 'distinguished' is conclusive, the other
-    verdict is bounded evidence only."""
-    if r1.quiver.edges != r2.quiver.edges or r1.v != r2.v:
-        raise RepError("representations not comparable")
-    s1 = trace_signature(r1, maxlen)
-    s2 = trace_signature(r2, maxlen)
-    for (c1, t1), (_, t2) in zip(s1, s2):
-        if t1 != t2:
-            return {"verdict": "distinguished", "witness_cycle": list(c1)}
-    return {"verdict": f"indistinguishable-up-to-{maxlen}"}
 
 
 # -- invariant-subspace closures ---------------------------------------
@@ -325,16 +308,6 @@ def max_core(rep: Rep, bound: GradedSubspace) -> GradedSubspace:
         k: bases[k].column_basis().transpose().kernel_basis() for k in rep.v})
 
 
-def ker_j(fr: FramedRep) -> GradedSubspace:
-    return GradedSubspace(fr.field, fr.v,
-                          {k: fr.j[k].kernel_basis() for k in fr.v})
-
-
-def im_i(fr: FramedRep) -> GradedSubspace:
-    return GradedSubspace(fr.field, fr.v,
-                          {k: col_span(fr.i[k]) for k in fr.v})
-
-
 def is_stable_plus(fr: FramedRep) -> bool:
     """No nonzero invariant graded subspace inside Ker j: dually, the
     x^T-spin of the rows of j along the reversed edges is everything."""
@@ -363,13 +336,6 @@ def check_theta(q: Quiver, theta) -> dict:
             raise RepError(f"theta has the value {x!r}, not an int or a "
                            f"Fraction")
     return theta
-
-
-def slope(theta: dict, d: dict) -> Fraction:
-    total = sum(d.values())
-    if total == 0:
-        raise RepError("slope of the zero dimension vector is undefined")
-    return Fraction(sum(Fraction(theta[k]) * d[k] for k in d), total)
 
 
 # -- brute-force oracles over small prime fields -----------------------

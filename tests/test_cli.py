@@ -252,7 +252,9 @@ def test_mckay_work_cap_is_exit_2(capsys, group):
 
 
 # the first inputs over the caps: the cycle work of maxlen 311 on the Jordan
-# quiver and 15 on its double, and the box 63^3 of v = (62, 62, 62) on a3
+# quiver and 15 on its double, and the box 63^3 of v = (62, 62, 62) on a3;
+# the fibre work of roots gg at v = 1500 on a1 (its recursion depth) and
+# v = 1100 on the Jordan quiver (its memo), both far over that cap
 BOX_62 = '{"1":62,"2":62,"3":62}'
 
 
@@ -264,6 +266,8 @@ BOX_62 = '{"1":62,"2":62,"3":62}'
     ["roots", "list", "--quiver", "a3", "--v", BOX_62],
     ["roots", "regular", "--quiver", "a3", "--v", BOX_62],
     ["roots", "gg", "--quiver", "a3", "--v", BOX_62],
+    ["roots", "gg", "--quiver", "a1", "--v", "1500"],
+    ["roots", "gg", "--quiver", "jordan", "--v", "1100"],
 ])
 def test_input_over_a_work_cap_is_exit_2(capsys, tmp_path, monkeypatch,
                                          argv):
@@ -288,6 +292,20 @@ def test_work_caps_admit_the_inputs_below_them():
     cli._check_box(type_a_quiver(3), {"1": 61, "2": 62, "3": 62})
     with pytest.raises(cli.InputError):
         cli._check_box(type_a_quiver(3), {"1": 62, "2": 62, "3": 62})
+    # the fibre work max(R^2, sum(v)) * box: sum(v) <= 799 on a1, v <= 85
+    # on the Jordan quiver (R = v) and (20, 20, 20) on a3 (R = 6)
+    for q, n in [(type_a_quiver(1), 799), (jordan_quiver(), 85),
+                 (type_a_quiver(3), 20)]:
+        cli._check_gg_work(q, dict.fromkeys(q.vertices, n))
+        with pytest.raises(cli.InputError):
+            cli._check_gg_work(q, dict.fromkeys(q.vertices, n + 1))
+
+
+def test_roots_gg_runs_at_the_depth_the_cap_admits(report):
+    # the fibre memo recurses once per root of a decomposition: 799 deep
+    # for v = 799 on a1, the largest v the cap admits there
+    rep = report("roots", "gg", "--quiver", "a1", "--v", "799")["results"]
+    assert rep["num_decompositions"] == 1 and not rep["components"]
 
 
 def test_prime_beyond_exact_bound_is_exit_2(report, tmp_path):

@@ -1,4 +1,6 @@
 import random
+import sys
+import time
 
 import pytest
 
@@ -115,6 +117,58 @@ def test_cycles_jordan():
 def test_cycles_double_a2():
     out = cycles(double(type_a_quiver(2)), 2)
     assert len(out) == 2  # the 2-cycle based at each of its two vertices
+
+
+def reference_cycles(q, maxlen):
+    """Every walk by recursion, each closed one canonicalised as the least
+    of its basepoint-preserving rotations."""
+    out, seen = [], set()
+
+    def record(path, base):
+        names = tuple(e.name for e in path)
+        canon = min(names[k:] + names[:k] for k in range(len(path))
+                    if path[k].tail == base)
+        if canon not in seen:
+            seen.add(canon)
+            out.append([q.edge(n) for n in canon])
+
+    def extend(path, start, current):
+        if path and current == start:
+            record(path, start)
+        if len(path) == maxlen:
+            return
+        for e in q.edges_out_of(current):
+            extend(path + [e], start, e.head)
+
+    for v in q.vertices:
+        extend([], v, v)
+    out.sort(key=lambda cyc: (len(cyc), tuple(e.name for e in cyc)))
+    return out
+
+
+def test_cycles_match_the_rotation_reference():
+    rng = random.Random(7)
+    quivers = [jordan_quiver(), double(jordan_quiver()),
+               double(type_a_quiver(3)), type_a_quiver(2)]
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        edges = [(f"e{k}", rng.randrange(n), rng.randrange(n))
+                 for k in range(rng.randint(0, 5))]
+        rng.shuffle(edges)  # names out of edge order
+        quivers.append(make_quiver(range(n), edges))
+    for q in quivers:
+        for maxlen in range(1, 7):
+            assert cycles(q, maxlen) == reference_cycles(q, maxlen)
+
+
+def test_cycles_walk_past_the_recursion_limit():
+    # the walks grow on a stack, not by recursion, and a closed walk costs
+    # time linear in its length
+    maxlen = sys.getrecursionlimit() + 200
+    t0 = time.perf_counter()
+    out = cycles(jordan_quiver(), maxlen)
+    assert time.perf_counter() - t0 < 2.0
+    assert [len(c) for c in out] == list(range(1, maxlen + 1))
 
 
 def test_json_roundtrip():

@@ -12,12 +12,13 @@ decomposition it does not report, the orbit algebra numbers its orbits
 in one scan, with no sort and no label strings, the integer
 polynomial steps and q-numbers have one home, ``quivar.poly``, and the
 brute-force oracle keeps its memo on the quadruple, in no module-level
-cache."""
+cache, and every library name has a caller outside the tests."""
 
 import importlib.util
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -52,13 +53,18 @@ def test_no_runtime_dependencies_declared():
     assert project["dependencies"] == []
 
 
-def test_traced_callables_resolve():
-    # the tracer looks each (module, attribute) up when it installs, so a
-    # renamed or deleted callable would only show as a crashed traced run
+def _tracing():
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_callables_resolve():
+    # the tracer looks each (module, attribute) up when it installs, so a
+    # renamed or deleted callable would only show as a crashed traced run
+    tracing = _tracing()
     import quivar.cli  # noqa: F401  (loads every traced module)
     missing = []
     for entry in tracing.TIMED + tracing.COUNTED:
@@ -69,6 +75,50 @@ def test_traced_callables_resolve():
         if owner is None:
             missing.append((mod, attr))
     assert missing == []
+
+
+def _name_tokens(path):
+    """(name, line) of each NAME token of a source file: words in strings
+    and comments are not NAME tokens."""
+    with open(path) as fh:
+        return [(tok.string, tok.start[0])
+                for tok in tokenize.generate_tokens(fh.readline)
+                if tok.type == tokenize.NAME]
+
+
+# library names with no caller yet, each with the reason it stays
+UNCALLED_BUT_KEPT = {
+    "triple_from_staircase": "the torus-fixed points of Hilb^n(A^2), which "
+                             "the tangent characters of ROADMAP item 5 read",
+}
+
+
+def test_every_library_name_has_a_caller():
+    # a top-level def or class of the package is named, as a NAME token,
+    # somewhere in src outside its own definition, or the benchmark names
+    # it, or it is kept on purpose; otherwise only tests reach it
+    import ast
+    bench = {part for _, _, attr in _tracing().TIMED
+             for part in attr.split(".")}
+    for path in [ROOT / "perfbench" / "workloads.py",
+                 *sorted((ROOT / "perfbench" / "tests").glob("*.py"))]:
+        bench |= {name for name, _ in _name_tokens(path)}
+    files = {path: _name_tokens(path)
+             for path in sorted((ROOT / "src" / "quivar").glob("*.py"))}
+    uncalled = []
+    for path in files:
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            own = range(first, node.end_lineno + 1)
+            called = any(name == node.name and (other != path or line not in own)
+                         for other, tokens in files.items()
+                         for name, line in tokens)
+            if not (called or node.name in bench
+                    or node.name in UNCALLED_BUT_KEPT):
+                uncalled.append(f"{path.name}:{node.name}")
+    assert uncalled == []
 
 
 ORACLE_NAMES = {"_invariant_tuples", "code_map", "subspace_points",
