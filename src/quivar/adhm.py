@@ -77,13 +77,13 @@ def _staircase(d: AdhmData):
     of the vectors of the monomials already accepted. Degree n suffices,
     since the quotient has dimension n and the staircase is an order ideal.
     """
-    if not commutator(d.x, d.y).is_zero() or not d.j.is_zero():
+    if d.x @ d.y != d.y @ d.x or not d.j.is_zero():
         return None
     span = Echelon(d.field, d.n)
     vecs = {}
     staircase = []
     for a, b in monomials_upto(d.n):
-        if len(span.rows) == d.n:
+        if len(span.stored) == d.n:
             break
         # x^a y^b i is x (x^(a-1) y^b i), or y (y^(b-1) i) when a = 0
         vec = vecs[a, b] = (d.x @ vecs[a - 1, b] if a else
@@ -219,8 +219,9 @@ def _root_candidates(poly, f):
     # p (lead // q) order the candidates as the rationals do, and equal
     # rationals share one
     lead = abs(ints[-1])
-    keys = {s * pn * (lead // qn) for pn in _divisors(ints[0])
-            for qn in _divisors(lead) for s in (1, -1)}
+    quotients = [lead // qn for qn in _divisors(lead)]
+    keys = {s * pn * q for pn in _divisors(ints[0]) for q in quotients
+            for s in (1, -1)}
     if f.kind == "cyclotomic" and f.m % 2 == 0:
         # -zeta^k = zeta^(k + m/2): the negative c, first in the sorted
         # order, already give every c zeta^k
@@ -237,8 +238,11 @@ def _multiplicity(s, vanishes):
     ``vanishes(v)`` tells whether sum v_e t^e has the root z: the least j
     with a nonzero Hasse derivative sum_e C(e, j) s_e z^(e - j), which
     counts correctly in every characteristic (ordinary derivatives miss a
-    multiplicity >= p over F_p). Requires z != 0."""
-    return next(j for j in count() if not vanishes(hasse(s, j)))
+    multiplicity >= p over F_p). Requires z != 0. The 0-th derivative
+    is s itself."""
+    if not vanishes(s):
+        return 0
+    return next(j for j in count(1) if not vanishes(hasse(s, j)))
 
 
 def _poly_roots(poly, f):
@@ -325,7 +329,7 @@ def joint_spectrum(x: Mat, y: Mat):
     not split over Q or F_p, and over Q(zeta_m) when the eigenvalue search
     finds no root; raises FieldError over F_p when the search would need
     p > FP_ROOT_SEARCH_CAP."""
-    if not commutator(x, y).is_zero():
+    if x @ y != y @ x:
         raise AdhmError("matrices do not commute")
     f = x.field
     pairs = []
@@ -359,25 +363,33 @@ def joint_spectrum(x: Mat, y: Mat):
 def power_traces(x: Mat, y: Mat, maxdeg: int):
     """Table of Tr(x^a y^b) for a + b <= maxdeg (commuting pair).
 
-    Only the powers x^a and y^b with 1 <= a, b <= maxdeg are formed, never
+    Only the powers x^a and y^b with 1 <= a, b < maxdeg are formed, never
     a product x^a y^b: its trace is the sum over i of (row i of x^a) .
     (column i of y^b), one inner product of the entries of x^a read by rows
-    and those of y^b read by columns."""
-    if not commutator(x, y).is_zero():
+    and those of y^b read by columns. Tr(x^a) for a >= 2 is the same inner
+    product of x^(a-1) by rows with x by columns, and Tr(y^b) of y by rows
+    with y^(b-1) by columns."""
+    if x @ y != y @ x:
         raise AdhmError("matrices do not commute")
     f = x.field
     xp, yp = [x], [y]   # x^a and y^b at index a - 1 and b - 1
-    for _ in range(maxdeg - 1):
+    for _ in range(maxdeg - 2):
         xp.append(xp[-1] @ x)
         yp.append(yp[-1] @ y)
     x_rows = [[e for r in m.data for e in r] for m in xp]
     y_cols = [[e for c in zip(*m.data) for e in c] for m in yp]
+    x_cols = [e for c in zip(*x.data) for e in c]
+    y_rows = [e for r in y.data for e in r]
     out = {}
     for a, b in monomials_upto(maxdeg):
         if a and b:
             out[a, b] = f.dot(x_rows[a - 1], y_cols[b - 1])
+        elif a > 1:
+            out[a, b] = f.dot(x_rows[a - 2], x_cols)
+        elif b > 1:
+            out[a, b] = f.dot(y_rows, y_cols[b - 2])
         elif a or b:
-            out[a, b] = (xp[a - 1] if a else yp[b - 1]).trace()
+            out[a, b] = (x if a else y).trace()
         else:
             out[a, b] = f.from_int(x.rows)
     return out

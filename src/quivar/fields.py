@@ -56,7 +56,10 @@ are the row updates of elimination and of the pullback convolution in
 :mod:`quivar.convolution`: over Q one int per entry of integer rows,
 else one ratio per changed entry; ``(a - c b) % p`` over F_p; and over
 Q(zeta_m) c cleared once into the integer rows of its multiplication,
-then one gcd per changed entry.
+then one gcd per changed entry. ``clear_row``, ``primitive_row`` and
+``unit_row`` give the form in which ``linalg.Echelon`` stores a basis row:
+1 at its pivot over F_p and Q(zeta_m), and over Q a primitive integer
+vector, so that elimination over Q stays on the integer paths.
 ``vanishes_at_zeta_pow`` tests an integer polynomial at a power of zeta,
 for the root search of :mod:`quivar.adhm`.
 
@@ -158,6 +161,26 @@ class Field:
     def row_scale(self, c, u):
         """The list [c * u[k]]."""
         raise NotImplementedError
+
+    # -- echelon rows --------------------------------------------------
+    # ``linalg.Echelon`` stores each basis row in the form its field picks:
+    # here the row with entry 1 at its pivot, over Q a primitive integer
+    # vector. A stored row is a nonzero multiple of the unit row, so it
+    # spans the same line, and a row with entry 1 at its pivot is stored
+    # as it is on every field.
+    def clear_row(self, vec):
+        """(u, s): a new vector as a list u = s vec of entries in the stored
+        form, s a positive int; here the entries themselves and s = 1."""
+        return list(vec), 1
+
+    def primitive_row(self, u, pivot):
+        """The stored form of the reduced row u, nonzero at ``pivot``: here
+        u scaled to 1 there."""
+        return self.row_scale(self.inv(u[pivot]), u)
+
+    def unit_row(self, row, pivot):
+        """The stored row scaled to 1 at its pivot: here the row itself."""
+        return row
 
     def neg(self, a):
         raise NotImplementedError
@@ -306,6 +329,24 @@ class Rationals(Field):
             out.append(_ratio(cn * an, cd * ad))
         return out
 
+    # an echelon row over Q is a primitive integer vector: its entries
+    # have gcd 1 and it is positive at its pivot, so elimination runs on
+    # the integer paths of row_sub and row_scale
+    def clear_row(self, vec):
+        if {int}.issuperset(map(type, vec)):
+            return list(vec), 1
+        return cleared(vec)
+
+    def primitive_row(self, u, pivot):
+        g = gcd(*u)
+        if u[pivot] < 0:
+            g = -g
+        return u if g == 1 else list(map(int.__floordiv__, u, repeat(g)))
+
+    def unit_row(self, row, pivot):
+        lead = row[pivot]
+        return row if lead == 1 else [_ratio(a, lead) for a in row]
+
     def neg(self, a):
         return _canon(-a)
 
@@ -317,6 +358,12 @@ class Rationals(Field):
             raise ZeroDivisionError("inverse of 0")
         n, d = a.as_integer_ratio()
         return _ratio(-d, -n) if n < 0 else _ratio(d, n)
+
+    def div(self, a, b):
+        # an int over an int is one ratio, with no Fraction arithmetic
+        if type(a) is int and type(b) is int and b:
+            return _ratio(-a, -b) if b < 0 else _ratio(a, b)
+        return super().div(a, b)
 
     def rational_part(self, a):
         return _canon(a)

@@ -7,7 +7,10 @@ The product ``@`` has one code path, the field's product kernel
 ``Field.matmul`` on the rows of the left factor and the columns of the right.
 Elimination lives in :class:`Echelon`, under RREF, determinants, column
 spans, the spin of :mod:`quivar.reps` and the staircase of :mod:`quivar.adhm`;
-the brute-force oracle's packed F_p code needs none.
+the brute-force oracle's packed F_p code needs none. Over Q it runs on
+primitive integer rows (fraction-free Gauss-Jordan with the content divided
+out, as in Bareiss, Math. Comp. 22, 1968), so every row update is an integer
+one, and a row is normalised to pivot 1 only when read.
 """
 
 from __future__ import annotations
@@ -226,55 +229,90 @@ class Mat:
 
 
 class Echelon:
-    """A reduced echelon basis {pivot: row} of F^n, grown one vector at a
-    time; each row is a list, 1 at its pivot and 0 at the other pivots.
-    Every row update is one call to the field's ``row_sub`` or
-    ``row_scale``, which normalise each changed entry once."""
+    """A reduced echelon basis of a subspace of F^n, grown one vector at a
+    time. ``stored`` holds it as {pivot: row}, each row a list that is 0 at
+    the other pivots, in the form the field picks (``Field.clear_row``,
+    ``primitive_row``): over F_p and Q(zeta_m) with 1 at its pivot, over Q
+    a primitive integer vector, positive at its pivot. A vector is reduced
+    against row v with pivot entry L as L u - c v, through the field's
+    ``row_scale`` and ``row_sub``; L is 1 except over Q, where every
+    update stays in ints. ``rows`` is the same basis with 1 at each pivot
+    on every field, built from the stored rows when read (over Q one ratio
+    per entry) and kept until the next ``add``."""
 
-    __slots__ = ("field", "n", "rows", "_is_zero", "_row_sub", "_row_scale",
-                 "_inv")
+    __slots__ = ("field", "n", "stored", "_view", "_one", "_is_zero",
+                 "_row_sub", "_row_scale", "_clear", "_primitive", "_div")
 
     def __init__(self, field: Field, n: int):
-        self.field, self.n, self.rows = field, n, {}
-        self._is_zero, self._row_sub, self._row_scale, self._inv = (
-            field.is_zero, field.row_sub, field.row_scale, field.inv)
+        self.field, self.n, self.stored, self._view = field, n, {}, None
+        self._one = field.one()
+        self._is_zero, self._row_sub, self._row_scale = (
+            field.is_zero, field.row_sub, field.row_scale)
+        self._clear, self._primitive, self._div = (
+            field.clear_row, field.primitive_row, field.div)
 
     @classmethod
     def of(cls, field: Field, n: int, vectors):
         """The basis of the span of ``vectors``; stops once it is F^n."""
         ech = cls(field, n)
         for vec in vectors:
-            if len(ech.rows) == n:
+            if len(ech.stored) == n:
                 break
             ech.add(vec)
         return ech
 
+    @property
+    def rows(self):
+        """{pivot: row}, each row 1 at its pivot and 0 at the others."""
+        view = self._view
+        if view is None:
+            unit = self.field.unit_row
+            view = self._view = {pc: unit(row, pc)
+                                 for pc, row in self.stored.items()}
+        return view
+
     def add(self, vec):
         """Reduce ``vec`` once against the rows. Return None if it lies in
-        their span; else normalise it, clear its pivot from the other rows,
-        store it and return (pivot, leading entry before normalising)."""
-        is_zero, row_sub = self._is_zero, self._row_sub
-        rows = self.rows
+        their span; else store it, clear its pivot from the other rows and
+        return (pivot, leading entry before normalising)."""
+        is_zero, row_sub, row_scale, one = (
+            self._is_zero, self._row_sub, self._row_scale, self._one)
+        primitive, rows = self._primitive, self.stored
+        vec, scale = self._clear(vec)  # vec is the int scale times the input
         for pc, row in rows.items():
             c = vec[pc]
             if not is_zero(c):
+                lead = row[pc]
+                if lead != one:  # only over Q, where both are ints
+                    vec = row_scale(lead, vec)
+                    scale *= lead
                 vec = row_sub(vec, c, row)
         for pivot, lead in enumerate(vec):
             if not is_zero(lead):
                 break
         else:
             return None
-        vec = self._row_scale(self._inv(lead), vec)
+        if scale != 1:
+            lead = self._div(lead, scale)
+        if vec[pivot] != one:
+            vec = primitive(vec, pivot)
+        new = vec[pivot]
         for pc, row in rows.items():
             c = row[pivot]
             if not is_zero(c):
-                rows[pc] = row_sub(row, c, vec)
+                if new != one:
+                    row = row_scale(new, row)
+                row = row_sub(row, c, vec)
+                # a row with 1 at its pivot is stored as it is
+                rows[pc] = row if row[pc] == one else primitive(row, pc)
         rows[pivot] = vec
+        self._view = None
         return pivot, lead
 
     def column_basis(self) -> Mat:
         """The rows in pivot order as columns, as :func:`col_span` gives."""
-        cols = [self.rows[pc] for pc in sorted(self.rows)]
+        rows = self.rows
+        cols = [rows[pc] for pc in sorted(rows)]
         return Mat._of(self.field, tuple(zip(*cols)) if cols else
                        ((),) * self.n, self.n, len(cols))
 

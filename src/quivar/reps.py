@@ -277,7 +277,8 @@ def _spin(f, dims: dict, arrows: dict, seeds):
         if added is None:
             continue
         missing -= 1
-        vec = bases[k].rows[added[0]]
+        # the row as stored, a nonzero multiple of the vector's reduction
+        vec = bases[k].stored[added[0]]
         for head, m in arrows[k]:
             pending.append((head, [dot(row, vec) for row in m]))
     return bases, missing == 0

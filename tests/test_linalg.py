@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -468,3 +469,158 @@ def test_echelon_add_reports_growth():
     assert ech.rows == {0: [1, 0, 1], 1: [0, 1, 2]}
     assert ech.column_basis() == col_span(Mat.from_ints(f, [[0, 3], [2, 1],
                                                              [4, 0]]))
+
+
+# -- Q beyond small ints -----------------------------------------------
+# QQ.random gives small ints only; these matrices mix Fraction entries,
+# entries near +-10^30 and zero, repeated and combined rows.
+
+def rational_entry(rng):
+    roll = rng.random()
+    if roll < 0.2:
+        return 0
+    if roll < 0.45:
+        return rng.randint(-9, 9)
+    if roll < 0.75:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+    big = rng.choice((1, -1)) * 10 ** 30 + rng.randint(-5, 5)
+    return big if roll < 0.85 else Fraction(big, rng.randint(2, 7))
+
+
+def rational_mat(rows, cols, rng):
+    data = [[rational_entry(rng) for _ in range(cols)] for _ in range(rows)]
+    for r in range(rows):
+        roll = rng.random()
+        if roll < 0.15:
+            data[r] = [0] * cols
+        elif roll < 0.3 and r:
+            data[r] = list(data[rng.randrange(r)])
+        elif roll < 0.45 and r > 1:
+            a, b = rng.sample(range(r), 2)
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            data[r] = [x + c * y for x, y in zip(data[a], data[b])]
+    return Mat(QQ, data, rows, cols)
+
+
+def is_canonical(x):
+    """An element of Q in canonical form: an int exactly when integral."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def fraction_rref(data, cols):
+    """(pivots, rows) of the RREF, by column-pivot Gauss-Jordan on
+    Fractions."""
+    a = [[Fraction(x) for x in r] for r in data]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        lead = a[r][c]
+        a[r] = [x / lead for x in a[r]]
+        for i in range(len(a)):
+            factor = a[i][c]
+            if i != r and factor:
+                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return pivots, a
+
+
+def test_rational_echelon_matches_the_per_entry_loop_on_fraction_rows():
+    rng = random.Random("Q fractions per entry")
+    for _ in range(60):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        m = rational_mat(rows, cols, rng)
+        ech, ref = Echelon(QQ, cols), {}
+        for row in m.data:
+            assert ech.add(row) == per_entry_echelon_add(QQ, ref, row)
+            assert repr(ech.rows) == repr(ref)
+            assert ech.add(row) is None  # now in the span
+
+
+def test_rational_echelon_stores_primitive_integer_rows():
+    rng = random.Random("Q primitive rows")
+    for _ in range(60):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        ech = Echelon.of(QQ, cols, rational_mat(rows, cols, rng).data)
+        for pc, row in ech.stored.items():
+            assert {type(x) for x in row} == {int}
+            assert gcd(*row) == 1 and row[pc] > 0
+            assert all(row[other] == 0 for other in ech.stored if other != pc)
+            assert ech.rows[pc] == [Fraction(x, row[pc]) for x in row]
+    f = PrimeField(7)
+    ech = Echelon.of(f, 3, [[0, 3, 5], [2, 4, 6]])
+    assert ech.stored == ech.rows == {1: [0, 1, 4], 0: [1, 0, 2]}
+
+
+def test_rational_det_is_the_leibniz_sum_on_fraction_rows():
+    rng = random.Random("Q fractions leibniz")
+    for n in range(5):
+        for _ in range(6):
+            m = rational_mat(n, n, rng)
+            det = m.det()
+            assert det == leibniz_det(m) and is_canonical(det)
+
+
+def test_rational_elimination_matches_fractions():
+    rng = random.Random("Q fractions reference")
+    for _ in range(60):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        m = rational_mat(rows, cols, rng)
+        pivots, red = fraction_rref(m.data, cols)
+        rank, got_pivots, got = m.rref()
+        assert (rank, got_pivots) == (len(pivots), pivots)
+        assert got.data == tuple(map(tuple, red))
+        kernel = m.kernel_basis()
+        expect = []
+        for fc in (c for c in range(cols) if c not in pivots):
+            v = [Fraction(int(c == fc)) for c in range(cols)]
+            for r, pc in enumerate(pivots):
+                v[pc] = -red[r][fc]
+            expect.append(v)
+        assert kernel.data == (tuple(zip(*expect)) if expect else
+                               ((),) * cols)
+        b = rational_mat(rows, rng.randint(1, 2), rng)
+        aug_pivots, aug = fraction_rref([r + s for r, s in
+                                         zip(m.data, b.data)], cols + b.cols)
+        x = m.solve(b)
+        if any(pc >= cols for pc in aug_pivots):
+            assert x is None
+        else:
+            sol = [[0] * b.cols for _ in range(cols)]
+            for r, pc in enumerate(aug_pivots):
+                sol[pc] = aug[r][cols:]
+            assert x.data == tuple(map(tuple, sol))
+            assert m @ x == b
+        t_pivots, t_red = fraction_rref(m.transpose().data, rows)
+        span = col_span(m)
+        assert span.data == (tuple(zip(*t_red[:len(t_pivots)])) if t_pivots
+                             else ((),) * rows)
+        for out in (got, kernel, span) + ((x,) if x is not None else ()):
+            assert all(map(is_canonical, (e for r in out.data for e in r)))
+
+
+def test_rational_echelon_builds_a_fraction_per_row_at_most(monkeypatch):
+    # a rank-6 integer matrix whose pivots are not units: the integer rows
+    # take every update in ints, and only a returned lead may be a Fraction
+    rows = [[3, 1, 4, 1, 5, 9, 2], [6, 5, 3, 5, 8, 9, 7],
+            [9, 3, 2, 3, 8, 4, 6], [2, 6, 4, 3, 3, 8, 3],
+            [2, 7, 9, 5, 0, 2, 8], [8, 4, 1, 9, 7, 1, 6]]
+    rows.append([2 * a - 5 * b for a, b in zip(rows[0], rows[3])])
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    ech = Echelon.of(QQ, 7, rows)
+    count = len(built)
+    monkeypatch.undo()
+    assert count <= len(rows)
+    assert len(ech.rows) == 6
+    pivots, red = fraction_rref(rows, 7)
+    assert ech.rows == dict(zip(pivots, red))
