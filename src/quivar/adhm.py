@@ -17,8 +17,17 @@ is reported as unsupported rather than as "does not split". The search
 clears the polynomial to integers once and tests each candidate exactly
 in ints (mod p over F_p) by the integer steps of :mod:`quivar.poly`, with
 the multiplicity from the first Hasse derivative that does not vanish; Q
-is the case m = 1 of Q(zeta_m). The restriction of y to a generalized
-eigenspace of x is read off the free coordinates of the kernel basis.
+is the case m = 1 of Q(zeta_m).
+
+The pairs of a joint spectrum come from three characteristic polynomials:
+those of x and of y give the eigenvalues, and for the least positive
+integer t that separates them (r + t s injective on the distinct pairs)
+the polynomial of z = x + t y is prod (T - r - t s) over the pairs, so the
+multiplicity of (r, s) is that of the root r + t s. Only when no t
+separates (over F_p with p small) or the search on y fails does the
+spectrum of y on each generalized eigenspace of x come from a kernel
+basis, read off its free coordinates; a refusal then names the
+polynomial of y on that eigenspace.
 """
 
 from __future__ import annotations
@@ -53,6 +62,9 @@ class AdhmData:
             raise AdhmError("x, y must be n x n")
         if (self.i.rows, self.i.cols) != (n, 1) or (self.j.rows, self.j.cols) != (1, n):
             raise AdhmError("i must be n x 1 and j must be 1 x n")
+        for name in ("x", "y", "i", "j"):
+            if getattr(self, name).field != self.field:
+                raise FieldError(f"matrix {name} over the wrong field")
 
 
 def commutator(a: Mat, b: Mat) -> Mat:
@@ -319,21 +331,13 @@ def _eigenvalues(m: Mat):
     return roots
 
 
-def joint_spectrum(x: Mat, y: Mat):
-    """Multiset of eigenvalue pairs of a commuting pair, sorted by str: over
-    Q by the str of the pair as two Fractions, integral or not, and over
-    Q(zeta_m) by the str of the pair of coefficient tuples (``coeffs``):
-    each eigenvalue r of x, with multiplicity k, pairs with the
-    eigenvalues of y restricted to the generalized eigenspace
-    ker (x - r)^k. Raises AdhmError when a characteristic polynomial does
-    not split over Q or F_p, and over Q(zeta_m) when the eigenvalue search
-    finds no root; raises FieldError over F_p when the search would need
-    p > FP_ROOT_SEARCH_CAP."""
-    if x @ y != y @ x:
-        raise AdhmError("matrices do not commute")
+def _kernel_pairs(x: Mat, y: Mat, xs):
+    """The pairs of a commuting pair with the eigenvalues xs of x: each
+    eigenvalue r of x, with multiplicity k, pairs with the eigenvalues of y
+    restricted to the generalized eigenspace ker (x - r)^k."""
     f = x.field
     pairs = []
-    for r, k in Counter(_eigenvalues(x)).items():
+    for r, k in Counter(xs).items():
         shifted = Mat._of(f, tuple(
             tuple(f.sub(e, r) if c == i else e for c, e in enumerate(row))
             for i, row in enumerate(x.data)), x.rows, x.cols)
@@ -353,6 +357,125 @@ def joint_spectrum(x: Mat, y: Mat):
             raise AdhmError("subspace not invariant")
         for s, mult in Counter(_eigenvalues(yr)).items():
             pairs.extend([(r, s)] * mult)
+    return pairs
+
+
+def _separating(f, rs, ss):
+    """(t, points): the least positive integer t, as an element of f, that
+    is nonzero in f and makes (r, s) -> r + t s injective on rs x ss, and
+    the map {(r, s): r + t s}; None when there is no such t. Two of the
+    N = |rs| |ss| pairs collide at one t at most, so at most N (N - 1) / 2
+    integers fail: None needs F_p with p - 1 <= N (N - 1) / 2, and the
+    search ends on every field. Each t is one ``row_sub`` of the field."""
+    pairs = [(r, s) for r in rs for s in ss]
+    firsts, seconds = [r for r, _ in pairs], [s for _, s in pairs]
+    for n in count(1):
+        t = f.from_int(n)
+        if f.is_zero(t):
+            return None
+        values = f.row_sub(firsts, f.neg(t), seconds)
+        if len(set(values)) == len(pairs):
+            return t, dict(zip(pairs, values))
+
+
+def _deflate(poly, v, f, cap):
+    """(mult, rest): the multiplicity of v as a root of poly (low degree
+    first), counted up to cap, and poly divided by (T - v)^mult, by
+    synthetic division in the field."""
+    mult = 0
+    while mult < cap:
+        acc = f.zero()
+        quotient = []
+        for c in reversed(poly):
+            acc = f.add(f.mul(acc, v), c)
+            quotient.append(acc)
+        if not f.is_zero(quotient.pop()):
+            break
+        poly = quotient[::-1]
+        mult += 1
+    return mult, poly
+
+
+def _pairs(x: Mat, y: Mat):
+    """The pairs of ``joint_spectrum``, in no particular order."""
+    f = x.field
+    xs = _eigenvalues(x)
+    y_poly = _char_poly(y)
+    try:
+        ys = _poly_roots(y_poly, f)
+    except FieldError:
+        ys = None
+    if ys is None:
+        return _kernel_pairs(x, y, xs)
+    kx, ky = Counter(xs), Counter(ys)
+    if len(kx) == 1:
+        return [(xs[0], s) for s in ys]
+    if len(ky) == 1:
+        return [(r, ys[0]) for r in xs]
+    separated = _separating(f, kx, ky)
+    if separated is None:
+        return _kernel_pairs(x, y, xs)
+    t, points = separated
+    minus_t = f.neg(t)
+    poly = _char_poly(Mat._of(f, tuple(
+        tuple(f.row_sub(rx, minus_t, ry)) for rx, ry in zip(x.data, y.data)),
+        x.rows, x.cols))
+    # the pairs of r sum to k and the pairs of s to its multiplicity l_s:
+    # the last eigenvalue of x takes what each s has left, and the last s
+    # that r can still pair with takes what r has left
+    left = dict(ky)
+    pairs = []
+    last = len(kx) - 1
+    for i, (r, k) in enumerate(kx.items()):
+        open_s = [s for s, l in left.items() if l]
+        for j, s in enumerate(open_s):
+            if i == last:
+                mult = left[s]
+            elif j == len(open_s) - 1:
+                mult = k
+            else:
+                mult, poly = _deflate(poly, points[r, s], f,
+                                      min(k, left[s]))
+            pairs += [(r, s)] * mult
+            k -= mult
+            left[s] -= mult
+            if not k:
+                break
+    return pairs
+
+
+def joint_spectrum(x: Mat, y: Mat):
+    """Multiset of eigenvalue pairs of a commuting pair, sorted by str: over
+    Q by the str of the pair as two Fractions, integral or not, and over
+    Q(zeta_m) by the str of the pair of coefficient tuples (``coeffs``).
+
+    Commuting x and y whose spectra split are triangular in one basis, so
+    for every t, det(T - x - t y) = prod (T - r - t s) over the pairs (r, s)
+    with multiplicity. With the eigenvalues of x and of y known, the least
+    positive integer t that is nonzero in the field and separates the
+    distinct pairs (r + t s injective on them) makes the multiplicity of
+    (r, s) the root multiplicity of r + t s in the characteristic
+    polynomial of z = x + t y: three characteristic polynomials and no
+    kernel (the separating element of Rouillier, AAECC 9, 1999). When x or
+    y has one distinct eigenvalue, the pairs are read off the other's
+    spectrum.
+
+    Each eigenvalue r of x, with multiplicity k, is paired instead with the
+    eigenvalues of y restricted to the generalized eigenspace ker (x - r)^k
+    in two cases: no t separates the pairs (only over F_p for small p), or
+    the eigenvalue search on y fails, so that the refusal names the
+    polynomial of y on that eigenspace. Over Q(zeta_m) the search on y can
+    succeed where the one on such an eigenspace would not, when the
+    polynomial there is not rational; the pairs are then exact all the same.
+
+    Raises AdhmError when a characteristic polynomial does not split over
+    Q or F_p, and over Q(zeta_m) when the eigenvalue search finds no root;
+    raises FieldError over F_p when the search would need
+    p > FP_ROOT_SEARCH_CAP."""
+    if x @ y != y @ x:
+        raise AdhmError("matrices do not commute")
+    f = x.field
+    pairs = _pairs(x, y)
     if isinstance(f, CyclotomicField):
         return sorted(pairs, key=lambda rs: str(tuple(map(f.coeffs, rs))))
     if f.kind == "rational":

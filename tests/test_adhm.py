@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt, lcm
@@ -7,8 +8,8 @@ from math import isqrt, lcm
 import pytest
 
 from quivar.adhm import (FP_ROOT_SEARCH_CAP, AdhmData, AdhmError, _char_poly,
-                         _poly_roots, _root_candidates, calogero_moser_check,
-                         count_codim2_ideals_f2,
+                         _eigenvalues, _poly_roots, _root_candidates,
+                         calogero_moser_check, count_codim2_ideals_f2,
                          count_hilbert_orbits_f2_n2, ideal_from_triple,
                          is_hilbert_point, is_order_ideal, joint_spectrum,
                          monomials_upto, power_traces, triple_from_staircase)
@@ -485,6 +486,184 @@ def test_joint_spectrum_prime_under_cap_twelve_eigenvalues():
 def test_joint_spectrum_requires_commuting():
     with pytest.raises(AdhmError):
         joint_spectrum(qmat([[0, 1], [0, 0]]), qmat([[0, 0], [1, 0]]))
+
+
+def reference_joint_spectrum(x: Mat, y: Mat):
+    """joint_spectrum before the separating combination x + t y: one kernel
+    of (x - r)^k per eigenvalue r of x, and the spectrum of y on it."""
+    if x @ y != y @ x:
+        raise AdhmError("matrices do not commute")
+    f = x.field
+    pairs = []
+    for r, k in Counter(_eigenvalues(x)).items():
+        shifted = Mat._of(f, tuple(
+            tuple(f.sub(e, r) if c == i else e for c, e in enumerate(row))
+            for i, row in enumerate(x.data)), x.rows, x.cols)
+        power = shifted
+        for _ in range(k - 1):
+            power = power @ shifted
+        # column c of the kernel basis B is 1 at its free coordinate, its
+        # last nonzero entry, and 0 at the other free coordinates; so if
+        # y B = B Y, Y is the rows of y B at the free coordinates, and the
+        # product B Y = y B checks that the kernel is y-invariant
+        basis = power.kernel_basis()
+        free = [max(i for i, e in enumerate(col) if not f.is_zero(e))
+                for col in zip(*basis.data)]
+        yb = y @ basis
+        yr = Mat._of(f, tuple(yb.data[i] for i in free), len(free), len(free))
+        if basis @ yr != yb:
+            raise AdhmError("subspace not invariant")
+        for s, mult in Counter(_eigenvalues(yr)).items():
+            pairs.extend([(r, s)] * mult)
+    if isinstance(f, CyclotomicField):
+        return sorted(pairs, key=lambda rs: str(tuple(map(f.coeffs, rs))))
+    if f.kind == "rational":
+        return sorted(pairs, key=lambda rs: str(tuple(map(Fraction, rs))))
+    return sorted(pairs, key=str)
+
+
+SPECTRUM_FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5),
+                   PrimeField(7), PrimeField(11), CyclotomicField(3),
+                   CyclotomicField(4)]
+
+
+def eigenvalue_pool(f):
+    """A few elements with 0 among them, so that random lists repeat; over
+    Q(zeta_m) also zeta and 1 + 2 zeta, which the eigenvalue search does not
+    reach (sqrt(-3) for m = 3)."""
+    if f.kind == "prime":
+        return [f.from_int(k) for k in range(min(f.p, 4))]
+    pool = [f.from_int(k) for k in (0, 1, -1, 2)]
+    if f.kind == "rational":
+        return pool + [f.from_fraction(Fraction(1, 2))]
+    z = f.zeta()
+    return pool + [z, f.add(f.one(), f.add(z, z))]
+
+
+def draw_eigenvalues(f, n, rng):
+    """n elements of the pool; each non-real one is followed by its complex
+    conjugate while there is room, so most lists are Galois-closed and
+    their polynomials rational."""
+    pool = eigenvalue_pool(f)
+    out = []
+    while len(out) < n:
+        e = rng.choice(pool)
+        out.append(e)
+        if f.conj(e) != e and len(out) < n:
+            out.append(f.conj(e))
+    rng.shuffle(out)
+    return out
+
+
+def seeded_commuting_pair(f, n, kind, rng):
+    """(x, y, pairs): x and y conjugated by one random g, and their joint
+    spectrum as a list. ``diagonal``: x and y diagonal before conjugation;
+    ``polynomial``: p(a) and q(a) for an upper-triangular a and integer
+    polynomials p, q of degree <= 2, so x and y have nilpotent parts."""
+    z, o = f.zero(), f.one()
+    upper = Mat(f, [[o if r == c else f.random(rng, 2) if r < c else z
+                     for c in range(n)] for r in range(n)], n, n)
+    lower = Mat(f, [[o if r == c else f.random(rng, 2) if r > c else z
+                     for c in range(n)] for r in range(n)], n, n)
+    g = upper @ lower
+    ginv = g.solve(Mat.identity(f, n))
+    if kind == "diagonal":
+        xs, ys = draw_eigenvalues(f, n, rng), draw_eigenvalues(f, n, rng)
+        x = Mat(f, [[xs[r] if r == c else z for c in range(n)]
+                    for r in range(n)], n, n)
+        y = Mat(f, [[ys[r] if r == c else z for c in range(n)]
+                    for r in range(n)], n, n)
+        pairs = list(zip(xs, ys))
+    else:
+        diag = draw_eigenvalues(f, n, rng)
+        a = Mat(f, [[diag[r] if r == c else f.random(rng, 2) if r < c else z
+                     for c in range(n)] for r in range(n)], n, n)
+        powers = [Mat.identity(f, n), a, a @ a]
+
+        def poly_of():
+            coeffs = [f.from_int(rng.randint(-2, 2)) for _ in powers]
+            m = Mat.zeros(f, n, n)
+            for c, power in zip(coeffs, powers):
+                m = m + power.scale(c)
+            return m, lambda e: f.add(coeffs[0], f.add(
+                f.mul(coeffs[1], e), f.mul(coeffs[2], f.mul(e, e))))
+
+        (x, px), (y, py) = poly_of(), poly_of()
+        pairs = [(px(e), py(e)) for e in diag]
+    return g @ x @ ginv, g @ y @ ginv, pairs
+
+
+def spectrum_outcome(spectrum, x, y):
+    try:
+        return repr(spectrum(x, y))
+    except (AdhmError, FieldError) as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("f", SPECTRUM_FIELDS,
+                         ids=lambda f: "-".join(map(str, f.spec().values())))
+def test_joint_spectrum_matches_the_kernel_reference(f):
+    rng = random.Random(f"joint spectrum {f.spec()}")
+    answered = 0
+    for n in range(1, 8):
+        for kind in ("diagonal", "polynomial"):
+            for _ in range(3):
+                x, y, pairs = seeded_commuting_pair(f, n, kind, rng)
+                got = spectrum_outcome(joint_spectrum, x, y)
+                want = spectrum_outcome(reference_joint_spectrum, x, y)
+                if got != want:
+                    # over Q(zeta_m) the search can reach the eigenvalues
+                    # of y on the whole space and not those of y on an
+                    # eigenspace of x, whose polynomial is not rational
+                    assert f.kind == "cyclotomic" and type(got) is str
+                    assert "unsupported" in want[1]
+                if type(got) is str:
+                    answered += 1
+                    assert Counter(joint_spectrum(x, y)) == Counter(pairs)
+    assert answered >= 10
+
+
+def count_kernels(monkeypatch):
+    calls = []
+    kernel_basis = Mat.kernel_basis
+    monkeypatch.setattr(Mat, "kernel_basis",
+                        lambda m: calls.append(m) or kernel_basis(m))
+    return calls
+
+
+def test_joint_spectrum_separated_takes_no_kernel(monkeypatch):
+    # 7 x 7 over Q, x with 5 distinct eigenvalues: the reference takes one
+    # kernel per eigenvalue, the separating combination none
+    x, y = conjugated_diagonal([1, 1, 2, -3, 5, 0, 1], [2, -1, 3, 3, 0, 4, 2])
+    calls = count_kernels(monkeypatch)
+    spec = joint_spectrum(x, y)
+    assert not calls
+    assert repr(spec) == repr(reference_joint_spectrum(x, y))
+    assert len(calls) == 5
+
+
+def test_joint_spectrum_unseparated_takes_the_kernel_path(monkeypatch):
+    # the four pairs of F_2^2: r + t s is not injective for t = 1, the only
+    # nonzero t of F_2
+    f = PrimeField(2)
+    x = Mat.from_ints(f, [[int(r == c and r >= 2) for c in range(4)]
+                          for r in range(4)])
+    y = Mat.from_ints(f, [[int(r == c and r % 2) for c in range(4)]
+                          for r in range(4)])
+    calls = count_kernels(monkeypatch)
+    assert joint_spectrum(x, y) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert len(calls) == 2
+
+
+def test_adhm_data_refuses_matrices_over_another_field():
+    # rational matrices labelled F_3 ran F_3 elimination on Fractions
+    f3 = PrimeField(3)
+    half = qmat([[1, 0], [0, 1]]).scale(Fraction(1, 2))
+    with pytest.raises(FieldError, match="over the wrong field"):
+        AdhmData(2, half, half, qmat([[1], [0]]), qmat([[0, 0]]), f3)
+    x = Mat.from_ints(f3, [[0, 1], [0, 0]])
+    with pytest.raises(FieldError, match="i over the wrong field"):
+        AdhmData(2, x, x, qmat([[1], [0]]), Mat.zeros(f3, 1, 2), f3)
 
 
 def test_power_traces_match_spectrum():

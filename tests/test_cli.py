@@ -693,6 +693,75 @@ def test_adhm_spectrum_order_pinned(capsys, tmp_path, monkeypatch):
         "5f2f3d623c7e8e35224033349374169c2159d33334ed19565a9abd3a1ef7e617"
 
 
+def _diag(entries):
+    return [[e if r == c else "0" for c in range(len(entries))]
+            for r, e in enumerate(entries)]
+
+
+# commuting pairs for the separating combination x + t y of joint_spectrum:
+# - rotation_block: y is the rotation t^2 + 1 on the eigenspace of x for
+#   1, so the refusal names that block polynomial, not y's whole one;
+# - f2_unseparated: the four pairs of F_2^2, which no t of F_2 separates;
+# - rational_repeated: g diag(1, 1, -2, 3, 3) g^-1 and g diag(2, 2, 2, -1,
+#   0) g^-1 for an integer g;
+# - zeta3_conjugated: g diag(zeta, zeta^2, 1) g^-1 and g diag(2, -1, 2)
+#   g^-1 over Q(zeta_3)
+SEPARATED_TRIPLES = {
+    "rotation_block": {
+        "field": {"kind": "rational"}, "n": 3, "x": _diag(["1", "1", "2"]),
+        "y": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "5"]],
+        "i": ["1", "0", "0"], "j": ["0", "0", "0"]},
+    "f2_unseparated": {
+        "field": {"kind": "prime", "p": 2}, "n": 4,
+        "x": _diag([0, 0, 1, 1]), "y": _diag([0, 1, 0, 1]),
+        "i": [1, 0, 0, 0], "j": [0, 0, 0, 0]},
+    "rational_repeated": {
+        "field": {"kind": "rational"}, "n": 5,
+        "x": [["-5/3", "2/3", "-2", "4/3", "14/3"],
+              ["-6", "7/2", "-7/2", "9/2", "19/2"],
+              ["4", "1/2", "11/2", "-7/2", "-17/2"],
+              ["20/3", "-5/3", "5", "-16/3", "-35/3"],
+              ["-2", "1", "-1", "1", "4"]],
+        "y": [["5", "-1/2", "5/2", "-3/2", "-11/2"],
+              ["4", "0", "2", "-2", "-6"],
+              ["-3", "-3/2", "-5/2", "3/2", "15/2"],
+              ["-3", "1/2", "-5/2", "7/2", "11/2"],
+              ["2", "-1", "1", "-1", "-1"]],
+        "i": ["1", "0", "0", "0", "0"], "j": ["0"] * 5},
+    "zeta3_conjugated": {
+        "field": {"kind": "cyclotomic", "m": 3}, "n": 3,
+        "x": [[["-10/7", "-1/7"], ["9/7", "3/7"], ["10/7", "8/7"]],
+              [["2/7", "10/7"], ["1/7", "-9/7"], ["-2/7", "-10/7"]],
+              [["-9/7", "-3/7"], ["6/7", "9/7"], ["9/7", "10/7"]]],
+        "y": [[["8/7", "12/7"], ["-3/7", "-15/7"], ["6/7", "-12/7"]],
+              [["12/7", "18/7"], ["-1/7", "-12/7"], ["-12/7", "-18/7"]],
+              [["0", "0"], ["0", "0"], ["2", "0"]]],
+        "i": [[["1", "0"]], [["0", "0"]], [["0", "0"]]],
+        "j": [["0", "0"]] * 3},
+}
+
+
+@pytest.mark.parametrize("name, code, digest", [
+    ("rotation_block", 1,
+     "1fe94e349432399ddd9c16674a35d1425fed26a8cd2a256cd0e6c68cbca26e97"),
+    ("f2_unseparated", 0,
+     "443ddf6cbe6fb314c9cd841c07165120a0428b6dd4364f181dc41de9afe45b9e"),
+    ("rational_repeated", 0,
+     "97bcf7fbc50df073d95020972a5a10a3c01970c1e0f2a468f842b885ceb3d553"),
+    ("zeta3_conjugated", 0,
+     "8687ff2dfb149d52e2ba39dc8e0ffdef8ee0ca4ecc5dc429c078cd445160ffbd"),
+])
+def test_adhm_spectrum_separated_pinned(capsys, tmp_path, monkeypatch, name,
+                                        code, digest):
+    # sha256 of the stdout of the implementation that took one kernel of
+    # (x - r)^k per eigenvalue r of x and the spectrum of y on it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"{name}.json").write_text(json.dumps(SEPARATED_TRIPLES[name]))
+    assert run(["adhm", "spectrum", "--data", f"{name}.json"]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 CONV_KERNELS = {
     "rational": ({"source": ["a", "b"], "target": ["u", "v", "w"],
                   "entries": [["1/2", "-3"], ["2", "0"], ["5/3", "1"]]},
