@@ -93,18 +93,18 @@ def check_hecke_relation(seed):
 
 @_timed(2.0)
 def check_mckay_tables(seed):
-    for n in range(2, 7):
-        t = cyclic_table(n)
+    cyclic = [cyclic_table(n) for n in range(2, 7)]
+    for n, t in zip(range(2, 7), cyclic):
         a = mckay_quiver(t)
         want = [[(2 if n == 2 and i != j else
                   int((i - j) % n == 1) + int((j - i) % n == 1))
                  for j in range(n)] for i in range(n)]
         if a != want:
             return False, f"cyclic {n}: adjacency {a}"
-    tables = [cyclic_table(n) for n in range(2, 7)]
-    tables += [binary_dihedral_table(2), binary_dihedral_table(3)]
+    bd2 = binary_dihedral_table(2)
+    tables = cyclic + [bd2, binary_dihedral_table(3)]
     tables += [exceptional_table(k) for k in ("bt", "bo", "bi")]
-    if verify_ade(binary_dihedral_table(2))["type"] != "D~4":
+    if verify_ade(bd2)["type"] != "D~4":
         return False, "binary dihedral order 8 is not affine D4"
     for t in tables:
         rep = verify_ade(t)

@@ -222,9 +222,9 @@ def parse_theta(q: Quiver, text) -> dict:
 # a closed one, so the sum of L^2 W_L over the W_L walks of each length
 # bounds its work: maxlen <= 310 on the Jordan quiver, <= 14 on its double.
 # The roots below v come from a walk over the box of all alpha <= v. The
-# `roots gg` memo has at most R * box states of the R roots, each trying up
-# to R roots, and recurses to depth sum(v) < box: max(R^2, sum(v)) * box
-# bounds the work and keeps the depth at most 799.
+# `roots gg` count makes at most R * box updates for the R roots, and the
+# walk over its components tries up to R roots per step, to depth
+# sum(v) < box: max(R^2, sum(v)) * box bounds the work.
 CYCLE_WORK_CAP = 10_000_000
 ROOTS_BOX_CAP = 250_000
 ROOTS_GG_CAP = 640_000

@@ -1,8 +1,8 @@
 """Exact scalar arithmetic over Q, prime fields F_p, and cyclotomic fields Q(zeta_m).
 
 Every field exposes the same small interface (zero/one/add/sub/mul/dot/
-matmul/row_sub/row_scale/inv/is_zero/...), with elements stored as plain
-immutable Python values:
+prepare/pair/matmul/row_sub/row_scale/inv/is_zero/...), with elements
+stored as plain immutable Python values:
 
 * rationals        -> ``int`` when integral, else ``fractions.Fraction`` in
                       lowest terms with denominator > 1. The type follows
@@ -26,7 +26,8 @@ immutable Python values:
 Cyclotomic arithmetic works in ints and puts each result in lowest terms
 once, with one gcd (``_lowest``): ``add``/``sub`` over the lcm of the two
 denominators, ``conj`` and ``from_coeffs`` after one reduction by the table
-of zeta^j; ``neg`` keeps the denominator and needs none. ``inv`` is the
+of zeta^j (``conj`` returns a rational element as it is); ``neg`` keeps the
+denominator and needs none. ``inv`` is the
 product of the other Galois conjugates zeta -> zeta^k over the rational
 norm, all in ints. Fractions appear only at the edges: reading input
 (``from_fraction``, ``from_coeffs``, ``parse``) and the ``coeffs`` accessor.
@@ -39,19 +40,28 @@ and ``int.__sub__``/``int.__mul__`` over the rows, which raises TypeError
 at the first Fraction; only then do they read each operand once, as its
 ``as_integer_ratio`` pair, and build one canonical ratio per result.
 ``dot(u, v)`` is the exact inner product sum u_k v_k that characteristic
-polynomials, character pairings and power traces go through:
+polynomials and power traces go through:
 over Q one integer sum, or the numerators over a running common
 denominator; over F_p the integer sum, then one reduction mod p; over
 Q(zeta_m) the integer product polynomials over a running common
 denominator, then one reduction by the integer table of zeta^j (Phi_m is
 monic) and one gcd. ``mul`` over Q(zeta_m) is the dot product of length
-one. ``matmul(rows, cols)`` is the product kernel of ``linalg.Mat @``, the
-``dot`` of each row with each column: that loop in the base class and over
-Q(zeta_m); over F_p one integer sum through ``operator.mul`` and one
-reduction mod p per entry; over Q one type scan of both operands, then on
-all ints one integer sum through ``operator.mul`` per entry, at half the
-cost of the ``int.__mul__`` descriptor, and on any Fraction ``dot`` per
-entry. ``row_sub(u, c, v)`` = [u_k - c v_k] and ``row_scale(c, u)`` = [c u_k]
+one. A vector that takes part in many inner products is prepared once:
+``prepare(vec)`` gives it in the form that ``pair(u, v)`` reads, and ``pair``
+of two prepared vectors is their ``dot``. The base class keeps the vector
+and pairs by ``dot``; over Q(zeta_m) ``prepare`` puts the entries over their
+common denominator and keeps each entry's nonzero (coordinate, numerator)
+pairs only, and ``pair`` sums the products of those pairs into the
+2 phi(m) - 1 unreduced coefficients, then reduces once, as ``dot`` does.
+Character values are sparse in the power basis, so the McKay tables pair
+their rows this way. ``matmul(rows, cols)`` is the product kernel of
+``linalg.Mat @``: in the base class, which Q(zeta_m) uses, each row and
+column prepared once and each entry one ``pair``; over F_p one integer sum
+through ``operator.mul`` and one reduction mod p per entry; over Q one type
+scan of both operands, then on all ints one integer sum through
+``operator.mul`` per entry, at half the cost of the ``int.__mul__``
+descriptor, and on any Fraction the base kernel.
+``row_sub(u, c, v)`` = [u_k - c v_k] and ``row_scale(c, u)`` = [c u_k]
 are the row updates of elimination and of the pullback convolution in
 :mod:`quivar.convolution`: over Q one int per entry of integer rows,
 else one ratio per changed entry; ``(a - c b) % p`` over F_p; and over
@@ -148,11 +158,23 @@ class Field:
         """sum of u[k] * v[k] over zip(u, v); the zero for empty input."""
         raise NotImplementedError
 
+    def prepare(self, vec):
+        """vec in the form ``pair`` reads; here vec itself."""
+        return vec
+
+    def pair(self, u, v):
+        """The ``dot`` of the vectors that ``prepare`` gave as u and v."""
+        return self.dot(u, v)
+
     def matmul(self, rows, cols):
         """The matrix product as a tuple of row tuples, entry (i, j) the
-        ``dot`` of rows[i] and cols[j]: the kernel of ``linalg.Mat @``."""
-        dot = self.dot
-        return tuple(tuple([dot(r, c) for c in cols]) for r in rows)
+        ``dot`` of rows[i] and cols[j]: the kernel of ``linalg.Mat @``.
+        Each row and column is prepared once and each entry is one
+        ``pair``."""
+        prepare, pair = self.prepare, self.pair
+        cols = [prepare(c) for c in cols]
+        return tuple(tuple([pair(r, c) for c in cols])
+                     for r in map(prepare, rows))
 
     def row_sub(self, u, c, v):
         """The list [u[k] - c * v[k]] over zip(u, v)."""
@@ -611,6 +633,33 @@ class CyclotomicField(Field):
                         acc[j] += x * y
         return self._reduce(acc, den)
 
+    def prepare(self, vec):
+        # the entries over their common denominator, each kept as its
+        # nonzero (coordinate, numerator) pairs: character values are
+        # sparse in the power basis
+        den = 1
+        for a in vec:
+            t = a[-1]
+            if den % t:
+                den = den // gcd(den, t) * t
+        entries = []
+        for a in vec:
+            s = den // a[-1]
+            entries.append([(i, x * s) for i, x in enumerate(a[:-1]) if x])
+        return entries, den
+
+    def pair(self, u, v):
+        # the products of the nonzero pairs summed into the 2 phi(m) - 1
+        # unreduced coefficients, over the product of the two denominators
+        (us, uden), (vs, vden) = u, v
+        acc = [0] * (2 * self.degree - 1)
+        for a, b in zip(us, vs):
+            if b:
+                for i, x in a:
+                    for j, y in b:
+                        acc[i + j] += x * y
+        return self._reduce(acc, uden * vden)
+
     def row_sub(self, u, c, v):
         # c b is the numerators of b through the rows of c's multiplication
         # over cden * bden, so c is cleared once per row and no product is
@@ -669,7 +718,9 @@ class CyclotomicField(Field):
         return _lowest([x * scale for x in prod[:-1]], abs(norm))
 
     def conj(self, a):
-        # zeta -> zeta^-1
+        # zeta -> zeta^-1, which fixes a rational element
+        if not any(a[1:-1]):
+            return a
         return _lowest(self._at_zeta_pow(a[:-1], -1), a[-1])
 
     def mul_int(self, a, n: int):

@@ -123,10 +123,13 @@ def gg_analysis(q: Quiver, lam: dict, v: dict) -> dict:
     """Flatness and component analysis of the lambda-fiber of the moment map.
 
     Counts the multiset decompositions of v into roots alpha <= v with
-    lambda . alpha = 0, and the set of their summed defects, by a memo over
-    (remainder, first root); flat when no sum exceeds p(v). A walk through
-    the remainders that can still reach p(v) finds the equality ones (the
-    irreducible components), of common dimension 1 + 2 A_Q v.v - v.v.
+    lambda . alpha = 0, and the set of their summed defects, by a table
+    over (first root, remainder) filled root by root in order of the
+    remainder; flat when no sum exceeds p(v). A walk on an explicit stack
+    through the remainders that can still reach p(v) finds the equality
+    ones (the irreducible components), of common dimension
+    1 + 2 A_Q v.v - v.v. Neither recurses, so a decomposition may have any
+    number of roots.
 
     Restricted to finite/affine Cartan type, where the bounded root list
     coincides with the genuine root system.
@@ -142,41 +145,54 @@ def gg_analysis(q: Quiver, lam: dict, v: dict) -> dict:
     roots = sorted([tuple(a[k] for k in verts) for a in rprime_below(q, v)
                     if sum(lam[k] * a[k] for k in a) == 0], reverse=True)
     pr = [p_defect(q, dict(zip(verts, r))) for r in roots]  # >= 0
-    memo = {}
-
-    def state(rem, start):
-        # the number of decompositions of rem into roots[start:], and the
-        # bitset of their summed defects
-        if (rem, start) not in memo:
-            count = sums = int(not any(rem))
-            for k in range(start, len(roots)):
-                rest = tuple(map(sub, rem, roots[k]))
-                if min(rest) >= 0:
-                    n, s = state(rest, k)
-                    count += n
-                    sums |= s << pr[k]
-            memo[rem, start] = count, sums
-        return memo[rem, start]
-
-    def walk(rem, start, need):
-        # the decompositions of rem into roots[start:] with summed defect
-        # need, non-increasing, in the order of a full listing
-        out = [] if any(rem) else [()]
-        for k in range(start, len(roots)):
-            rest = tuple(map(sub, rem, roots[k]))
-            if min(rest) >= 0 and need >= pr[k] and \
-                    state(rest, k)[1] >> need - pr[k] & 1:
-                out += [(k,) + tail for tail in walk(rest, k, need - pr[k])]
-        return out
-
     v_tup = tuple(v[k] for k in verts)
-    count, sums = state(v_tup, 0)
+    # a remainder rem <= v by its mixed-radix index: index order is
+    # lexicographic order, and rem - root has index idx(rem) - idx(root)
+    strides, size = [], 1
+    for x in reversed(v_tup):
+        strides.insert(0, size)
+        size *= x + 1
+
+    def idx(t):
+        return sum(map(mul, t, strides))
+
+    # count[i]: the number of decompositions of remainder i into the roots;
+    # sums[s][i]: the bitset of the summed defects of those into roots[s:].
+    # As in coin change, the roots are added one at a time, the last first:
+    # adding roots[s] adds, in order of the remainder, roots[s] plus each
+    # decomposition of i - roots[s] into roots[s:], which is filled already
+    offs = [idx(r) for r in roots]
+    count = [1] + [0] * (size - 1)
+    sums = [count[:]]
+    for k in reversed(range(len(roots))):
+        off, shift, row = offs[k], pr[k], sums[-1][:]
+        for i in map(idx, product(*[range(r, x + 1)
+                                    for r, x in zip(roots[k], v_tup)])):
+            count[i] += count[i - off]
+            row[i] |= row[i - off] << shift
+        sums.append(row)
+    sums.reverse()
+    reach = sums[0][-1]
     pv = p_defect(q, v)
-    equal = walk(v_tup, 0, pv) if pv >= 0 and sums >> pv & 1 else []
+    # the decompositions with summed defect p(v) (the components), each
+    # non-increasing, in the order of a full listing: a depth-first walk on
+    # an explicit stack through the remainders that can still reach p(v)
+    equal, stack = [], []
+    if pv >= 0 and reach >> pv & 1:
+        stack.append((v_tup, size - 1, 0, pv, ()))
+    while stack:
+        rem, i, start, need, path = stack.pop()
+        if not any(rem):
+            equal.append(path)
+        for k in reversed(range(start, len(roots))):
+            rest, left = tuple(map(sub, rem, roots[k])), need - pr[k]
+            if min(rest) >= 0 and left >= 0 and \
+                    sums[k][i - offs[k]] >> left & 1:
+                stack.append((rest, i - offs[k], k, left, path + (k,)))
     return {"cartan_type": kind,
-            "flat": not sums or sums.bit_length() - 1 <= pv,
+            "flat": not reach or reach.bit_length() - 1 <= pv,
             "strict": all(len(d) <= 1 for d in equal),
-            "num_decompositions": count,
+            "num_decompositions": count[-1],
             "components": [[dict(zip(verts, roots[k])) for k in d]
                            for d in equal],
             "component_dim": 1 + 2 * aq_form(q, v, v) - dot(v, v)}

@@ -413,6 +413,43 @@ def test_matmul_matches_reference_loop():
                     _assert_canonical(f, x)
 
 
+PAIR_FIELDS = [QQ, PrimeField(2), PrimeField(7)] + [
+    CyclotomicField(m) for m in (1, 2, 3, 8, 20, 37)]
+
+
+def _pair_element(f, rng):
+    """Zero, a power of zeta times a rational (sparse in the power basis,
+    like the entries of a character table), or a dense random element."""
+    if isinstance(f, CyclotomicField) and rng.random() < 0.4:
+        return f.mul(f.zeta_pow(rng.randrange(f.m)),
+                     f.from_fraction(_random_fraction(rng)))
+    return _random_element(f, rng)
+
+
+@pytest.mark.parametrize("f", PAIR_FIELDS, ids=lambda f: "-".join(
+    map(str, f.spec().values())))
+def test_pair_of_prepared_vectors_is_the_dot(f):
+    # mixed denominators, zero entries, zero and empty vectors, and every
+    # pairing of two lengths: pair follows the zip semantics of dot
+    rng = random.Random(repr(f))
+    vecs = [[], [f.zero()] * 3] + [[_pair_element(f, rng) for _ in range(n)]
+                                   for n in [1, 2, 3, 5, 8] * 2]
+    prepared = [f.prepare(v) for v in vecs]
+    for u, pu in zip(vecs, prepared):
+        for v, pv in zip(vecs, prepared):
+            got = f.pair(pu, pv)
+            _assert_canonical(f, got)
+            assert got == f.dot(u, v), (f, u, v)
+    # the product kernel against the reference loop of field add and mul
+    for rows, inner, cols in ((2, 3, 2), (1, 1, 1), (3, 0, 2), (0, 2, 3)):
+        a = [[_pair_element(f, rng) for _ in range(inner)]
+             for _ in range(rows)]
+        b = [[_pair_element(f, rng) for _ in range(inner)]
+             for _ in range(cols)]
+        assert f.matmul(a, b) == tuple(
+            tuple(_reference_dot(f, r, c) for c in b) for r in a), f
+
+
 # -- the integer layout against the Fraction-tuple reference -----------------
 
 def _reference_cleared(a):

@@ -172,6 +172,17 @@ def test_gg_matches_the_listed_decompositions():
     assert cases > 150
 
 
+def test_gg_answers_decompositions_deeper_than_the_recursion_limit():
+    # 1500 simple roots on A1, and the partitions of 300 on the Jordan
+    # quiver: the counts are filled in order of the remainder, not by a
+    # recursion per root of a decomposition
+    rep = gg_analysis(type_a_quiver(1), {}, {"1": 1500})
+    assert rep["num_decompositions"] == 1 and rep["components"] == []
+    rep = gg_analysis(jordan_quiver(), {}, {"0": 300})
+    assert rep["num_decompositions"] == 9253082936723602  # p(300)
+    assert rep["components"] == [[{"0": 300}]] and not rep["flat"]
+
+
 def test_gg_requires_pairing_zero():
     with pytest.raises(RootsError):
         gg_analysis(type_a_quiver(2), {"1": 1, "2": 0}, {"1": 1, "2": 1})

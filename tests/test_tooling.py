@@ -2,10 +2,11 @@
 finds every callable it wraps, the stability closures share no code with
 the brute-force oracle that checks them, whose per-subspace membership
 tests stay deleted, inner products go through the fields' dot-product
-kernel, the pullback convolution that checks the matrix product stays off
-it and makes one row update per nonzero middle entry, exact elimination
-runs through one echelon basis and the fields' row kernels, the root
-search stays in ints, the integer layout of Q(zeta_m) elements stays
+kernel or their pairing of prepared vectors, the pullback convolution
+that checks the matrix product stays off it and makes one row update per
+nonzero middle entry, exact elimination runs through one echelon basis
+and the fields' row kernels, the root search stays in ints, the integer
+layout of Q(zeta_m) elements stays
 inside ``fields``, the kernels over Q build no Fraction on ints, and the
 root layer reads each Cartan matrix once and lists no fiber
 decomposition it does not report, the orbit algebra numbers its orbits
@@ -219,15 +220,25 @@ def test_inner_products_use_the_field_kernel():
     from quivar import adhm, fields, linalg, mckay, reps
     for cls in (fields.Rationals, fields.PrimeField, fields.CyclotomicField):
         assert "dot" in vars(cls), cls.__name__
-    for fn in (fields.Field.matmul, adhm._char_poly,
-               mckay.CharacterTable._pair, adhm.power_traces):
+    for fn in (adhm._char_poly, adhm.power_traces):
         names = _names(fn.__code__)
         assert "dot" in names and not names & {"add", "mul"}, fn.__qualname__
+    # the product kernel and the McKay pairings pair prepared operands,
+    # and the pairing over Q(zeta_m) works on their integer coordinates
+    for fn in (fields.Field.matmul, mckay.CharacterTable._pair,
+               mckay.CharacterTable.validate):
+        names = _names(fn.__code__)
+        assert "pair" in names and not names & {"add", "mul", "dot"}, \
+            fn.__qualname__
+    assert "prepare" in _names(fields.Field.matmul.__code__)
+    assert not _names(fields.CyclotomicField.pair.__code__) & {
+        "add", "mul", "dot"}
     # the matrix product has one code path, the field's product kernel,
-    # whose base version is the dot loop above
+    # whose base version is the pairing loop above
     names = _names(linalg.Mat.__matmul__.__code__)
-    assert "matmul" in names and not names & {"dot", "add", "mul"}
+    assert "matmul" in names and not names & {"dot", "pair", "add", "mul"}
     assert "matmul" not in vars(fields.CyclotomicField)
+    assert {"prepare", "pair"} <= set(vars(fields.CyclotomicField))
     # the spin's images: it names `add` only as Echelon.add, and a per-term
     # loop would name the field's mul
     names = _names(reps._spin.__code__)
@@ -236,16 +247,20 @@ def test_inner_products_use_the_field_kernel():
 
 def test_mckay_checks_decide_on_integer_pairings():
     # the table checks and the McKay multiplicities compare |G| times a
-    # pairing, an integer, with no Fraction; only `inner` builds one
+    # pairing, an integer, with no Fraction; only `inner` builds one. The
+    # McKay matrix is built by the check at construction, not on demand
+    import dataclasses
     from quivar import fields, mckay
     table = mckay.CharacterTable
     cls = fields.CyclotomicField
     for fn in (table._pair, table._multiplicity, table._weighted_conj,
-               table.validate, table.mckay_matrix.func, cls.mul_int,
-               cls.rational_ints):
+               table.validate, cls.mul_int, cls.rational_ints, cls.prepare,
+               cls.pair):
         assert "Fraction" not in _names(fn.__code__), fn.__qualname__
     assert "Fraction" in _names(table.inner.__code__)
     assert "mul" not in _names(table._weighted_conj.__code__)
+    matrix = {f.name: f for f in dataclasses.fields(table)}["mckay_matrix"]
+    assert not matrix.init and "mckay_matrix" not in vars(table)
 
 
 def test_pullback_convolution_is_an_independent_cross_check():
