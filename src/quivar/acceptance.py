@@ -7,7 +7,6 @@ randomized checks are deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from fractions import Fraction
@@ -39,15 +38,8 @@ def _timed(bound):
             return {"name": fn.__name__[len("check_"):], "ok": bool(ok),
                     "detail": detail, "elapsed": round(elapsed, 3),
                     "bound": bound}
-        run.bound = bound
         return run
     return wrap
-
-
-def enumeration_limit(default):
-    """Enumeration cap, overridable through the QV_LIMIT environment variable."""
-    val = os.environ.get("QV_LIMIT")
-    return int(val) if val else default
 
 
 # 1 -- closed-form dimension counts ------------------------------------

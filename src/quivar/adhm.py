@@ -39,7 +39,8 @@ from itertools import count, product
 from math import gcd, isqrt
 
 from .fields import CyclotomicField, Field, FieldError, PrimeField, QQ
-from .linalg import Echelon, Mat, col_span, subspace_contains, subspace_sum
+# subspace_contains is unused here: perfbench's tracer test reads it here
+from .linalg import Echelon, Mat, col_span, subspace_contains
 from .poly import cleared, hasse, roots_mod, scaled
 
 
@@ -65,10 +66,6 @@ class AdhmData:
         for name in ("x", "y", "i", "j"):
             if getattr(self, name).field != self.field:
                 raise FieldError(f"matrix {name} over the wrong field")
-
-
-def commutator(a: Mat, b: Mat) -> Mat:
-    return a @ b - b @ a
 
 
 def monomials_upto(deg: int):
@@ -521,31 +518,19 @@ def power_traces(x: Mat, y: Mat, maxdeg: int):
 # -- Calogero-Moser ----------------------------------------------------
 
 def calogero_moser_check(d: AdhmData, lam) -> dict:
-    """Verify a deformed triple: residual [x,y] + i j = lam Id, cyclicity
-    of i, and triviality of the homogeneous stabilizer system."""
+    """A deformed triple as a framed point of the Jordan double: residual
+    [x,y] + i j - lam Id zero, i cyclic (theta = -1), stabilizer trivial."""
     f = d.field
-    lam_e = f.from_fraction(Fraction(lam))
-    if f.is_zero(lam_e):
+    if f.is_zero(f.from_fraction(Fraction(lam))):
         raise AdhmError("deformation parameter must be nonzero")
-    residual = commutator(d.x, d.y) + d.i @ d.j - Mat.identity(f, d.n).scale(lam_e)
-    if not residual.is_zero():
-        raise AdhmError("residual of the deformed equation is nonzero")
-    span = Mat.zeros(f, d.n, 0)
-    frontier = [d.i]
-    for _ in range(d.n + 1):
-        new = []
-        for v in frontier:
-            if not subspace_contains(span, v):
-                span = subspace_sum(span, v)
-                new.extend([d.x @ v, d.y @ v])
-        frontier = new
-    cyclic = span.cols == d.n
-    # homogeneous stabilizer: g x = x g, g y = y g, g i = 0, j g = 0
     from .quiver import double, jordan_quiver
-    from .reps import FramedRep, Rep, endomorphism_space
-    dq = double(jordan_quiver())
-    rep = Rep(dq, f, {"0": d.n}, {"x": d.x, "x*": d.y})
+    from .reps import (FramedRep, Rep, endomorphism_space, is_stable_minus,
+                       moment_residual)
+    rep = Rep(double(jordan_quiver()), f, {"0": d.n}, {"x": d.x, "x*": d.y})
     frp = FramedRep(rep, {"0": 1}, {"0": d.i}, {"0": d.j})
+    if not moment_residual(frp, lam)["0"].is_zero():
+        raise AdhmError("residual of the deformed equation is nonzero")
+    cyclic = is_stable_minus(frp)
     stab_dim = endomorphism_space(frp)["dimension"]
     return {"residual_zero": True, "cyclic": cyclic,
             "stabilizer_dim": stab_dim,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from fractions import Fraction
 from math import prod
@@ -31,9 +32,8 @@ from .quiver import (Quiver, QuiverError, adjacency, cartan, cb_frame,
                      type_a_quiver, walk_counts)
 from .reps import (DEFAULT_SUBSPACE_LIMIT, FramedRep, Rep, RepError,
                    check_theta, endomorphism_space, is_stable_minus,
-                   is_stable_plus, moment_residual, preprojective_check,
-                   semistable_bruteforce, trace_signature,
-                   unframed_fiber_obstruction)
+                   is_stable_plus, moment_residual, semistable_bruteforce,
+                   trace_signature, unframed_fiber_obstruction)
 from .roots import (HKParam, RootsError, gg_analysis, is_dominant,
                     is_v_regular, p_defect, rprime_below, weight_of)
 
@@ -48,6 +48,15 @@ class CheckFailed(Exception):
 
 
 # -- input loading -----------------------------------------------------
+
+def _read_json(path, what):
+    """The JSON in a file; InputError naming what it holds if unreadable."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as err:
+        raise InputError(f"cannot load {what}: {err}")
+
 
 _BUILTINS = {"jordan": jordan_quiver}
 
@@ -73,10 +82,9 @@ def load_quiver_ref(ref) -> Quiver:
     except InputError:
         pass
     try:
-        with open(ref) as fh:
-            return quiver_from_json(json.load(fh))
-    except OSError as err:
-        raise InputError(f"cannot load quiver {ref!r}: {err}")
+        return quiver_from_json(_read_json(ref, f"quiver {ref!r}"))
+    except InputError:  # a ValueError already worded by _read_json
+        raise
     except (KeyError, TypeError, ValueError) as err:
         raise InputError(f"bad quiver JSON in {ref!r}: {err}")
 
@@ -132,11 +140,7 @@ def parse_matrix(fieldobj, data, rows, cols) -> Mat:
 
 def load_rep(path) -> tuple:
     """Representation (Rep or FramedRep) from its JSON file."""
-    try:
-        with open(path) as fh:
-            d = json.load(fh)
-    except OSError as err:
-        raise InputError(f"cannot load representation: {err}")
+    d = _read_json(path, "representation")
     try:
         q = load_quiver_ref(d["quiver"])
         fieldobj = field_from_spec(d["field"])
@@ -161,11 +165,7 @@ def load_rep(path) -> tuple:
 
 
 def load_adhm(path) -> AdhmData:
-    try:
-        with open(path) as fh:
-            d = json.load(fh)
-    except OSError as err:
-        raise InputError(f"cannot load triple: {err}")
+    d = _read_json(path, "triple")
     try:
         fieldobj = field_from_spec(d["field"])
         n = int(d["n"])
@@ -180,11 +180,7 @@ def load_adhm(path) -> AdhmData:
 
 
 def load_kernel(path) -> FiniteKernel:
-    try:
-        with open(path) as fh:
-            d = json.load(fh)
-    except OSError as err:
-        raise InputError(f"cannot load kernel: {err}")
+    d = _read_json(path, "kernel")
     try:
         fieldobj = field_from_spec(d.get("field", {"kind": "rational"}))
         src = finset(d["source"])
@@ -342,8 +338,8 @@ def cmd_roots(args):
 
 def _subspace_limit():
     """The brute-force oracle's cap, overridable through QV_LIMIT."""
-    from .acceptance import enumeration_limit
-    return enumeration_limit(DEFAULT_SUBSPACE_LIMIT)
+    val = os.environ.get("QV_LIMIT")
+    return int(val) if val else DEFAULT_SUBSPACE_LIMIT
 
 
 def cmd_rep(args):
@@ -357,16 +353,10 @@ def cmd_rep(args):
         return {"residual": {k: mat_to_json(m) for k, m in res.items()},
                 "on_fiber": all(m.is_zero() for m in res.values())}
     if act == "check":
-        if isinstance(r, FramedRep):
-            res = moment_residual(r, lam)
-            ok = all(m.is_zero() for m in res.values())
-        else:
-            ok = preprojective_check(r, lam)
-        obstruction = unframed_fiber_obstruction(q, rep0.v, lam) \
-            if not isinstance(r, FramedRep) else None
+        ok = all(m.is_zero() for m in moment_residual(r, lam).values())
         out = {"on_fiber": ok}
-        if obstruction is not None:
-            out["obstruction"] = obstruction
+        if not isinstance(r, FramedRep):
+            out["obstruction"] = unframed_fiber_obstruction(q, rep0.v, lam)
         if args.expect == "fiber" and not ok:
             raise CheckFailed(out)
         return out
@@ -462,13 +452,12 @@ def cmd_conv(args):
         return h
     if act == "group":
         try:
-            with open(args.table) as fh:
-                d = json.load(fh)
+            d = _read_json(args.table, "group table")
             g = FiniteGroup(tuple(tuple(r) for r in d["table"]),
                             tuple(d.get("names",
                                         [str(k) for k in range(len(d["table"]))])))
-        except OSError as err:
-            raise InputError(f"cannot load group table: {err}")
+        except InputError:  # a ValueError already worded by _read_json
+            raise
         except (KeyError, TypeError, ValueError, ConvError) as err:
             raise InputError(f"bad group table: {err}")
         ga = group_algebra(g)
@@ -586,9 +575,6 @@ def run(argv=None) -> int:
     except CheckFailed as err:
         _emit(argv, err.results, args.seed, False)
         return 1
-    except InputError as err:
-        print(f"qv: input error: {err}", file=sys.stderr)
-        return 2
     except _MATH_ERRORS as err:
         _emit(argv, {"error": str(err)}, args.seed, False)
         return 1

@@ -59,7 +59,14 @@ class CharacterTable:
 
     @property
     def degrees(self):
-        return [int(self.field.rational_part(row[0])) for row in self.chars]
+        """chi(1) of each irreducible as an int; McKayError if one is not."""
+        try:
+            degs = [self.field.rational_ints(row[0]) for row in self.chars]
+        except FieldError:  # not rational, so not an integer either
+            degs = [(0, 0)]
+        if any(den != 1 for _, den in degs):
+            raise McKayError("a character degree is not an integer")
+        return [num for num, _ in degs]
 
     def _weighted_conj(self, u):
         """size * conj(u) on each class, scaling by the integer size."""

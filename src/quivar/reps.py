@@ -165,7 +165,7 @@ class GradedSubspace:
                    for k in self.ambient)
 
 
-# -- moment map and preprojective relation -----------------------------
+# -- moment map --------------------------------------------------------
 
 def _lambda_scalar(field, lam, vertex):
     val = lam.get(vertex, 0) if isinstance(lam, dict) else lam
@@ -199,13 +199,6 @@ def moment_residual(r, lam) -> dict:
         acc = acc - Mat.identity(f, n).scale(lam_i)
         out[vert] = acc
     return out
-
-
-def preprojective_check(rep: Rep, lam) -> bool:
-    """True iff the representation of the double satisfies the deformed
-    preprojective relation with parameter lambda (no framing)."""
-    res = moment_residual(rep, lam)
-    return all(m.is_zero() for m in res.values())
 
 
 def unframed_fiber_obstruction(q: Quiver, v: dict, lam) -> dict:
@@ -612,25 +605,24 @@ def endomorphism_space(r) -> dict:
 
 # -- random generation -------------------------------------------------
 
-def random_rep(q: Quiver, v: dict, fieldobj, rng, span: int = 3) -> Rep:
+def _random_mat(f, rng, rows: int, cols: int) -> Mat:
+    return Mat(f, [[f.random(rng, 3) for _ in range(cols)]
+                   for _ in range(rows)], rows, cols)
+
+
+def random_rep(q: Quiver, v: dict, fieldobj, rng) -> Rep:
     v = check_dimvector(q, v)
-    mats = {}
-    for e in q.edges:
-        mats[e.name] = Mat(fieldobj,
-                           [[fieldobj.random(rng, span) for _ in range(v[e.tail])]
-                            for _ in range(v[e.head])], v[e.head], v[e.tail])
-    return Rep(q, fieldobj, v, mats)
+    return Rep(q, fieldobj, v, {
+        e.name: _random_mat(fieldobj, rng, v[e.head], v[e.tail])
+        for e in q.edges})
 
 
-def random_framed_rep(dq: Quiver, v: dict, w: dict, fieldobj, rng, span: int = 3):
+def random_framed_rep(dq: Quiver, v: dict, w: dict, fieldobj, rng):
     """Random quadruple on a tagged double dq with framing w."""
-    rep = random_rep(dq, v, fieldobj, rng, span)
-    i = {}
-    j = {}
-    for k in dq.vertices:
-        wi = int(w.get(k, 0))
-        i[k] = Mat(fieldobj, [[fieldobj.random(rng, span) for _ in range(wi)]
-                              for _ in range(v[k])], v[k], wi)
-        j[k] = Mat(fieldobj, [[fieldobj.random(rng, span) for _ in range(v[k])]
-                              for _ in range(wi)], wi, v[k])
-    return FramedRep(rep, {k: int(w.get(k, 0)) for k in dq.vertices}, i, j)
+    rep = random_rep(dq, v, fieldobj, rng)
+    w = {k: int(w.get(k, 0)) for k in dq.vertices}
+    i, j = {}, {}
+    for k in dq.vertices:  # i before j at each vertex keeps seeded draws
+        i[k] = _random_mat(fieldobj, rng, v[k], w[k])
+        j[k] = _random_mat(fieldobj, rng, w[k], v[k])
+    return FramedRep(rep, w, i, j)

@@ -96,16 +96,18 @@ def _datum(c: tuple) -> _Datum:
     def minor(idx):
         return m.submatrix(idx, idx).det()
 
-    if all(minor(list(range(k + 1))) > 0 for k in range(n)):
-        det = minor(list(range(n)))
+    def definite(idx):  # Sylvester: the leading principal minors are > 0
+        return all(minor(idx[:k]) > 0 for k in range(1, len(idx) + 1))
+
+    det = minor(list(range(n)))
+    if det > 0 and definite(list(range(n - 1))):
         adj = m.solve(Mat.identity(QQ, n)).scale(det).data  # integral
         pos = tuple(positive_roots(c))
         return _Datum("finite", det, tuple(map(tuple, adj)), pos,
                       tuple(tuple(sum(map(mul, row, r)) for row in c)
                             for r in pos))
-    if minor(list(range(n))) == 0 and all(
-            minor([i for i in range(n) if mask >> i & 1]) > 0
-            for mask in range(1, 2 ** n - 1)):
+    if det == 0 and all(definite([j for j in range(n) if j != i])
+                        for i in range(n)):
         return _Datum("affine")
     return _Datum("indefinite")
 
@@ -114,7 +116,8 @@ def classify_cartan(c) -> str:
     """finite | affine | indefinite, for symmetric C with C_ii <= 2.
 
     finite: positive definite (leading principal minors > 0); affine:
-    det = 0 with all proper principal minors > 0; otherwise indefinite.
+    det = 0 with all proper principal minors > 0 (each of the n submatrices
+    that drop one vertex positive definite); otherwise indefinite.
     """
     return _datum(tuple(map(tuple, c))).kind
 

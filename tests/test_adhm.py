@@ -701,6 +701,60 @@ def test_calogero_moser_rejects():
         calogero_moser_check(d, 1)  # residual -1 != 0
 
 
+def calogero_moser_point(f, qs, lam):
+    """x = diag(q), y_ab = -lam / (q_a - q_b) off the diagonal, i = 1 and
+    j = lam 1^T: [x, y] = lam (Id - 1 1^T), so [x, y] + i j = lam Id."""
+    n = len(qs)
+
+    def el(r):
+        return f.from_fraction(Fraction(r))
+
+    x = Mat(f, [[el(qs[a] if a == b else 0) for b in range(n)]
+                for a in range(n)], n, n)
+    y = Mat(f, [[f.zero() if a == b else
+                 f.mul(el(-lam), f.inv(el(qs[a] - qs[b])))
+                 for b in range(n)] for a in range(n)], n, n)
+    i = Mat(f, [[f.one()] for _ in range(n)], n, 1)
+    j = Mat(f, [[el(lam)] * n], 1, n)
+    return AdhmData(n, x, y, i, j, f)
+
+
+@pytest.mark.parametrize("f", [QQ, PrimeField(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_calogero_moser_seeded_points(f, n):
+    # distinct diagonal entries, distinct mod 7 too, and lam nonzero mod 7
+    rng = random.Random(100 * n + f.spec().get("p", 0))
+    qs = rng.sample(range(7), n)
+    lam = rng.choice([1, 2, 3, -2])  # lam + 1 stays nonzero
+    d = calogero_moser_point(f, qs, lam)
+    rep = calogero_moser_check(d, lam)
+    assert rep == {"residual_zero": True, "cyclic": True,
+                   "stabilizer_dim": 0, "free_point": True,
+                   "expected_dim": 2 * n}
+    with pytest.raises(AdhmError, match="residual"):
+        calogero_moser_check(d, lam + 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_calogero_moser_weyl_points_in_characteristic_p(p):
+    # at n = p over F_p, x e_k = e_(k+1) and y e_k = k e_(k-1) give
+    # [x, y] = -Id with j = 0: i = e_0 is cyclic with a trivial stabilizer
+    # although theta = +1 stability fails (j = 0), and i = 0 is neither
+    # cyclic nor free (the scalars fix it)
+    f = PrimeField(p)
+    x = Mat.from_ints(f, [[int(a == b + 1) for b in range(p)]
+                          for a in range(p)])
+    y = Mat.from_ints(f, [[b * (a == b - 1) for b in range(p)]
+                          for a in range(p)])
+    j = Mat.zeros(f, 1, p)
+    e0 = Mat.from_ints(f, [[int(a == 0)] for a in range(p)])
+    rep = calogero_moser_check(AdhmData(p, x, y, e0, j, f), -1)
+    assert rep["cyclic"] and rep["free_point"] and rep["stabilizer_dim"] == 0
+    rep = calogero_moser_check(AdhmData(p, x, y, Mat.zeros(f, p, 1), j, f), -1)
+    assert not rep["cyclic"] and not rep["free_point"]
+    assert rep["stabilizer_dim"] == 1
+
+
 def test_hilbert_counts_agree():
     # Ellingsrud-Stromme: sum over partitions lambda of 2 of q^(2 + len)
     cells = 2 ** (2 + 1) + 2 ** (2 + 2)

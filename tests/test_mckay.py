@@ -224,6 +224,18 @@ def test_non_rational_pairing_is_a_mckay_error():
         replace(t, chars=tuple(tuple(r) for r in chars))
 
 
+def test_non_integral_degree_is_a_mckay_error():
+    # zeta chi_1 on Z/4 is orthonormal to the other rows, so only its
+    # degree zeta refuses it; reading degrees once leaked the field's
+    # FieldError here
+    t = cyclic_table(4)
+    zeta = t.chars[1][1]
+    chars = [list(r) for r in t.chars]
+    chars[1] = [t.field.mul(zeta, c) for c in chars[1]]
+    with pytest.raises(McKayError, match="character degree is not an integer"):
+        replace(t, chars=tuple(tuple(r) for r in chars))
+
+
 @pytest.mark.parametrize("values", [(2, 1, 0), (2, 0, 0), (2, 5, 5)],
                          ids=["not rational", "not integral", "negative"])
 def test_distinguished_row_must_be_a_character(values):

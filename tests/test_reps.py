@@ -18,8 +18,7 @@ from quivar.reps import (FramedRep, GradedSubspace, Rep, RepError,
                          _invariant_tuples, _pairs, endomorphism_space,
                          invariant_subspaces_bruteforce, is_stable_minus,
                          is_stable_plus, max_core, min_closure,
-                         moment_residual, preprojective_check,
-                         random_framed_rep, random_rep,
+                         moment_residual, random_framed_rep, random_rep,
                          semistable_bruteforce, trace_of_cycle,
                          trace_signature, unframed_fiber_obstruction)
 
@@ -98,8 +97,12 @@ def test_preprojective_check_unframed():
     dq = double(jordan_quiver())
     rep = Rep(dq, QQ, {"0": 2}, {"x": Mat.from_ints(QQ, [[0, 1], [0, 0]]),
                                  "x*": Mat.from_ints(QQ, [[0, 0], [0, 0]])})
-    assert preprojective_check(rep, {"0": 0})
-    assert not preprojective_check(rep, {"0": 1})
+
+    def on_fiber(lam):
+        return all(m.is_zero() for m in moment_residual(rep, lam).values())
+
+    assert on_fiber({"0": 0})
+    assert not on_fiber({"0": 1})
 
 
 def test_unframed_obstruction():

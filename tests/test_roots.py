@@ -1,9 +1,12 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from quivar.fields import QQ
+from quivar.linalg import Mat
 from quivar.quiver import (aq_form, cartan, dot, jordan_quiver, make_quiver,
                            type_a_quiver)
 from quivar.roots import (HKParam, RootsError, classify_cartan,
@@ -72,6 +75,67 @@ def test_classify_cartan():
     assert classify_cartan([[0]]) == "affine"  # the loop vertex
     with pytest.raises(RootsError):
         classify_cartan([[2, -1], [0, 2]])
+
+
+def classify_by_every_minor(c):
+    """The definition: finite when every leading principal minor is > 0,
+    affine when det C = 0 and all 2^n - 2 proper principal minors are > 0."""
+    n = len(c)
+    m = Mat.from_ints(QQ, c)
+
+    def minor(idx):
+        return m.submatrix(idx, idx).det()
+
+    if all(minor(list(range(k + 1))) > 0 for k in range(n)):
+        return "finite"
+    if minor(list(range(n))) == 0 and all(
+            minor([i for i in range(n) if mask >> i & 1]) > 0
+            for mask in range(1, 2 ** n - 1)):
+        return "affine"
+    return "indefinite"
+
+
+def test_classify_cartan_matches_every_minor():
+    # seeded symmetric matrices with C_ii <= 2, and the affine cycles, D~4
+    # and D~5 with their vertices permuted and half of them with one
+    # symmetric pair of entries moved by 1, against the 2^n definition
+    rng = random.Random(11)
+    affine = [[(k, (k + 1) % n) for k in range(n)] for n in range(1, 7)]
+    affine += [[(0, 1), (0, 2), (0, 3), (0, 4)],
+               [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)]]
+    cases = []
+    for edges in affine:
+        n = 1 + max(max(e) for e in edges)
+        c = cartan(make_quiver(range(n), [(f"e{k}", t, h)
+                                          for k, (t, h) in enumerate(edges)]))
+        for _ in range(40):
+            perm = rng.sample(range(n), n)
+            d = [[c[a][b] for b in perm] for a in perm]
+            a, b = rng.randrange(n), rng.randrange(n)
+            step = -1 if a == b else rng.choice([-1, 1])  # C_aa <= 2
+            if rng.random() < 0.5:
+                d[a][b] = d[b][a] = d[a][b] + step
+            cases.append(d)
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        c = [[0] * n for _ in range(n)]
+        for a in range(n):
+            c[a][a] = rng.choice([2, 2, 2, 2, 1, 0, -2])
+            for b in range(a):
+                c[a][b] = c[b][a] = rng.choice([0, 0, 0, -1, -1, -2, 1])
+        cases.append(c)
+    kinds = [classify_by_every_minor(c) for c in cases]
+    assert [classify_cartan(c) for c in cases] == kinds
+    assert min(kinds.count(k) for k in ("finite", "affine")) >= 100
+
+
+def test_classify_cartan_is_polynomial_in_the_vertices():
+    # the oriented 16-cycle is affine A~15; testing all 2^16 - 2 proper
+    # principal minors took 13 s, the 16 drop-one submatrices take < 1 s
+    q = make_quiver(range(16), [(f"e{k}", k, (k + 1) % 16) for k in range(16)])
+    t0 = time.perf_counter()
+    assert classify_cartan(cartan(q)) == "affine"
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_gg_flat_two_components():

@@ -13,7 +13,9 @@ decomposition it does not report, the orbit algebra numbers its orbits
 in one scan, with no sort and no label strings, the integer
 polynomial steps and q-numbers have one home, ``quivar.poly``, and the
 brute-force oracle keeps its memo on the quadruple, in no module-level
-cache, and every library name has a caller outside the tests."""
+cache, the Calogero-Moser check runs on the moment map and spin of
+``reps``, only ``cli`` opens files or reads the environment, and every
+library name has a caller outside the tests."""
 
 import importlib.util
 import os
@@ -245,22 +247,67 @@ def test_inner_products_use_the_field_kernel():
     assert "dot" in names and "mul" not in names
 
 
-def test_mckay_checks_decide_on_integer_pairings():
-    # the table checks and the McKay multiplicities compare |G| times a
-    # pairing, an integer, with no Fraction; only `inner` builds one. The
-    # McKay matrix is built by the check at construction, not on demand
+def test_mckay_checks_decide_on_integer_pairings(monkeypatch):
+    # the table checks, the degrees and the McKay multiplicities compare
+    # |G| times a pairing, an integer, with no Fraction; only `inner` builds
+    # one. The McKay matrix is built by the check at construction, not on
+    # demand
     import dataclasses
     from quivar import fields, mckay
     table = mckay.CharacterTable
     cls = fields.CyclotomicField
     for fn in (table._pair, table._multiplicity, table._weighted_conj,
-               table.validate, cls.mul_int, cls.rational_ints, cls.prepare,
-               cls.pair):
+               table.validate, table.degrees.fget, cls.mul_int,
+               cls.rational_ints, cls.prepare, cls.pair):
         assert "Fraction" not in _names(fn.__code__), fn.__qualname__
     assert "Fraction" in _names(table.inner.__code__)
     assert "mul" not in _names(table._weighted_conj.__code__)
     matrix = {f.name: f for f in dataclasses.fields(table)}["mckay_matrix"]
     assert not matrix.init and "mckay_matrix" not in vars(table)
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was built")
+
+    bi = mckay.table_by_name("bi")
+    monkeypatch.setattr(fields, "Fraction", refuse)
+    assert sorted(bi.degrees) == [1, 2, 2, 3, 3, 4, 4, 5, 6]
+
+
+def test_calogero_moser_runs_on_the_quiver_paths():
+    # the deformed triple is a framed point of the Jordan double: its
+    # residual and its cyclicity come from the moment map and the theta = -1
+    # spin of reps, not from a commutator and span of adhm's own
+    from quivar import adhm, reps
+    names = _names(adhm.calogero_moser_check.__code__)
+    assert {"moment_residual", "is_stable_minus"} <= names
+    assert not names & {"subspace_sum", "commutator"}
+    assert not hasattr(adhm, "commutator")
+    assert not hasattr(reps, "preprojective_check")
+
+
+def test_one_reader_of_files_and_of_the_environment():
+    # only cli reads QV_LIMIT or os.environ, and it opens a file in
+    # _read_json alone
+    import ast
+
+    def opens(node):
+        return sum(isinstance(n, ast.Call)
+                   and getattr(n.func, "id", None) == "open"
+                   for n in ast.walk(node))
+
+    for path in sorted((ROOT / "src" / "quivar").glob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text)
+        environ = any(isinstance(n, ast.Attribute) and n.attr == "environ"
+                      for n in ast.walk(tree))
+        if path.name == "cli.py":
+            reader, = [f for f in tree.body if isinstance(f, ast.FunctionDef)
+                       and f.name == "_read_json"]
+            assert "QV_LIMIT" in text and environ
+            assert opens(reader) == opens(tree) == 1
+        else:
+            assert "QV_LIMIT" not in text and not environ, path.name
+            assert opens(tree) == 0, path.name
 
 
 def test_pullback_convolution_is_an_independent_cross_check():
