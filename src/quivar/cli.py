@@ -56,6 +56,8 @@ def _read_json(path, what):
             return json.load(fh)
     except OSError as err:
         raise InputError(f"cannot load {what}: {err}")
+    except ValueError as err:  # malformed JSON, or bytes not in the encoding
+        raise InputError(f"bad {what} JSON in {path!r}: {err}")
 
 
 _BUILTINS = {"jordan": jordan_quiver}
@@ -81,10 +83,9 @@ def load_quiver_ref(ref) -> Quiver:
         return _builtin_quiver(ref)
     except InputError:
         pass
+    d = _read_json(ref, "quiver")
     try:
-        return quiver_from_json(_read_json(ref, f"quiver {ref!r}"))
-    except InputError:  # a ValueError already worded by _read_json
-        raise
+        return quiver_from_json(d)
     except (KeyError, TypeError, ValueError) as err:
         raise InputError(f"bad quiver JSON in {ref!r}: {err}")
 
@@ -111,13 +112,13 @@ def parse_dimvector(q: Quiver, text, default=None) -> dict:
 def parse_rational_vector(q: Quiver, text, default=None) -> dict:
     if text is None:
         return default
-    try:
+    try:  # Fraction(str(x)) refuses every JSON value but a number or ratio
         val = json.loads(text)
-    except ValueError:
+        if not isinstance(val, dict):
+            val = dict.fromkeys(q.vertices, val)
+        return {str(k): Fraction(str(x)) for k, x in val.items()}
+    except (ValueError, ZeroDivisionError):
         raise InputError(f"bad rational vector {text!r}")
-    if isinstance(val, (int, str)):
-        val = {k: val for k in q.vertices}
-    return {str(k): Fraction(str(x)) for k, x in val.items()}
 
 
 def _parse_entry(fieldobj, x):
@@ -339,7 +340,11 @@ def cmd_roots(args):
 def _subspace_limit():
     """The brute-force oracle's cap, overridable through QV_LIMIT."""
     val = os.environ.get("QV_LIMIT")
-    return int(val) if val else DEFAULT_SUBSPACE_LIMIT
+    if not val:
+        return DEFAULT_SUBSPACE_LIMIT
+    if not (val.isascii() and val.isdigit() and int(val) > 0):
+        raise InputError(f"QV_LIMIT must be a positive integer, not {val!r}")
+    return int(val)
 
 
 def cmd_rep(args):
@@ -423,7 +428,11 @@ def cmd_adhm(args):
     if act == "cm":
         if args.lam is None:
             raise InputError("cm requires --lambda")
-        return calogero_moser_check(d, Fraction(str(json.loads(args.lam))))
+        try:
+            lam = Fraction(str(json.loads(args.lam)))
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"bad --lambda {args.lam!r}")
+        return calogero_moser_check(d, lam)
     raise InputError(f"unknown adhm action {act!r}")
 
 
@@ -451,13 +460,11 @@ def cmd_conv(args):
                                   f"{rel['unit_coeff']}*Id")
         return h
     if act == "group":
+        d = _read_json(args.table, "group table")
         try:
-            d = _read_json(args.table, "group table")
             g = FiniteGroup(tuple(tuple(r) for r in d["table"]),
                             tuple(d.get("names",
                                         [str(k) for k in range(len(d["table"]))])))
-        except InputError:  # a ValueError already worded by _read_json
-            raise
         except (KeyError, TypeError, ValueError, ConvError) as err:
             raise InputError(f"bad group table: {err}")
         ga = group_algebra(g)

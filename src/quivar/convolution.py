@@ -8,8 +8,9 @@ algebras, and flag-variety Hecke algebras over small finite fields.
 
 A group action is checked on the group's generators, which suffices for
 a homomorphism (see ``validate_action``); ``FiniteGroup`` picks them once,
-greedily. ``hecke_algebra`` finds the (pivot, row) pairs of each flag's
-keys once, so the relative position of a flag pair only eliminates.
+greedily. ``hecke_algebra`` lists the projective points of each flag's
+subspaces once, so the relative position of a flag pair is read off the
+sizes of set intersections, with no elimination per pair.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field as dataclass_field
 from itertools import product
 
 from .fields import PrimeField
-from .linalg import Mat
+from .linalg import Echelon, Mat
 from .poly import q_binomial
 
 
@@ -318,75 +319,56 @@ def group_algebra_matches_invariant(g: FiniteGroup) -> bool:
 HECKE_WORK_CAP = 50_000
 
 
-def _pivot(row):
-    return next(c for c, x in enumerate(row) if x)
-
-
 def complete_flags(n: int, q: int):
     """All complete flags in F_q^n, sorted, as tuples of canonical subspace
     keys of dimensions 1..n-1 (each key a tuple of reduced-echelon row
     tuples). Each flag is built once: the subspaces of dimension k + 1 that
     contain V are V + <v>, one for each line <v> of the coordinate subspace
     on the non-pivot columns of V, which is a complement of V."""
-    PrimeField(q)  # raises FieldError unless q is prime
+    fld = PrimeField(q)  # raises FieldError unless q is prime
     flags = []
 
-    def extend(chain):
+    def extend(chain, rows):
         if len(chain) == n - 1:
             flags.append(tuple(chain))
             return
-        key = chain[-1] if chain else ()
-        free = [c for c in range(n) if c not in {_pivot(r) for r in key}]
+        free = [c for c in range(n) if c not in rows]
         for k, c in enumerate(free):  # lines whose first nonzero column is c
             for tail in product(range(q), repeat=len(free) - k - 1):
                 v = [0] * n
                 v[c] = 1
                 for c2, x in zip(free[k + 1:], tail):
                     v[c2] = x
-                rows = [tuple((x - r[c] * y) % q for x, y in zip(r, v))
-                        for r in key] + [tuple(v)]
-                extend(chain + [tuple(sorted(rows, key=_pivot))])
+                span = Echelon.of(fld, n, [*rows.values(), v]).rows
+                extend(chain + [tuple(tuple(span[p]) for p in sorted(span))],
+                       span)
 
-    extend([])
+    extend([], {})
     return sorted(flags)
 
 
-def _adapted_basis(flag):
-    """g_1..g_{n-1} with G_j = G_{j-1} + <g_j>: from each key, the row
-    whose pivot column is new."""
-    out, old = [], set()
-    for key in flag:
-        out.append(next(r for r in key if _pivot(r) not in old))
-        old = {_pivot(r) for r in key}
-    return out
-
-
-def _relative_position(f, g, q):
-    """Rank matrix dim(F_i & G_j) = i + j - rank(F_i + G_j), 0 < i, j < n,
-    of the flag f, given as the (pivot, row) pairs of its keys, and the
-    flag with adapted basis g: one elimination per i adds g_1, g_2, ... to
-    the reduced rows of F_i."""
-    out = []
-    for i, pairs in enumerate(f, 1):
-        basis = list(pairs)
-        for j, v in enumerate(g, 1):
-            for p, r in basis:
-                if v[p]:
-                    v = [(x - v[p] * y) % q for x, y in zip(v, r)]
-            for c, x in enumerate(v):  # a nonzero remainder: its pivot
-                if x:
-                    inv = pow(x, -1, q)
-                    basis.append((c, [y * inv % q for y in v]))
-                    break
-            out.append(i + j - len(basis))
-    return tuple(out)
+def _points(key, q):
+    """The projective points of the span of the reduced-echelon rows
+    ``key``: the combinations whose first nonzero coefficient is 1, each
+    row r_j plus every combination of the rows after it. The rows are
+    reduced, so each has first nonzero entry 1 and stands for its line."""
+    pts, later = [], [(0,) * len(key[0])]
+    for j in range(len(key) - 1, -1, -1):
+        r = key[j]
+        pts += [tuple((x + y) % q for x, y in zip(r, s)) for s in later]
+        if j:
+            later = [tuple((c * x + y) % q for x, y in zip(r, s))
+                     for c in range(q) for s in later]
+    return frozenset(pts)
 
 
 def hecke_algebra(n: int, q: int) -> dict:
     """Convolution algebra of GL_n(F_q)-orbits on pairs of complete flags.
 
     The orbit of a pair is its relative position, the rank matrix
-    dim(F_i & G_j); there are n! of them (Bruhat). GL_n(F_q) is transitive
+    dim(F_i & G_j); there are n! of them (Bruhat). A subspace of dimension
+    d has (q^d - 1)/(q - 1) projective points, so the matrix is keyed by
+    the counts |P(F_i) & P(G_j)| of common points. GL_n(F_q) is transitive
     on flags, so one pass over the flags b against the least flag f0 gives
     each orbit k with its least pair (f0, b_k), and the structure constants
     are c[i][j][k] = #{b : pos(f0, b) = i, pos(b, b_k) = j}.
@@ -407,11 +389,16 @@ def hecke_algebra(n: int, q: int) -> dict:
             raise ConvError(f"hecke_algebra({n}, {q}): [n]_q! * n! flag "
                             f"pairs exceed the cap of {HECKE_WORK_CAP}")
     flags = complete_flags(n, q)
-    bases = [_adapted_basis(fl) for fl in flags]
-    pivoted = [[[(_pivot(r), r) for r in key] for key in fl] for fl in flags]
+    # many flags share each subspace, so each one's points are listed once
+    points = {key: _points(key, q) for key in {k for fl in flags for k in fl}}
+    pts = [[points[key] for key in fl] for fl in flags]
+
+    def position(a, b):
+        return tuple([len(x & y) for x in pts[a] for y in pts[b]])
+
     index, reps, from_f0 = {}, [], []
-    for b, g in enumerate(bases):
-        pos = _relative_position(pivoted[0], g, q)
+    for b in range(len(flags)):
+        pos = position(0, b)
         if pos not in index:
             index[pos] = len(reps)
             reps.append((0, b))
@@ -420,7 +407,7 @@ def hecke_algebra(n: int, q: int) -> dict:
     def orbit_of(a, b):
         if a == 0:
             return from_f0[b]
-        return index[_relative_position(pivoted[a], bases[b], q)]
+        return index[position(a, b)]
 
     c = _orbit_constants(range(len(flags)), reps, orbit_of)
     result = {"n": n, "q": q, "num_flags": len(flags),

@@ -450,6 +450,78 @@ def test_rep_brute_limit_is_exit_2(capsys, tmp_path, monkeypatch, action):
     assert captured.out == "" and "exceeds limit 3" in captured.err
 
 
+# QV_LIMIT is a positive integer: anything else once reached int() bare
+# ("invalid literal for int()", naming no variable), and -1 or 0 was taken
+# as a cap that refused every input
+@pytest.mark.parametrize("value, message", [
+    ("abc", "QV_LIMIT must be a positive integer, not 'abc'"),
+    ("1.5", "QV_LIMIT must be a positive integer, not '1.5'"),
+    ("-1", "QV_LIMIT must be a positive integer, not '-1'"),
+    ("0", "QV_LIMIT must be a positive integer, not '0'"),
+    ("3", "exceeds limit 3"),
+])
+def test_qv_limit_must_be_a_positive_integer(capsys, tmp_path, monkeypatch,
+                                             value, message):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("QV_LIMIT", value)
+    (tmp_path / "brute.json").write_text(json.dumps(BRUTE_REP))
+    assert run(BRUTE_ARGV) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+# malformed JSON in any input file is refused naming its kind and path;
+# the representation, triple and kernel files once printed only the
+# decoder's message
+@pytest.mark.parametrize("argv, kind", [
+    (["rep", "moment", "--rep", "bad.json"], "representation"),
+    (["adhm", "check", "--data", "bad.json"], "triple"),
+    (["conv", "mul", "--k1", "bad.json", "--k2", "bad.json"], "kernel"),
+    (["quiver", "double", "--quiver", "bad.json"], "quiver"),
+    (["conv", "group", "--table", "bad.json"], "group table"),
+])
+def test_malformed_json_names_the_file(capsys, tmp_path, monkeypatch, argv,
+                                       kind):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text('{"field":\n')
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"bad {kind} JSON in 'bad.json': Expecting value" in captured.err
+
+
+# --lambda is one rational for `adhm cm` and a rational per vertex (or one
+# for all) for `rep`; a value of neither form once reached Fraction or
+# dict methods bare, and a list or a zero denominator crashed `rep check`
+# with a traceback
+@pytest.mark.parametrize("argv, message", [
+    (["adhm", "cm", "--data", "cm.json", "--lambda", "abc"],
+     "bad --lambda 'abc'"),
+    (["adhm", "cm", "--data", "cm.json", "--lambda", "[1, 2]"],
+     "bad --lambda '[1, 2]'"),
+    (["adhm", "cm", "--data", "cm.json", "--lambda", "true"],
+     "bad --lambda 'true'"),
+    (["adhm", "cm", "--data", "cm.json", "--lambda", '"1/0"'],
+     "bad --lambda '\"1/0\"'"),
+    (["rep", "check", "--rep", "framed.json", "--lambda", "[1, 2]"],
+     "bad rational vector '[1, 2]'"),
+    (["rep", "check", "--rep", "framed.json", "--lambda", '"1/0"'],
+     "bad rational vector '\"1/0\"'"),
+    (["rep", "check", "--rep", "framed.json", "--lambda", '{"0": "x"}'],
+     "bad rational vector '{\"0\": \"x\"}'"),
+])
+def test_bad_lambda_is_exit_2(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cm.json").write_text(json.dumps({
+        "field": {"kind": "rational"}, "n": 2,
+        "x": [["0", "1"], ["0", "0"]], "y": [["0", "0"], ["-1", "0"]],
+        "i": ["1", "0"], "j": ["2", "0"]}))
+    (tmp_path / "framed.json").write_text(json.dumps(STABLE_REPS["rational"]))
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 # theta is a JSON int at each vertex of the quiver and at no other key:
 # a fraction was once truncated to 0 (answering semistable at theta = 0,
 # where (1/2, 0) has the witness {"1": 1, "2": 0}), a missing vertex

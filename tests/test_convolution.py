@@ -603,6 +603,62 @@ def test_hecke_constants_match_brute_force_orbits_of_gl3_f2():
     assert hecke_algebra(3, 2)["constants"] == c
 
 
+def reference_relative_position(f, g, q):
+    """Rank matrix dim(F_i & G_j) = i + j - rank(F_i + G_j), 0 < i, j < n,
+    of the flag f, given as the (pivot, row) pairs of its keys, and the
+    flag with adapted basis g: one elimination per i adds g_1, g_2, ... to
+    the reduced rows of F_i."""
+    out = []
+    for i, pairs in enumerate(f, 1):
+        basis = list(pairs)
+        for j, v in enumerate(g, 1):
+            for p, r in basis:
+                if v[p]:
+                    v = [(x - v[p] * y) % q for x, y in zip(v, r)]
+            for c, x in enumerate(v):  # a nonzero remainder: its pivot
+                if x:
+                    inv = pow(x, -1, q)
+                    basis.append((c, [y * inv % q for y in v]))
+                    break
+            out.append(i + j - len(basis))
+    return tuple(out)
+
+
+def _pivot(row):
+    return next(c for c, x in enumerate(row) if x)
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 5), (3, 2), (3, 3), (4, 2)])
+def test_point_counts_split_flag_pairs_as_the_rank_matrix(n, q):
+    # hecke_algebra keys a flag pair by |P(F_i) & P(G_j)|; the rank matrix
+    # dim(F_i & G_j) by elimination must give the same classes, numbered
+    # the same way in the scan of the pairs, and each count must be the
+    # number (q^d - 1)/(q - 1) of points of a d-dimensional intersection
+    flags = convolution.complete_flags(n, q)
+    pivoted = [[[(_pivot(r), r) for r in key] for key in fl] for fl in flags]
+    adapted = []  # g_j: the row of G_j whose pivot G_{j-1} lacks
+    for fl in flags:
+        old, basis = set(), []
+        for key in fl:
+            basis.append(next(r for r in key if _pivot(r) not in old))
+            old = {_pivot(r) for r in key}
+        adapted.append(basis)
+    pts = [[convolution._points(key, q) for key in fl] for fl in flags]
+    ranks, counts = [], []
+    for a, b in product(range(len(flags)), repeat=2):
+        ranks.append(reference_relative_position(pivoted[a], adapted[b], q))
+        counts.append(tuple([len(x & y) for x in pts[a] for y in pts[b]]))
+    points = [(q ** d - 1) // (q - 1) for d in range(n)]
+    assert counts == [tuple(map(points.__getitem__, r)) for r in ranks]
+
+    def numbering(keys):
+        index = {}
+        return [index.setdefault(k, len(index)) for k in keys]
+
+    assert numbering(counts) == numbering(ranks)
+    assert max(numbering(ranks)) + 1 == len(list(permutations(range(n))))
+
+
 def test_hecke_refuses_outside_cap():
     for n, q in [(0, 2), (1, 2), (2, 1), (5, 2), (4, 5), (3, 23),
                  (2, 1000000007)]:

@@ -337,14 +337,23 @@ def test_row_updates_and_root_tests_stay_in_ints():
 
 
 def test_every_elimination_is_one_echelon():
-    # RREF, the determinant, column spans, the stability spin and the
-    # Hilbert staircase all add vectors to an Echelon; none of them runs
-    # its own Gauss-Jordan step, which would name the field inverse
-    from quivar import adhm, linalg, reps
+    # RREF, the determinant, column spans, the stability spin, the
+    # Hilbert staircase and the flags over F_q all add vectors to an
+    # Echelon; none of them runs its own Gauss-Jordan step, which would
+    # name the field inverse
+    from quivar import adhm, convolution, linalg, reps
     for fn in (linalg.Mat.rref, linalg.Mat.det, linalg.col_span, reps._spin,
-               adhm._staircase):
+               adhm._staircase, convolution.complete_flags):
         names = _names(fn.__code__)
         assert "Echelon" in names and "inv" not in names, fn.__qualname__
+
+
+def test_convolution_inverts_nothing_mod_q():
+    # the relative position of two flags is counted from common points,
+    # and the flags are built on Echelon: no function in convolution
+    # takes a modular inverse by pow
+    path = ROOT / "src" / "quivar" / "convolution.py"
+    assert "pow" not in _names(compile(path.read_text(), str(path), "exec"))
 
 
 CYCLOTOMIC_INTERNALS = {"_cleared", "_reduce", "_fold", "_at_zeta_pow",
