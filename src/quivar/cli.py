@@ -122,14 +122,17 @@ def parse_rational_vector(q: Quiver, text, default=None) -> dict:
 
 
 def _parse_entry(fieldobj, x):
-    if isinstance(x, list):
-        if fieldobj.kind != "cyclotomic":
-            raise InputError(f"entry {json.dumps(x)} is a coefficient list, "
-                             f"which needs a cyclotomic field")
-        return fieldobj.from_coeffs([Fraction(str(c)) for c in x])
-    if isinstance(x, int):
-        return fieldobj.from_int(x)
-    return fieldobj.parse(str(x))
+    if isinstance(x, list) and fieldobj.kind != "cyclotomic":
+        raise InputError(f"entry {json.dumps(x)} is a coefficient list, "
+                         f"which needs a cyclotomic field")
+    try:
+        if isinstance(x, list):
+            return fieldobj.from_coeffs([Fraction(str(c)) for c in x])
+        if isinstance(x, int):
+            return fieldobj.from_int(x)
+        return fieldobj.parse(str(x))
+    except ZeroDivisionError:
+        raise InputError(f"entry {json.dumps(x)} has a zero denominator")
 
 
 def parse_matrix(fieldobj, data, rows, cols) -> Mat:

@@ -15,10 +15,11 @@ one, and a row is normalised to pivot 1 only when read.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, combinations, product
 from operator import add
 
@@ -392,23 +393,42 @@ def enumerate_subspaces(p: int, d: int):
 # -- packed F_p vectors ------------------------------------------------
 # A vector v of F_p^d is packed as its code sum_r v[r] p^r in 0..p^d - 1,
 # and the incidence index locates a code by a table over every code while
-# p^d <= CODE_TABLE_LIMIT, else arithmetically. The
-# brute-force oracle of :mod:`quivar.reps` decides containment on the
-# projective points of F_p^d, the nonzero vectors whose first nonzero entry
-# is 1, one on each line: a subspace holds a vector exactly when it holds
-# the point on its line, and :func:`point_images` tabulates a matrix on the
-# points alone. The incidence index of (p, d) gives each point the
-# subspaces of the family that hold it, and those whose reduced echelon
-# basis has it as a row. Both come cell by cell from the echelon equations
-# the point must satisfy, so the index costs its incidences and nothing for
-# a subspace that misses the point. Each point keeps them as bitsets, bit n
-# for the n-th subspace of :func:`enumerate_subspaces`, while the bitsets
-# of all points fit in POINT_BITS_LIMIT bits, and as sorted lists of
-# positions beyond: a point then lies in few of many subspaces, and a
-# bitset per point would cost the whole family for each point.
+# p^d <= CODE_TABLE_LIMIT, else arithmetically. The brute-force oracle of
+# :mod:`quivar.reps` decides containment on the projective points of
+# F_p^d, the nonzero vectors whose first nonzero entry is 1, one on each
+# line: a subspace holds a vector exactly when it holds the point on its
+# line.
+#
+# :func:`point_images` tabulates a rows x cols matrix m on all N points of
+# F_p^cols in one pass, on B-bit lanes of one int ("SIMD within a
+# register"). X_c holds coordinate c of point n in lane n, and row r of the
+# images is Y_r = sum_c m[r][c] X_c. A lane of Y_r is at most
+# T = cols (p - 1)^2, so no lane carries into the next. Every lane is
+# reduced mod p at once by Barrett's multiply-shift (Barrett, CRYPTO '86):
+# with 2^s > p T and mu = ceil(2^s / p), floor(y mu / 2^s) = floor(y / p)
+# for every 0 <= y <= T. So while T mu < 2^B, Q = ((Y mu) >> s) & LOW, with
+# LOW the low B - s bits of each lane, is the quotient lane by lane, and
+# R = Y - p Q the remainder. The codes sum_r p^r R_r stay below p^rows. B
+# is the least of 8, 16, 32 and 64, or else the least multiple of 8, that
+# holds both T mu and p^rows - 1, so every lane is exact; the lanes are
+# read back by one memoryview cast, or one by one past 64 bits.
+#
+# The incidence index of (p, d) gives each point the subspaces of the
+# family that hold it, and those whose reduced echelon basis has it as a
+# row. Both come cell by cell from the echelon equations the point must
+# satisfy, so the index costs its incidences and nothing for a subspace
+# that misses the point. Each point keeps them as bitsets, bit n for the
+# n-th subspace of :func:`enumerate_subspaces`, while the bitsets of all
+# points fit in POINT_BITS_LIMIT bits, and as sorted lists of positions
+# beyond: a point then lies in few of many subspaces, and a bitset per
+# point would cost the whole family for each point.
 
 CODE_TABLE_LIMIT = 1 << 12
 POINT_BITS_LIMIT = 1 << 27
+# lane widths in bytes that one memoryview cast decodes, on a little-endian
+# host (the lanes are laid out little-endian)
+_LANE_FORMATS = ({array(f).itemsize: f for f in "BHIQ"}
+                 if sys.byteorder == "little" else {})
 
 
 def vector_code(p: int, column) -> int:
@@ -428,29 +448,82 @@ def code_vector(p: int, d: int, code: int) -> list:
     return out
 
 
-def _code_table(p: int, data, rows: int, cols: int, lead: int):
-    """Entry c is the code of data @ v, for the point v of F_p^cols with 1
-    at ``lead``, 0 before it and code c for its entries after it; built
-    one row of the product at a time."""
-    out = [0] * p ** (cols - lead - 1)
-    for r in range(rows):
-        # row r of data @ v for the codes v seen so far
-        vals = [data[r][lead] % p]
-        for c in range(lead + 1, cols):
-            x = data[r][c] % p
-            vals = [(y + a * x) % p for a in range(p) for y in vals]
-        w = p ** r
-        out = [o + w * y for o, y in zip(out, vals)]
-    return out
+def _barrett(p: int, cols: int):
+    """(T, s, mu): the largest lane T = cols (p - 1)^2 of an image row
+    before reduction, and the shift s and multiplier mu = ceil(2^s / p),
+    2^s > p T, that reduce every lane up to T exactly."""
+    top = cols * (p - 1) ** 2
+    shift = (p * top).bit_length()
+    return top, shift, -(-(1 << shift) // p)
+
+
+@lru_cache(maxsize=256)
+def lane_width(p: int, rows: int, cols: int) -> int:
+    """The lane width B in bits of :func:`point_images` for a rows x cols
+    matrix over F_p: the least of 8, 16, 32 and 64, or else the least
+    multiple of 8, that holds T mu (:func:`_barrett`) and p^rows - 1."""
+    top, _, mu = _barrett(p, cols)
+    need = max((top * mu).bit_length(), (p ** rows - 1).bit_length())
+    for width in (8, 16, 32, 64):
+        if need <= width:
+            return width
+    return -(-need // 8) * 8
+
+
+def _pack(values, size: int) -> int:
+    """The int whose lane n of ``size`` bytes holds values[n]."""
+    return int.from_bytes(b"".join(x.to_bytes(size, "little")
+                                   for x in values), "little")
+
+
+@lru_cache(maxsize=32)
+def point_lanes(p: int, cols: int, width: int):
+    """The packed points of F_p^cols in lanes of ``width`` bits, in the
+    order of :func:`incidence_index`: (X, s, mu, LOW, N), X[c] holding
+    coordinate c of point n in lane n, s and mu those of :func:`_barrett`,
+    LOW the low width - s bits of each of the N lanes. An entry is
+    cols + 1 ints of N * width bits, about the size of cols + 1 point
+    images: 5 * 156 * 16 bits (1.6 kB) over F_5^4, and 3 * 30012 * 64 bits
+    (720 kB) over F_30011^2."""
+    _, shift, mu = _barrett(p, cols)
+    size, count = width // 8, (p ** cols - 1) // (p - 1)
+    coords = []
+    for c in range(cols):
+        values = []
+        for lead in range(cols):  # the points with 1 at lead, 0 before
+            n = p ** (cols - lead - 1)
+            if lead < c:  # entry c is digit c - lead - 1 of the tail code
+                w = p ** (c - lead - 1)
+                values += [t // w % p for t in range(n)]
+            else:
+                values += [int(lead == c)] * n
+        coords.append(_pack(values, size))
+    low = _pack([(1 << (width - shift)) - 1] * count, size)
+    return tuple(coords), shift, mu, low, count
 
 
 def point_images(m: Mat) -> list:
     """The codes of m @ v for the points v of F_p^cols, in the order of
     :func:`incidence_index`: by leading position, then by the code of the
-    entries after it. A table over the (p^cols - 1)/(p - 1) points only,
-    one leading position at a time."""
-    return [c for lead in range(m.cols)
-            for c in _code_table(m.field.p, m.data, m.rows, m.cols, lead)]
+    entries after it. One pass over the rows of m on the packed points,
+    every lane reduced mod p at once, decoded lane by lane."""
+    p = m.field.p
+    width = lane_width(p, m.rows, m.cols)
+    coords, shift, mu, low, count = point_lanes(p, m.cols, width)
+    codes = 0
+    for row in reversed(m.data):  # codes = sum_r p^r (row r of m @ X)
+        y = 0
+        for x, coord in zip(row, coords):
+            if x:
+                y += x * coord
+        codes = codes * p + y - p * (y * mu >> shift & low)
+    size = width // 8
+    raw = codes.to_bytes(count * size, "little")
+    fmt = _LANE_FORMATS.get(size)
+    if fmt is not None:
+        return memoryview(raw).cast(fmt).tolist()
+    return [int.from_bytes(raw[n:n + size], "little")
+            for n in range(0, len(raw), size)]
 
 
 def _bitset(positions, size: int) -> int:
@@ -565,6 +638,30 @@ def _bases(p: int, cells, v) -> list:
     return out
 
 
+def _to_point(p: int, d: int, code: int):
+    """The index of the point of F_p^d on the line of the vector with
+    ``code``, or None for the zero vector: the vector is scaled to its
+    point. The points with leading position l start at index
+    sum p^(d - 1 - k) over k < l, and run by the code of their entries
+    after l."""
+    if not code:
+        return None
+    at, lead = 0, 0
+    while not code % p:
+        code //= p
+        at += p ** (d - 1 - lead)
+        lead += 1
+    code, a = divmod(code, p)
+    if a != 1:
+        scale, tail, w = pow(a, -1, p), 0, 1
+        while code:
+            code, x = divmod(code, p)
+            tail += x * scale % p * w
+            w *= p
+        code = tail
+    return at + code
+
+
 class Incidence:
     """The points of F_p^d against its subspace family.
 
@@ -572,7 +669,9 @@ class Incidence:
     :func:`enumerate_subspaces`; bit n of a bitset stands for the n-th, and
     ``by_dim[k]`` is the bitset of those of dimension k. ``codes[i]`` is
     the code of point i; the points run by leading position, then by the
-    code of their entries after it, as in :func:`point_images`.
+    code of their entries after it, as in :func:`point_images`, and
+    ``locate(code)`` is the index of the point on the line of the vector
+    with that code, None for the zero vector.
 
     For each point the index keeps the subspaces that hold it, and those
     whose reduced echelon basis has it as a row: a subspace is invariant
@@ -583,7 +682,7 @@ class Incidence:
     """
 
     __slots__ = ("p", "d", "size", "codes", "by_dim", "_held", "_based",
-                 "_as_bits", "_at")
+                 "_as_bits", "locate")
 
     def __init__(self, p, d, codes, held, based, counts, as_bits):
         self.p, self.d, self.codes = p, d, codes
@@ -593,36 +692,14 @@ class Incidence:
             by_dim.append(((1 << count) - 1) << self.size)
             self.size += count
         self.by_dim = tuple(by_dim)
-        if p ** d <= CODE_TABLE_LIMIT:  # every nonzero code, no scaling
-            self._at = {vector_code(p, [a * x for x in code_vector(p, d, c)]): i
-                        for i, c in enumerate(codes) for a in range(1, p)}
+        # locate is a lookup in a table of every nonzero code while there
+        # are few codes; neither form holds a reference back to the index
+        if p ** d <= CODE_TABLE_LIMIT:
+            self.locate = {
+                vector_code(p, [a * x for x in code_vector(p, d, c)]): i
+                for i, c in enumerate(codes) for a in range(1, p)}.get
         else:
-            self._at = None
-
-    def locate(self, code):
-        """The index of the point on the line of the vector with ``code``,
-        or None for the zero vector. Past the table of every code, the
-        vector is scaled to its point: the points with leading position l
-        start at index sum p^(d - 1 - k) over k < l, and run by the code
-        of their entries after l."""
-        if self._at is not None:
-            return self._at.get(code)
-        if not code:
-            return None
-        p, at, lead = self.p, 0, 0
-        while not code % p:
-            code //= p
-            at += p ** (self.d - 1 - lead)
-            lead += 1
-        code, a = divmod(code, p)
-        if a != 1:
-            scale, tail, w = pow(a, -1, p), 0, 1
-            while code:
-                code, x = divmod(code, p)
-                tail += x * scale % p * w
-                w *= p
-            code = tail
-        return at + code
+            self.locate = partial(_to_point, p, d)
 
     def holding(self, i: int) -> int:
         """The bitset of the subspaces that hold point i."""
@@ -691,6 +768,40 @@ def incidence_index(p: int, d: int) -> Incidence:
                 held.append(array(kind, sorted(h)))
                 based.append(array(kind, b))
     return Incidence(p, d, codes, tuple(held), tuple(based), counts, as_bits)
+
+
+def tensor_bits(sizes, parts) -> int:
+    """The bitset of the graded tuples whose member at each vertex n lies in
+    the bitset ``parts[n]`` over the ``sizes[n]`` subspaces there.
+
+    A graded tuple is numbered in the product of the vertex families in
+    lexicographic order, the first vertex major, so each set bit of the
+    tuples over the vertices so far opens a block holding the next part."""
+    acc, width = parts[0], sizes[0]
+    for bits, size in zip(parts[1:], sizes[1:]):
+        if acc:
+            acc = int(format(acc, f"0{width}b").translate(
+                {48: "0" * size, 49: format(bits, f"0{size}b")}), 2)
+        width *= size
+    return acc
+
+
+@lru_cache(maxsize=32)
+def dimension_masks(p: int, dims: tuple) -> tuple:
+    """The graded tuples of subspaces of the F_p^dims[n] by dimension: the
+    pairs (d, the bitset of :func:`tensor_bits` of the tuples of dimension
+    vector d), d running over ``itertools.product`` of range(dims[n] + 1).
+
+    The masks of one entry are disjoint and cover the graded tuples, so an
+    entry holds as many bits as there are tuples, which the brute-force
+    oracle's ``limit`` caps: the 32 entries hold at most 32 * 10^6 bits,
+    4 MB, under the default limit of :mod:`quivar.reps`, and 32 * limit
+    bits under a larger one."""
+    index = [incidence_index(p, n) for n in dims]
+    sizes = [ix.size for ix in index]
+    return tuple((d, tensor_bits(sizes, [ix.by_dim[k]
+                                         for ix, k in zip(index, d)]))
+                 for d in product(*(range(n + 1) for n in dims)))
 
 
 def gaussian_binomial_total(p: int, d: int) -> int:

@@ -20,34 +20,42 @@ every subspace at once. The incidence index of :mod:`quivar.linalg` gives
 each projective point of a vertex space the subspaces that hold it and
 those whose reduced echelon basis has it as a row, and a graded tuple of
 subspaces is one bit of a bitset over the product of the vertex families,
-first vertex major. An edge a: t -> h breaks the tuples whose subspace at
-t has a basis row c while the one at h lacks a(c), grouped by the point of
-a(c); S lies in Ker j when j kills its basis rows, and contains Im i when
-it holds the point of each nonzero column of i. So each condition is a few
-bitset operations per point, a theta's violations are a union over
-dimension vectors, and the lowest violating bit is the witness a
-lexicographic scan would meet first. The work is bounded by the incidences
-of points and subspaces, not by the framing; ``limit`` caps the tuples.
-Only the scan over dimension vectors reads theta, so the rest is
-computed once per quadruple and kept on it: a :class:`Rep` keeps its
-incidence indexes and invariant tuples, a :class:`FramedRep` its Ker j
-and Im i bitsets per vertex, each keyed by the :class:`Mat` objects it
-read, so rebinding an edge map, ``i[k]`` or ``j[k]`` recomputes them.
+first vertex major. Each map is tabulated on all points of its source in
+one packed pass (:func:`linalg.point_images`). An edge a: t -> h breaks
+the tuples whose subspace at t has a basis row c while the one at h lacks
+a(c), grouped by the point of a(c); S lies in Ker j when j kills its basis
+rows, and contains Im i when it holds the point of each nonzero column of
+i. So each condition is a few bitset operations per point. The work is
+bounded by the incidences of points and subspaces, not by the framing;
+``limit`` caps the tuples.
+
+Theta is read last. A quadruple's summary is, per dimension vector d,
+the lowest invariant tuple of dimension d inside Ker j and the lowest
+containing Im i, cut from the two bitsets by dimension masks that every
+quadruple of the same dimensions shares (:func:`linalg.dimension_masks`).
+Tuples of different dimensions are different bits, so the lowest tuple
+that violates theta's inequalities, the witness a lexicographic scan
+would meet first, is the least of the summary's entries that theta
+rejects, and each theta is a loop of integer comparisons over the
+summary. The summary is kept on the quadruple: a :class:`Rep` keeps its
+incidence indexes and invariant tuples, a :class:`FramedRep` its summary,
+each keyed by the :class:`Mat` objects it read, so rebinding an edge map,
+``i[k]`` or ``j[k]`` recomputes them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress
 from operator import is_, mul
 from fractions import Fraction
 from math import prod
 
 from .fields import Field, FieldError, PrimeField
 from .linalg import (Echelon, Mat, annihilator_rows, col_span,
-                     enumerate_subspaces, family_size,
+                     dimension_masks, enumerate_subspaces, family_size,
                      incidence_index, point_images, subspace_contains,
-                     vector_code)
+                     tensor_bits, vector_code)
 from .poly import cleared
 from .quiver import Quiver, check_dimvector, cycles, dot, star_pairs
 
@@ -346,22 +354,6 @@ def _members(bits: int):
         n = digits.find("1", n + 1)
 
 
-def _tensor(sizes, parts):
-    """The bitset of the graded tuples whose member at each vertex n lies in
-    the bitset ``parts[n]`` over the ``sizes[n]`` subspaces there.
-
-    A graded tuple is numbered in the product of the vertex families in
-    lexicographic order, the first vertex major, so each set bit of the
-    tuples over the vertices so far opens a block holding the next part."""
-    acc, width = parts[0], sizes[0]
-    for bits, size in zip(parts[1:], sizes[1:]):
-        if acc:
-            acc = int(format(acc, f"0{width}b").translate(
-                {48: "0" * size, 49: format(bits, f"0{size}b")}), 2)
-        width *= size
-    return acc
-
-
 def _pairs(sizes, t, h, rows):
     """The bitset of the graded tuples whose member at vertex h lies in
     ``rows[n]`` when the one at vertex t is the n-th there.
@@ -438,8 +430,7 @@ def _invariant_bits(rep: Rep, mats: tuple):
         t, h = pos[e.tail], pos[e.head]
         src, dst = index[t], index[h]
         groups = {}  # image point -> the points at t sent onto its line
-        for c, code in enumerate(point_images(m)):
-            q = dst.locate(code)
+        for c, q in enumerate(map(dst.locate, point_images(m))):
             if q is not None and (t != h or q != c):
                 groups.setdefault(q, []).append(c)
         if t == h:
@@ -451,32 +442,49 @@ def _invariant_bits(rep: Rep, mats: tuple):
                 for n in _members(src.based_on_any(points)):
                     rows[n] |= lacks
             bad |= _pairs(sizes, t, h, rows)
-    return index, _tensor(sizes, good) & ~bad
+    return index, tensor_bits(sizes, good) & ~bad
 
 
-def _framing_cuts(fr: FramedRep, verts, index):
-    """Per vertex, the bitsets of the subspaces inside Ker j and of those
-    containing Im i, kept on ``fr`` until an ``i[k]`` or ``j[k]`` is
-    rebound."""
-    mats = tuple(fr.i[k] for k in verts) + tuple(fr.j[k] for k in verts)
-    return _memo(fr, "_framing_memo", mats,
-                 lambda: _framing_bits(fr, verts, index))
+def _lowest_tuples(fr: FramedRep, verts):
+    """The summary of :func:`_lowest_bits`, kept on ``fr`` until an edge
+    map, ``i[k]`` or ``j[k]`` is rebound."""
+    maps = fr.rep.mats
+    mats = (*[maps[e.name] for e in fr.rep.quiver.edges],
+            *map(fr.i.__getitem__, verts), *map(fr.j.__getitem__, verts))
+    return _memo(fr, "_lowest_memo", mats, lambda: _lowest_bits(fr, verts))
 
 
-def _framing_bits(fr: FramedRep, verts, index):
-    """The bitsets of :func:`_framing_cuts`. A subspace lies in Ker j when
-    j sends each row of its reduced echelon basis to 0; it contains Im i
-    when it holds the point of each nonzero column of i."""
+def _lowest_bits(fr: FramedRep, verts):
+    """The theta-free summary of a quadruple over F_p: the triples
+    (d, k, i) over the dimension vectors d in the order of
+    :func:`linalg.dimension_masks`, k being 1 + the position of the lowest
+    invariant tuple of dimension d inside Ker j and i the same for the
+    lowest containing Im i, 0 for none; a d with neither is left out.
+
+    A subspace lies in Ker j when j sends each row of its reduced echelon
+    basis to 0; it contains Im i when it holds the point of each nonzero
+    column of i. Each condition is a bitset per vertex, lifted to the
+    graded tuples once and cut by the dimension masks that every
+    quadruple of the same dimensions shares."""
     p = fr.field.p
+    index, tuples = _invariant_tuples(fr.rep)
     in_ker, has_im = [], []
     for k, ix in zip(verts, index):
         outside = ix.based_on_any(  # a basis row that j does not kill
-            c for c, code in enumerate(point_images(fr.j[k])) if code)
+            compress(range(len(ix.codes)), point_images(fr.j[k])))
         in_ker.append(((1 << ix.size) - 1) & ~outside)
         columns = (vector_code(p, col) for col in zip(*fr.i[k].data))
         has_im.append(ix.holding_all(
             q for q in map(ix.locate, columns) if q is not None))
-    return in_ker, has_im
+    sizes = [ix.size for ix in index]
+    ker = tuples & tensor_bits(sizes, in_ker)
+    im = tuples & tensor_bits(sizes, has_im)
+    out = []
+    for d, mask in dimension_masks(p, tuple(fr.v[k] for k in verts)):
+        k, i = ker & mask, im & mask
+        if k or i:
+            out.append((d, (k & -k).bit_length(), (i & -i).bit_length()))
+    return out
 
 
 def invariant_subspaces_bruteforce(rep: Rep, limit: int = DEFAULT_SUBSPACE_LIMIT):
@@ -502,45 +510,32 @@ def semistable_bruteforce(fr: FramedRep, theta: dict,
 
     The criterion characterizes (semi)stability for points on the moment
     fiber; any quadruple is accepted and checked against the same
-    inequalities. For each dimension vector the inequalities read, the
-    invariant tuples of that dimension inside Ker j, and those containing
-    Im i, are one bitset each; the violations are the union of those the
-    inequalities reject, and the witness is the lowest violating tuple,
-    the first in lexicographic order.
+    inequalities. Per dimension vector d the quadruple's summary
+    (:func:`_lowest_tuples`) gives the lowest invariant tuple of dimension
+    d inside Ker j, and the lowest containing Im i; theta only decides
+    which of them violate an inequality, or keep a proper d from being
+    stable, and the witness is the lowest violating tuple, the first in
+    lexicographic order.
     """
     verts, _ = _families(fr.rep, limit)
     check_theta(fr.quiver, theta)
-    index, tuples = _invariant_tuples(fr.rep)
-    in_ker, has_im = _framing_cuts(fr, verts, index)
-    weight = cleared([Fraction(theta[k]) for k in verts])[0]
+    weight = cleared([theta[k] for k in verts])[0]  # ints and Fractions
     full = tuple(fr.v[k] for k in verts)
     tv = sum(map(mul, weight, full))
-    sizes = [ix.size for ix in index]
-
-    def of_dim(parts, d):
-        """The invariant tuples of dimension vector d whose member at each
-        vertex lies in that vertex's part."""
-        cut = [bits & ix.by_dim[n] for bits, ix, n in zip(parts, index, d)]
-        return tuples & _tensor(sizes, cut) if all(cut) else 0
-
-    first = None  # (lowest violating bit, its dimensions)
-    stable = True
-    for d in product(*(range(n + 1) for n in full)):
-        proper = any(d) and d != full
+    first, at, stable = 0, None, True  # 1 + the lowest violating position
+    for d, k_d, i_d in _lowest_tuples(fr, verts):
         t = sum(map(mul, weight, d))
-        # each bitset is built only if the inequalities read it
-        k_d = of_dim(in_ker, d) if t > 0 or proper and t >= 0 else 0
-        i_d = of_dim(has_im, d) if t > tv or proper and t >= tv else 0
-        worse = (k_d if t > 0 else 0) | (i_d if t > tv else 0)
-        if worse:
-            low = worse & -worse
-            if first is None or low < first[0]:
-                first = (low, d)
-        elif proper and (k_d or i_d):
+        low = k_d if t > 0 else 0
+        if t > tv and i_d and (not low or i_d < low):
+            low = i_d
+        if low:
+            if not first or low < first:
+                first, at = low, d
+        elif (k_d and t >= 0 or i_d and t >= tv) and any(d) and d != full:
             stable = False
-    if first is None:
+    if not first:
         return {"semistable": True, "stable": stable, "witness": None}
-    at = dict(zip(verts, first[1]))
+    at = dict(zip(verts, at))
     return {"semistable": False, "stable": False,
             "witness": {k: at[k] for k in fr.v}}
 

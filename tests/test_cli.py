@@ -740,6 +740,33 @@ def test_coefficient_list_entry_needs_a_cyclotomic_field(
     assert "coefficient list, which needs a cyclotomic field" in captured.err
 
 
+@pytest.mark.parametrize("entry", ["1/0", ["1/0"]], ids=["Q", "Q(zeta_3)"])
+@pytest.mark.parametrize("command", ["rep moment", "adhm check", "conv mul"])
+def test_zero_denominator_entry_is_exit_2(capsys, tmp_path, monkeypatch,
+                                          command, entry):
+    # each loader let Fraction's ZeroDivisionError out as a traceback
+    monkeypatch.chdir(tmp_path)
+    field = {"kind": "rational"} if isinstance(entry, str) else \
+        {"kind": "cyclotomic", "m": 3}
+    if command == "rep moment":
+        data = {"quiver": "double:jordan", "field": field, "v": {"0": 1},
+                "mats": {"x": [[entry]], "x*": [["0"]]}}
+        argv = ["rep", "moment", "--rep", "in.json"]
+    elif command == "adhm check":
+        data = {"field": field, "n": 1, "x": [[entry]], "y": [["0"]],
+                "i": ["1"], "j": ["0"]}
+        argv = ["adhm", "check", "--data", "in.json"]
+    else:
+        data = {"field": field, "source": ["a"], "target": ["b"],
+                "entries": [[entry]]}
+        argv = ["conv", "mul", "--k1", "in.json", "--k2", "in.json"]
+    (tmp_path / "in.json").write_text(json.dumps(data))
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"entry {json.dumps(entry)} has a zero denominator" in captured.err
+
+
 # diag(1/2, -zeta, -zeta^2) over Q(zeta_3), -zeta^2 = 1 + zeta: pairs are
 # sorted by the str of their Fraction coefficients, where -zeta^2 comes
 # before 1/2; by the str of numerators over one denominator it would not

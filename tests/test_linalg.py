@@ -267,21 +267,42 @@ def test_the_index_grows_with_its_incidences():
     assert peak < 12 * 2 ** 20
 
 
-# code tables over the points only, in the index's order of the points;
-# (67, 2, 2) .. (17, 3, 3) have more than CODE_TABLE_LIMIT codes
-@pytest.mark.parametrize("p, rows, cols", [(3, 2, 2), (5, 1, 3), (2, 3, 2),
-                                           (5, 0, 2), (67, 2, 1), (67, 2, 2),
-                                           (67, 1, 2), (17, 3, 3)])
+# the images of the points only, in the index's order of the points, at
+# every lane width the kernel picks: 8 bits for (3, 2, 2) .. (2, 0, 3), 16
+# for (5, 1, 3) and (5, 0, 2), 32 for (67, 2, 1) .. (17, 3, 3), 64 for
+# (30011, 2, 2), and wider lanes read one by one for (1000003, 2, 1) and
+# (30011, 5, 2); (2, 2, 0) has no points at all
+POINT_IMAGE_CASES = [(3, 2, 2), (5, 1, 3), (2, 3, 2), (5, 0, 2), (67, 2, 1),
+                     (67, 2, 2), (67, 1, 2), (17, 3, 3), (2, 8, 4), (2, 0, 3),
+                     (2, 2, 0), (30011, 2, 2), (1000003, 2, 1),
+                     (30011, 5, 2)]
+
+
+def test_point_image_cases_cover_every_lane_width():
+    widths = {linalg.lane_width(*case) for case in POINT_IMAGE_CASES}
+    assert {8, 16, 32, 64} <= widths
+    assert max(widths) > 64
+
+
+@pytest.mark.parametrize("p, rows, cols", POINT_IMAGE_CASES)
 def test_point_images_map_the_points_of_the_index(p, rows, cols):
     f = PrimeField(p)
     rng = random.Random(p * 13 + cols)
     src = incidence_index(p, cols)
-    for m in (rand_mat(f, rows, cols, rng), Mat.zeros(f, rows, cols)):
+    # every point, or past 3000 points the first and last 50 lanes and 100
+    # more at random
+    n = len(src.codes)
+    sample = range(n) if n <= 3000 else sorted(
+        {*range(50), *range(n - 50, n), *rng.sample(range(n), 100)})
+    # the largest lanes are those of the matrix of p - 1 entries
+    top = Mat(f, [[p - 1] * cols for _ in range(rows)], rows, cols)
+    for m in (rand_mat(f, rows, cols, rng), Mat.zeros(f, rows, cols), top):
         images = point_images(m)
-        assert len(images) == len(src.codes)
-        for c, image in zip(src.codes, images):
+        assert len(images) == n
+        for at in sample:
+            c = src.codes[at]
             want = (m @ vector(f, cols, c)).transpose().data[0] if rows else ()
-            assert image == code(p, want)
+            assert images[at] == code(p, want)
 
 
 @settings(max_examples=40, deadline=None)

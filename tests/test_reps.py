@@ -10,8 +10,9 @@ import pytest
 from quivar import linalg
 from quivar.fields import FieldError, PrimeField, QQ
 from quivar.linalg import (Mat, annihilator_rows, enumerate_subspaces,
-                           incidence_index, preimage, subspace_contains,
-                           subspace_intersect, subspace_sum)
+                           incidence_index, point_images, preimage,
+                           subspace_contains, subspace_intersect,
+                           subspace_sum, tensor_bits)
 from quivar.quiver import (QuiverError, double, jordan_quiver, make_quiver,
                            opposite, type_a_quiver)
 from quivar.reps import (FramedRep, GradedSubspace, Rep, RepError,
@@ -678,6 +679,43 @@ def test_rebinding_a_map_recomputes_the_oracle():
             invariant_subspaces_bruteforce(fresh.rep)
         assert (invariant_subspaces_bruteforce(fr.rep) != found) == \
             (which == "x")
+
+
+def test_a_quadruple_tabulates_each_map_once(monkeypatch):
+    # counted through the names the oracle calls: a cold quadruple
+    # tabulates each edge map and each j[k] once, and every later theta
+    # reads the quadruple's summary alone, with no point image and no
+    # lift of a bitset to the graded tuples
+    from quivar import reps
+    tabulated, lifted = [], []
+
+    def images(m):
+        tabulated.append(m)
+        return point_images(m)
+
+    def lift(sizes, parts):
+        lifted.append(len(parts))
+        return tensor_bits(sizes, parts)
+
+    monkeypatch.setattr(reps, "point_images", images)
+    monkeypatch.setattr(reps, "tensor_bits", lift)
+    rng = random.Random(11)
+    for dq, v, p in [(double(type_a_quiver(2)), {"1": 2, "2": 1}, 3),
+                     (double(jordan_quiver()), {"0": 3}, 2),
+                     (double(make_quiver(["1"], [])), {"1": 2}, 5)]:
+        fr = random_framed_rep(dq, v, {k: 1 for k in v}, PrimeField(p), rng)
+        tabulated.clear()
+        semistable_bruteforce(fr, {k: 1 for k in v})
+        maps = [fr.rep.mats[e.name] for e in dq.edges] + \
+            [fr.j[k] for k in dq.vertices]
+        assert sorted(map(id, tabulated)) == sorted(map(id, maps))
+        assert lifted
+        tabulated.clear()
+        lifted.clear()
+        for theta in ({k: -1 for k in v}, dict(zip(v, [2, -3])),
+                      {k: 0 for k in v}):
+            semistable_bruteforce(fr, theta)
+        assert tabulated == [] and lifted == []
 
 
 def test_warm_memo_still_checks_the_limit():

@@ -131,7 +131,10 @@ ORACLE_NAMES = {"_invariant_tuples", "code_map", "subspace_points",
                 "_cell_table", "_solutions", "_holders", "_bases", "_bitset",
                 "_code_table", "_bruteforce_reports", "_families", "_memo",
                 "_invariant_bits", "_framing_cuts", "_framing_bits",
-                "_invariant_memo", "_framing_memo"}
+                "_invariant_memo", "_framing_memo", "lane_width",
+                "point_lanes", "_barrett", "_pack", "_LANE_FORMATS",
+                "_to_point", "tensor_bits", "dimension_masks",
+                "_lowest_tuples", "_lowest_bits", "_lowest_memo"}
 # the per-subspace membership tests that the incidence index replaced
 RETIRED_ORACLE_NAMES = {"subspace_points", "point_test", "_in_mask",
                         "_in_echelon"}
