@@ -22,7 +22,7 @@ from .adhm import (AdhmData, AdhmError, calogero_moser_check,
 from .convolution import (ConvError, FiniteGroup, FiniteKernel, convolve,
                           convolve_via_pullback, finset, group_algebra,
                           hecke_algebra)
-from .fields import FieldError, field_from_spec
+from .fields import FieldError, exact_int, field_from_spec
 from .linalg import Mat
 from .mckay import McKayError, delta_vector, mckay_graph_quiver, \
     mckay_quiver, table_by_name, verify_ade
@@ -172,7 +172,7 @@ def load_adhm(path) -> AdhmData:
     d = _read_json(path, "triple")
     try:
         fieldobj = field_from_spec(d["field"])
-        n = int(d["n"])
+        n = exact_int(d["n"], "n")
         x = parse_matrix(fieldobj, d["x"], n, n)
         y = parse_matrix(fieldobj, d["y"], n, n)
         i = parse_matrix(fieldobj, [[r] if not isinstance(r, list) else r
@@ -423,6 +423,8 @@ def cmd_adhm(args):
         f = d.field
         return {"points": [[f.to_str(a), f.to_str(b)] for a, b in spec]}
     if act == "traces":
+        if args.maxdeg < 0:
+            raise InputError(f"--maxdeg {args.maxdeg}: must be >= 0")
         f = d.field
         tr = power_traces(d.x, d.y, args.maxdeg)
         return {"maxdeg": args.maxdeg,

@@ -759,12 +759,23 @@ class CyclotomicField(Field):
 QQ = Rationals()
 
 
+def exact_int(x, what: str) -> int:
+    """x as an int: an integral float such as 3.0 is read as 3, but 3.7 or
+    "3" raises FieldError naming ``what``, never truncated."""
+    try:
+        if int(x) == x:
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise FieldError(f"{what} {x!r} is not an integer")
+
+
 def field_from_spec(spec: dict) -> Field:
     kind = spec.get("kind")
     if kind == "rational":
         return QQ
     if kind == "prime":
-        return PrimeField(int(spec["p"]))
+        return PrimeField(exact_int(spec["p"], "field p"))
     if kind == "cyclotomic":
-        return CyclotomicField(int(spec["m"]))
+        return CyclotomicField(exact_int(spec["m"], "field m"))
     raise FieldError(f"unknown field spec {spec!r}")

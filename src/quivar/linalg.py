@@ -21,7 +21,6 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, combinations, product
-from operator import add
 
 from .fields import Field, FieldError, PrimeField
 from .poly import q_binomial
@@ -415,9 +414,14 @@ def enumerate_subspaces(p: int, d: int):
 #
 # The incidence index of (p, d) gives each point the subspaces of the
 # family that hold it, and those whose reduced echelon basis has it as a
-# row. Both come cell by cell from the echelon equations the point must
-# satisfy, so the index costs its incidences and nothing for a subspace
-# that misses the point. Each point keeps them as bitsets, bit n for the
+# row. Both come from one identity: a point v with leading position l lies
+# in the subspace with reduced echelon rows r_j exactly when
+# v = sum_j v[pc_j] r_j, so the row of pivot l is
+# v - sum_{j != l} v[pc_j] r_j. In each cell of pivot l the other rows' free
+# entries run over F_p and fix that row's, and the holders with v itself as
+# that row are those of the cells where v vanishes at the other pivots. So
+# the index costs its incidences and nothing for a subspace that misses
+# the point. Each point keeps them as bitsets, bit n for the
 # n-th subspace of :func:`enumerate_subspaces`, while the bitsets of all
 # points fit in POINT_BITS_LIMIT bits, and as sorted lists of positions
 # beyond: a point then lies in few of many subspaces, and a bitset per
@@ -540,102 +544,52 @@ def _cell_table(p: int, d: int):
 
     The free entry at place j of a cell's m weighs p^(m - 1 - j) in the
     subspace's position within the cell. Under l a cell is its first
-    position; per non-pivot column c, the terms (pivot column, weight) of
-    the free entries in column c; its other pivot columns; the (column,
-    weight) of the free entries in the row of pivot l; and the weights of
-    the free entries in its other rows."""
+    position; per column c with free entries, the terms (pivot column,
+    weight) of those in rows other than the row of pivot l, and the weight
+    of the one in that row, 0 if it has none; and its other pivot columns.
+    A point v with leading position l lies in the subspace with reduced
+    echelon rows r_j exactly when v = sum_j v[pc_j] r_j, so, v being 1 at
+    l, the row of pivot l is v - sum_{j != l} v[pc_j] r_j: its entry in
+    column c is (v[c] - sum v[pc] x) mod p over the terms' entries x, which
+    run over F_p."""
     by_lead, start = [[] for _ in range(d)], 0
     for pivots, free_pos in _cells(d):
         m = len(free_pos)
         weights = [p ** (m - 1 - j) for j in range(m)]
-        columns = {c: [] for c in range(d) if c not in pivots}
-        for (r, c), w in zip(free_pos, weights):
-            columns[c].append((pivots[r], w))
+        entries = list(zip(free_pos, weights))
         for r, lead in enumerate(pivots):
-            by_lead[lead].append((
-                start, list(columns.items()),
-                [pc for pc in pivots if pc != lead],
-                [(c, w) for (s, c), w in zip(free_pos, weights) if s == r],
-                [w for (s, _), w in zip(free_pos, weights) if s != r]))
+            columns = [(c, [(pivots[s], w) for (s, e), w in entries
+                            if e == c and s != r],
+                        sum(w for (s, e), w in entries if e == c and s == r))
+                       for c in dict.fromkeys(c for _, c in free_pos)]
+            by_lead[lead].append((start, columns,
+                                  [pc for pc in pivots if pc != lead]))
         start += p ** m
     return by_lead
 
 
-def _solutions(p: int, terms, target: int, base: int, steps) -> list:
-    """The offsets base + sum w x over the x in F_p^len(terms) with
-    sum a x = target, for terms (a, w).
-
-    The last term with a != 0 is solved for, and the terms with a = 0 run
-    over F_p. The other terms run over F_p too, the last of them as one
-    slice per offset: as its entry x runs over F_p, w times the solved
-    entry runs through a rotation of ``steps[b, w]``, the sequence of
-    w (-b x mod p), for b its coefficient over the solved one's."""
-    if len(terms) == 1:  # most columns: a single free entry
-        (a, w), = terms
-        if a:
-            return [base + w * (target * pow(a, -1, p) % p)]
-        return [] if target else list(range(base, base + p * w, w))
-    live = [n for n, (a, _) in enumerate(terms) if a]
-    if not live:
-        offsets = [] if target else [base]
-    else:
-        *others, last = live
-        a, w = terms[last]
-        scale = pow(a, -1, p)
-        sums = [(base, target * scale)]  # (offset, the solved entry unreduced)
-        for n in others[:-1]:
-            b, v = terms[n][0] * scale, terms[n][1]
-            sums = [(o + x * v, t - b * x) for o, t in sums for x in range(p)]
-        if others:
-            b, v = terms[others[-1]][0] * scale % p, terms[others[-1]][1]
-            seq = steps.get((b, w))
-            if seq is None:
-                seq = steps[b, w] = [w * (-b * x % p) for x in range(p)]
-            inv, offsets = pow(b, -1, p), []
-            for o, t in sums:
-                k = p - t * inv % p
-                offsets += map(add, range(o, o + p * v, v), seq[k:] + seq[:k])
-        else:
-            offsets = [o + w * (t % p) for o, t in sums]
-    for a, w in terms:
-        if not a:
-            offsets = [o + x for o in offsets for x in range(0, p * w, w)]
-    return offsets
-
-
-def _holders(p: int, cells, v, steps) -> list:
-    """The positions in the family of the subspaces that hold the point v:
-    in each of the cells of v's leading position, those whose free entries
-    solve, column by column, v[c] = sum v[pivot] x."""
-    out = []
-    for start, columns, _, _, _ in cells:
+def _point_incidences(p: int, cells, v) -> tuple:
+    """The positions in the family of the subspaces that hold the point v,
+    and of those whose reduced echelon basis has v as a row, from the cells
+    of v's leading position l: in each, the other rows' free entries run
+    over F_p and fix the row of pivot l column by column by the identity of
+    :func:`_cell_table`. Where v vanishes at the other pivots, that row is
+    v itself in every holder, and nowhere else is v a basis row."""
+    held, based = [], []
+    for start, columns, others in cells:
         offsets = [start]
-        for c, terms in columns:
-            coeffs = [(v[pc], w) for pc, w in terms]
-            if len(offsets) == 1:
-                offsets = _solutions(p, coeffs, v[c], offsets[0], steps)
-            else:
-                part = _solutions(p, coeffs, v[c], 0, steps)
-                offsets = [o + x for o in offsets for x in part]
-            if not offsets:
-                break
-        out += offsets
-    return out
-
-
-def _bases(p: int, cells, v) -> list:
-    """The positions in the family of the subspaces whose reduced echelon
-    basis has the point v as a row, from the cells of v's leading position:
-    v sets the free entries of the row at that pivot, and must vanish at
-    the other pivots."""
-    out = []
-    for start, _, others, row, free in cells:
+        for c, terms, own in columns:
+            part = [(0, v[c])]  # (offset, v[c] - sum v[pc] x)
+            for pc, w in terms:
+                a = v[pc]
+                part = [(o + w * x, t - a * x) for o, t in part
+                        for x in range(p)]
+            part = [o + own * (t % p) for o, t in part]
+            offsets = [o + x for o in offsets for x in part]
+        held += offsets
         if not any(map(v.__getitem__, others)):
-            offsets = [start + sum(v[c] * w for c, w in row)]
-            for w in free:
-                offsets = [o + x for o in offsets for x in range(0, p * w, w)]
-            out += offsets
-    return out
+            based += offsets
+    return held, based
 
 
 def _to_point(p: int, d: int, code: int):
@@ -676,7 +630,9 @@ class Incidence:
     For each point the index keeps the subspaces that hold it, and those
     whose reduced echelon basis has it as a row: a subspace is invariant
     under a map, or lies in a kernel, when the images of its basis rows
-    are. Both are bitsets while they fit in POINT_BITS_LIMIT bits, and
+    are. Both come from one identity: v lies in the subspace with reduced
+    echelon rows r_j exactly when v = sum_j v[pc_j] r_j. Both are bitsets
+    while they fit in POINT_BITS_LIMIT bits, and
     sorted lists of positions otherwise; the queries answer in bitsets
     either way.
     """
@@ -744,8 +700,8 @@ class Incidence:
 
 @lru_cache(maxsize=32)
 def incidence_index(p: int, d: int) -> Incidence:
-    """The incidence index of F_p^d, built point by point from the echelon
-    equations of each cell of the family."""
+    """The incidence index of F_p^d, built point by point by
+    :func:`_point_incidences` over the cells of the family."""
     cells = _cell_table(p, d)
     counts = [0] * (d + 1)  # the family runs by dimension
     for pivots, free_pos in _cells(d):
@@ -755,12 +711,12 @@ def incidence_index(p: int, d: int) -> Incidence:
     codes = tuple(p ** l + p ** (l + 1) * t
                   for l in range(d) for t in range(p ** (d - l - 1)))
     as_bits = len(codes) * size <= POINT_BITS_LIMIT
-    held, based, steps = [], [], {}
+    held, based = [], []
     kind = "i" if size < 1 << 31 else "q"  # a type code wide enough
     for l in range(d):
         for t in range(p ** (d - l - 1)):
             v = [0] * l + [1] + code_vector(p, d - l - 1, t)
-            h, b = _holders(p, cells[l], v, steps), _bases(p, cells[l], v)
+            h, b = _point_incidences(p, cells[l], v)
             if as_bits:
                 held.append(_bitset(h, size))
                 based.append(_bitset(b, size))
@@ -804,14 +760,9 @@ def dimension_masks(p: int, dims: tuple) -> tuple:
                  for d in product(*(range(n + 1) for n in dims)))
 
 
-def gaussian_binomial_total(p: int, d: int) -> int:
-    """Total number of subspaces of F_p^d (sum of Gaussian binomials)."""
-    return sum(q_binomial(d, k, p) for k in range(d + 1))
-
-
 @lru_cache(maxsize=32)
-def family_size(p: int, d: int) -> int:
-    """:func:`gaussian_binomial_total`, kept per (p, d) like the family of
-    :func:`enumerate_subspaces`: the limit check of every brute-force call
-    reads it before the family is built."""
-    return gaussian_binomial_total(p, d)
+def gaussian_binomial_total(p: int, d: int) -> int:
+    """Total number of subspaces of F_p^d (sum of Gaussian binomials), kept
+    per (p, d) like the family of :func:`enumerate_subspaces`: the limit
+    check of every brute-force call reads it before the family is built."""
+    return sum(q_binomial(d, k, p) for k in range(d + 1))

@@ -53,8 +53,8 @@ from math import prod
 
 from .fields import Field, FieldError, PrimeField
 from .linalg import (Echelon, Mat, annihilator_rows, col_span,
-                     dimension_masks, enumerate_subspaces, family_size,
-                     incidence_index, point_images, subspace_contains,
+                     dimension_masks, enumerate_subspaces,
+                     gaussian_binomial_total, incidence_index, point_images, subspace_contains,
                      tensor_bits, vector_code)
 from .poly import cleared
 from .quiver import Quiver, check_dimvector, cycles, dot, star_pairs
@@ -381,7 +381,7 @@ def _families(rep: Rep, limit: int):
         raise RepError("brute-force enumeration requires a prime field")
     p = rep.field.p
     verts = list(rep.quiver.vertices)
-    count = prod(family_size(p, rep.v[k]) for k in verts)
+    count = prod(gaussian_binomial_total(p, rep.v[k]) for k in verts)
     if count > limit:
         raise RepError(f"subspace enumeration size {count} exceeds limit {limit}")
     return verts, [enumerate_subspaces(p, rep.v[k]) for k in verts]

@@ -162,6 +162,57 @@ def test_non_integral_rep_dimension_is_exit_2(capsys, tmp_path, key):
     assert captured.out == "" and "not an integer" in captured.err
 
 
+# a field's p or m is refused when non-integral, by the rule of the
+# dimension vectors; these once ran over F_3 and Q(zeta_4)
+@pytest.mark.parametrize("spec, bad", [
+    ({"kind": "prime", "p": 3}, 3.7), ({"kind": "prime", "p": 3}, "3"),
+    ({"kind": "cyclotomic", "m": 4}, 4.9)])
+def test_non_integral_field_spec_is_exit_2(capsys, tmp_path, spec, bad):
+    d = {"quiver": "double:jordan", "field": spec,
+         "v": {"0": 1}, "mats": {"x": [["0"]], "x*": [["0"]]}}
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(d))
+    key = "p" if "p" in spec else "m"
+    for value in (spec[key], float(spec[key])):  # 3.0 is read as 3
+        d["field"] = {**spec, key: value}
+        path.write_text(json.dumps(d))
+        assert run(["rep", "moment", "--rep", str(path)]) == 0
+    capsys.readouterr()
+    d["field"] = {**spec, key: bad}
+    path.write_text(json.dumps(d))
+    assert run(["rep", "moment", "--rep", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not an integer" in captured.err
+
+
+# the size n of a triple likewise; "n": 1.5 once ran as n = 1
+def test_non_integral_triple_size_is_exit_2(capsys, tmp_path):
+    d = {"field": {"kind": "rational"}, "n": 1, "x": [["0"]], "y": [["0"]],
+         "i": ["1"], "j": ["0"]}
+    path = tmp_path / "triple.json"
+    for n, code in [(1, 0), (1.0, 0), (1.5, 2)]:
+        d["n"] = n
+        path.write_text(json.dumps(d))
+        assert run(["adhm", "check", "--data", str(path)]) == code
+    captured = capsys.readouterr()
+    assert "not an integer" in captured.err
+
+
+# traces up to a negative degree are refused, as cycles up to length 0 are;
+# they once printed an empty table. Degree 0 is Tr(1) = n
+def test_negative_maxdeg_is_exit_2(report, capsys, tmp_path):
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps({
+        "field": {"kind": "rational"}, "n": 2,
+        "x": [["0", "1"], ["0", "0"]], "y": [["0", "0"], ["0", "0"]],
+        "i": ["0", "1"], "j": ["0", "0"]}))
+    out = report("adhm", "traces", "--data", str(path), "--maxdeg", "0")
+    assert out["results"]["traces"] == {"x^0y^0": "2"}
+    assert run(["adhm", "traces", "--data", str(path), "--maxdeg", "-2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--maxdeg" in captured.err
+
+
 # w is 0 at a vertex the file omits, but a key that is no vertex is
 # refused, as in v; it was once dropped
 def test_foreign_framing_key_is_exit_2(capsys, tmp_path):

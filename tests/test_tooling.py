@@ -128,7 +128,8 @@ ORACLE_NAMES = {"_invariant_tuples", "code_map", "subspace_points",
                 "point_test", "vector_code", "incidence_index", "Incidence",
                 "locate", "point_images", "holding", "holding_all",
                 "based_on_any", "breaking", "_tensor", "_pairs", "_members",
-                "_cell_table", "_solutions", "_holders", "_bases", "_bitset",
+                "_cell_table", "_solutions", "_holders", "_bases",
+                "_point_incidences", "_bitset",
                 "_code_table", "_bruteforce_reports", "_families", "_memo",
                 "_invariant_bits", "_framing_cuts", "_framing_bits",
                 "_invariant_memo", "_framing_memo", "lane_width",
@@ -445,7 +446,7 @@ def test_polynomial_steps_live_in_poly():
             (adhm._root_candidates, {"cleared", "roots_mod"}),
             (adhm._poly_roots, {"scaled"}),
             (adhm._multiplicity, {"hasse"}),
-            (linalg.gaussian_binomial_total, {"q_binomial"}),
+            (linalg.gaussian_binomial_total.__wrapped__, {"q_binomial"}),
             (convolution.hecke_algebra, {"q_binomial"})]
     for fn, names in uses:
         assert names <= _names(fn.__code__), fn.__qualname__
