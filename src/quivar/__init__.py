@@ -5,3 +5,8 @@ quivers of finite SL2 subgroups, and finite-set convolution algebras.
 """
 
 __version__ = "0.1.0"
+
+
+class MathFailure(ValueError):
+    """A mathematical check that well-formed input fails: `qv` reports it
+    with exit 1, where any other ValueError is an input error (exit 2)."""

@@ -38,13 +38,14 @@ from fractions import Fraction
 from itertools import count, product
 from math import gcd, isqrt
 
+from . import MathFailure
 from .fields import CyclotomicField, Field, FieldError, PrimeField, QQ
 # subspace_contains is unused here: perfbench's tracer test reads it here
 from .linalg import Echelon, Mat, col_span, subspace_contains
 from .poly import cleared, hasse, roots_mod, scaled
 
 
-class AdhmError(ValueError):
+class AdhmError(MathFailure):
     pass
 
 

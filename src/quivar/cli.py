@@ -8,34 +8,20 @@ identical inputs and seeds.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 from fractions import Fraction
 from math import prod
 
-from . import __version__
-from .adhm import (AdhmData, AdhmError, calogero_moser_check,
-                   ideal_from_triple, is_hilbert_point, joint_spectrum,
-                   power_traces)
-from .convolution import (ConvError, FiniteGroup, FiniteKernel, convolve,
-                          convolve_via_pullback, finset, group_algebra,
-                          hecke_algebra)
-from .fields import FieldError, exact_int, field_from_spec
-from .linalg import Mat
-from .mckay import McKayError, delta_vector, mckay_graph_quiver, \
-    mckay_quiver, table_by_name, verify_ade
+from . import MathFailure, __version__
 from .quiver import (Quiver, QuiverError, adjacency, cartan, cb_frame,
                      check_dimvector, cycles, dims, double, frame,
                      jordan_quiver, quiver_from_json, quiver_to_json,
                      type_a_quiver, walk_counts)
-from .reps import (DEFAULT_SUBSPACE_LIMIT, FramedRep, Rep, RepError,
-                   check_theta, endomorphism_space, is_stable_minus,
-                   is_stable_plus, moment_residual, semistable_bruteforce,
-                   trace_signature, unframed_fiber_obstruction)
-from .roots import (HKParam, RootsError, gg_analysis, is_dominant,
-                    is_v_regular, p_defect, rprime_below, weight_of)
+
+# Every other layer is imported by the handler or loader that reads it, so
+# that a subcommand loads only the layers it runs.
 
 
 class InputError(ValueError):
@@ -135,7 +121,8 @@ def _parse_entry(fieldobj, x):
         raise InputError(f"entry {json.dumps(x)} has a zero denominator")
 
 
-def parse_matrix(fieldobj, data, rows, cols) -> Mat:
+def parse_matrix(fieldobj, data, rows, cols):
+    from .linalg import Mat
     if len(data) != rows or any(len(r) != cols for r in data):
         raise InputError(f"matrix must be {rows} x {cols}")
     return Mat(fieldobj, [[_parse_entry(fieldobj, x) for x in r] for r in data],
@@ -144,6 +131,9 @@ def parse_matrix(fieldobj, data, rows, cols) -> Mat:
 
 def load_rep(path) -> tuple:
     """Representation (Rep or FramedRep) from its JSON file."""
+    from .fields import FieldError, field_from_spec
+    from .linalg import Mat
+    from .reps import FramedRep, Rep, RepError
     d = _read_json(path, "representation")
     try:
         q = load_quiver_ref(d["quiver"])
@@ -168,7 +158,9 @@ def load_rep(path) -> tuple:
         raise InputError(f"bad representation JSON: {err}")
 
 
-def load_adhm(path) -> AdhmData:
+def load_adhm(path):
+    from .adhm import AdhmData
+    from .fields import exact_int, field_from_spec
     d = _read_json(path, "triple")
     try:
         fieldobj = field_from_spec(d["field"])
@@ -183,7 +175,9 @@ def load_adhm(path) -> AdhmData:
         raise InputError(f"bad triple JSON: {err}")
 
 
-def load_kernel(path) -> FiniteKernel:
+def load_kernel(path):
+    from .convolution import FiniteKernel, finset
+    from .fields import field_from_spec
     d = _read_json(path, "kernel")
     try:
         fieldobj = field_from_spec(d.get("field", {"kind": "rational"}))
@@ -196,7 +190,7 @@ def load_kernel(path) -> FiniteKernel:
         raise InputError(f"bad kernel JSON: {err}")
 
 
-def mat_to_json(m: Mat):
+def mat_to_json(m):
     return [[m.field.to_str(x) for x in r] for r in m.data]
 
 
@@ -209,6 +203,7 @@ def parse_theta(q: Quiver, text) -> dict:
         return {k: -1 for k in q.vertices}
     if text == "zero":
         return {k: 0 for k in q.vertices}
+    from .reps import check_theta
     try:
         return check_theta(q, json.loads(text))
     except ValueError as err:  # bad JSON, or check_theta's RepError
@@ -248,6 +243,7 @@ def _check_box(q: Quiver, v: dict):
 
 
 def _check_gg_work(q: Quiver, v: dict):
+    from .roots import rprime_below
     depth, box = sum(v.values()), prod(x + 1 for x in v.values())
     # depth * box bounds the measure below, so the roots are listed under it
     if depth * box > ROOTS_GG_CAP or \
@@ -302,6 +298,8 @@ def cmd_dims(args):
 
 
 def cmd_roots(args):
+    from .roots import (HKParam, gg_analysis, is_dominant, is_v_regular,
+                        p_defect, rprime_below, weight_of)
     q = load_quiver_ref(args.quiver)
     v = parse_dimvector(q, args.v)
     act = args.action
@@ -342,6 +340,7 @@ def cmd_roots(args):
 
 def _subspace_limit():
     """The brute-force oracle's cap, overridable through QV_LIMIT."""
+    from .reps import DEFAULT_SUBSPACE_LIMIT
     val = os.environ.get("QV_LIMIT")
     if not val:
         return DEFAULT_SUBSPACE_LIMIT
@@ -351,6 +350,9 @@ def _subspace_limit():
 
 
 def cmd_rep(args):
+    from .reps import (FramedRep, endomorphism_space, is_stable_minus,
+                       is_stable_plus, moment_residual, semistable_bruteforce,
+                       trace_signature, unframed_fiber_obstruction)
     r = load_rep(args.rep)
     rep0 = r.rep if isinstance(r, FramedRep) else r
     q = rep0.quiver
@@ -405,6 +407,8 @@ def cmd_rep(args):
 
 
 def cmd_adhm(args):
+    from .adhm import (calogero_moser_check, ideal_from_triple,
+                       is_hilbert_point, joint_spectrum, power_traces)
     d = load_adhm(args.data)
     act = args.action
     if act == "check":
@@ -442,6 +446,8 @@ def cmd_adhm(args):
 
 
 def cmd_mckay(args):
+    from .mckay import (McKayError, delta_vector, mckay_graph_quiver,
+                        mckay_quiver, table_by_name, verify_ade)
     try:  # the tables are fixed but for n: a refusal is a bad name or n
         t = table_by_name(args.group)
     except McKayError as err:
@@ -456,6 +462,8 @@ def cmd_mckay(args):
 
 
 def cmd_conv(args):
+    from .convolution import (FiniteGroup, convolve, convolve_via_pullback,
+                              group_algebra, hecke_algebra)
     act = args.action
     if act == "hecke":
         h = hecke_algebra(args.n, args.q)
@@ -470,7 +478,7 @@ def cmd_conv(args):
             g = FiniteGroup(tuple(tuple(r) for r in d["table"]),
                             tuple(d.get("names",
                                         [str(k) for k in range(len(d["table"]))])))
-        except (KeyError, TypeError, ValueError, ConvError) as err:
+        except (KeyError, TypeError, ValueError) as err:  # ConvError too
             raise InputError(f"bad group table: {err}")
         ga = group_algebra(g)
         return {"order": ga["n"], "identity": ga["identity"],
@@ -565,10 +573,8 @@ _HANDLERS = {"quiver": cmd_quiver, "dims": cmd_dims, "roots": cmd_roots,
              "rep": cmd_rep, "adhm": cmd_adhm, "mckay": cmd_mckay,
              "conv": cmd_conv, "selftest": cmd_selftest}
 
-_MATH_ERRORS = (AdhmError, McKayError, RootsError)
-
-
 def _emit(argv, results, seed, ok):
+    import hashlib
     digest = hashlib.sha256(json.dumps(argv, sort_keys=True).encode()).hexdigest()
     report = {"command": argv, "inputs_digest": digest, "ok": ok,
               "results": results, "seed": seed, "version": __version__}
@@ -587,11 +593,10 @@ def run(argv=None) -> int:
     except CheckFailed as err:
         _emit(argv, err.results, args.seed, False)
         return 1
-    except _MATH_ERRORS as err:
+    except MathFailure as err:
         _emit(argv, {"error": str(err)}, args.seed, False)
         return 1
-    except (FieldError, QuiverError, RepError, ConvError, OSError,
-            ValueError) as err:
+    except (OSError, ValueError) as err:
         print(f"qv: input error: {err}", file=sys.stderr)
         return 2
     _emit(argv, results, args.seed, True)

@@ -85,6 +85,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, repeat
 from math import gcd
 
@@ -480,6 +481,24 @@ def cyclotomic_coeffs(m: int):
     return phi[m]
 
 
+def _zeta_table(m: int):
+    """(ints, pows): zeta^j for j < m as the d integer coordinates of its
+    numerator, and as that element of Q(zeta_m); zeta^m = 1 makes them cover
+    every power, indexed by j % m. Tuples, so that fields may share them."""
+    phi = cyclotomic_coeffs(m)
+    ints = [(1,) + (0,) * (len(phi) - 2)]
+    for _ in range(m - 1):  # z times the power before, mod Phi_m
+        ints.append(tuple(divmod_monic([0, *ints[-1]], phi)[1]))
+    return tuple(ints), tuple((*row, 1) for row in ints)
+
+
+# The fields of one m share the last 32 tables of m up to 168, the largest
+# m of a McKay table under mckay.MCKAY_WORK_CAP (bd:42); a larger field
+# builds its own table, freed with the field.
+_SHARED_ZETA_M = 168
+_shared_zeta_table = lru_cache(maxsize=32)(_zeta_table)
+
+
 def _lowest(nums, den):
     """The element (*nums, den) of Q(zeta_m) in lowest terms: divided by
     gcd(den, *nums). ``nums`` is a list of d ints and den > 0."""
@@ -523,14 +542,9 @@ class CyclotomicField(Field):
         if m < 1:
             raise FieldError("cyclotomic index must be >= 1")
         self.m = m
-        phi = cyclotomic_coeffs(m)
-        d = self.degree = len(phi) - 1
-        # zeta^j for j < m, each z times the one before mod Phi_m; zeta^m = 1
-        # makes it cover every power, indexed by j % m
-        table = self._zeta_ints = [[1] + [0] * (d - 1)]
-        for _ in range(m - 1):
-            table.append(divmod_monic([0] + table[-1], phi)[1])
-        self._zeta_pows = [(*row, 1) for row in table]
+        table = _shared_zeta_table if m <= _SHARED_ZETA_M else _zeta_table
+        self._zeta_ints, self._zeta_pows = table(m)
+        d = self.degree = len(self._zeta_ints[0])
         self._zeros = (0,) * (d - 1)
         self._int_tail = self._zeros + (1,)
         self._zero = (0,) + self._int_tail
@@ -760,10 +774,10 @@ QQ = Rationals()
 
 
 def exact_int(x, what: str) -> int:
-    """x as an int: an integral float such as 3.0 is read as 3, but 3.7 or
-    "3" raises FieldError naming ``what``, never truncated."""
-    try:
-        if int(x) == x:
+    """x as an int: an integral float such as 3.0 is read as 3, but 3.7,
+    "3" or True raises FieldError naming ``what``, never truncated."""
+    try:  # int(True) == True, so a bool is refused by its type
+        if not isinstance(x, bool) and int(x) == x:
             return int(x)
     except (TypeError, ValueError, OverflowError):
         pass

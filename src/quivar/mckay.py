@@ -33,11 +33,12 @@ import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import MathFailure
 from .fields import CyclotomicField, FieldError
 from .quiver import Edge, Quiver
 
 
-class McKayError(ValueError):
+class McKayError(MathFailure):
     pass
 
 

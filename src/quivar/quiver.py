@@ -78,12 +78,12 @@ def type_a_quiver(n: int) -> Quiver:
 def check_dimvector(q: Quiver, v: dict):
     """v with int entries. Raises QuiverError unless its keys are the
     vertices of q and each entry is an integer >= 0: an integral float such
-    as 2.0 is read as 2, but 2.7 or "2" is refused, never truncated."""
+    as 2.0 is read as 2, but 2.7, "2" or True is refused, never truncated."""
     if set(v) != set(q.vertices):
         raise QuiverError(f"dimension vector keys {sorted(v)} do not match vertices")
     for x in v.values():
-        try:
-            integral = int(x) == x
+        try:  # int(True) == True, so a bool is refused by its type
+            integral = not isinstance(x, bool) and int(x) == x
         except (TypeError, ValueError, OverflowError):
             integral = False
         if not integral:

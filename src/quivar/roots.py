@@ -13,12 +13,13 @@ from functools import lru_cache
 from itertools import product
 from operator import mul, sub
 
+from . import MathFailure
 from .fields import QQ
 from .linalg import Mat
 from .quiver import Quiver, aq_form, cartan, check_dimvector, dot
 
 
-class RootsError(ValueError):
+class RootsError(MathFailure):
     pass
 
 

@@ -198,6 +198,42 @@ def test_non_integral_triple_size_is_exit_2(capsys, tmp_path):
     assert "not an integer" in captured.err
 
 
+# a bool is not an integer, though int(True) == True: these once ran as
+# v = 1, as w = 1, over Q(zeta_1) and with n = 1, while "p": true was
+# refused only as not prime
+@pytest.mark.parametrize("argv, bad", [
+    (["--v", "true"], "True"), (["--v", "1", "--w", "true"], "True"),
+    (["--v", '{"0": false}'], "False")])
+def test_boolean_dimension_is_exit_2(capsys, argv, bad):
+    assert run(["dims", "--quiver", "jordan", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"dimension vector entry {bad} is not an integer" in captured.err
+
+
+@pytest.mark.parametrize("spec, what", [
+    ({"kind": "cyclotomic", "m": True}, "field m"),
+    ({"kind": "prime", "p": True}, "field p")])
+def test_boolean_field_spec_is_exit_2(capsys, tmp_path, spec, what):
+    d = {"quiver": "double:jordan", "field": spec,
+         "v": {"0": 1}, "mats": {"x": [["0"]], "x*": [["0"]]}}
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(d))
+    assert run(["rep", "moment", "--rep", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{what} True is not an integer" in captured.err
+
+
+def test_boolean_triple_size_is_exit_2(capsys, tmp_path):
+    d = {"field": {"kind": "rational"}, "n": True, "x": [["0"]],
+         "y": [["0"]], "i": ["1"], "j": ["0"]}
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(d))
+    assert run(["adhm", "check", "--data", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "n True is not an integer" in captured.err
+
+
 # traces up to a negative degree are refused, as cycles up to length 0 are;
 # they once printed an empty table. Degree 0 is Tr(1) = n
 def test_negative_maxdeg_is_exit_2(report, capsys, tmp_path):

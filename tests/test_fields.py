@@ -126,6 +126,57 @@ def test_cyclotomic_zeta_order():
             assert x != f.one()
 
 
+def test_fields_of_one_m_share_the_zeta_table():
+    # the table of zeta^j is built once per m, as tuples that no field
+    # can change; a field on the shared table computes as one whose table
+    # was built afresh
+    from quivar import fields
+    rng = random.Random(20)
+    for m in (1, 12, 20):
+        f, g = CyclotomicField(m), CyclotomicField(m)
+        assert f._zeta_ints is g._zeta_ints and f._zeta_pows is g._zeta_pows
+        assert isinstance(f._zeta_pows, tuple)
+        assert all(isinstance(row, tuple) for row in f._zeta_ints)
+        fields._shared_zeta_table.cache_clear()
+        h = CyclotomicField(m)
+        assert h._zeta_pows is not f._zeta_pows
+        for j in range(-m, 2 * m):
+            assert f.zeta_pow(j) == g.zeta_pow(j) == h.zeta_pow(j)
+        for _ in range(20):
+            a, b = f.random(rng), f.random(rng)
+            assert f.mul(a, b) == g.mul(a, b) == h.mul(a, b)
+            assert f.mul(f.mul(a, f.zeta_pow(7)), b) == \
+                h.mul(a, h.mul(h.zeta_pow(7), b))
+    # the table of m = 20, rebuilt by multiplying by zeta from 1
+    f = CyclotomicField(20)
+    x = f.one()
+    for j in range(40):
+        assert f.zeta_pow(j) == x
+        x = f.mul(x, f.zeta())
+
+
+def test_shared_zeta_tables_cover_every_mckay_table():
+    # every table the McKay cap admits has m up to the shared bound, so it
+    # reuses its zeta^j table; a larger field keeps its own, freed with it.
+    # k^3 alone exceeds the cap from k = 631, so the range is exhaustive
+    from quivar import fields
+    from quivar.mckay import McKayError, _check_work
+
+    def admitted(k, m):
+        try:
+            _check_work(k, m)
+        except McKayError:
+            return False
+        return True
+
+    ms = [n for n in range(1, 631) if admitted(n, n)]
+    ms += [4 * n for n in range(2, 628) if admitted(n + 3, 4 * n)]
+    assert max(ms) == fields._SHARED_ZETA_M == 168
+    assert CyclotomicField(168)._zeta_pows is CyclotomicField(168)._zeta_pows
+    assert CyclotomicField(169)._zeta_pows is not \
+        CyclotomicField(169)._zeta_pows
+
+
 def test_cyclotomic_inverse_and_conjugate():
     f = CyclotomicField(8)
     a = f.add(f.one(), f.zeta())

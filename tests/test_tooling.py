@@ -28,9 +28,16 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# every module of the package, each imported by name: `import quivar.cli`
+# loads only the layers that argument parsing needs
+MODULES = sorted(p.stem for p in (ROOT / "src" / "quivar").glob("*.py")
+                 if p.stem != "__init__")
+
 PROBE = """
+import importlib
 import sys
-import quivar.cli
+for mod in sys.argv[1:]:
+    importlib.import_module(f"quivar.{mod}")
 from quivar.fields import CyclotomicField
 from quivar.mckay import table_by_name, verify_ade
 assert verify_ade(table_by_name("bi"))["type"] == "E~8"
@@ -44,9 +51,30 @@ def test_core_loads_no_third_party_module():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    out = subprocess.run([sys.executable, "-c", PROBE], env=env,
+    assert {"acceptance", "cli", "linalg"} <= set(MODULES)
+    out = subprocess.run([sys.executable, "-c", PROBE, *MODULES], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+COLD_PROBE = """
+import sys
+import quivar.cli
+print(sorted(m for m in sys.modules if m.split(".")[0] == "quivar"))
+print("_hashlib" in sys.modules)
+"""
+
+
+def test_cli_import_loads_the_quiver_layer_alone():
+    # each handler imports the layers it runs, and only a printed report
+    # needs hashlib, whose _hashlib maps OpenSSL
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", COLD_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split("\n")[:2] == [
+        "['quivar', 'quivar.cli', 'quivar.quiver']", "False"]
 
 
 def test_no_runtime_dependencies_declared():
@@ -68,11 +96,10 @@ def test_traced_callables_resolve():
     # the tracer looks each (module, attribute) up when it installs, so a
     # renamed or deleted callable would only show as a crashed traced run
     tracing = _tracing()
-    import quivar.cli  # noqa: F401  (loads every traced module)
     missing = []
     for entry in tracing.TIMED + tracing.COUNTED:
         _, mod, attr = entry
-        owner = sys.modules[mod]
+        owner = importlib.import_module(mod)
         for part in attr.split("."):
             owner = getattr(owner, part, None)
         if owner is None:
@@ -441,7 +468,7 @@ def test_polynomial_steps_live_in_poly():
         # lcm clears denominators and comb takes Hasse derivatives
         assert not math_names & {"lcm", "comb"}, path.name
     uses = [(fields.cyclotomic_coeffs, {"divmod_monic"}),
-            (fields.CyclotomicField.__init__, {"divmod_monic"}),
+            (fields._zeta_table, {"divmod_monic"}),
             (fields.CyclotomicField.from_coeffs, {"cleared"}),
             (adhm._root_candidates, {"cleared", "roots_mod"}),
             (adhm._poly_roots, {"scaled"}),
@@ -453,3 +480,92 @@ def test_polynomial_steps_live_in_poly():
     # the multiplication rows are z^j times c folded by the table, the one
     # reduction by it
     assert "_fold" in _names(fields.CyclotomicField._times.__code__)
+
+
+# What bounds the work of each `qv` action. A pair ("module.CAP",
+# "module.guard") is a cap that the guard reads and that refuses larger
+# input before the work; a string states a polynomial bound. n is the
+# matrix size, |Q| counts vertices and arrows, and a cap or bound holds
+# for every field unless it names one, once the field is built: Q(zeta_m)
+# takes O(m phi(m)) to build, with no cap on m.
+QV_BOUNDS = {
+    "quiver show": ["O(|Q|)"],
+    "quiver double": ["O(|Q|)"],
+    "quiver frame": ["O(|Q|)"],
+    "quiver cb_frame": ["O(|Q| + sum w): one arrow per unit of w"],
+    "quiver adjacency": ["O(|Q|^2)"],
+    "quiver cartan": ["O(|Q|^2)"],
+    "quiver cycles": [("cli.CYCLE_WORK_CAP", "cli._check_cycle_work")],
+    "dims": ["O(|Q|) integer operations"],
+    "roots list": [("cli.ROOTS_BOX_CAP", "cli._check_box")],
+    "roots regular": [("cli.ROOTS_BOX_CAP", "cli._check_box")],
+    "roots gg": [("cli.ROOTS_BOX_CAP", "cli._check_box"),
+                 ("cli.ROOTS_GG_CAP", "cli._check_gg_work")],
+    "roots weight": ["O(|Q|^2): w - C v"],
+    "rep moment": ["O(|Q| n^3): two products per arrow"],
+    "rep check": ["O(|Q| n^3): two products per arrow"],
+    "rep stable": ["theta plus or minus: one spin, O(|Q| n^3)",
+                   ("reps.DEFAULT_SUBSPACE_LIMIT", "cli._subspace_limit")],
+    "rep traces": [("cli.CYCLE_WORK_CAP", "cli._check_cycle_work")],
+    "rep brute": [("reps.DEFAULT_SUBSPACE_LIMIT", "cli._subspace_limit")],
+    "rep endo": ["O(E N^2): one kernel of E equations in N = sum v_i^2 "
+                 "unknowns"],
+    "adhm check": ["O(n^4): the deglex spin, n^2 products by x or y"],
+    "adhm ideal": ["O(n^4): the deglex spin, n^2 products by x or y"],
+    "adhm spectrum": [("adhm.FP_ROOT_SEARCH_CAP", "adhm._root_candidates")],
+    "adhm traces": ["O(maxdeg n^3 + maxdeg^2 n^2): the powers, then one "
+                    "inner product per monomial"],
+    "adhm cm": ["O(n^6): the moment map, one spin and one kernel in n^2 "
+                "unknowns"],
+    "mckay build": [("mckay.MCKAY_WORK_CAP", "mckay._check_work")],
+    "conv hecke": [("convolution.HECKE_WORK_CAP",
+                    "convolution.hecke_algebra")],
+    "conv group": ["O(|G|^3): the table's checks and its constants"],
+    "conv mul": ["O(|X| |Y| |Z|): two products of the kernel matrices"],
+    "selftest": ["fixed inputs, each criterion under its own time budget"],
+}
+# actions with an input that no cap or stated bound covers
+KNOWN_UNBOUNDED = {
+    "adhm spectrum": "over Q, and Q(zeta_m) by the same search, the "
+                     "rational root candidates come from the divisors of "
+                     "the end coefficients by trial division: diag(N, 1) "
+                     "hangs. ROADMAP item 8 replaces the search",
+}
+QV_CAPS = {"CYCLE_WORK_CAP", "ROOTS_BOX_CAP", "ROOTS_GG_CAP",
+           "MCKAY_WORK_CAP", "HECKE_WORK_CAP", "FP_ROOT_SEARCH_CAP",
+           "DEFAULT_SUBSPACE_LIMIT"}
+
+
+def _quivar_attr(dotted):
+    module, name = dotted.split(".")
+    return getattr(importlib.import_module(f"quivar.{module}"), name)
+
+
+def test_every_qv_action_is_bounded():
+    # a new subcommand or action fails here until it names its cap or
+    # states its polynomial bound
+    import argparse
+    from quivar import cli
+    sub, = [a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    actions = set()
+    for command, parser in sub.choices.items():
+        choices = [a.choices for a in parser._actions if a.dest == "action"]
+        actions |= ({f"{command} {act}" for act in choices[0]} if choices
+                    else {command})
+    assert set(QV_BOUNDS) == actions
+    assert set(KNOWN_UNBOUNDED) <= actions
+    caps = set()
+    for action, bounds in QV_BOUNDS.items():
+        for bound in bounds:
+            if isinstance(bound, str):
+                continue
+            cap, guard = bound
+            value = _quivar_attr(cap)
+            assert type(value) is int and value > 0, cap
+            name = cap.split(".")[1]
+            assert name in _names(_quivar_attr(guard).__code__), guard
+            caps.add(name)
+    assert caps == QV_CAPS
+    # the brute-force oracle's cap is the one that QV_LIMIT overrides
+    assert "QV_LIMIT" in cli._subspace_limit.__code__.co_consts
