@@ -5,22 +5,23 @@ standard formulas; the three exceptional groups (orders 24, 48, 120) ship
 as embedded exact cyclotomic data. Every table self-verifies at
 construction: class sizes, orthogonality, degree sums, the reality and
 degree of the distinguished 2-dimensional character, and the McKay matrix,
-which the check builds and keeps on the table as ``mckay_matrix``. Three
-sets of rows are prepared for the field's ``pair`` once per table: the
-character rows conjugated and weighted by their integer class sizes, the
-rows themselves, and the rows times chi_E (one field ``row_scale`` per
-class). Every check is decided on integers: the ``pair`` of a weighted
-row with a row is |G| times their pairing, compared whole with |G| or 0
-for orthogonality, and read as the ints num / den of a rational for a
-McKay multiplicity, which is a nonnegative integer iff den |G| divides num
-with a quotient >= 0. Both pairings are Hermitian and chi_E is real, so
-only the upper half of the Gram and McKay matrices is paired. The row of
-the trivial character in the McKay matrix is the multiplicities
-<chi_E, chi_j>, so it also decides that chi_E is a character. No pairing
-builds a Fraction; ``CharacterTable.inner`` gives the pairing itself as
-one. The tables ``cyclic:n`` and ``bd:n`` are refused before they are
-built when their dense pairing work k^3 phi(m)^2 (k classes over
-Q(zeta_m)) exceeds ``MCKAY_WORK_CAP``.
+which the check builds and keeps on the table as ``mckay_matrix``. The
+check is one integer pass over the class functions, on the field's
+prepared coordinates: each row chi_j is prepared once and stacked with
+its twist chi_j chi_E, and each row size * conj(chi_i) is conjugated and
+weighted on its coordinates, so that one ``pair_classes`` loop over the
+classes gives |G| <chi_i, chi_j> and |G| <chi_i, chi_j chi_E> together,
+each as the ints num / den of a rational or as not rational. The first is
+compared with |G| or 0 for orthogonality; the second is a McKay
+multiplicity, a nonnegative integer iff den |G| divides num with a
+quotient >= 0. Both pairings are Hermitian and chi_E is real, so only the
+upper half of the Gram and McKay matrices is paired. The row of the
+trivial character in the McKay matrix is the multiplicities <chi_E,
+chi_j>, so it also decides that chi_E is a character. No pairing builds
+a Fraction; ``CharacterTable.inner`` gives the same pairing as one.
+Tables are built afresh on every call. The tables ``cyclic:n`` and
+``bd:n`` are refused before they are built when their dense pairing work
+k^3 phi(m)^2 (k classes over Q(zeta_m)) exceeds ``MCKAY_WORK_CAP``.
 
 The affine ADE type of a McKay graph is read off its shape: a loop (A~0),
 a double edge (A~1), a cycle (A~n), or a tree whose branch vertices and
@@ -69,33 +70,16 @@ class CharacterTable:
             raise McKayError("a character degree is not an integer")
         return [num for num, _ in degs]
 
-    def _weighted_conj(self, u):
-        """size * conj(u) on each class, scaling by the integer size."""
-        f = self.field
-        return tuple(f.mul_int(f.conj(a), size)
-                     for (_, size), a in zip(self.classes, u))
-
-    def _pair(self, weighted, v) -> tuple:
-        """|G| <u, v> = sum of weighted * v, where weighted is size *
-        conj(u), as the ints (num, den) of num / den; raises FieldError
-        when it is not rational. Both operands are prepared by the field."""
-        return self.field.rational_ints(self.field.pair(weighted, v))
-
-    def _multiplicity(self, weighted, v):
-        """<u, v> when it is a nonnegative integer, else None: the integer
-        pairing num / den is |G| times it, so den * |G| must divide num."""
-        try:
-            num, den = self._pair(weighted, v)
-        except FieldError:
-            return None
-        mult, rest = divmod(num, den * self.order)
-        return mult if not rest and mult >= 0 else None
-
     def inner(self, u, v) -> Fraction:
         """Class-weighted Hermitian pairing of two class functions (rows of
         values on the classes): (1/|G|) sum of size * conj(u) * v."""
-        prepare = self.field.prepare
-        num, den = self._pair(prepare(self._weighted_conj(u)), prepare(v))
+        f = self.field
+        sizes = [s for _, s in self.classes]
+        pairing, = f.pair_classes(f.conj_weighted(f.prepare(u), sizes),
+                                  f.stack(f.prepare(v)))
+        if pairing is None:
+            raise FieldError("the pairing is not rational")
+        num, den = pairing
         return Fraction(num, den * self.order)
 
     def validate(self):
@@ -107,18 +91,24 @@ class CharacterTable:
         if len(self.chars) != k:
             raise McKayError("number of characters != number of classes")
         f = self.field
-        prepare, pair = f.prepare, f.pair
-        weighted = [prepare(self._weighted_conj(row)) for row in self.chars]
-        chars = [prepare(row) for row in self.chars]
-        # the pair is |G| <chi_i, chi_j>, compared whole, so a pairing that
-        # is not rational fails like one that is not |G| delta_ij; it is
-        # Hermitian, so (i, j) fails iff (j, i) does: j >= i suffices and
-        # meets the first failure of a row-major scan
-        order, zero = f.from_int(self.order), f.zero()
-        for i, w in enumerate(weighted):
+        chars = [f.prepare(row) for row in self.chars]
+        chi_e = f.prepare(self.chi_e)
+        stacked = [f.stack(row, f.twist(row, chi_e)) for row in chars]
+        # one pass over the classes pairs size * conj(chi_i) with chi_j,
+        # |G| delta_ij for orthonormal rows, and with chi_j chi_E, |G|
+        # a[i][j]. Both pairings are Hermitian and chi_E is real, so (i, j)
+        # fails iff (j, i) does: j >= i suffices and meets the first
+        # failure of a row-major scan. The McKay half is decided after the
+        # other checks
+        order, pair = self.order, f.pair_classes
+        sizes = [s for _, s in self.classes]
+        twisted = {}
+        for i, row in enumerate(chars):
+            w = f.conj_weighted(row, sizes)
             for j in range(i, k):
-                expect = order if i == j else zero
-                if pair(w, chars[j]) != expect:
+                gram, twisted[i, j] = pair(w, stacked[j])
+                if gram is None or gram[0] != (order * gram[1] if i == j
+                                               else 0):
                     raise McKayError(f"orthogonality fails at ({i},{j})")
         if sum(d * d for d in self.degrees) != self.order:
             raise McKayError("degree squares do not sum to the group order")
@@ -131,29 +121,30 @@ class CharacterTable:
         for val in e:
             if f.conj(val) != val:
                 raise McKayError("distinguished character must be real-valued")
-        # the rows chi_j chi_E: each class's column scaled by chi_E there
-        cols = [f.row_scale(c, col) for c, col in zip(e, zip(*self.chars))]
-        twisted = [prepare(row) for row in zip(*cols)]
-        # a[i][j] = <chi_i, chi_j chi_E>. chi_E is real, so a[j][i] is the
-        # conjugate of a[i][j], equal to it once rational: only j >= i is
-        # paired. Row t, <1, chi_j chi_E> = <chi_E, chi_j>, holds the
-        # multiplicities of chi_E; it is paired first and in full, so a
+        # a[i][j] = <chi_i, chi_j chi_E>, None where it is no nonnegative
+        # integer. Row t, <1, chi_j chi_E> = <chi_E, chi_j>, holds the
+        # multiplicities of chi_E; it is decided first and in full, so a
         # distinguished row that is not a character is named as such
-        a = [[0] * k for _ in range(k)]
-        for j in range(k):
-            mult = self._multiplicity(weighted[t], twisted[j])
-            if mult is None:
-                raise McKayError("distinguished row is not a character")
-            a[t][j] = a[j][t] = mult
-        for i, w in enumerate(weighted):
+        mults = {ij: _multiplicity(p, order) for ij, p in twisted.items()}
+        a = [[mults[min(i, j), max(i, j)] for j in range(k)] for i in range(k)]
+        if None in a[t]:
+            raise McKayError("distinguished row is not a character")
+        for i in range(k):
             for j in range(i, k):
-                if i != t != j:
-                    mult = self._multiplicity(w, twisted[j])
-                    if mult is None:
-                        raise McKayError(f"multiplicity a[{i}][{j}] is not a "
-                                         "nonnegative integer")
-                    a[i][j] = a[j][i] = mult
-        return tuple(tuple(r) for r in a)
+                if a[i][j] is None:
+                    raise McKayError(f"multiplicity a[{i}][{j}] is not a "
+                                     "nonnegative integer")
+        return tuple(map(tuple, a))
+
+
+def _multiplicity(pairing, order):
+    """<u, v> when it is a nonnegative integer, else None, from the ints
+    (num, den) of the pairing num / den = |G| <u, v> (None when it is not
+    rational): den |G| must divide num."""
+    if pairing is None:
+        return None
+    mult, rest = divmod(pairing[0], pairing[1] * order)
+    return mult if not rest and mult >= 0 else None
 
 
 # Cap on the dense pairing work k^3 phi(m)^2 of a table with k classes over
@@ -162,8 +153,9 @@ class CharacterTable:
 # n <= 36 (and some larger n, up to cyclic:72 and bd:42, whose phi(m) is
 # small). The pairings multiply only the nonzero power-basis coordinates,
 # so the work done is far below the bound: in a fresh process on a shared
-# 2-core x86-64 VM the slowest accepted table, cyclic:70, takes 0.7 s,
-# cyclic:72 and bd:42 0.4 s, cyclic:52 0.3 s and bd:36 0.2 s.
+# 2-core x86-64 VM (median of 3) the slowest accepted table, cyclic:70,
+# takes 0.7 s, bd:42 0.3 s, cyclic:72 0.2 s, cyclic:52 0.13 s and bd:36
+# 0.06 s.
 MCKAY_WORK_CAP = 250_000_000
 
 
@@ -184,7 +176,8 @@ def _check_work(k: int, m: int):
     k^3 phi(m)^2 exceeds MCKAY_WORK_CAP; k^3 alone is tried first, so a huge
     n costs nothing. The estimate ignores how sparse the values are in the
     power basis, so it orders the tables only roughly: cyclic:61, refused,
-    builds in about the time of cyclic:70, the slowest one accepted."""
+    builds in 0.25 s, a third of the time of cyclic:70, the slowest one
+    accepted, and less than bd:42."""
     if k ** 3 > MCKAY_WORK_CAP or k ** 3 * _euler_phi(m) ** 2 > MCKAY_WORK_CAP:
         raise McKayError(f"the pairing work k^3 phi(m)^2 with "
                          f"k = {k}, m = {m} exceeds the cap of "

@@ -827,6 +827,34 @@ def test_coefficient_list_entry_needs_a_cyclotomic_field(
     assert "coefficient list, which needs a cyclotomic field" in captured.err
 
 
+@pytest.mark.parametrize("command", ["adhm", "rep", "conv"])
+def test_cyclotomic_index_above_the_cap_is_exit_2(capsys, tmp_path,
+                                                  monkeypatch, command):
+    # each loader reads its field through field_from_spec, which refuses
+    # m above the cap before Q(zeta_m) is built; m = 4001 once took 3.4 s
+    # and 259 MB. At the cap the input runs
+    from quivar.fields import CYCLOTOMIC_INDEX_CAP as cap
+    monkeypatch.chdir(tmp_path)
+    for m, code in ((cap, 0), (cap + 1, 2)):
+        field = {"kind": "cyclotomic", "m": m}
+        if command == "adhm":
+            data = {"field": field, "n": 1, "x": [["0"]], "y": [["0"]],
+                    "i": ["1"], "j": ["0"]}
+            argv = ["adhm", "check", "--data", "in.json"]
+        elif command == "rep":
+            data = {"quiver": "jordan", "field": field, "v": {"0": 1},
+                    "mats": {"x": [["1"]]}}
+            argv = ["rep", "traces", "--rep", "in.json"]
+        else:
+            data = {"field": field, "source": ["a"], "target": ["a"],
+                    "entries": [["1"]]}
+            argv = ["conv", "mul", "--k1", "in.json", "--k2", "in.json"]
+        (tmp_path / "in.json").write_text(json.dumps(data))
+        assert run(argv) == code
+    captured = capsys.readouterr()
+    assert f"field m = {cap + 1} exceeds the cap of {cap}" in captured.err
+
+
 @pytest.mark.parametrize("entry", ["1/0", ["1/0"]], ids=["Q", "Q(zeta_3)"])
 @pytest.mark.parametrize("command", ["rep moment", "adhm check", "conv mul"])
 def test_zero_denominator_entry_is_exit_2(capsys, tmp_path, monkeypatch,

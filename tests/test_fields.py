@@ -205,6 +205,25 @@ def test_field_from_spec_roundtrip():
         field_from_spec({"kind": "padic"})
 
 
+def test_cyclotomic_spec_index_is_capped(monkeypatch):
+    # the cap admits every m of a McKay table and refuses a larger m
+    # before the field is built, which once took 3.4 s and 259 MB at 4001
+    from quivar import fields
+    cap = fields.CYCLOTOMIC_INDEX_CAP
+    assert cap >= fields._SHARED_ZETA_M == 168
+    f = field_from_spec({"kind": "cyclotomic", "m": cap})
+    assert f.spec() == {"kind": "cyclotomic", "m": cap}
+
+    def refuse(m):
+        raise AssertionError(f"Q(zeta_{m}) was built")
+
+    monkeypatch.setattr(fields, "CyclotomicField", refuse)
+    for m in (cap + 1, 4001, 10 ** 30):
+        with pytest.raises(FieldError, match=f"field m = {m} exceeds the cap "
+                                             f"of {cap}"):
+            field_from_spec({"kind": "cyclotomic", "m": m})
+
+
 def test_random_elements_deterministic():
     import random
     f = PrimeField(3)
@@ -711,9 +730,27 @@ def _rational_part_or_error(f, a):
         return str(err)
 
 
+def test_galois_tower_builds_the_unit_group():
+    # the cosets g^j H, j < e, of each step are disjoint and fill H <g>,
+    # so the steps' indices multiply to phi(m) and the last H is (Z/m)^*
+    from quivar.fields import _galois_tower
+    for m in range(1, 200):
+        units = {k % m for k in range(1, m + 1) if gcd(k, m) == 1}
+        sub = {1 % m}
+        for g, e in _galois_tower(m):
+            assert g not in sub and pow(g, e, m) in sub
+            assert all(pow(g, j, m) not in sub for j in range(1, e))
+            grown = {h * pow(g, j, m) % m for h in sub for j in range(e)}
+            assert len(grown) == e * len(sub)
+            sub = grown
+        assert sub == units
+
+
 def test_cyclotomic_inverse_by_the_norm():
     # degree-20 elements with 30-digit coefficients, whose Euclid in Q[x]
-    # took 3 to 23 s each; then every seeded element up to m = 24
+    # took 3 to 23 s each; then every seeded element up to m = 40, where
+    # the conjugates multiplied one by one took about 1.5 s per inverse in
+    # Q(zeta_37)
     rng = random.Random("norm inverse")
     big = 10 ** 30
     t0 = time.perf_counter()
@@ -723,7 +760,7 @@ def test_cyclotomic_inverse_by_the_norm():
         inv = f.inv(a)
         assert f.mul(a, inv) == f.one()
     assert time.perf_counter() - t0 < 1.0
-    for m in range(1, 25):
+    for m in range(1, 41):
         f = CyclotomicField(m)
         for c in _coefficient_lists(rng, f.degree):
             a = f.from_coeffs(c)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from quivar.fields import FieldError
 from quivar.mckay import (McKayError, _check_work, _euler_phi,
                           binary_dihedral_table, cyclic_table,
                           exceptional_table, identify_affine_ade,
@@ -205,8 +206,87 @@ def test_corrupted_chi_e_rejected():
     t = binary_dihedral_table(2)
     e = list(t.chi_e)
     e[0] = t.field.from_int(3)  # degree of E must be 2
-    with pytest.raises(McKayError):
+    with pytest.raises(McKayError, match="must have degree 2"):
         replace(t, chi_e=tuple(e))
+
+
+# One defect per McKayError message of `validate` on the table of the
+# quaternion group bd:2 (classes 1, a^2, a, b, ab of sizes 1, 1, 2, 2, 2;
+# chi_0..chi_3 linear, chi_E = chi_4), listed in the order of the checks.
+# Each maps the fields of a table to the fields with the defect.
+def _set(fields, key, index, value):
+    row = list(fields[key])
+    row[index] = value
+    return {**fields, key: tuple(row)}
+
+
+def _permuted(fields):
+    # the class of a (size 2) first: the degrees, read in the first
+    # column, are then 1, 1, -1, -1, 0, whose squares sum to 4, not 8
+    perm = (2, 1, 0, 3, 4)
+    return {**fields, "classes": tuple(fields["classes"][c] for c in perm),
+            "chars": tuple(tuple(r[c] for c in perm)
+                           for r in fields["chars"]),
+            "chi_e": tuple(fields["chi_e"][c] for c in perm)}
+
+
+def _times_zeta(fields, f):
+    # zeta_8 chi_1 is orthonormal to the other rows, of degree zeta_8
+    return _set(fields, "chars", 1, tuple(f.mul(f.zeta(), x)
+                                          for x in fields["chars"][1]))
+
+
+VALIDATE_DEFECTS = [
+    ("class sizes do not sum to the group order",
+     lambda fields, f: {**fields, "order": 9}),
+    ("number of characters != number of classes",
+     lambda fields, f: {**fields, "chars": fields["chars"][:-1]}),
+    (r"orthogonality fails at \(1,2\)",
+     lambda fields, f: _set(fields, "chars", 2, fields["chars"][1])),
+    ("a character degree is not an integer", _times_zeta),
+    ("degree squares do not sum to the group order",
+     lambda fields, f: _permuted(fields)),
+    ("trivial character is not identically 1",
+     lambda fields, f: {**fields, "trivial_index": 1}),
+    ("distinguished character must have degree 2",
+     lambda fields, f: _set(fields, "chi_e", 0, f.from_int(3))),
+    ("distinguished character must be real-valued",
+     lambda fields, f: _set(fields, "chi_e", 3, f.zeta())),
+    # chi_E = (2, 1, 0, 0, 0), with <chi_E, chi_0> = 3/8
+    ("distinguished row is not a character",
+     lambda fields, f: _set(fields, "chi_e", 1, f.one())),
+    # -chi_2 keeps every check before the McKay matrix, and <chi_0, -chi_2
+    # chi_E> = 0, but a[2][4] = <-chi_2, chi_E^2> = -1
+    (r"multiplicity a\[2\]\[4\] is not a nonnegative integer",
+     lambda fields, f: _set(fields, "chars", 2, tuple(
+         map(f.neg, fields["chars"][2])))),
+]
+
+
+def _with_defects(*defects):
+    t = binary_dihedral_table(2)
+    fields = {"classes": t.classes, "chars": t.chars, "chi_e": t.chi_e,
+              "order": t.order, "trivial_index": t.trivial_index}
+    for defect in defects:
+        fields = defect(fields, t.field)
+    return lambda: replace(t, **fields)
+
+
+@pytest.mark.parametrize("message, defect", VALIDATE_DEFECTS,
+                         ids=[m for m, _ in VALIDATE_DEFECTS])
+def test_each_validate_message(message, defect):
+    with pytest.raises(McKayError, match=f"^{message}$"):
+        _with_defects(defect)()
+
+
+@pytest.mark.parametrize("i", range(len(VALIDATE_DEFECTS) - 1),
+                         ids=[m for m, _ in VALIDATE_DEFECTS[:-1]])
+def test_validate_checks_come_in_order(i):
+    # a table with the defects of two consecutive checks fails the first
+    (message, first), (_, second) = VALIDATE_DEFECTS[i:i + 2]
+    for defects in ((first, second), (second, first)):
+        with pytest.raises(McKayError, match=f"^{message}$"):
+            _with_defects(*defects)()
 
 
 def test_unknown_names():
@@ -252,18 +332,54 @@ def oracle_tables():
     return out + [exceptional_table(k) for k in ("bt", "bo", "bi")]
 
 
+def _fraction_pairing(t, u, v):
+    """(1/|G|) sum of size * conj(u) * v as a Fraction, from the field's
+    add, mul and conj alone: a reference apart from the pairing kernel."""
+    f = t.field
+    acc = f.zero()
+    for (_, size), x, y in zip(t.classes, u, v):
+        acc = f.add(acc, f.mul(f.from_int(size), f.mul(f.conj(x), y)))
+    return f.rational_part(acc) / t.order
+
+
 @pytest.mark.parametrize("t", oracle_tables(), ids=lambda t: t.name)
 def test_integer_mckay_matrix_matches_the_fraction_pairing(t):
-    # every entry of both halves from the Fraction-valued inner product:
-    # the integer matrix computes only j >= i
+    # every entry of both halves from the reference pairing: the integer
+    # matrix computes only j >= i, and `inner` agrees with the reference
     f = t.field
     twisted = [[f.mul(x, y) for x, y in zip(row, t.chi_e)] for row in t.chars]
     k = len(t.chars)
-    full = [[t.inner(t.chars[i], twisted[j]) for j in range(k)]
+    full = [[_fraction_pairing(t, t.chars[i], twisted[j]) for j in range(k)]
             for i in range(k)]
     assert all(type(x) is Fraction for row in full for x in row)
     assert full == [[full[j][i] for j in range(k)] for i in range(k)]
     assert [list(r) for r in t.mckay_matrix] == full
+    assert [[t.inner(t.chars[i], twisted[j]) for j in range(k)]
+            for i in range(k)] == full
+
+
+def test_inner_is_the_pairing_of_any_class_functions():
+    # rows that are no characters, with denominators and values off the
+    # reals; a pairing that is not rational is refused
+    t = binary_dihedral_table(3)
+    f = t.field
+    rng = random.Random("inner")
+    refused = 0
+    for trial in range(40):
+        # even trials pair rational rows, whose pairing is rational
+        width = f.degree if trial % 2 else 1
+        u, v = ([f.from_coeffs([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                for _ in range(width)])
+                 for _ in t.classes] for _ in range(2))
+        try:
+            want = _fraction_pairing(t, u, v)
+        except FieldError:
+            refused += 1
+            with pytest.raises(FieldError, match="is not rational"):
+                t.inner(u, v)
+        else:
+            assert t.inner(u, v) == want
+    assert 0 < refused < 40
 
 
 def test_work_cap_refuses_from_cyclic_53_and_bd_37():

@@ -257,15 +257,19 @@ def test_inner_products_use_the_field_kernel():
         names = _names(fn.__code__)
         assert "dot" in names and not names & {"add", "mul"}, fn.__qualname__
     # the product kernel and the McKay pairings pair prepared operands,
-    # and the pairing over Q(zeta_m) works on their integer coordinates
-    for fn in (fields.Field.matmul, mckay.CharacterTable._pair,
-               mckay.CharacterTable.validate):
+    # and the pairings over Q(zeta_m) work on their integer coordinates:
+    # the table check and `inner` share the one class-function pairing
+    names = _names(fields.Field.matmul.__code__)
+    assert {"prepare", "pair"} <= names and not names & {"add", "mul", "dot"}
+    for fn in (mckay.CharacterTable.inner, mckay.CharacterTable.validate):
         names = _names(fn.__code__)
-        assert "pair" in names and not names & {"add", "mul", "dot"}, \
+        assert {"prepare", "stack", "pair_classes"} <= names, fn.__qualname__
+        assert not names & {"add", "mul", "dot", "pair"}, fn.__qualname__
+    cls = fields.CyclotomicField
+    for fn in (cls.pair, cls.conj_weighted, cls.twist, cls.stack,
+               cls.pair_classes):
+        assert not _names(fn.__code__) & {"add", "mul", "dot", "conj"}, \
             fn.__qualname__
-    assert "prepare" in _names(fields.Field.matmul.__code__)
-    assert not _names(fields.CyclotomicField.pair.__code__) & {
-        "add", "mul", "dot"}
     # the matrix product has one code path, the field's product kernel,
     # whose base version is the pairing loop above
     names = _names(linalg.Mat.__matmul__.__code__)
@@ -281,18 +285,23 @@ def test_inner_products_use_the_field_kernel():
 def test_mckay_checks_decide_on_integer_pairings(monkeypatch):
     # the table checks, the degrees and the McKay multiplicities compare
     # |G| times a pairing, an integer, with no Fraction; only `inner` builds
-    # one. The McKay matrix is built by the check at construction, not on
-    # demand
+    # one. The class weights, the conjugation and the twist by chi_E act
+    # on the prepared integer coordinates, with no canonical element built
+    # per entry. The McKay matrix is built by the check at construction,
+    # not on demand
     import dataclasses
     from quivar import fields, mckay
     table = mckay.CharacterTable
     cls = fields.CyclotomicField
-    for fn in (table._pair, table._multiplicity, table._weighted_conj,
-               table.validate, table.degrees.fget, cls.mul_int,
-               cls.rational_ints, cls.prepare, cls.pair):
+    for fn in (table.validate, table.degrees.fget,
+               mckay._multiplicity, cls.rational_ints, cls.prepare, cls.pair,
+               cls.conj_weighted, cls.twist, cls.stack, cls.pair_classes):
         assert "Fraction" not in _names(fn.__code__), fn.__qualname__
     assert "Fraction" in _names(table.inner.__code__)
-    assert "mul" not in _names(table._weighted_conj.__code__)
+    for fn in (cls.conj_weighted, cls.twist, cls.stack, cls.pair_classes):
+        assert not _names(fn.__code__) & {"_lowest", "_reduce", "gcd"}, \
+            fn.__qualname__
+    assert not _names(table.validate.__code__) & {"row_scale", "mul_int"}
     matrix = {f.name: f for f in dataclasses.fields(table)}["mckay_matrix"]
     assert not matrix.init and "mckay_matrix" not in vars(table)
 
@@ -388,7 +397,8 @@ def test_convolution_inverts_nothing_mod_q():
 
 
 CYCLOTOMIC_INTERNALS = {"_cleared", "_reduce", "_fold", "_at_zeta_pow",
-                        "_times", "_zeta_ints", "_zeta_pows"}
+                        "_times", "_zeta_ints", "_zeta_pows", "_zeta_sparse",
+                        "_fold_sparse"}
 
 
 def test_cyclotomic_layout_stays_in_fields():
@@ -412,6 +422,8 @@ def test_cyclotomic_layout_stays_in_fields():
     for fn in (cls.add, cls.sub, cls.neg, cls.mul, cls.dot, cls.conj,
                cls.inv, cls.row_sub, cls.row_scale, cls.vanishes_at_zeta_pow,
                cls._reduce, cls._fold, cls._at_zeta_pow, cls._times,
+               cls._conjugate, cls._orbit_product, cls._fold_sparse,
+               fields._galois_tower.__wrapped__,
                fields._lowest, fields._combine):
         assert "Fraction" not in _names(fn.__code__), fn.__qualname__
 
@@ -486,8 +498,10 @@ def test_polynomial_steps_live_in_poly():
 # "module.guard") is a cap that the guard reads and that refuses larger
 # input before the work; a string states a polynomial bound. n is the
 # matrix size, |Q| counts vertices and arrows, and a cap or bound holds
-# for every field unless it names one, once the field is built: Q(zeta_m)
-# takes O(m phi(m)) to build, with no cap on m.
+# for every field unless it names one. An action that reads a field spec
+# lists FIELD_CAP: Q(zeta_m) takes O(m phi(m)) to build, and the spec's m
+# is capped before it is built.
+FIELD_CAP = ("fields.CYCLOTOMIC_INDEX_CAP", "fields.field_from_spec")
 QV_BOUNDS = {
     "quiver show": ["O(|Q|)"],
     "quiver double": ["O(|Q|)"],
@@ -502,26 +516,32 @@ QV_BOUNDS = {
     "roots gg": [("cli.ROOTS_BOX_CAP", "cli._check_box"),
                  ("cli.ROOTS_GG_CAP", "cli._check_gg_work")],
     "roots weight": ["O(|Q|^2): w - C v"],
-    "rep moment": ["O(|Q| n^3): two products per arrow"],
-    "rep check": ["O(|Q| n^3): two products per arrow"],
-    "rep stable": ["theta plus or minus: one spin, O(|Q| n^3)",
+    "rep moment": [FIELD_CAP, "O(|Q| n^3): two products per arrow"],
+    "rep check": [FIELD_CAP, "O(|Q| n^3): two products per arrow"],
+    "rep stable": [FIELD_CAP, "theta plus or minus: one spin, O(|Q| n^3)",
                    ("reps.DEFAULT_SUBSPACE_LIMIT", "cli._subspace_limit")],
-    "rep traces": [("cli.CYCLE_WORK_CAP", "cli._check_cycle_work")],
-    "rep brute": [("reps.DEFAULT_SUBSPACE_LIMIT", "cli._subspace_limit")],
-    "rep endo": ["O(E N^2): one kernel of E equations in N = sum v_i^2 "
-                 "unknowns"],
-    "adhm check": ["O(n^4): the deglex spin, n^2 products by x or y"],
-    "adhm ideal": ["O(n^4): the deglex spin, n^2 products by x or y"],
-    "adhm spectrum": [("adhm.FP_ROOT_SEARCH_CAP", "adhm._root_candidates")],
-    "adhm traces": ["O(maxdeg n^3 + maxdeg^2 n^2): the powers, then one "
-                    "inner product per monomial"],
-    "adhm cm": ["O(n^6): the moment map, one spin and one kernel in n^2 "
-                "unknowns"],
+    "rep traces": [FIELD_CAP,
+                   ("cli.CYCLE_WORK_CAP", "cli._check_cycle_work")],
+    "rep brute": [FIELD_CAP,
+                  ("reps.DEFAULT_SUBSPACE_LIMIT", "cli._subspace_limit")],
+    "rep endo": [FIELD_CAP, "O(E N^2): one kernel of E equations in N = "
+                 "sum v_i^2 unknowns"],
+    "adhm check": [FIELD_CAP,
+                   "O(n^4): the deglex spin, n^2 products by x or y"],
+    "adhm ideal": [FIELD_CAP,
+                   "O(n^4): the deglex spin, n^2 products by x or y"],
+    "adhm spectrum": [FIELD_CAP, ("adhm.FP_ROOT_SEARCH_CAP",
+                                  "adhm._root_candidates")],
+    "adhm traces": [FIELD_CAP, "O(maxdeg n^3 + maxdeg^2 n^2): the powers, "
+                    "then one inner product per monomial"],
+    "adhm cm": [FIELD_CAP, "O(n^6): the moment map, one spin and one "
+                "kernel in n^2 unknowns"],
     "mckay build": [("mckay.MCKAY_WORK_CAP", "mckay._check_work")],
     "conv hecke": [("convolution.HECKE_WORK_CAP",
                     "convolution.hecke_algebra")],
     "conv group": ["O(|G|^3): the table's checks and its constants"],
-    "conv mul": ["O(|X| |Y| |Z|): two products of the kernel matrices"],
+    "conv mul": [FIELD_CAP,
+                 "O(|X| |Y| |Z|): two products of the kernel matrices"],
     "selftest": ["fixed inputs, each criterion under its own time budget"],
 }
 # actions with an input that no cap or stated bound covers
@@ -533,7 +553,7 @@ KNOWN_UNBOUNDED = {
 }
 QV_CAPS = {"CYCLE_WORK_CAP", "ROOTS_BOX_CAP", "ROOTS_GG_CAP",
            "MCKAY_WORK_CAP", "HECKE_WORK_CAP", "FP_ROOT_SEARCH_CAP",
-           "DEFAULT_SUBSPACE_LIMIT"}
+           "DEFAULT_SUBSPACE_LIMIT", "CYCLOTOMIC_INDEX_CAP"}
 
 
 def _quivar_attr(dotted):
