@@ -60,14 +60,13 @@ same prepared coordinates, in one integer pass with no canonical element
 built per entry: ``conj_weighted`` scales each entry by an int class
 weight and conjugates it as exponent negation, the pair (e, x) of z^e
 becoming (d - 1 - e, weight x); ``twist`` multiplies two prepared vectors
-entrywise, each product folded by the sparse table of zeta^j with no gcd;
+entrywise, each product folded by the table of zeta^j with no gcd;
 ``stack`` lays several prepared vectors side by side, each in a block of
 2 phi(m) - 1 coefficients of its own; and ``pair_classes`` runs one loop
 over the entries of a conjugated row and a stack, folds each block once
-by the sparse table and gives each sum as the ints (num, den) of a
-rational, or None when it is not rational. Character values are sparse
-in the power basis, which all these loops use. ``matmul(rows, cols)`` is
-the product kernel of
+and gives each sum as the ints (num, den) of a rational, or None when it
+is not rational. Character values are sparse in the power basis, which
+all these loops use. ``matmul(rows, cols)`` is the product kernel of
 ``linalg.Mat @``: in the base class, which Q(zeta_m) uses, each row and
 column prepared once and each entry one ``pair``; over F_p one integer sum
 through ``operator.mul`` and one reduction mod p per entry; over Q one type
@@ -87,10 +86,11 @@ vector, so that elimination over Q stays on the integer paths.
 for the root search of :mod:`quivar.adhm`.
 
 Phi_m, the table of zeta^j for j < m and the clearing of ``from_coeffs``
-come from :mod:`quivar.poly`; ``_fold`` is the one reduction by the dense
-table, for products, ``_times``, conjugates and evaluations, the class
-pairings reduce by its nonzero entries (``_fold_sparse``), and zeta^m = 1
-makes the table give every power. A field spec names m up to
+come from :mod:`quivar.poly`. ``_fold`` is the one reduction by that
+table, for products, ``_times``, conjugates, evaluations and the class
+pairings, whose sums start at z^-(d-1): each power z^k outside z^0, ...,
+z^(d-1) adds its coefficient times the nonzero entries of zeta^(k mod m),
+since zeta^m = 1. A field spec names m up to
 ``CYCLOTOMIC_INDEX_CAP``. Primality of p is decided by deterministic
 Miller-Rabin. No floating point anywhere and no dependency outside the
 standard library; rank decisions downstream rely on exactness.
@@ -497,17 +497,17 @@ def cyclotomic_coeffs(m: int):
 
 
 def _zeta_table(m: int):
-    """(ints, pows, sparse): zeta^j for j < m as the d integer coordinates
-    of its numerator, as that element of Q(zeta_m), and as the nonzero
-    (coordinate, int) pairs of ints; zeta^m = 1 makes them cover every
-    power, indexed by j % m. Tuples, so that fields may share them."""
+    """(pows, sparse): zeta^j for j < m as that element of Q(zeta_m) and
+    as the nonzero (coordinate, int) pairs of its d integer coordinates;
+    zeta^m = 1 makes them cover every power, indexed by j % m. Tuples, so
+    that fields may share them."""
     phi = cyclotomic_coeffs(m)
     ints = [(1,) + (0,) * (len(phi) - 2)]
     for _ in range(m - 1):  # z times the power before, mod Phi_m
         ints.append(tuple(divmod_monic([0, *ints[-1]], phi)[1]))
     sparse = tuple(tuple((i, x) for i, x in enumerate(row) if x)
                    for row in ints)
-    return tuple(ints), tuple((*row, 1) for row in ints), sparse
+    return tuple((*row, 1) for row in ints), sparse
 
 
 # The fields of one m share the last 32 tables of m up to 168, the largest
@@ -577,8 +577,8 @@ class CyclotomicField(Field):
             raise FieldError("cyclotomic index must be >= 1")
         self.m = m
         table = _shared_zeta_table if m <= _SHARED_ZETA_M else _zeta_table
-        self._zeta_ints, self._zeta_pows, self._zeta_sparse = table(m)
-        d = self.degree = len(self._zeta_ints[0])
+        self._zeta_pows, self._zeta_sparse = table(m)
+        d = self.degree = len(self._zeta_pows[0]) - 1
         self._zeros = (0,) * (d - 1)
         self._int_tail = self._zeros + (1,)
         self._zero = (0,) + self._int_tail
@@ -604,16 +604,24 @@ class CyclotomicField(Field):
         any length, in lowest terms."""
         return _lowest(self._fold(coeffs), den)
 
-    def _fold(self, coeffs):
-        """The d integer coordinates of sum coeffs[k] z^k, for integer
-        coeffs of any length: the powers from z^d on are reduced by the
-        integer table of zeta^j."""
-        d, m, table = self.degree, self.m, self._zeta_ints
-        out = coeffs[:d] + [0] * (d - len(coeffs))
-        for k in range(d, len(coeffs)):
-            c = coeffs[k]
+    def _fold(self, coeffs, first=0):
+        """The d integer coordinates of sum coeffs[k] z^(first + k), for
+        integer coeffs of any length and first <= 0: each power z^k outside
+        z^0, ..., z^(d-1) adds its coefficient times the nonzero entries of
+        zeta^(k mod m), since zeta^m = 1."""
+        d, m, sparse = self.degree, self.m, self._zeta_sparse
+        out = coeffs[-first:d - first]
+        if len(out) < d:
+            out += [0] * (d - len(out))
+        for k, c in enumerate(coeffs[d - first:], d):
             if c:
-                out = [o + c * z for o, z in zip(out, table[k % m])]
+                for i, z in sparse[k % m]:
+                    out[i] += c * z
+        if first:  # the negative powers
+            for k, c in enumerate(coeffs[:-first], first):
+                if c:
+                    for i, z in sparse[k % m]:
+                        out[i] += c * z
         return out
 
     def _at_zeta_pow(self, ints, k):
@@ -720,8 +728,8 @@ class CyclotomicField(Field):
 
     def twist(self, u, v):
         """The entrywise product of the prepared vectors u and v, prepared:
-        each product folded into the d coordinates by the sparse table,
-        over the product of the denominators, with no gcd."""
+        each product folded into the d coordinates by ``_fold``, over the
+        product of the denominators, with no gcd."""
         (us, uden), (vs, vden) = u, v
         d = self.degree
         out = []
@@ -737,8 +745,7 @@ class CyclotomicField(Field):
             for i, x in a:
                 for j, y in b:
                     acc[i + j] += x * y
-            low = self._fold_sparse(acc[:d], acc[d:], d)
-            out.append([(i, x) for i, x in enumerate(low) if x])
+            out.append([(i, x) for i, x in enumerate(self._fold(acc)) if x])
         return out, uden * vden
 
     def stack(self, *vecs):
@@ -768,21 +775,9 @@ class CyclotomicField(Field):
                     acc[i + j] += x * y
         out = []
         for start, vden in zip(range(0, len(acc), size), vdens):
-            low = self._fold_sparse(acc[start + d - 1:start + size],
-                                    acc[start:start + d - 1], 1 - d)
+            low = self._fold(acc[start:start + size], 1 - d)
             out.append(None if any(low[1:]) else (low[0], uden * vden))
         return out
-
-    def _fold_sparse(self, low, coeffs, first):
-        """low, the d integer coordinates of a sum, plus sum coeffs[k]
-        z^(first + k) folded by the nonzero entries of the table of
-        zeta^j; first may be negative."""
-        m, sparse = self.m, self._zeta_sparse
-        for k, c in enumerate(coeffs, first):
-            if c:
-                for i, z in sparse[k % m]:
-                    low[i] += c * z
-        return low
 
     def row_sub(self, u, c, v):
         # c b is the numerators of b through the rows of c's multiplication

@@ -134,9 +134,10 @@ def test_fields_of_one_m_share_the_zeta_table():
     rng = random.Random(20)
     for m in (1, 12, 20):
         f, g = CyclotomicField(m), CyclotomicField(m)
-        assert f._zeta_ints is g._zeta_ints and f._zeta_pows is g._zeta_pows
+        assert f._zeta_sparse is g._zeta_sparse
+        assert f._zeta_pows is g._zeta_pows
         assert isinstance(f._zeta_pows, tuple)
-        assert all(isinstance(row, tuple) for row in f._zeta_ints)
+        assert all(isinstance(row, tuple) for row in f._zeta_sparse)
         fields._shared_zeta_table.cache_clear()
         h = CyclotomicField(m)
         assert h._zeta_pows is not f._zeta_pows

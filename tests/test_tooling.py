@@ -397,8 +397,7 @@ def test_convolution_inverts_nothing_mod_q():
 
 
 CYCLOTOMIC_INTERNALS = {"_cleared", "_reduce", "_fold", "_at_zeta_pow",
-                        "_times", "_zeta_ints", "_zeta_pows", "_zeta_sparse",
-                        "_fold_sparse"}
+                        "_times", "_zeta_pows", "_zeta_sparse"}
 
 
 def test_cyclotomic_layout_stays_in_fields():
@@ -422,7 +421,7 @@ def test_cyclotomic_layout_stays_in_fields():
     for fn in (cls.add, cls.sub, cls.neg, cls.mul, cls.dot, cls.conj,
                cls.inv, cls.row_sub, cls.row_scale, cls.vanishes_at_zeta_pow,
                cls._reduce, cls._fold, cls._at_zeta_pow, cls._times,
-               cls._conjugate, cls._orbit_product, cls._fold_sparse,
+               cls._conjugate, cls._orbit_product,
                fields._galois_tower.__wrapped__,
                fields._lowest, fields._combine):
         assert "Fraction" not in _names(fn.__code__), fn.__qualname__
