@@ -152,10 +152,10 @@ def _multiplicity(pairing, order):
 # integer products. It accepts every cyclic:n with n <= 52 and bd:n with
 # n <= 36 (and some larger n, up to cyclic:72 and bd:42, whose phi(m) is
 # small). The pairings multiply only the nonzero power-basis coordinates,
-# so the work done is far below the bound: in a fresh process on a shared
-# 2-core x86-64 VM (median of 3) the slowest accepted table, cyclic:70,
-# takes 0.7 s, bd:42 0.3 s, cyclic:72 0.2 s, cyclic:52 0.13 s and bd:36
-# 0.06 s.
+# so the work done is far below the bound: built in a fresh process pinned
+# to one CPU of a shared 2-core x86-64 VM (median of 3), the slowest
+# accepted table, cyclic:70, takes 0.43 s, bd:42 0.15 s, cyclic:72 0.13 s,
+# cyclic:52 0.07 s and bd:36 0.05 s.
 MCKAY_WORK_CAP = 250_000_000
 
 
@@ -176,8 +176,8 @@ def _check_work(k: int, m: int):
     k^3 phi(m)^2 exceeds MCKAY_WORK_CAP; k^3 alone is tried first, so a huge
     n costs nothing. The estimate ignores how sparse the values are in the
     power basis, so it orders the tables only roughly: cyclic:61, refused,
-    builds in 0.25 s, a third of the time of cyclic:70, the slowest one
-    accepted, and less than bd:42."""
+    builds in 0.16 s, under 40% of the time of cyclic:70, the slowest one
+    accepted, and about as long as bd:42."""
     if k ** 3 > MCKAY_WORK_CAP or k ** 3 * _euler_phi(m) ** 2 > MCKAY_WORK_CAP:
         raise McKayError(f"the pairing work k^3 phi(m)^2 with "
                          f"k = {k}, m = {m} exceeds the cap of "
