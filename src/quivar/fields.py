@@ -55,18 +55,15 @@ and pairs by ``dot``; over Q(zeta_m) ``prepare`` puts the entries over their
 common denominator and keeps each entry's nonzero (coordinate, numerator)
 pairs only, and ``pair`` sums the products of those pairs into the
 2 phi(m) - 1 unreduced coefficients, then reduces once, as ``dot`` does.
-Class functions, the rows of a McKay character table, are paired on the
-same prepared coordinates, in one integer pass with no canonical element
-built per entry: ``conj_weighted`` scales each entry by an int class
-weight and conjugates it as exponent negation, the pair (e, x) of z^e
-becoming (d - 1 - e, weight x); ``twist`` multiplies two prepared vectors
-entrywise, each product folded by the table of zeta^j with no gcd;
-``stack`` lays several prepared vectors side by side, each in a block of
-2 phi(m) - 1 coefficients of its own; and ``pair_classes`` runs one loop
-over the entries of a conjugated row and a stack, folds each block once
-and gives each sum as the ints (num, den) of a rational, or None when it
-is not rational. Character values are sparse in the power basis, which
-all these loops use. ``matmul(rows, cols)`` is the product kernel of
+Class functions, the rows of a McKay character table, are paired as
+residues modulo N = Phi_m(2^B) (``class_residues``): zeta -> 2^B is a
+ring map Z[zeta_m] -> Z/N, each distinct value is packed once, a
+conjugate is the reversed coordinates times 2^(B(m - d + 1)), and each
+pairing is one integer sum of products over the classes, reduced mod N
+once (``ClassResidues.pairings``), with no canonical element built per
+entry. B is chosen per call from a bound on the pairing's coordinates,
+proved in ``class_residues`` to make the centred residue decide it.
+``matmul(rows, cols)`` is the product kernel of
 ``linalg.Mat @``: in the base class, which Q(zeta_m) uses, each row and
 column prepared once and each entry one ``pair``; over F_p one integer sum
 through ``operator.mul`` and one reduction mod p per entry; over Q one type
@@ -87,10 +84,9 @@ for the root search of :mod:`quivar.adhm`.
 
 Phi_m, the table of zeta^j for j < m and the clearing of ``from_coeffs``
 come from :mod:`quivar.poly`. ``_fold`` is the one reduction by that
-table, for products, ``_times``, conjugates, evaluations and the class
-pairings, whose sums start at z^-(d-1): each power z^k outside z^0, ...,
-z^(d-1) adds its coefficient times the nonzero entries of zeta^(k mod m),
-since zeta^m = 1. A field spec names m up to
+table, for products, ``_times``, conjugates and evaluations: each power
+z^k beyond z^(d-1) adds its coefficient times the nonzero entries of
+zeta^(k mod m), since zeta^m = 1. A field spec names m up to
 ``CYCLOTOMIC_INDEX_CAP``. Primality of p is decided by deterministic
 Miller-Rabin. No floating point anywhere and no dependency outside the
 standard library; rank decisions downstream rely on exactness.
@@ -497,17 +493,19 @@ def cyclotomic_coeffs(m: int):
 
 
 def _zeta_table(m: int):
-    """(pows, sparse): zeta^j for j < m as that element of Q(zeta_m) and
-    as the nonzero (coordinate, int) pairs of its d integer coordinates;
-    zeta^m = 1 makes them cover every power, indexed by j % m. Tuples, so
-    that fields may share them."""
+    """(pows, sparse, height): zeta^j for j < m as that element of
+    Q(zeta_m) and as the nonzero (coordinate, int) pairs of its d integer
+    coordinates, and the largest |coordinate| of any zeta^j; zeta^m = 1
+    makes them cover every power, indexed by j % m. Tuples, so that fields
+    may share them."""
     phi = cyclotomic_coeffs(m)
     ints = [(1,) + (0,) * (len(phi) - 2)]
     for _ in range(m - 1):  # z times the power before, mod Phi_m
         ints.append(tuple(divmod_monic([0, *ints[-1]], phi)[1]))
     sparse = tuple(tuple((i, x) for i, x in enumerate(row) if x)
                    for row in ints)
-    return tuple((*row, 1) for row in ints), sparse
+    height = max(abs(x) for row in sparse for _, x in row)
+    return tuple((*row, 1) for row in ints), sparse, height
 
 
 # The fields of one m share the last 32 tables of m up to 168, the largest
@@ -559,6 +557,44 @@ def _combine(op, a, b):
     return _lowest(s, da)
 
 
+def _common_den(vec):
+    """The least common denominator of the Q(zeta_m) elements vec."""
+    den = 1
+    for a in vec:
+        t = a[-1]
+        if den % t:
+            den = den // gcd(den, t) * t
+    return den
+
+
+class ClassResidues:
+    """Class functions over Q(zeta_m) as residues modulo N = Phi_m(2^B),
+    as ``CyclotomicField.class_residues`` gives them: for the i-th row u
+    over its common denominator ``dens[i]``, ``left[i]`` holds the
+    residues of w_c conj(u_c), ``right[i]`` those of u_c and
+    ``twisted[i]`` those of u_c chi_c, over dens[i] ``twist_den``.
+    ``pairings`` gives the residues of pairings, and ``rational`` reads
+    one."""
+
+    __slots__ = ("modulus", "bound", "dens", "twist_den", "left", "right",
+                 "twisted")
+
+    def pairings(self, i, rows):
+        """The residues of the pairings of row i with rows[j], j >= i (rows
+        is ``right`` or ``twisted``): each one integer sum of products over
+        the classes, reduced mod N once."""
+        w, n, times = self.left[i], self.modulus, operator.mul
+        return [sum(map(times, w, v)) % n for v in rows[i:]]
+
+    def rational(self, r):
+        """The integer pairing whose residue is r, or None when the pairing
+        is not rational: the centred residue, when it is at most ``bound``
+        in size."""
+        if r > self.modulus >> 1:
+            r -= self.modulus
+        return r if -self.bound <= r <= self.bound else None
+
+
 def _through(rows, b):
     """sum of b[j] rows[j] over the rows: the integer coordinates of the
     numerators of b under a multiplication given by ``_times``."""
@@ -577,7 +613,7 @@ class CyclotomicField(Field):
             raise FieldError("cyclotomic index must be >= 1")
         self.m = m
         table = _shared_zeta_table if m <= _SHARED_ZETA_M else _zeta_table
-        self._zeta_pows, self._zeta_sparse = table(m)
+        self._zeta_pows, self._zeta_sparse, self._zeta_height = table(m)
         d = self.degree = len(self._zeta_pows[0]) - 1
         self._zeros = (0,) * (d - 1)
         self._int_tail = self._zeros + (1,)
@@ -604,24 +640,19 @@ class CyclotomicField(Field):
         any length, in lowest terms."""
         return _lowest(self._fold(coeffs), den)
 
-    def _fold(self, coeffs, first=0):
-        """The d integer coordinates of sum coeffs[k] z^(first + k), for
-        integer coeffs of any length and first <= 0: each power z^k outside
-        z^0, ..., z^(d-1) adds its coefficient times the nonzero entries of
-        zeta^(k mod m), since zeta^m = 1."""
+    def _fold(self, coeffs):
+        """The d integer coordinates of sum coeffs[k] z^k, for integer
+        coeffs of any length: each power z^k beyond z^(d-1) adds its
+        coefficient times the nonzero entries of zeta^(k mod m), since
+        zeta^m = 1."""
         d, m, sparse = self.degree, self.m, self._zeta_sparse
-        out = coeffs[-first:d - first]
+        out = coeffs[:d]
         if len(out) < d:
             out += [0] * (d - len(out))
-        for k, c in enumerate(coeffs[d - first:], d):
+        for k, c in enumerate(coeffs[d:], d):
             if c:
                 for i, z in sparse[k % m]:
                     out[i] += c * z
-        if first:  # the negative powers
-            for k, c in enumerate(coeffs[:-first], first):
-                if c:
-                    for i, z in sparse[k % m]:
-                        out[i] += c * z
         return out
 
     def _at_zeta_pow(self, ints, k):
@@ -691,13 +722,8 @@ class CyclotomicField(Field):
 
     def prepare(self, vec):
         # the entries over their common denominator, each kept as its
-        # nonzero (coordinate, numerator) pairs: character values are
-        # sparse in the power basis
-        den = 1
-        for a in vec:
-            t = a[-1]
-            if den % t:
-                den = den // gcd(den, t) * t
+        # nonzero (coordinate, numerator) pairs
+        den = _common_den(vec)
         entries = []
         for a in vec:
             s = den // a[-1]
@@ -716,67 +742,86 @@ class CyclotomicField(Field):
                         acc[i + j] += x * y
         return self._reduce(acc, uden * vden)
 
-    def conj_weighted(self, u, weights):
-        """The prepared vector u conjugated and scaled entrywise by the int
-        weights, in the form ``pair_classes`` reads on its left: each pair
-        (e, x) becomes (d - 1 - e, weight x), the coordinate of z^-e
-        counted from z^-(d-1)."""
-        us, den = u
-        top = self.degree - 1
-        return [[(top - e, x * w) for e, x in a]
-                for a, w in zip(us, weights)], den
+    def class_residues(self, weights, rows, twist=()):
+        """The class functions ``rows``, and their twists by the class
+        function ``twist`` (chi), as residues modulo N = Phi_m(2^B), for
+        the class pairings
 
-    def twist(self, u, v):
-        """The entrywise product of the prepared vectors u and v, prepared:
-        each product folded into the d coordinates by ``_fold``, over the
-        product of the denominators, with no gcd."""
-        (us, uden), (vs, vden) = u, v
-        d = self.degree
-        out = []
-        for a, b in zip(us, vs):
-            if not (a and b):
-                out.append([])
-                continue
-            if len(b) == 1 and not b[0][0]:  # an integer: one scaling
-                y = b[0][1]
-                out.append([(i, x * y) for i, x in a])
-                continue
-            acc = [0] * (2 * d - 1)
-            for i, x in a:
-                for j, y in b:
-                    acc[i + j] += x * y
-            out.append([(i, x) for i, x in enumerate(self._fold(acc)) if x])
-        return out, uden * vden
+            S = sum_c w_c conj(u_c) v_c,   S' = sum_c w_c conj(u_c) v_c chi_c
 
-    def stack(self, *vecs):
-        """The prepared vectors vecs as one, for the right of
-        ``pair_classes``: the pairs of the b-th shifted by b (2d - 1), so
-        that each has a block of the unreduced coefficients of its own."""
-        size = 2 * self.degree - 1
-        (first, _), *rest = vecs
-        entries = [list(a) for a in first]
-        for shift, (vs, _) in zip(range(size, size * len(vecs), size), rest):
-            for out, a in zip(entries, vs):
-                out += [(e + shift, x) for e, x in a]
-        return entries, tuple(v[1] for v in vecs)
+        of rows u, v over the int weights w, one per class. A class
+        function of another length is refused, never truncated. Returns a
+        ``ClassResidues``; each pairing is then one integer sum of products.
 
-    def pair_classes(self, u, v):
-        """For u from ``conj_weighted`` and v from ``stack``, one pass over
-        the entries: for each vector stacked in v, the ints (num, den) of
-        the rational sum of u_k v_k, or None when it is not rational."""
-        us, uden = u
-        vs, vdens = v
-        d = self.degree
-        size = 2 * d - 1
-        acc = [0] * (size * len(vdens))
-        for a, b in zip(us, vs):
-            for i, x in a:
-                for j, y in b:
-                    acc[i + j] += x * y
-        out = []
-        for start, vden in zip(range(0, len(acc), size), vdens):
-            low = self._fold(acc[start:start + size], 1 - d)
-            out.append(None if any(low[1:]) else (low[0], uden * vden))
+        The map. With X = 2^B, x -> X is a ring map Z[x] -> Z/N that kills
+        Phi_m, so a ring map Z[zeta] -> Z/N that sends zeta to X, an m-th
+        root of unity mod N since Phi_m divides x^m - 1. An element with
+        integer coordinates a_0..a_(d-1) goes to sum a_e X^e mod N, and its
+        conjugate sum a_e zeta^-e to X^(m-d+1) sum a_e X^(d-1-e): the
+        reversed coordinates times X^(m-d+1) = X^-(d-1). Each function is
+        put over its common denominator (``dens``, ``twist_den``), so S and
+        S' are integral over D_u D_v and D_u D_v D_chi; each distinct value
+        is packed once.
+
+        The bound. Let L bound the l1 norm of the integer coordinates of
+        every row value over its row's denominator, E that of chi's (E = 1
+        without chi), W = sum |w_c|, D the largest row denominator and Z
+        the largest |coordinate| of any zeta^j. conj(u_c) v_c chi_c is
+        sum x_a y_b e_g zeta^(-a+b+g), so every reduced coordinate s_e of S
+        or S' has |s_e| <= W L^2 max(E, 1) Z. The ``bound`` M = W max(L^2
+        max(E, 1) Z, D^2) also covers an integer target |G| D_u D_v with
+        |G| <= W. B is the least with X >= 2M + Z + 1.
+
+        Why a residue decides the pairing exactly. S is congruent mod N to
+        S_X = sum s_e X^e, and |S_X| <= M (X^d - 1)/(X - 1) < M X^d/(X - 1).
+        The coefficients of Phi_m below x^d are those of -zeta^d, of size
+        <= Z, so N = Phi_m(X) >= X^d - Z (X^d - 1)/(X - 1) > X^d (1 - Z/(X -
+        1)), and X - 1 >= 2M + Z gives M X^d/(X - 1) <= X^d (1 - Z/(X -
+        1))/2 < N/2. So the centred residue r of S is S_X itself. If s_e = 0
+        for e >= 1, |r| = |s_0| <= M. Otherwise, for the top t >= 1 with
+        s_t != 0, |r| >= X^t - M (X^t - 1)/(X - 1) > X^t (1 - M/(X - 1)) >
+        X^t/2 >= X/2 > M. So S is rational exactly when |r| <= M, and is
+        then r (``ClassResidues.rational``). S equals an integer T with |T|
+        <= M exactly when their residues agree, since |S_X - T| < N."""
+        k = len(weights)
+        if any(len(u) != k for u in chain(rows, [twist] if twist else ())):
+            raise FieldError(f"a class function does not have {k} values")
+        d, m, zed = self.degree, self.m, self._zeta_height
+        values = set(chain.from_iterable(rows))
+        every = values.union(twist)
+        dens, tden = [_common_den(u) for u in rows], _common_den(twist)
+        norm = {a: sum(map(abs, a[:-1])) for a in every}
+        top = max(dens, default=1)
+        big = max((norm[a] * (top // a[-1]) for a in values), default=0)
+        chi = max([1] + [norm[a] * (tden // a[-1]) for a in twist])
+        bound = sum(map(abs, weights)) * max(big * big * chi * zed, top * top)
+        b = (2 * bound + zed).bit_length()
+
+        def packed(ints):  # sum ints[e] X^(len - 1 - e), in ints
+            acc = 0
+            for x in ints:
+                acc = (acc << b) + x
+            return acc
+
+        n = (1 << b * d) - packed(self._zeta_pows[d % m][-2::-1])
+        shift = (1 << b * (m - d + 1)) % n
+        pack = {a: packed(a[-2::-1]) % n for a in every}
+        cpack = {a: packed(a[:-1]) * shift % n for a in values}
+        out = ClassResidues()
+        out.modulus, out.bound, out.dens, out.twist_den = n, bound, dens, tden
+        out.left, out.right = [], []
+        for u, den in zip(rows, dens):
+            if den == 1:
+                out.right.append(list(map(pack.__getitem__, u)))
+                out.left.append(list(map(int.__mul__, weights,
+                                         map(cpack.__getitem__, u))))
+            else:
+                out.right.append([pack[a] * (den // a[-1]) % n for a in u])
+                out.left.append([w * cpack[a] * (den // a[-1])
+                                 for w, a in zip(weights, u)])
+        chis = [pack[a] * (tden // a[-1]) % n for a in twist]
+        out.twisted = [[x * y % n for x, y in zip(v, chis)]
+                       for v in out.right]
         return out
 
     def row_sub(self, u, c, v):

@@ -6,21 +6,26 @@ as embedded exact cyclotomic data. Every table self-verifies at
 construction: class sizes, orthogonality, degree sums, the reality and
 degree of the distinguished 2-dimensional character, and the McKay matrix,
 which the check builds and keeps on the table as ``mckay_matrix``. The
-check is one integer pass over the class functions, on the field's
-prepared coordinates: each row chi_j is prepared once and stacked with
-its twist chi_j chi_E, and each row size * conj(chi_i) is conjugated and
-weighted on its coordinates, so that one ``pair_classes`` loop over the
-classes gives |G| <chi_i, chi_j> and |G| <chi_i, chi_j chi_E> together,
-each as the ints num / den of a rational or as not rational. The first is
-compared with |G| or 0 for orthogonality; the second is a McKay
-multiplicity, a nonnegative integer iff den |G| divides num with a
-quotient >= 0. Both pairings are Hermitian and chi_E is real, so only the
-upper half of the Gram and McKay matrices is paired. The row of the
+shape comes first (k rows of k values, chi_E of k values, a trivial
+index below k, int class sizes), so nothing is truncated. Every pairing
+is then an integer residue modulo N = Phi_m(2^B)
+(``CyclotomicField.class_residues``, which sends zeta to 2^B and packs
+each distinct value once, each row over its common denominator D): for
+each i <= j, one sum over the classes gives
+|G| D_i D_j <chi_i, chi_j> and one |G| D_i D_j D_E <chi_i, chi_j chi_E>.
+B is chosen per table so that N exceeds twice |G| max||chi||_1^2
+||chi_E||_1 max_j ||zeta^j||_inf and every target |G| D_i D_j, with a
+margin for the coefficients of Phi_m; the kernel proves that a Gram
+residue then equals that of |G| D_i^2 or 0 exactly when the pairing
+does, and that a centred McKay residue is the numerator itself, a
+multiplicity when D_i D_j D_E |G| divides it with a quotient >= 0. No
+float and no probabilistic step. Both pairings are Hermitian and chi_E
+is real, so only the upper half of each matrix is paired. The row of the
 trivial character in the McKay matrix is the multiplicities <chi_E,
 chi_j>, so it also decides that chi_E is a character. No pairing builds
 a Fraction; ``CharacterTable.inner`` gives the same pairing as one.
 Tables are built afresh on every call. The tables ``cyclic:n`` and
-``bd:n`` are refused before they are built when their dense pairing work
+``bd:n`` are refused before they are built when their pairing work
 k^3 phi(m)^2 (k classes over Q(zeta_m)) exceeds ``MCKAY_WORK_CAP``.
 
 The affine ADE type of a McKay graph is read off its shape: a loop (A~0),
@@ -73,14 +78,11 @@ class CharacterTable:
     def inner(self, u, v) -> Fraction:
         """Class-weighted Hermitian pairing of two class functions (rows of
         values on the classes): (1/|G|) sum of size * conj(u) * v."""
-        f = self.field
-        sizes = [s for _, s in self.classes]
-        pairing, = f.pair_classes(f.conj_weighted(f.prepare(u), sizes),
-                                  f.stack(f.prepare(v)))
-        if pairing is None:
+        res = self.field.class_residues([s for _, s in self.classes], (u, v))
+        num = res.rational(res.pairings(0, res.right)[1])
+        if num is None:
             raise FieldError("the pairing is not rational")
-        num, den = pairing
-        return Fraction(num, den * self.order)
+        return Fraction(num, res.dens[0] * res.dens[1] * self.order)
 
     def validate(self):
         """Check the table and return its McKay matrix a, as a tuple of
@@ -90,29 +92,37 @@ class CharacterTable:
         k = len(self.classes)
         if len(self.chars) != k:
             raise McKayError("number of characters != number of classes")
-        f = self.field
-        chars = [f.prepare(row) for row in self.chars]
-        chi_e = f.prepare(self.chi_e)
-        stacked = [f.stack(row, f.twist(row, chi_e)) for row in chars]
-        # one pass over the classes pairs size * conj(chi_i) with chi_j,
-        # |G| delta_ij for orthonormal rows, and with chi_j chi_E, |G|
-        # a[i][j]. Both pairings are Hermitian and chi_E is real, so (i, j)
-        # fails iff (j, i) does: j >= i suffices and meets the first
-        # failure of a row-major scan. The McKay half is decided after the
-        # other checks
-        order, pair = self.order, f.pair_classes
+        for i, row in enumerate(self.chars):
+            if len(row) != k:
+                raise McKayError(f"character {i} has {len(row)} values "
+                                 f"for {k} classes")
+        if len(self.chi_e) != k:
+            raise McKayError(f"distinguished character has "
+                             f"{len(self.chi_e)} values for {k} classes")
+        t = self.trivial_index
+        if type(t) is not int or not 0 <= t < k:
+            raise McKayError(f"trivial index {t!r} is not a row index")
         sizes = [s for _, s in self.classes]
-        twisted = {}
-        for i, row in enumerate(chars):
-            w = f.conj_weighted(row, sizes)
-            for j in range(i, k):
-                gram, twisted[i, j] = pair(w, stacked[j])
-                if gram is None or gram[0] != (order * gram[1] if i == j
-                                               else 0):
+        if not {int}.issuperset(map(type, sizes)):
+            raise McKayError("a class size is not an int")
+        f, order = self.field, self.order
+        res = f.class_residues(sizes, self.chars, self.chi_e)
+        # size * conj(chi_i) paired with chi_j is |G| D_i D_j delta_ij for
+        # orthonormal rows, compared residue to residue, and with chi_j
+        # chi_E it is |G| D_i D_j D_E a[i][j]. Both pairings are Hermitian
+        # and chi_E is real, so j >= i suffices and meets the first failure
+        # of a row-major scan. The McKay half is decided after the others
+        n, dens = res.modulus, res.dens
+        twisted = []
+        for i in range(k):
+            gram = res.pairings(i, res.right)
+            gram[0] -= order * dens[i] * dens[i] % n
+            for j, r in enumerate(gram, i):
+                if r:
                     raise McKayError(f"orthogonality fails at ({i},{j})")
+            twisted.append(res.pairings(i, res.twisted))
         if sum(d * d for d in self.degrees) != self.order:
             raise McKayError("degree squares do not sum to the group order")
-        t = self.trivial_index
         if any(row != f.one() for row in self.chars[t]):
             raise McKayError("trivial character is not identically 1")
         e = self.chi_e
@@ -121,12 +131,19 @@ class CharacterTable:
         for val in e:
             if f.conj(val) != val:
                 raise McKayError("distinguished character must be real-valued")
-        # a[i][j] = <chi_i, chi_j chi_E>, None where it is no nonnegative
-        # integer. Row t, <1, chi_j chi_E> = <chi_E, chi_j>, holds the
-        # multiplicities of chi_E; it is decided first and in full, so a
+        # a[i][j] = <chi_i, chi_j chi_E> is a nonnegative integer iff the
+        # residue r of its numerator is at most the bound and divisible by
+        # den = |G| D_i D_j D_E (> 0 once the degrees passed), else None.
+        # Row t, <chi_E, chi_j>, is decided first and in full, so a
         # distinguished row that is not a character is named as such
-        mults = {ij: _multiplicity(p, order) for ij, p in twisted.items()}
-        a = [[mults[min(i, j), max(i, j)] for j in range(k)] for i in range(k)]
+        bound, scale = res.bound, order * res.twist_den
+        a = [[None] * k for _ in range(k)]
+        for i, row in enumerate(twisted):
+            di = dens[i] * scale
+            for j, r in enumerate(row, i):
+                den = di * dens[j]
+                if r <= bound and not r % den:
+                    a[i][j] = a[j][i] = r // den
         if None in a[t]:
             raise McKayError("distinguished row is not a character")
         for i in range(k):
@@ -137,25 +154,14 @@ class CharacterTable:
         return tuple(map(tuple, a))
 
 
-def _multiplicity(pairing, order):
-    """<u, v> when it is a nonnegative integer, else None, from the ints
-    (num, den) of the pairing num / den = |G| <u, v> (None when it is not
-    rational): den |G| must divide num."""
-    if pairing is None:
-        return None
-    mult, rest = divmod(pairing[0], pairing[1] * order)
-    return mult if not rest and mult >= 0 else None
-
-
-# Cap on the dense pairing work k^3 phi(m)^2 of a table with k classes over
-# Q(zeta_m): about k^2 pairings of k products, each of at most phi(m)^2
-# integer products. It accepts every cyclic:n with n <= 52 and bd:n with
-# n <= 36 (and some larger n, up to cyclic:72 and bd:42, whose phi(m) is
-# small). The pairings multiply only the nonzero power-basis coordinates,
-# so the work done is far below the bound: built in a fresh process pinned
-# to one CPU of a shared 2-core x86-64 VM (median of 3), the slowest
-# accepted table, cyclic:70, takes 0.43 s, bd:42 0.15 s, cyclic:72 0.13 s,
-# cyclic:52 0.07 s and bd:36 0.05 s.
+# Cap on the pairing work k^3 phi(m)^2 of a table with k classes over
+# Q(zeta_m): about k^2 pairings, each a sum of k products of residues of
+# phi(m) B bits, whose schoolbook cost grows as phi(m)^2. It accepts every
+# cyclic:n with n <= 52 and bd:n with n <= 36 (and some larger n, up to
+# cyclic:72 and bd:42, whose phi(m) is small). Built in a fresh process
+# pinned to one CPU of a shared 2-core x86-64 VM (median of 3), the
+# slowest accepted table, cyclic:70, takes 0.13 s, bd:42 0.10 s,
+# cyclic:72 0.08 s, cyclic:52 0.05 s and bd:36 0.04 s.
 MCKAY_WORK_CAP = 250_000_000
 
 
@@ -172,12 +178,14 @@ def _euler_phi(m: int) -> int:
 
 
 def _check_work(k: int, m: int):
-    """Refuse the table, before it is built, when its dense pairing work
+    """Refuse the table, before it is built, when its pairing work
     k^3 phi(m)^2 exceeds MCKAY_WORK_CAP; k^3 alone is tried first, so a huge
-    n costs nothing. The estimate ignores how sparse the values are in the
-    power basis, so it orders the tables only roughly: cyclic:61, refused,
-    builds in 0.16 s, under 40% of the time of cyclic:70, the slowest one
-    accepted, and about as long as bd:42."""
+    n costs nothing. The estimate leaves out the B bits per coordinate of
+    a residue, which grow with the l1 norms of the values, so it orders
+    the tables only roughly: cyclic:61, refused, builds in 0.25 s with the
+    cap lifted, about twice the time of cyclic:70, the slowest one
+    accepted, since zeta^60 = -(1 + zeta + ... + zeta^59) takes B to 25
+    bits (20 at cyclic:70)."""
     if k ** 3 > MCKAY_WORK_CAP or k ** 3 * _euler_phi(m) ** 2 > MCKAY_WORK_CAP:
         raise McKayError(f"the pairing work k^3 phi(m)^2 with "
                          f"k = {k}, m = {m} exceeds the cap of "
@@ -318,13 +326,18 @@ def exceptional_table(kind: str) -> CharacterTable:
 
 
 def table_by_name(name: str) -> CharacterTable:
-    """cyclic:n | bd:n | bt | bo | bi"""
-    name = name.lower()
-    if name.startswith("cyclic:"):
-        return cyclic_table(int(name.split(":")[1]))
-    if name.startswith("bd:"):
-        return binary_dihedral_table(int(name.split(":")[1]))
-    return exceptional_table(name)
+    """cyclic:n | bd:n | bt | bo | bi, with n in ASCII digits alone."""
+    kind, colon, n = name.lower().partition(":")
+    build = {"cyclic": cyclic_table, "bd": binary_dihedral_table}.get(kind)
+    if not (colon and build):
+        return exceptional_table(name)
+    if not (n.isascii() and n.isdigit()):
+        raise McKayError(f"n = {n!r} is not a string of ASCII digits")
+    try:
+        n = int(n)
+    except ValueError:  # more digits than int() reads
+        raise McKayError(f"n has {len(n)} digits") from None
+    return build(n)
 
 
 def mckay_quiver(t: CharacterTable):

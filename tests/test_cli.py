@@ -318,13 +318,18 @@ def test_mckay_report_pinned(capsys, group, digest):
 
 
 # an unknown name or an n out of range is an input error, like a
-# non-integer n; these once printed a failed-check report and exited 1
-@pytest.mark.parametrize("group", ["foo", "bd:1", "cyclic:0", "cyclic:x"])
+# non-integer n; these once printed a failed-check report and exited 1.
+# n is ASCII digits alone: "5_0" once built cyclic:50, "5:7" and "3:x"
+# built cyclic:5 and bd:3 with exit 0, and "2.5" and "" were refused with
+# the bare message of int(), which did not name --group
+@pytest.mark.parametrize("group", ["foo", "bd:1", "cyclic:0", "cyclic:x",
+                                   "cyclic:5_0", "cyclic:5:7", "bd:3:x",
+                                   "cyclic:2.5", "cyclic:", "cyclic:٥"])
 def test_mckay_bad_group_is_exit_2(capsys, group):
     assert run(["mckay", "build", "--group", group]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("qv: input error:")
+    assert captured.err.startswith(f"qv: input error: bad --group {group!r}")
 
 
 # the pairing work k^3 phi(m)^2 is estimated from n before any table is

@@ -398,3 +398,352 @@ def test_work_cap_refuses_from_cyclic_53_and_bd_37():
     assert [_euler_phi(m) for m in (1, 2, 12, 53, 148)] == [1, 1, 4, 52, 72]
     with pytest.raises(McKayError, match="exceeds the cap"):
         table_by_name("bd:37")
+
+
+# -- group names -------------------------------------------------------
+
+@pytest.mark.parametrize("name", [
+    "cyclic:5_0", "cyclic:5:7", "bd:3:x", "cyclic:2.5", "cyclic:", "bd:",
+    "cyclic: 5", "cyclic:+5", "cyclic:-3", "bd:1e2", "cyclic:٥",
+    "bd:" + "9" * 5000])
+def test_group_n_is_ascii_digits_alone(name):
+    # int() once read "5_0" as 50, " 5" and "+5" as 5 and a non-ASCII
+    # digit as its value, and split(":") dropped whatever followed n
+    with pytest.raises(McKayError):
+        table_by_name(name)
+
+
+def test_group_names_still_read_case_and_leading_zeros():
+    assert table_by_name("CYCLIC:05").name == "cyclic:5"
+    assert table_by_name("Bd:3").name == "bd:3"
+    assert table_by_name("BI").name == "bi"
+
+
+# -- shape checks ------------------------------------------------------
+
+# On bd:2, each a shape defect that `validate` refuses before any pairing;
+# each once passed, truncated by zip or read modulo k, or failed by luck.
+SHAPE_DEFECTS = [
+    ("character 1 has 6 values for 5 classes",
+     lambda fields, f: _set(fields, "chars", 1,
+                            fields["chars"][1] + (f.one(),))),
+    ("distinguished character has 6 values for 5 classes",
+     lambda fields, f: {**fields, "chi_e": fields["chi_e"] + (f.zero(),)}),
+    ("distinguished character has 4 values for 5 classes",
+     lambda fields, f: {**fields, "chi_e": fields["chi_e"][:-1]}),
+    ("trivial index 7 is not a row index",
+     lambda fields, f: {**fields, "trivial_index": 7}),
+    ("trivial index -1 is not a row index",
+     lambda fields, f: {**fields, "trivial_index": -1}),
+    # sizes 1.0 once gave a McKay matrix of floats
+    ("a class size is not an int",
+     lambda fields, f: {**fields, "classes": tuple(
+         (label, float(s)) for label, s in fields["classes"])}),
+]
+SHAPE_IDS = [m for m, _ in SHAPE_DEFECTS]
+
+
+@pytest.mark.parametrize("message, defect", SHAPE_DEFECTS, ids=SHAPE_IDS)
+def test_each_shape_check(message, defect):
+    with pytest.raises(McKayError, match=f"^{message}$"):
+        _with_defects(defect)()
+
+
+@pytest.mark.parametrize("message, defect", SHAPE_DEFECTS, ids=SHAPE_IDS)
+def test_shape_checks_come_before_any_pairing(message, defect):
+    # after the count of rows, before orthogonality, in either order
+    (count, too_few), = [d for d in VALIDATE_DEFECTS if "number" in d[0]]
+    (_, same_rows), = [d for d in VALIDATE_DEFECTS if "orthogonality" in d[0]]
+    for defects, first in (((defect, too_few), count),
+                           ((too_few, defect), count),
+                           ((defect, same_rows), message),
+                           ((same_rows, defect), message)):
+        with pytest.raises(McKayError, match=f"^{first}$"):
+            _with_defects(*defects)()
+
+
+def test_inner_refuses_a_class_function_of_another_length():
+    t = binary_dihedral_table(2)
+    row = t.chars[1]
+    for u, v in ((row + (t.field.one(),), row), (row, row[:-1])):
+        with pytest.raises(FieldError, match="does not have 5 values"):
+            t.inner(u, v)
+
+
+# -- the sparse pairing of the power basis, as a reference -------------
+#
+# The class pairings as they were computed before the residue kernel:
+# each row prepared as its nonzero (coordinate, numerator) pairs over a
+# common denominator, conjugated and weighted by exponent negation, twisted
+# by chi_E with each product folded by the table of zeta^j, and paired in
+# one pass over the classes, each block of 2 phi(m) - 1 coefficients
+# folded once from z^-(d-1). It runs on the field's public elements alone.
+
+def _ref_fold(f, coeffs, first=0):
+    """The d integer coordinates of sum coeffs[k] z^(first + k)."""
+    out = [0] * f.degree
+    for k, c in enumerate(coeffs, first):
+        if c:
+            for i, z in enumerate(f.zeta_pow(k)[:-1]):
+                out[i] += c * z
+    return out
+
+
+def _ref_conj_weighted(f, u, weights):
+    us, den = u
+    top = f.degree - 1
+    return [[(top - e, x * w) for e, x in a]
+            for a, w in zip(us, weights)], den
+
+
+def _ref_twist(f, u, v):
+    (us, uden), (vs, vden) = u, v
+    out = []
+    for a, b in zip(us, vs):
+        acc = [0] * (2 * f.degree - 1)
+        for i, x in a:
+            for j, y in b:
+                acc[i + j] += x * y
+        out.append([(i, x) for i, x in enumerate(_ref_fold(f, acc)) if x])
+    return out, uden * vden
+
+
+def _ref_stack(f, *vecs):
+    size = 2 * f.degree - 1
+    (first, _), *rest = vecs
+    entries = [list(a) for a in first]
+    for shift, (vs, _) in zip(range(size, size * len(vecs), size), rest):
+        for out, a in zip(entries, vs):
+            out += [(e + shift, x) for e, x in a]
+    return entries, tuple(v[1] for v in vecs)
+
+
+def _ref_pair_classes(f, u, v):
+    """(num, den) of each rational sum of u_k v_k, None where it is not
+    rational, one per vector stacked in v."""
+    (us, uden), (vs, vdens) = u, v
+    d = f.degree
+    size = 2 * d - 1
+    acc = [0] * (size * len(vdens))
+    for a, b in zip(us, vs):
+        for i, x in a:
+            for j, y in b:
+                acc[i + j] += x * y
+    out = []
+    for start, vden in zip(range(0, len(acc), size), vdens):
+        low = _ref_fold(f, acc[start:start + size], 1 - d)
+        out.append(None if any(low[1:]) else (low[0], uden * vden))
+    return out
+
+
+def _ref_inner(t, u, v):
+    f = t.field
+    sizes = [s for _, s in t.classes]
+    pairing, = _ref_pair_classes(
+        f, _ref_conj_weighted(f, f.prepare(u), sizes),
+        _ref_stack(f, f.prepare(v)))
+    if pairing is None:
+        raise FieldError("the pairing is not rational")
+    return Fraction(pairing[0], pairing[1] * t.order)
+
+
+def _ref_multiplicity(pairing, order):
+    if pairing is None:
+        return None
+    mult, rest = divmod(pairing[0], pairing[1] * order)
+    return mult if not rest and mult >= 0 else None
+
+
+def _ref_validate(f, classes, chars, chi_e, order, trivial_index):
+    """The table check with the sparse pairing: the same checks, messages
+    and order as ``CharacterTable.validate``."""
+    if sum(s for _, s in classes) != order:
+        raise McKayError("class sizes do not sum to the group order")
+    k = len(classes)
+    if len(chars) != k:
+        raise McKayError("number of characters != number of classes")
+    for i, row in enumerate(chars):
+        if len(row) != k:
+            raise McKayError(f"character {i} has {len(row)} values "
+                             f"for {k} classes")
+    if len(chi_e) != k:
+        raise McKayError(f"distinguished character has {len(chi_e)} values "
+                         f"for {k} classes")
+    t = trivial_index
+    if type(t) is not int or not 0 <= t < k:
+        raise McKayError(f"trivial index {t!r} is not a row index")
+    if not {int}.issuperset(type(s) for _, s in classes):
+        raise McKayError("a class size is not an int")
+    rows = [f.prepare(row) for row in chars]
+    e = f.prepare(chi_e)
+    stacked = [_ref_stack(f, row, _ref_twist(f, row, e)) for row in rows]
+    sizes = [s for _, s in classes]
+    twisted = {}
+    for i, row in enumerate(rows):
+        w = _ref_conj_weighted(f, row, sizes)
+        for j in range(i, k):
+            gram, twisted[i, j] = _ref_pair_classes(f, w, stacked[j])
+            if gram is None or gram[0] != (order * gram[1] if i == j else 0):
+                raise McKayError(f"orthogonality fails at ({i},{j})")
+    try:
+        degs = [f.rational_ints(row[0]) for row in chars]
+    except FieldError:
+        degs = [(0, 0)]
+    if any(den != 1 for _, den in degs):
+        raise McKayError("a character degree is not an integer")
+    if sum(num * num for num, _ in degs) != order:
+        raise McKayError("degree squares do not sum to the group order")
+    if any(x != f.one() for x in chars[t]):
+        raise McKayError("trivial character is not identically 1")
+    if chi_e[0] != f.from_int(2):
+        raise McKayError("distinguished character must have degree 2")
+    if any(f.conj(x) != x for x in chi_e):
+        raise McKayError("distinguished character must be real-valued")
+    mults = {ij: _ref_multiplicity(p, order) for ij, p in twisted.items()}
+    a = [[mults[min(i, j), max(i, j)] for j in range(k)] for i in range(k)]
+    if None in a[t]:
+        raise McKayError("distinguished row is not a character")
+    for i in range(k):
+        for j in range(i, k):
+            if a[i][j] is None:
+                raise McKayError(f"multiplicity a[{i}][{j}] is not a "
+                                 "nonnegative integer")
+    return tuple(map(tuple, a))
+
+
+def _fields_of(t):
+    return {"classes": t.classes, "chars": t.chars, "chi_e": t.chi_e,
+            "order": t.order, "trivial_index": t.trivial_index}
+
+
+def _outcome(run):
+    """The McKay matrix, or the type and message of the error."""
+    try:
+        return run()
+    except (ValueError, ArithmeticError, IndexError, TypeError) as err:
+        return type(err).__name__, str(err)
+
+
+REFERENCE_TABLES = ([f"cyclic:{n}" for n in range(1, 31)]
+                    + [f"bd:{n}" for n in range(2, 21)]
+                    + ["bt", "bo", "bi", "cyclic:52", "bd:36"])
+
+
+@pytest.mark.parametrize("name", REFERENCE_TABLES)
+def test_mckay_matrix_matches_the_sparse_reference(name):
+    t = table_by_name(name)
+    assert t.mckay_matrix == _ref_validate(t.field, **_fields_of(t))
+
+
+def _random_element(f, rng):
+    """A value with small, 10^40-sized or non-integral coordinates."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return f.from_coeffs([rng.randint(-3, 3) for _ in range(f.degree)])
+    if kind == 1:
+        return f.from_coeffs([rng.choice((1, -1)) * 10 ** 40
+                              + rng.randint(-9, 9) for _ in range(f.degree)])
+    den = rng.choice((2, 3, 6, 10 ** 40 + 1))
+    return f.from_coeffs([Fraction(rng.randint(-10 ** rng.randint(0, 41),
+                                               10 ** 40), den)
+                          for _ in range(f.degree)])
+
+
+def _unit(f, rng):
+    """zeta^j, or ((3 + 4i) / 5)^p where i lies in the field: a value of
+    modulus 1, so a row times it stays orthonormal."""
+    if f.m % 4 or rng.randrange(2):
+        return f.zeta_pow(rng.randrange(f.m))
+    z = f.from_coeffs([Fraction(3, 5)])
+    z = f.add(z, f.mul(f.from_coeffs([Fraction(4, 5)]), f.zeta_pow(f.m // 4)))
+    out = f.one()
+    for _ in range(rng.randint(1, 60)):
+        out = f.mul(out, z)
+    return out
+
+
+def _corrupt(t, rng):
+    """One seeded corruption of the table's fields."""
+    f, fields = t.field, _fields_of(t)
+    chars = [list(r) for r in t.chars]
+    k = len(chars)
+    kind = rng.choice(("value", "nudge", "chi_e", "sizes", "trivial",
+                       "swap", "unit"))
+    i, c = rng.randrange(k), rng.randrange(k)
+    if kind == "value":
+        chars[i][c] = _random_element(f, rng)
+    elif kind == "nudge":  # plus or minus 1, or plus zeta^j
+        step = rng.choice((f.one(), f.neg(f.one()),
+                           f.zeta_pow(rng.randrange(f.m))))
+        chars[i][c] = f.add(chars[i][c], step)
+    elif kind == "chi_e":
+        e = list(t.chi_e)
+        pick = rng.randrange(3)
+        if pick == 0:  # a real value, of degree 2 if k > 1
+            x = _random_element(f, rng)
+            e[c if k == 1 else rng.randrange(1, k)] = f.add(x, f.conj(x))
+        elif pick == 1:  # a real sum of two rows and their conjugates
+            j = rng.randrange(k)
+            e = [f.add(f.add(x, f.conj(x)), f.add(y, f.conj(y)))
+                 for x, y in zip(t.chars[i], t.chars[j])]
+        else:
+            e = list(t.chars[i])
+        fields["chi_e"] = tuple(e)
+    elif kind == "sizes":
+        sizes = [s for _, s in t.classes]
+        step = rng.randint(1, 3)
+        sizes[i] -= step
+        if rng.randrange(4):  # the sum kept
+            sizes[c] += step
+        fields["classes"] = tuple((label, s) for (label, _), s
+                                  in zip(t.classes, sizes))
+    elif kind == "trivial":
+        fields["trivial_index"] = rng.randrange(k)
+    elif kind == "swap":
+        chars[i], chars[c] = chars[c], chars[i]
+    else:
+        z = _unit(f, rng)
+        chars[i] = [f.mul(z, x) for x in chars[i]]
+    if kind != "chi_e" or rng.randrange(2):
+        fields["chars"] = tuple(map(tuple, chars))
+    return fields
+
+
+CORRUPTED_TABLES = ["cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4",
+                    "cyclic:5", "cyclic:6", "cyclic:8", "bd:2", "bd:3",
+                    "bd:4", "bd:5", "bt", "bo", "bi"]
+
+
+@pytest.mark.parametrize("name", CORRUPTED_TABLES)
+def test_corruptions_have_the_outcome_of_the_sparse_reference(name):
+    t = table_by_name(name)
+    rng = random.Random(f"corrupt {name}")
+    outcomes = set()
+    for _ in range(80):
+        fields = _corrupt(t, rng)
+        got = _outcome(lambda: replace(t, **fields).mckay_matrix)
+        assert got == _outcome(lambda: _ref_validate(t.field, **fields)), \
+            fields
+        outcomes.add(got[1] if type(got[0]) is str else "matrix")
+    # some corruptions pass as tables, and some reach the McKay half (on
+    # the trivial group chi_E = 2 is fixed by its degree)
+    assert "matrix" in outcomes
+    assert name == "cyclic:1" or \
+        "distinguished row is not a character" in outcomes
+
+
+@pytest.mark.parametrize("name", ["cyclic:3", "cyclic:8", "bd:3", "bo",
+                                  "bi"])
+def test_inner_matches_the_sparse_reference(name):
+    # class functions with 10^40-sized and non-integral values, and
+    # pairings that are not rational
+    t = table_by_name(name)
+    rng = random.Random(f"inner {name}")
+    refused = 0
+    for _ in range(30):
+        u, v = ([_random_element(t.field, rng) for _ in t.classes]
+                for _ in range(2))
+        want = _outcome(lambda: _ref_inner(t, u, v))
+        assert _outcome(lambda: t.inner(u, v)) == want
+        refused += type(want) is tuple
+    assert refused

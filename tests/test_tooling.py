@@ -256,20 +256,25 @@ def test_inner_products_use_the_field_kernel():
     for fn in (adhm._char_poly, adhm.power_traces):
         names = _names(fn.__code__)
         assert "dot" in names and not names & {"add", "mul"}, fn.__qualname__
-    # the product kernel and the McKay pairings pair prepared operands,
-    # and the pairings over Q(zeta_m) work on their integer coordinates:
-    # the table check and `inner` share the one class-function pairing
+    # the product kernel pairs prepared operands, and the McKay pairings
+    # over Q(zeta_m) work on the residues of their integer coordinates:
+    # the table check and `inner` share the one class-function kernel, and
+    # each pairing is one integer sum of products
     names = _names(fields.Field.matmul.__code__)
     assert {"prepare", "pair"} <= names and not names & {"add", "mul", "dot"}
     for fn in (mckay.CharacterTable.inner, mckay.CharacterTable.validate):
         names = _names(fn.__code__)
-        assert {"prepare", "stack", "pair_classes"} <= names, fn.__qualname__
-        assert not names & {"add", "mul", "dot", "pair"}, fn.__qualname__
+        assert {"class_residues", "pairings"} <= names, fn.__qualname__
+        assert not names & {"add", "mul", "dot", "pair", "prepare"}, \
+            fn.__qualname__
     cls = fields.CyclotomicField
-    for fn in (cls.pair, cls.conj_weighted, cls.twist, cls.stack,
-               cls.pair_classes):
+    for fn in (cls.pair, cls.class_residues, fields.ClassResidues.rational):
         assert not _names(fn.__code__) & {"add", "mul", "dot", "conj"}, \
             fn.__qualname__
+    # the one product of the pairings is operator.mul on ints
+    names = _names(fields.ClassResidues.pairings.__code__)
+    assert {"sum", "operator"} <= names
+    assert not names & {"add", "dot", "conj"}
     # the matrix product has one code path, the field's product kernel,
     # whose base version is the pairing loop above
     names = _names(linalg.Mat.__matmul__.__code__)
@@ -286,21 +291,23 @@ def test_mckay_checks_decide_on_integer_pairings(monkeypatch):
     # the table checks, the degrees and the McKay multiplicities compare
     # |G| times a pairing, an integer, with no Fraction; only `inner` builds
     # one. The class weights, the conjugation and the twist by chi_E act
-    # on the prepared integer coordinates, with no canonical element built
-    # per entry. The McKay matrix is built by the check at construction,
-    # not on demand
+    # on the residues of the integer coordinates, with no canonical
+    # element built and no product folded per entry. The McKay matrix is
+    # built by the check at construction, not on demand
     import dataclasses
     from quivar import fields, mckay
     table = mckay.CharacterTable
     cls = fields.CyclotomicField
-    for fn in (table.validate, table.degrees.fget,
-               mckay._multiplicity, cls.rational_ints, cls.prepare, cls.pair,
-               cls.conj_weighted, cls.twist, cls.stack, cls.pair_classes):
+    for fn in (table.validate, table.degrees.fget, cls.rational_ints,
+               cls.prepare, cls.pair, cls.class_residues,
+               fields.ClassResidues.pairings, fields.ClassResidues.rational,
+               fields._common_den):
         assert "Fraction" not in _names(fn.__code__), fn.__qualname__
     assert "Fraction" in _names(table.inner.__code__)
-    for fn in (cls.conj_weighted, cls.twist, cls.stack, cls.pair_classes):
-        assert not _names(fn.__code__) & {"_lowest", "_reduce", "gcd"}, \
-            fn.__qualname__
+    for fn in (cls.class_residues, fields.ClassResidues.pairings,
+               fields.ClassResidues.rational):
+        assert not _names(fn.__code__) & {"_lowest", "_reduce", "_fold",
+                                          "gcd"}, fn.__qualname__
     assert not _names(table.validate.__code__) & {"row_scale", "mul_int"}
     matrix = {f.name: f for f in dataclasses.fields(table)}["mckay_matrix"]
     assert not matrix.init and "mckay_matrix" not in vars(table)
@@ -397,7 +404,8 @@ def test_convolution_inverts_nothing_mod_q():
 
 
 CYCLOTOMIC_INTERNALS = {"_cleared", "_reduce", "_fold", "_at_zeta_pow",
-                        "_times", "_zeta_pows", "_zeta_sparse"}
+                        "_times", "_zeta_pows", "_zeta_sparse",
+                        "_zeta_height"}
 
 
 def test_cyclotomic_layout_stays_in_fields():
