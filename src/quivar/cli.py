@@ -36,14 +36,26 @@ class CheckFailed(Exception):
 # -- input loading -----------------------------------------------------
 
 def _read_json(path, what):
-    """The JSON in a file; InputError naming what it holds if unreadable."""
+    """The JSON object in a file; InputError naming what it holds if it is
+    unreadable or not an object."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            d = json.load(fh)
     except OSError as err:
         raise InputError(f"cannot load {what}: {err}")
     except ValueError as err:  # malformed JSON, or bytes not in the encoding
         raise InputError(f"bad {what} JSON in {path!r}: {err}")
+    if not isinstance(d, dict):
+        raise InputError(f"bad {what} JSON in {path!r}: not an object")
+    return d
+
+
+def _object(d, key):
+    """d[key], refused unless it is a JSON object."""
+    val = d[key]
+    if not isinstance(val, dict):
+        raise InputError(f"{key!r} is not an object")
+    return val
 
 
 _BUILTINS = {"jordan": jordan_quiver}
@@ -138,18 +150,21 @@ def load_rep(path) -> tuple:
     try:
         q = load_quiver_ref(d["quiver"])
         fieldobj = field_from_spec(d["field"])
-        v = check_dimvector(q, {str(k): x for k, x in d["v"].items()})
+        v = check_dimvector(q, {str(k): x
+                                for k, x in _object(d, "v").items()})
         mats = {e.name: parse_matrix(fieldobj, d["mats"][e.name],
                                      v[e.head], v[e.tail]) for e in q.edges}
         rep = Rep(q, fieldobj, v, mats)
         if "w" not in d:
             return rep
-        w = check_dimvector(q, {**dict.fromkeys(q.vertices, 0), **d["w"]})
-        i = {k: parse_matrix(fieldobj, d["i"].get(k, []), v[k], w[k])
-             if w[k] or d["i"].get(k) else Mat.zeros(fieldobj, v[k], w[k])
+        w = check_dimvector(q, {**dict.fromkeys(q.vertices, 0),
+                                **_object(d, "w")})
+        di, dj = _object(d, "i"), _object(d, "j")
+        i = {k: parse_matrix(fieldobj, di.get(k, []), v[k], w[k])
+             if w[k] or di.get(k) else Mat.zeros(fieldobj, v[k], w[k])
              for k in q.vertices}
-        j = {k: parse_matrix(fieldobj, d["j"].get(k, []), w[k], v[k])
-             if w[k] and d["j"].get(k) else Mat.zeros(fieldobj, w[k], v[k])
+        j = {k: parse_matrix(fieldobj, dj.get(k, []), w[k], v[k])
+             if w[k] and dj.get(k) else Mat.zeros(fieldobj, w[k], v[k])
              for k in q.vertices}
         return FramedRep(rep, w, i, j)
     except (KeyError, TypeError, ValueError) as err:
@@ -224,6 +239,13 @@ CYCLE_WORK_CAP = 10_000_000
 ROOTS_BOX_CAP = 250_000
 ROOTS_GG_CAP = 640_000
 
+# The power traces up to degree D list about D^2 / 2 monomials, and their
+# entries grow with the degree: over Q the 1 x 1 triple (2, 3) has the
+# trace 2^a 3^b at x^a y^b. On a shared 2-core x86-64 VM `qv adhm traces`
+# took 0.2 s and printed a 1.4 MB report at D = 200, 0.5 s and 10 MB at
+# D = 400, and 2.4 s, 290 MB of memory and a 72 MB report at D = 800.
+TRACE_DEGREE_CAP = 200
+
 
 def _check_cycle_work(q: Quiver, maxlen: int):
     work = 0
@@ -233,6 +255,14 @@ def _check_cycle_work(q: Quiver, maxlen: int):
             raise InputError(f"--maxlen {maxlen}: the cycle work, the sum of "
                              f"L^2 times the walks of length L <= maxlen, "
                              f"exceeds the cap of {CYCLE_WORK_CAP}")
+
+
+def _check_maxdeg(maxdeg: int):
+    if maxdeg < 0:
+        raise InputError(f"--maxdeg {maxdeg}: must be >= 0")
+    if maxdeg > TRACE_DEGREE_CAP:
+        raise InputError(f"--maxdeg {maxdeg}: the trace degree exceeds the "
+                         f"cap of {TRACE_DEGREE_CAP}")
 
 
 def _check_box(q: Quiver, v: dict):
@@ -409,8 +439,10 @@ def cmd_rep(args):
 def cmd_adhm(args):
     from .adhm import (calogero_moser_check, ideal_from_triple,
                        is_hilbert_point, joint_spectrum, power_traces)
-    d = load_adhm(args.data)
     act = args.action
+    if act == "traces":
+        _check_maxdeg(args.maxdeg)
+    d = load_adhm(args.data)
     if act == "check":
         ok = is_hilbert_point(d)
         out = {"hilbert_point": ok}
@@ -427,8 +459,6 @@ def cmd_adhm(args):
         f = d.field
         return {"points": [[f.to_str(a), f.to_str(b)] for a, b in spec]}
     if act == "traces":
-        if args.maxdeg < 0:
-            raise InputError(f"--maxdeg {args.maxdeg}: must be >= 0")
         f = d.field
         tr = power_traces(d.x, d.y, args.maxdeg)
         return {"maxdeg": args.maxdeg,
@@ -473,6 +503,8 @@ def cmd_conv(args):
                                   f"{rel['unit_coeff']}*Id")
         return h
     if act == "group":
+        if args.table is None:
+            raise InputError("conv group requires --table")
         d = _read_json(args.table, "group table")
         try:
             g = FiniteGroup(tuple(tuple(r) for r in d["table"]),
@@ -484,6 +516,9 @@ def cmd_conv(args):
         return {"order": ga["n"], "identity": ga["identity"],
                 "constants": ga["constants"]}
     if act == "mul":
+        for flag, path in (("--k1", args.k1), ("--k2", args.k2)):
+            if path is None:
+                raise InputError(f"conv mul requires {flag}")
         k1 = load_kernel(args.k1)
         k2 = load_kernel(args.k2)
         prod = convolve(k2, k1)

@@ -1,8 +1,8 @@
 """Exact scalar arithmetic over Q, prime fields F_p, and cyclotomic fields Q(zeta_m).
 
 Every field exposes the same small interface (zero/one/add/sub/mul/dot/
-prepare/pair/matmul/row_sub/row_scale/inv/is_zero/...), with elements
-stored as plain immutable Python values:
+matmul/row_sub/row_scale/inv/is_zero/...), with elements stored as plain
+immutable Python values:
 
 * rationals        -> ``int`` when integral, else ``fractions.Fraction`` in
                       lowest terms with denominator > 1. The type follows
@@ -41,20 +41,29 @@ they first try the C-level integer path, ``sum(map(int.__mul__, u, v))``
 and ``int.__sub__``/``int.__mul__`` over the rows, which raises TypeError
 at the first Fraction; only then do they read each operand once, as its
 ``as_integer_ratio`` pair, and build one canonical ratio per result.
-``dot(u, v)`` is the exact inner product sum u_k v_k that characteristic
-polynomials and power traces go through:
-over Q one integer sum, or the numerators over a running common
-denominator; over F_p the integer sum, then one reduction mod p; over
-Q(zeta_m) the integer product polynomials over a running common
-denominator, then one reduction by the integer table of zeta^j (Phi_m is
-monic) and one gcd. ``mul`` over Q(zeta_m) is the dot product of length
-one. A vector that takes part in many inner products is prepared once:
-``prepare(vec)`` gives it in the form that ``pair(u, v)`` reads, and ``pair``
-of two prepared vectors is their ``dot``. The base class keeps the vector
-and pairs by ``dot``; over Q(zeta_m) ``prepare`` puts the entries over their
-common denominator and keeps each entry's nonzero (coordinate, numerator)
-pairs only, and ``pair`` sums the products of those pairs into the
-2 phi(m) - 1 unreduced coefficients, then reduces once, as ``dot`` does.
+``dot(u, v)`` is the exact inner product sum u_k v_k, and over Q(zeta_m)
+the one product kernel: over Q one integer sum, or the numerators over a
+running common denominator; over F_p the integer sum, then one reduction
+mod p; over Q(zeta_m) the integer product polynomials over a running
+common denominator, then one reduction by the integer table of zeta^j
+(Phi_m is monic) and one gcd. ``mul`` over Q(zeta_m) is the dot product
+of length one. ``matmul(rows, cols)`` is the product kernel of
+``linalg.Mat @``: in the base class, which Q(zeta_m) uses, ``dot`` per
+entry; over F_p one integer sum through ``operator.mul`` and one
+reduction mod p per entry; over Q one type scan of both operands, then on
+all ints one integer sum through ``operator.mul`` per entry, at half the
+cost of the ``int.__mul__`` descriptor, and on any Fraction ``dot`` per
+entry. ``row_sub(u, c, v)`` = [u_k - c v_k] and ``row_scale(c, u)`` =
+[c u_k] are the row updates of elimination and of the pullback
+convolution in :mod:`quivar.convolution`: over Q one int per entry of
+integer rows, else one ratio per changed entry; ``(a - c b) % p`` over
+F_p; and over Q(zeta_m) u_k - c v_k is the ``dot`` of (1, -c) and (u_k,
+v_k), c u_k is ``mul``, and a zero v_k or u_k leaves its entry as it is,
+so that each changed entry is reduced once. ``clear_row``,
+``primitive_row`` and ``unit_row`` give the form in which
+``linalg.Echelon`` stores a basis row: 1 at its pivot over F_p and
+Q(zeta_m), and over Q a primitive integer vector, so that elimination
+over Q stays on the integer paths.
 Class functions, the rows of a McKay character table, are paired as
 residues modulo N = Phi_m(2^B) (``class_residues``): zeta -> 2^B is a
 ring map Z[zeta_m] -> Z/N, each distinct value is packed once, a
@@ -63,30 +72,14 @@ pairing is one integer sum of products over the classes, reduced mod N
 once (``ClassResidues.pairings``), with no canonical element built per
 entry. B is chosen per call from a bound on the pairing's coordinates,
 proved in ``class_residues`` to make the centred residue decide it.
-``matmul(rows, cols)`` is the product kernel of
-``linalg.Mat @``: in the base class, which Q(zeta_m) uses, each row and
-column prepared once and each entry one ``pair``; over F_p one integer sum
-through ``operator.mul`` and one reduction mod p per entry; over Q one type
-scan of both operands, then on all ints one integer sum through
-``operator.mul`` per entry, at half the cost of the ``int.__mul__``
-descriptor, and on any Fraction the base kernel.
-``row_sub(u, c, v)`` = [u_k - c v_k] and ``row_scale(c, u)`` = [c u_k]
-are the row updates of elimination and of the pullback convolution in
-:mod:`quivar.convolution`: over Q one int per entry of integer rows,
-else one ratio per changed entry; ``(a - c b) % p`` over F_p; and over
-Q(zeta_m) c cleared once into the integer rows of its multiplication,
-then one gcd per changed entry. ``clear_row``, ``primitive_row`` and
-``unit_row`` give the form in which ``linalg.Echelon`` stores a basis row:
-1 at its pivot over F_p and Q(zeta_m), and over Q a primitive integer
-vector, so that elimination over Q stays on the integer paths.
 ``vanishes_at_zeta_pow`` tests an integer polynomial at a power of zeta,
 for the root search of :mod:`quivar.adhm`.
 
 Phi_m, the table of zeta^j for j < m and the clearing of ``from_coeffs``
 come from :mod:`quivar.poly`. ``_fold`` is the one reduction by that
-table, for products, ``_times``, conjugates and evaluations: each power
-z^k beyond z^(d-1) adds its coefficient times the nonzero entries of
-zeta^(k mod m), since zeta^m = 1. A field spec names m up to
+table, for products, conjugates and evaluations: each power z^k beyond
+z^(d-1) adds its coefficient times the nonzero entries of zeta^(k mod m),
+since zeta^m = 1. A field spec names m up to
 ``CYCLOTOMIC_INDEX_CAP``. Primality of p is decided by deterministic
 Miller-Rabin. No floating point anywhere and no dependency outside the
 standard library; rank decisions downstream rely on exactness.
@@ -170,23 +163,11 @@ class Field:
         """sum of u[k] * v[k] over zip(u, v); the zero for empty input."""
         raise NotImplementedError
 
-    def prepare(self, vec):
-        """vec in the form ``pair`` reads; here vec itself."""
-        return vec
-
-    def pair(self, u, v):
-        """The ``dot`` of the vectors that ``prepare`` gave as u and v."""
-        return self.dot(u, v)
-
     def matmul(self, rows, cols):
         """The matrix product as a tuple of row tuples, entry (i, j) the
-        ``dot`` of rows[i] and cols[j]: the kernel of ``linalg.Mat @``.
-        Each row and column is prepared once and each entry is one
-        ``pair``."""
-        prepare, pair = self.prepare, self.pair
-        cols = [prepare(c) for c in cols]
-        return tuple(tuple([pair(r, c) for c in cols])
-                     for r in map(prepare, rows))
+        ``dot`` of rows[i] and cols[j]: the kernel of ``linalg.Mat @``."""
+        dot = self.dot
+        return tuple(tuple([dot(r, c) for c in cols]) for r in rows)
 
     def row_sub(self, u, c, v):
         """The list [u[k] - c * v[k]] over zip(u, v)."""
@@ -595,16 +576,6 @@ class ClassResidues:
         return r if -self.bound <= r <= self.bound else None
 
 
-def _through(rows, b):
-    """sum of b[j] rows[j] over the rows: the integer coordinates of the
-    numerators of b under a multiplication given by ``_times``."""
-    s = [0] * len(rows)
-    for x, row in zip(b, rows):
-        if x:
-            s = [y + x * z for y, z in zip(s, row)]
-    return s
-
-
 class CyclotomicField(Field):
     kind = "cyclotomic"
 
@@ -671,14 +642,6 @@ class CyclotomicField(Field):
         the root zeta^k."""
         return not any(self._at_zeta_pow(ints, k))
 
-    def _times(self, c):
-        """The multiplication by the numerator polynomial of c, as d integer
-        rows: row j holds the coordinates of that polynomial times z^j."""
-        rows = [list(c[:-1])]
-        for _ in range(self.degree - 1):  # z times the row before, folded
-            rows.append(self._fold([0] + rows[-1]))
-        return rows
-
     def zeta(self):
         """The distinguished primitive m-th root of unity."""
         return self.zeta_pow(1)
@@ -719,28 +682,6 @@ class CyclotomicField(Field):
                     for j, y in enumerate(cb, i):
                         acc[j] += x * y
         return self._reduce(acc, den)
-
-    def prepare(self, vec):
-        # the entries over their common denominator, each kept as its
-        # nonzero (coordinate, numerator) pairs
-        den = _common_den(vec)
-        entries = []
-        for a in vec:
-            s = den // a[-1]
-            entries.append([(i, x * s) for i, x in enumerate(a[:-1]) if x])
-        return entries, den
-
-    def pair(self, u, v):
-        # the products of the nonzero pairs summed into the 2 phi(m) - 1
-        # unreduced coefficients, over the product of the two denominators
-        (us, uden), (vs, vden) = u, v
-        acc = [0] * (2 * self.degree - 1)
-        for a, b in zip(us, vs):
-            if b:
-                for i, x in a:
-                    for j, y in b:
-                        acc[i + j] += x * y
-        return self._reduce(acc, uden * vden)
 
     def class_residues(self, weights, rows, twist=()):
         """The class functions ``rows``, and their twists by the class
@@ -825,38 +766,17 @@ class CyclotomicField(Field):
         return out
 
     def row_sub(self, u, c, v):
-        # c b is the numerators of b through the rows of c's multiplication
-        # over cden * bden, so c is cleared once per row and no product is
-        # reduced; each changed entry takes one gcd
-        zero, cden = self._zero, c[-1]
+        # a - c b is the dot of (1, -c) and (a, b): one reduction per
+        # changed entry, none where b or c is 0
+        zero = self._zero
         if c == zero:
             return list(u)
-        times = self._times(c)
-        out = []
-        for a, b in zip(u, v):
-            if b != zero:
-                s = _through(times, b)
-                t, den = cden * b[-1], a[-1]
-                if t == den:
-                    s = [x - y for x, y in zip(a, s)]
-                else:
-                    g = gcd(den, t)
-                    ra, rs = t // g, den // g
-                    s = [x * ra - y * rs for x, y in zip(a, s)]
-                    den *= ra
-                a = _lowest(s, den)
-            out.append(a)
-        return out
+        dot, ends = self.dot, (self.one(), self.neg(c))
+        return [a if b == zero else dot(ends, (a, b)) for a, b in zip(u, v)]
 
     def row_scale(self, c, u):
-        zero, cden = self._zero, c[-1]
-        times = self._times(c)
-        out = []
-        for a in u:
-            if a != zero:
-                a = _lowest(_through(times, a), cden * a[-1])
-            out.append(a)
-        return out
+        zero, mul = self._zero, self.mul
+        return [a if a == zero else mul(c, a) for a in u]
 
     def neg(self, a):
         out = [-x for x in a]
@@ -958,8 +878,11 @@ CYCLOTOMIC_INDEX_CAP = 1000
 
 
 def field_from_spec(spec: dict) -> Field:
-    """The field a JSON spec names; a cyclotomic m above
-    CYCLOTOMIC_INDEX_CAP is refused before the field is built."""
+    """The field a JSON spec names; a spec that is not a dict, and a
+    cyclotomic m above CYCLOTOMIC_INDEX_CAP, are refused before any field
+    is built."""
+    if not isinstance(spec, dict):
+        raise FieldError(f"field spec {spec!r} is not an object")
     kind = spec.get("kind")
     if kind == "rational":
         return QQ

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from quivar.cli import run
+from quivar.cli import TRACE_DEGREE_CAP, run
 
 
 @pytest.fixture
@@ -381,6 +381,9 @@ def test_work_caps_admit_the_inputs_below_them():
              (double(type_a_quiver(2)), 3), (type_a_quiver(3), 10 ** 40)]
     for q, maxlen in cases:
         cli._check_cycle_work(q, maxlen)
+    cli._check_maxdeg(cli.TRACE_DEGREE_CAP)
+    with pytest.raises(cli.InputError):
+        cli._check_maxdeg(cli.TRACE_DEGREE_CAP + 1)
     cli._check_box(type_a_quiver(3), {"1": 61, "2": 62, "3": 62})
     with pytest.raises(cli.InputError):
         cli._check_box(type_a_quiver(3), {"1": 62, "2": 62, "3": 62})
@@ -885,6 +888,56 @@ def test_zero_denominator_entry_is_exit_2(capsys, tmp_path, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"entry {json.dumps(entry)} has a zero denominator" in captured.err
+
+
+# inputs refused before any work; each was once a traceback with exit 1
+# (AttributeError from spec.get, d["i"].get or d.get on a JSON value of the
+# wrong type, TypeError from open(None) on a missing file flag), or an
+# unbounded run: the 1 x 1 trace table grows as maxdeg^2 entries of up to
+# maxdeg digits
+KERNEL = {"source": ["a"], "target": ["a"], "entries": [["1"]]}
+REFUSED_INPUTS = {
+    **{f"rep field {spec}": (["rep", "check", "--rep", "in.json"],
+                             {**BRUTE_REP, "field": spec},
+                             f"field spec {spec!r} is not an object")
+       for spec in ([], "q", None)},
+    **{f"triple field {spec}": (["adhm", "check", "--data", "in.json"],
+                                {**ADHM_TRIPLES["rational"], "field": spec},
+                                f"field spec {spec!r} is not an object")
+       for spec in ([], "q", None)},
+    **{f"framed rep {key}": (["rep", "check", "--rep", "in.json"],
+                             {**BRUTE_REP, key: list(BRUTE_REP[key].values())},
+                             f"{key!r} is not an object")
+       for key in ("i", "j")},
+    "kernel []": (["conv", "mul", "--k1", "in.json", "--k2", "k.json"], [],
+                  "bad kernel JSON in 'in.json': not an object"),
+    "no --table": (["conv", "group"], None, "conv group requires --table"),
+    "no --k1": (["conv", "mul", "--k2", "k.json"], None,
+                "conv mul requires --k1"),
+    "no --k2": (["conv", "mul", "--k1", "k.json"], None,
+                "conv mul requires --k2"),
+    **{f"maxdeg {name}": (["adhm", "traces", "--data", "in.json",
+                           "--maxdeg", str(deg)], ADHM_TRIPLES["rational"],
+                          f"exceeds the cap of {TRACE_DEGREE_CAP}")
+       for name, deg in (("cap + 1", TRACE_DEGREE_CAP + 1),
+                         ("10^40", 10 ** 40))},
+}
+
+
+@pytest.mark.parametrize("argv, data, message", REFUSED_INPUTS.values(),
+                         ids=REFUSED_INPUTS)
+def test_refused_input_is_exit_2(capsys, tmp_path, monkeypatch, argv, data,
+                                 message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k.json").write_text(json.dumps(KERNEL))
+    if data is not None:
+        (tmp_path / "in.json").write_text(json.dumps(data))
+    t0 = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert message in captured.err
 
 
 # diag(1/2, -zeta, -zeta^2) over Q(zeta_3), -zeta^2 = 1 + zeta: pairs are

@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -479,6 +480,17 @@ def test_inner_refuses_a_class_function_of_another_length():
 # one pass over the classes, each block of 2 phi(m) - 1 coefficients
 # folded once from z^-(d-1). It runs on the field's public elements alone.
 
+def _ref_prepare(f, vec):
+    # the entries over their common denominator, each kept as its
+    # nonzero (coordinate, numerator) pairs
+    den = lcm(*[a[-1] for a in vec])
+    entries = []
+    for a in vec:
+        s = den // a[-1]
+        entries.append([(i, x * s) for i, x in enumerate(a[:-1]) if x])
+    return entries, den
+
+
 def _ref_fold(f, coeffs, first=0):
     """The d integer coordinates of sum coeffs[k] z^(first + k)."""
     out = [0] * f.degree
@@ -540,8 +552,8 @@ def _ref_inner(t, u, v):
     f = t.field
     sizes = [s for _, s in t.classes]
     pairing, = _ref_pair_classes(
-        f, _ref_conj_weighted(f, f.prepare(u), sizes),
-        _ref_stack(f, f.prepare(v)))
+        f, _ref_conj_weighted(f, _ref_prepare(f, u), sizes),
+        _ref_stack(f, _ref_prepare(f, v)))
     if pairing is None:
         raise FieldError("the pairing is not rational")
     return Fraction(pairing[0], pairing[1] * t.order)
@@ -574,8 +586,8 @@ def _ref_validate(f, classes, chars, chi_e, order, trivial_index):
         raise McKayError(f"trivial index {t!r} is not a row index")
     if not {int}.issuperset(type(s) for _, s in classes):
         raise McKayError("a class size is not an int")
-    rows = [f.prepare(row) for row in chars]
-    e = f.prepare(chi_e)
+    rows = [_ref_prepare(f, row) for row in chars]
+    e = _ref_prepare(f, chi_e)
     stacked = [_ref_stack(f, row, _ref_twist(f, row, e)) for row in rows]
     sizes = [s for _, s in classes]
     twisted = {}

@@ -1,8 +1,8 @@
 """The package runs on the standard library alone, the benchmark's tracer
 finds every callable it wraps, the stability closures share no code with
 the brute-force oracle that checks them, whose per-subspace membership
-tests stay deleted, inner products go through the fields' dot-product
-kernel or their pairing of prepared vectors, the pullback convolution
+tests stay deleted, inner products and matrix products go through the
+fields' dot-product kernel, the pullback convolution
 that checks the matrix product stays off it and makes one row update per
 nonzero middle entry, exact elimination runs through one echelon basis
 and the fields' row kernels, the root search stays in ints, the integer
@@ -256,19 +256,18 @@ def test_inner_products_use_the_field_kernel():
     for fn in (adhm._char_poly, adhm.power_traces):
         names = _names(fn.__code__)
         assert "dot" in names and not names & {"add", "mul"}, fn.__qualname__
-    # the product kernel pairs prepared operands, and the McKay pairings
-    # over Q(zeta_m) work on the residues of their integer coordinates:
-    # the table check and `inner` share the one class-function kernel, and
+    # the product kernel is dot per entry, and the McKay pairings over
+    # Q(zeta_m) work on the residues of their integer coordinates: the
+    # table check and `inner` share the one class-function kernel, and
     # each pairing is one integer sum of products
     names = _names(fields.Field.matmul.__code__)
-    assert {"prepare", "pair"} <= names and not names & {"add", "mul", "dot"}
+    assert "dot" in names and not names & {"add", "mul"}
     for fn in (mckay.CharacterTable.inner, mckay.CharacterTable.validate):
         names = _names(fn.__code__)
         assert {"class_residues", "pairings"} <= names, fn.__qualname__
-        assert not names & {"add", "mul", "dot", "pair", "prepare"}, \
-            fn.__qualname__
+        assert not names & {"add", "mul", "dot"}, fn.__qualname__
     cls = fields.CyclotomicField
-    for fn in (cls.pair, cls.class_residues, fields.ClassResidues.rational):
+    for fn in (cls.class_residues, fields.ClassResidues.rational):
         assert not _names(fn.__code__) & {"add", "mul", "dot", "conj"}, \
             fn.__qualname__
     # the one product of the pairings is operator.mul on ints
@@ -276,11 +275,14 @@ def test_inner_products_use_the_field_kernel():
     assert {"sum", "operator"} <= names
     assert not names & {"add", "dot", "conj"}
     # the matrix product has one code path, the field's product kernel,
-    # whose base version is the pairing loop above
+    # whose base version, the one Q(zeta_m) uses, is dot per entry; every
+    # product over Q(zeta_m) goes through dot, with no second kernel
     names = _names(linalg.Mat.__matmul__.__code__)
-    assert "matmul" in names and not names & {"dot", "pair", "add", "mul"}
+    assert "matmul" in names and not names & {"dot", "add", "mul"}
     assert "matmul" not in vars(fields.CyclotomicField)
-    assert {"prepare", "pair"} <= set(vars(fields.CyclotomicField))
+    assert not {"prepare", "pair", "_times"} & set(
+        vars(fields.CyclotomicField))
+    assert not {"prepare", "pair"} & set(vars(fields.Field))
     # the spin's images: it names `add` only as Echelon.add, and a per-term
     # loop would name the field's mul
     names = _names(reps._spin.__code__)
@@ -299,7 +301,7 @@ def test_mckay_checks_decide_on_integer_pairings(monkeypatch):
     table = mckay.CharacterTable
     cls = fields.CyclotomicField
     for fn in (table.validate, table.degrees.fget, cls.rational_ints,
-               cls.prepare, cls.pair, cls.class_residues,
+               cls.class_residues,
                fields.ClassResidues.pairings, fields.ClassResidues.rational,
                fields._common_den):
         assert "Fraction" not in _names(fn.__code__), fn.__qualname__
@@ -404,8 +406,7 @@ def test_convolution_inverts_nothing_mod_q():
 
 
 CYCLOTOMIC_INTERNALS = {"_cleared", "_reduce", "_fold", "_at_zeta_pow",
-                        "_times", "_zeta_pows", "_zeta_sparse",
-                        "_zeta_height"}
+                        "_zeta_pows", "_zeta_sparse", "_zeta_height"}
 
 
 def test_cyclotomic_layout_stays_in_fields():
@@ -428,7 +429,7 @@ def test_cyclotomic_layout_stays_in_fields():
     cls = fields.CyclotomicField
     for fn in (cls.add, cls.sub, cls.neg, cls.mul, cls.dot, cls.conj,
                cls.inv, cls.row_sub, cls.row_scale, cls.vanishes_at_zeta_pow,
-               cls._reduce, cls._fold, cls._at_zeta_pow, cls._times,
+               cls._reduce, cls._fold, cls._at_zeta_pow,
                cls._conjugate, cls._orbit_product,
                fields._galois_tower.__wrapped__,
                fields._lowest, fields._combine):
@@ -496,9 +497,9 @@ def test_polynomial_steps_live_in_poly():
             (convolution.hecke_algebra, {"q_binomial"})]
     for fn, names in uses:
         assert names <= _names(fn.__code__), fn.__qualname__
-    # the multiplication rows are z^j times c folded by the table, the one
-    # reduction by it
-    assert "_fold" in _names(fields.CyclotomicField._times.__code__)
+    # products are reduced by the table through _fold, the one reduction
+    # by it
+    assert "_fold" in _names(fields.CyclotomicField._reduce.__code__)
 
 
 # What bounds the work of each `qv` action. A pair ("module.CAP",
@@ -539,8 +540,9 @@ QV_BOUNDS = {
                    "O(n^4): the deglex spin, n^2 products by x or y"],
     "adhm spectrum": [FIELD_CAP, ("adhm.FP_ROOT_SEARCH_CAP",
                                   "adhm._root_candidates")],
-    "adhm traces": [FIELD_CAP, "O(maxdeg n^3 + maxdeg^2 n^2): the powers, "
-                    "then one inner product per monomial"],
+    "adhm traces": [FIELD_CAP, ("cli.TRACE_DEGREE_CAP", "cli._check_maxdeg"),
+                    "O(maxdeg n^3 + maxdeg^2 n^2): the powers, then one "
+                    "inner product per monomial"],
     "adhm cm": [FIELD_CAP, "O(n^6): the moment map, one spin and one "
                 "kernel in n^2 unknowns"],
     "mckay build": [("mckay.MCKAY_WORK_CAP", "mckay._check_work")],
@@ -560,7 +562,8 @@ KNOWN_UNBOUNDED = {
 }
 QV_CAPS = {"CYCLE_WORK_CAP", "ROOTS_BOX_CAP", "ROOTS_GG_CAP",
            "MCKAY_WORK_CAP", "HECKE_WORK_CAP", "FP_ROOT_SEARCH_CAP",
-           "DEFAULT_SUBSPACE_LIMIT", "CYCLOTOMIC_INDEX_CAP"}
+           "DEFAULT_SUBSPACE_LIMIT", "CYCLOTOMIC_INDEX_CAP",
+           "TRACE_DEGREE_CAP"}
 
 
 def _quivar_attr(dotted):
