@@ -318,14 +318,12 @@ def _eigenvalues(m: Mat):
     poly = _char_poly(m)
     roots = _poly_roots(poly, m.field)
     if roots is None:
+        shown = list(map(m.field.show, poly))
         if isinstance(m.field, CyclotomicField):
-            shown = [m.field.coeffs(c) for c in poly]
             raise AdhmError("eigenvalue search over Q(zeta_m) is "
                             "unsupported beyond rational multiples of "
                             f"roots of unity: {shown}")
-        if m.field.kind == "rational":  # printed as Fractions, int or not
-            poly = [Fraction(c) for c in poly]
-        raise AdhmError(f"characteristic polynomial does not split: {poly}")
+        raise AdhmError(f"characteristic polynomial does not split: {shown}")
     return roots
 
 
@@ -443,9 +441,10 @@ def _pairs(x: Mat, y: Mat):
 
 
 def joint_spectrum(x: Mat, y: Mat):
-    """Multiset of eigenvalue pairs of a commuting pair, sorted by str: over
-    Q by the str of the pair as two Fractions, integral or not, and over
-    Q(zeta_m) by the str of the pair of coefficient tuples (``coeffs``).
+    """Multiset of eigenvalue pairs of a commuting pair, sorted by the str
+    of the pair as its field shows it (``Field.show``): over Q two
+    Fractions, integral or not, over F_p two ints, and over Q(zeta_m) two
+    coefficient tuples.
 
     Commuting x and y whose spectra split are triangular in one basis, so
     for every t, det(T - x - t y) = prod (T - r - t s) over the pairs (r, s)
@@ -472,13 +471,8 @@ def joint_spectrum(x: Mat, y: Mat):
     p > FP_ROOT_SEARCH_CAP."""
     if x @ y != y @ x:
         raise AdhmError("matrices do not commute")
-    f = x.field
-    pairs = _pairs(x, y)
-    if isinstance(f, CyclotomicField):
-        return sorted(pairs, key=lambda rs: str(tuple(map(f.coeffs, rs))))
-    if f.kind == "rational":
-        return sorted(pairs, key=lambda rs: str(tuple(map(Fraction, rs))))
-    return sorted(pairs, key=str)
+    show = x.field.show
+    return sorted(_pairs(x, y), key=lambda rs: str(tuple(map(show, rs))))
 
 
 def power_traces(x: Mat, y: Mat, maxdeg: int):

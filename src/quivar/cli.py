@@ -107,9 +107,11 @@ def parse_dimvector(q: Quiver, text, default=None) -> dict:
     return {str(k): x for k, x in val.items()}
 
 
-def parse_rational_vector(q: Quiver, text, default=None) -> dict:
+def parse_rational_vector(q: Quiver, text) -> dict:
+    """A rational at each vertex, from a JSON object or one number for
+    every vertex; 0 at every vertex when ``--lambda`` is not given."""
     if text is None:
-        return default
+        return dict.fromkeys(q.vertices, Fraction(0))
     try:  # Fraction(str(x)) refuses every JSON value but a number or ratio
         val = json.loads(text)
         if not isinstance(val, dict):
@@ -123,12 +125,10 @@ def _parse_entry(fieldobj, x):
     if isinstance(x, list) and fieldobj.kind != "cyclotomic":
         raise InputError(f"entry {json.dumps(x)} is a coefficient list, "
                          f"which needs a cyclotomic field")
-    try:
-        if isinstance(x, list):
-            return fieldobj.from_coeffs([Fraction(str(c)) for c in x])
-        if isinstance(x, int):
+    try:  # a JSON true or false is not an int here, and parse refuses it
+        if type(x) is int:
             return fieldobj.from_int(x)
-        return fieldobj.parse(str(x))
+        return fieldobj.parse(x if isinstance(x, list) else str(x))
     except ZeroDivisionError:
         raise InputError(f"entry {json.dumps(x)} has a zero denominator")
 
@@ -285,6 +285,14 @@ def _check_gg_work(q: Quiver, v: dict):
 
 # -- subcommand handlers (each returns a results dict) -----------------
 
+def _expect(args, want, ok, out):
+    """out, the report of a check; CheckFailed carrying it when ok is false
+    and ``--expect`` asks for ``want``."""
+    if args.expect == want and not ok:
+        raise CheckFailed(out)
+    return out
+
+
 def cmd_quiver(args):
     q = load_quiver_ref(args.quiver)
     act = args.action
@@ -333,28 +341,21 @@ def cmd_roots(args):
     q = load_quiver_ref(args.quiver)
     v = parse_dimvector(q, args.v)
     act = args.action
-    if act == "list":
+    if act in ("list", "regular", "gg"):
         if v is None:
-            raise InputError("roots list requires --v")
+            raise InputError(f"roots {act} requires --v")
         _check_box(q, v)
+    if act == "list":
         return {"p_v": p_defect(q, v), "rprime": rprime_below(q, v)}
     if act == "regular":
-        if v is None:
-            raise InputError("roots regular requires --v")
-        _check_box(q, v)
-        lam = parse_rational_vector(q, args.lam, {k: Fraction(0) for k in q.vertices})
+        lam = parse_rational_vector(q, args.lam)
         theta = parse_theta(q, args.theta)
         param = HKParam.make({k: lam.get(k, 0) for k in q.vertices}, theta)
         rep = is_v_regular(q, param, v)
-        if args.expect == "regular" and not rep["regular"]:
-            raise CheckFailed(rep)
-        return rep
+        return _expect(args, "regular", rep["regular"], rep)
     if act == "gg":
-        if v is None:
-            raise InputError("roots gg requires --v")
-        _check_box(q, v)
         _check_gg_work(q, v)
-        lam = parse_rational_vector(q, args.lam, {k: Fraction(0) for k in q.vertices})
+        lam = parse_rational_vector(q, args.lam)
         rep = gg_analysis(q, lam, v)
         rep["components"] = [[dict(a) for a in comp] for comp in rep["components"]]
         return rep
@@ -387,7 +388,7 @@ def cmd_rep(args):
     rep0 = r.rep if isinstance(r, FramedRep) else r
     q = rep0.quiver
     act = args.action
-    lam = parse_rational_vector(q, args.lam, {k: Fraction(0) for k in q.vertices})
+    lam = parse_rational_vector(q, args.lam)
     if act == "moment":
         res = moment_residual(r, lam)
         return {"residual": {k: mat_to_json(m) for k, m in res.items()},
@@ -397,9 +398,7 @@ def cmd_rep(args):
         out = {"on_fiber": ok}
         if not isinstance(r, FramedRep):
             out["obstruction"] = unframed_fiber_obstruction(q, rep0.v, lam)
-        if args.expect == "fiber" and not ok:
-            raise CheckFailed(out)
-        return out
+        return _expect(args, "fiber", ok, out)
     if act == "stable":
         if not isinstance(r, FramedRep):
             raise InputError("stability needs a framed representation")
@@ -412,10 +411,8 @@ def cmd_rep(args):
             theta = parse_theta(q, theta_text)
             verdict = semistable_bruteforce(r, theta,
                                             _subspace_limit())["stable"]
-        out = {"theta": theta_text, "stable": verdict}
-        if args.expect == "stable" and not verdict:
-            raise CheckFailed(out)
-        return out
+        return _expect(args, "stable", verdict,
+                       {"theta": theta_text, "stable": verdict})
     if act == "traces":
         _check_cycle_work(q, args.maxlen)
         sig = trace_signature(rep0, args.maxlen)
@@ -427,9 +424,7 @@ def cmd_rep(args):
             raise InputError("brute-force stability needs a framed representation")
         theta = parse_theta(q, args.theta)
         rep = semistable_bruteforce(r, theta, _subspace_limit())
-        if args.expect == "stable" and not rep["stable"]:
-            raise CheckFailed(rep)
-        return rep
+        return _expect(args, "stable", rep["stable"], rep)
     if act == "endo":
         out = endomorphism_space(r)
         return {"dimension": out["dimension"], "variables": out["variables"]}
@@ -443,12 +438,10 @@ def cmd_adhm(args):
     if act == "traces":
         _check_maxdeg(args.maxdeg)
     d = load_adhm(args.data)
+    f = d.field
     if act == "check":
         ok = is_hilbert_point(d)
-        out = {"hilbert_point": ok}
-        if args.expect == "hilbert" and not ok:
-            raise CheckFailed(out)
-        return out
+        return _expect(args, "hilbert", ok, {"hilbert_point": ok})
     if act == "ideal":
         view = ideal_from_triple(d)
         return {"staircase": [list(m) for m in sorted(view.staircase)],
@@ -456,10 +449,8 @@ def cmd_adhm(args):
                 "codimension": view.codim}
     if act == "spectrum":
         spec = joint_spectrum(d.x, d.y)
-        f = d.field
         return {"points": [[f.to_str(a), f.to_str(b)] for a, b in spec]}
     if act == "traces":
-        f = d.field
         tr = power_traces(d.x, d.y, args.maxdeg)
         return {"maxdeg": args.maxdeg,
                 "traces": {f"x^{a}y^{b}": f.to_str(t)

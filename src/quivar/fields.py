@@ -8,11 +8,8 @@ immutable Python values:
                       lowest terms with denominator > 1. The type follows
                       the value, so ``==``, ``hash`` and ``str`` are those
                       of the number; every constructor and op returns this
-                      form, and ``linalg.Mat`` puts its entries over Q in it
-                      (refusing any entry that is not an int or a Fraction).
-                      ``repr`` does differ (``3`` against ``Fraction(3,
-                      1)``), so :mod:`quivar.adhm` prints and sorts lists
-                      of elements over Q as Fractions
+                      form. ``repr`` does differ (``3`` against
+                      ``Fraction(3, 1)``), so ``show`` gives the Fraction
 * prime field      -> ``int`` in ``[0, p)``
 * cyclotomic field -> flat tuple of ``euler_phi(m) + 1`` ints
                       ``(n_0, ..., n_{d-1}, den)``, the element
@@ -20,8 +17,14 @@ immutable Python values:
                       modulo the m-th cyclotomic polynomial, with den > 0 and
                       gcd(n_0, ..., n_{d-1}, den) = 1. The form is canonical,
                       so elements compare and hash as tuples; ``coeffs``
-                      gives the d coefficients as Fractions, which is what
-                      ``to_str``, ``rational_part`` and their messages print.
+                      (which is ``show``) gives the d coefficients as
+                      Fractions, which is what ``to_str``, ``rational_part``
+                      and their messages print.
+
+Each field decides its own layout in two methods: ``element(x)`` returns x
+in the canonical form above or raises FieldError (``linalg.Mat`` checks
+every entry through it), and ``show(a)`` gives the value that messages and
+sort keys print (``joint_spectrum`` of :mod:`quivar.adhm` sorts by it).
 
 Cyclotomic arithmetic works in ints and puts each result in lowest terms
 once, with one gcd (``_lowest``): ``add``/``sub`` over the lcm of the two
@@ -149,6 +152,14 @@ class Field:
     def from_fraction(self, q: Fraction):
         raise NotImplementedError
 
+    def element(self, x):
+        """x in canonical form, or FieldError when x is not an element."""
+        raise NotImplementedError
+
+    def show(self, a):
+        """The value that messages and sort keys print for the element a."""
+        raise NotImplementedError
+
     # -- arithmetic ----------------------------------------------------
     def add(self, a, b):
         raise NotImplementedError
@@ -261,6 +272,16 @@ class Rationals(Field):
         if not isinstance(q, (int, Fraction)):
             q = Fraction(q)
         return _canon(q)
+
+    def element(self, x):
+        if type(x) is int or isinstance(x, Fraction):
+            return _canon(x)
+        raise FieldError(f"entry {x!r} is not an element of Q: expected an "
+                         f"int or a Fraction")
+
+    def show(self, a):
+        # a Fraction, integral or not, so that 3 and Fraction(3) print alike
+        return Fraction(a)
 
     def add(self, a, b):
         return _canon(a + b)
@@ -409,6 +430,15 @@ class PrimeField(Field):
 
     def from_fraction(self, q):
         return self.div(self.from_int(q.numerator), self.from_int(q.denominator))
+
+    def element(self, x):
+        if type(x) is not int or not 0 <= x < self.p:
+            raise FieldError(f"entry {x!r} is not an element of F_{self.p}: "
+                             f"expected an int in 0..{self.p - 1}")
+        return x
+
+    def show(self, a):
+        return a
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -605,6 +635,17 @@ class CyclotomicField(Field):
         """The coefficients of 1, z, ..., z^(d-1), as d Fractions."""
         den = a[-1]
         return tuple(Fraction(n, den) for n in a[:-1])
+
+    show = coeffs
+
+    def element(self, x):
+        if (type(x) is not tuple or len(x) != self.degree + 1
+                or not {int}.issuperset(map(type, x)) or x[-1] <= 0
+                or gcd(*x) != 1):
+            raise FieldError(f"entry {x!r} is not an element of Q(zeta_"
+                             f"{self.m}): expected a tuple of {self.degree + 1}"
+                             f" ints in lowest terms over a denominator > 0")
+        return x
 
     def _reduce(self, coeffs, den):
         """The element (sum of coeffs[k] z^k) / den for integer coeffs of

@@ -18,7 +18,6 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left
-from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, combinations, product
 
@@ -37,27 +36,8 @@ class Mat:
             cols = len(data[0]) if data else 0
         if len(data) != rows or any(len(r) != cols for r in data):
             raise FieldError("ragged matrix data")
-        if field.kind == "prime":
-            p = field.p
-            for r in data:
-                for x in r:
-                    if type(x) is not int or not 0 <= x < p:
-                        raise FieldError(f"entry {x!r} is not an element of "
-                                         f"F_{p}: expected an int in "
-                                         f"0..{p - 1}")
-        elif field.kind == "rational":
-            for r in data:
-                for k, x in enumerate(r):
-                    if type(x) is not int:
-                        if not isinstance(x, Fraction):
-                            raise FieldError(f"entry {x!r} is not an element "
-                                             f"of Q: expected an int or a "
-                                             f"Fraction")
-                        r[k] = field.from_fraction(x)
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        self.data = tuple(tuple(r) for r in data)
+        self.field, self.rows, self.cols = field, rows, cols
+        self.data = tuple(tuple(map(field.element, r)) for r in data)
 
     @classmethod
     def _of(cls, field, data, rows, cols):
@@ -80,8 +60,7 @@ class Mat:
 
     @staticmethod
     def from_ints(field, data):
-        return Mat(field, [[field.from_int(x) for x in r] for r in data],
-                   len(data), len(data[0]) if data else 0)
+        return Mat(field, [[field.from_int(x) for x in r] for r in data])
 
     @staticmethod
     def column(field, entries):

@@ -359,12 +359,11 @@ def mckay_graph_quiver(t: CharacterTable) -> Quiver:
     edges = []
     for i in range(k):
         for m in range(a[i][i] // 2):
-            edges.append((f"l{i}_{m}", str(i), str(i)))
+            edges.append(Edge(f"l{i}_{m}", str(i), str(i)))
         for j in range(i + 1, k):
             for m in range(a[j][i]):
-                edges.append((f"e{i}_{j}_{m}", str(i), str(j)))
-    return Quiver(tuple(verts),
-                  tuple(Edge(n, tl, hd) for n, tl, hd in edges),
+                edges.append(Edge(f"e{i}_{j}_{m}", str(i), str(j)))
+    return Quiver(tuple(verts), tuple(edges),
                   {"kind": "mckay", "note": "orientation is a choice"})
 
 

@@ -290,8 +290,35 @@ def quiver_to_json(q: Quiver) -> dict:
     return d
 
 
+def _provenance(prov, vertices, edges) -> dict:
+    """prov as given, when it is an object whose ``kind`` is a string,
+    ``original_vertices`` a list of vertices, ``framing`` a list of edges
+    and ``star_pairs`` an object mapping edges to edges with tail and head
+    swapped; other keys, such as a note, pass through. Else QuiverError."""
+    if not isinstance(prov, dict):
+        raise QuiverError(f"provenance {prov!r} is not an object")
+    ends = {e.name: (e.tail, e.head) for e in edges}
+    for key, what, ok in (
+            ("kind", "a string", lambda x: isinstance(x, str)),
+            ("original_vertices", "a list of vertices",
+             lambda x: isinstance(x, list) and all(v in vertices for v in x)),
+            ("framing", "a list of edges",
+             lambda x: isinstance(x, list)
+             and all(isinstance(e, str) and e in ends for e in x)),
+            ("star_pairs", "an object mapping edges to reversed edges",
+             lambda x: isinstance(x, dict) and all(
+                 a in ends and isinstance(b, str)
+                 and ends.get(b) == ends[a][::-1] for a, b in x.items()))):
+        if key in prov and not ok(prov[key]):
+            raise QuiverError(f"provenance {key!r} is not {what}: "
+                              f"{prov[key]!r}")
+    return prov
+
+
 def quiver_from_json(d: dict) -> Quiver:
-    qq = Quiver(tuple(d["vertices"]),
-                tuple(Edge(e["name"], e["tail"], e["head"]) for e in d["edges"]),
-                d.get("provenance", {}))
-    return qq
+    """The quiver of a JSON object; its provenance is checked against its
+    vertices and edges, and kept as given."""
+    vertices = tuple(d["vertices"])
+    edges = tuple(Edge(e["name"], e["tail"], e["head"]) for e in d["edges"])
+    return Quiver(vertices, edges,
+                  _provenance(d.get("provenance", {}), vertices, edges))

@@ -175,9 +175,10 @@ class GradedSubspace:
 
 # -- moment map --------------------------------------------------------
 
-def _lambda_scalar(field, lam, vertex):
-    val = lam.get(vertex, 0) if isinstance(lam, dict) else lam
-    return field.from_fraction(Fraction(val))
+def _lambda_at(lam, vertex) -> Fraction:
+    """lambda at the vertex: lam is a dict by vertex (0 where it has no
+    value) or one scalar for every vertex."""
+    return Fraction(lam.get(vertex, 0) if isinstance(lam, dict) else lam)
 
 
 def moment_residual(r, lam) -> dict:
@@ -203,7 +204,7 @@ def moment_residual(r, lam) -> dict:
                 acc = acc - rep.mats[astar] @ rep.mats[a]
         if fr is not None:
             acc = acc + fr.i[vert] @ fr.j[vert]
-        lam_i = _lambda_scalar(f, lam, vert)
+        lam_i = f.from_fraction(_lambda_at(lam, vert))
         acc = acc - Mat.identity(f, n).scale(lam_i)
         out[vert] = acc
     return out
@@ -216,8 +217,7 @@ def unframed_fiber_obstruction(q: Quiver, v: dict, lam) -> dict:
     fiber to be empty; the verdict is returned with the pairing value.
     """
     v = check_dimvector(q, v)
-    pairing = sum(Fraction(lam.get(k, 0) if isinstance(lam, dict) else lam) * v[k]
-                  for k in v)
+    pairing = sum(_lambda_at(lam, k) * v[k] for k in v)
     return {"lambda_dot_v": str(pairing), "empty_by_obstruction": pairing != 0}
 
 

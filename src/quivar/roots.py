@@ -27,7 +27,7 @@ def _ints(xs, what: str, n: int = None) -> tuple:
     """The entries of xs as ints, n of them if n is given, or RootsError."""
     xs = tuple(xs)
     ints = tuple(map(int, xs))
-    if ints != xs:
+    if ints != xs or bool in map(type, xs):  # int(True) == True
         raise RootsError(f"{what} entries must be integers: {list(xs)}")
     if n is not None and len(ints) != n:
         raise RootsError(f"{what} must have {n} entries, not {len(ints)}")
@@ -83,11 +83,17 @@ def is_v_regular(q: Quiver, param: HKParam, v: dict) -> dict:
 _Datum = namedtuple("_Datum", "kind det adj pos pos_w", defaults=[None] * 4)
 
 
+def _datum_of(c) -> _Datum:
+    """The datum of C: its entries are checked on every call, as the cache
+    of ``_datum`` would take a bool for the int it equals."""
+    return _datum(tuple(_ints(row, "Cartan matrix row", len(c)) for row in c))
+
+
 @lru_cache(maxsize=32)
 def _datum(c: tuple) -> _Datum:
-    """The datum of C, given as a tuple of rows; C is validated once."""
+    """The datum of C, given as a tuple of int rows of its length; the rest
+    of C is validated once."""
     n = len(c)
-    c = tuple(_ints(row, "Cartan matrix row", n) for row in c)
     if any(c[i][j] != c[j][i] for i in range(n) for j in range(n)):
         raise RootsError("Cartan matrix must be symmetric")
     if any(c[i][i] > 2 for i in range(n)):
@@ -120,7 +126,7 @@ def classify_cartan(c) -> str:
     det = 0 with all proper principal minors > 0 (each of the n submatrices
     that drop one vertex positive definite); otherwise indefinite.
     """
-    return _datum(tuple(map(tuple, c))).kind
+    return _datum_of(c).kind
 
 
 def gg_analysis(q: Quiver, lam: dict, v: dict) -> dict:
@@ -250,7 +256,7 @@ def freudenthal_mult(c, lam, mu) -> int:
     ``inner`` is det(C) times the form, which cancels from the quotient of
     the recursion, and the root coordinates C^-1 (lam - m) are a divmod by
     det(C) > 0. Both, and the positive roots, come from the datum of C."""
-    kind, det, adj, _, pos_w = _datum(tuple(map(tuple, c)))
+    kind, det, adj, _, pos_w = _datum_of(c)
     if kind != "finite":
         raise RootsError("Freudenthal recursion requires finite type")
     n = len(adj)

@@ -896,6 +896,9 @@ def test_zero_denominator_entry_is_exit_2(capsys, tmp_path, monkeypatch,
 # unbounded run: the 1 x 1 trace table grows as maxdeg^2 entries of up to
 # maxdeg digits
 KERNEL = {"source": ["a"], "target": ["a"], "entries": [["1"]]}
+# a one-loop quiver whose star pairs name an edge it does not have
+LOOP_Y = {"vertices": ["0"], "edges": [{"name": "x", "tail": "0", "head": "0"}],
+          "provenance": {"star_pairs": {"x": "y"}}}
 REFUSED_INPUTS = {
     **{f"rep field {spec}": (["rep", "check", "--rep", "in.json"],
                              {**BRUTE_REP, "field": spec},
@@ -921,6 +924,30 @@ REFUSED_INPUTS = {
                           f"exceeds the cap of {TRACE_DEGREE_CAP}")
        for name, deg in (("cap + 1", TRACE_DEGREE_CAP + 1),
                          ("10^40", 10 ** 40))},
+    # a JSON boolean was read as the int 1 (True == 1)
+    "rep bool entry": (["rep", "check", "--rep", "in.json"],
+                       {**BRUTE_REP, "mats": {"a1": [[True], [0]],
+                                              "a1*": [[0, 2]]}},
+                       "invalid literal for int() with base 10: 'True'"),
+    "triple bool entry": (["adhm", "spectrum", "--data", "in.json"],
+                          {"field": {"kind": "rational"}, "n": 1,
+                           "x": [[True]], "y": [[2]], "i": ["1"], "j": ["0"]},
+                          "bad triple JSON: Invalid literal for Fraction: "
+                          "'True'"),
+    "kernel bool entry": (["conv", "mul", "--k1", "in.json", "--k2", "k.json"],
+                          {**KERNEL, "entries": [[True]]},
+                          "bad kernel JSON: Invalid literal for Fraction: "
+                          "'True'"),
+    # a provenance was stored as given, to fail later as a traceback
+    "provenance []": (["dims", "--quiver", "in.json", "--v", "1"],
+                      {"vertices": ["0"], "edges": [], "provenance": []},
+                      "bad quiver JSON in 'in.json': provenance [] is not an "
+                      "object"),
+    "provenance star_pairs": (["rep", "moment", "--rep", "in.json"],
+                              {"quiver": LOOP_Y, "field": {"kind": "rational"},
+                               "v": {"0": 1}, "mats": {"x": [["1"]]}},
+                              "provenance 'star_pairs' is not an object "
+                              "mapping edges to reversed edges: {'x': 'y'}"),
 }
 
 

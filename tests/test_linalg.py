@@ -86,6 +86,32 @@ def test_rational_entries_other_than_int_or_fraction_refused(entry):
     assert Mat(QQ, [[Fraction(1, 2), 1], [2, 3]]).det() == Fraction(-1, 2)
 
 
+@pytest.mark.parametrize("entry", [1, (1, 2), (2, 0, 2), (1, 0, 0),
+                                   (1, 0, -1), (True, 0, 1)],
+                         ids=["int", "short", "not lowest", "den 0",
+                              "den < 0", "bool"])
+def test_mat_checks_every_entry_through_its_field(entry):
+    # over Q(zeta_3) an element is a tuple (n_0, n_1, den) in lowest terms
+    # with den > 0; Mat once took any entry there, so that an int entry died
+    # later in dot and (2, 0, 2) compared unequal to the identity's 1
+    z3 = CyclotomicField(3)
+    with pytest.raises(FieldError) as err:
+        Mat(z3, [[z3.one(), entry]])
+    assert str(err.value) == (f"entry {entry!r} is not an element of "
+                              f"Q(zeta_3): expected a tuple of 3 ints in "
+                              f"lowest terms over a denominator > 0")
+    assert Mat(z3, [[(1, 2, 3), (0, 0, 1)]]).data == (((1, 2, 3), (0, 0, 1)),)
+    # the messages over Q and F_p are those of the checks Mat made itself
+    for field, bad, message in (
+            (QQ, 0.5, "entry 0.5 is not an element of Q: expected an int or "
+                      "a Fraction"),
+            (PrimeField(5), 5, "entry 5 is not an element of F_5: expected "
+                               "an int in 0..4")):
+        with pytest.raises(FieldError) as err:
+            Mat(field, [[field.one(), bad]])
+        assert str(err.value) == message
+
+
 def test_rational_entries_are_canonical():
     # an integral Fraction entry is stored as its int
     m = Mat(QQ, [[Fraction(4, 2), Fraction(1, 2)], [Fraction(0), 3]])

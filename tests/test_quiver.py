@@ -177,6 +177,44 @@ def test_json_roundtrip():
     assert quiver_from_json(quiver_to_json(q)).provenance == q.provenance
 
 
+def test_derived_provenance_survives_json():
+    # each derived quiver's provenance is read back as written
+    import json
+    from quivar.mckay import mckay_graph_quiver, table_by_name
+    a2 = type_a_quiver(2)
+    for q in (double(a2), frame(a2), cb_frame(a2, {"1": 2, "2": 1}),
+              double(jordan_quiver()),
+              mckay_graph_quiver(table_by_name("bd:2"))):
+        text = json.dumps(quiver_to_json(q))
+        back = quiver_from_json(json.loads(text))
+        assert back == q and back.provenance == q.provenance
+        assert json.dumps(quiver_to_json(back)) == text
+
+
+# on the 2-cycle a: 0 -> 1, b: 1 -> 0, each a provenance that names what
+# the quiver does not have, or has the wrong JSON type
+BAD_PROVENANCE = [[], "double", None, {"kind": 3}, {"kind": ["double"]},
+                  {"original_vertices": "01"}, {"original_vertices": ["2"]},
+                  {"original_vertices": [["0"]]}, {"framing": "a"},
+                  {"framing": ["c"]}, {"framing": [{"name": "a"}]},
+                  {"framing": ["0"]}, {"star_pairs": []},
+                  {"star_pairs": {"a": "a"}}, {"star_pairs": {"c": "b"}},
+                  {"star_pairs": {"a": "c"}}, {"star_pairs": {"a": ["b"]}},
+                  {"star_pairs": {"a": None}}]
+
+
+@pytest.mark.parametrize("prov", BAD_PROVENANCE, ids=map(repr, BAD_PROVENANCE))
+def test_bad_provenance_refused(prov):
+    d = {"vertices": ["0", "1"],
+         "edges": [{"name": "a", "tail": "0", "head": "1"},
+                   {"name": "b", "tail": "1", "head": "0"}]}
+    assert quiver_from_json({**d, "provenance": {
+        "kind": "double", "star_pairs": {"a": "b", "b": "a"},
+        "original_vertices": ["0"], "framing": ["b"], "note": 1}})
+    with pytest.raises(QuiverError, match="^provenance "):
+        quiver_from_json({**d, "provenance": prov})
+
+
 def test_duplicate_labels_rejected():
     with pytest.raises(QuiverError):
         make_quiver(["a", "a"], [])

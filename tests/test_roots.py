@@ -355,3 +355,24 @@ def test_non_integral_theta_refused(theta):
     with pytest.raises(RootsError, match="integers"):
         HKParam.make({"1": 0}, {"1": theta})
     assert HKParam.make({"1": 0}, {"1": 2.0}).theta == {"1": 2}
+
+
+def test_bool_weights_and_theta_refused():
+    # int(True) == True, so a bool once read as the weight or theta 1
+    with pytest.raises(RootsError,
+                       match=r"highest weight entries must be integers: "
+                             r"\[True\]"):
+        freudenthal_mult([[2]], [True], [True])
+    with pytest.raises(RootsError, match=r"weight entries must be "
+                                         r"integers: \[False\]"):
+        freudenthal_mult([[2]], [2], [False])
+    # the datum of C is cached by its rows, and (2, False) == (2, 0)
+    assert classify_cartan([[2, 0], [0, 2]]) == "finite"
+    with pytest.raises(RootsError, match="Cartan matrix row entries must be "
+                                         "integers"):
+        classify_cartan([[2, False], [False, 2]])
+    with pytest.raises(RootsError, match=r"theta entries must be integers: "
+                                         r"\[True\]"):
+        HKParam.make({"0": 0}, {"0": True})
+    assert freudenthal_mult([[2]], [1], [1]) == 1
+    assert HKParam.make({"0": 0}, {"0": 1}).theta == {"0": 1}

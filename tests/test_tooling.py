@@ -7,7 +7,8 @@ that checks the matrix product stays off it and makes one row update per
 nonzero middle entry, exact elimination runs through one echelon basis
 and the fields' row kernels, the root search stays in ints, the integer
 layout of Q(zeta_m) elements stays
-inside ``fields``, the kernels over Q build no Fraction on ints, and the
+inside ``fields``, each field checks and shows its own elements for
+``Mat`` and ``adhm``, the kernels over Q build no Fraction on ints, and the
 root layer reads each Cartan matrix once and lists no fiber
 decomposition it does not report, the orbit algebra numbers its orbits
 in one scan, with no sort and no label strings, the integer
@@ -434,6 +435,27 @@ def test_cyclotomic_layout_stays_in_fields():
                fields._galois_tower.__wrapped__,
                fields._lowest, fields._combine):
         assert "Fraction" not in _names(fn.__code__), fn.__qualname__
+
+
+def test_element_formats_have_one_home_in_fields():
+    # each field checks and shows its own elements, so Mat checks an entry
+    # and adhm prints or sorts one with no branch on the field
+    from quivar import adhm, fields
+    from quivar.linalg import Mat
+    concrete = [c for c in vars(fields).values() if isinstance(c, type)
+                and issubclass(c, fields.Field) and c is not fields.Field]
+    assert {c.__name__ for c in concrete} == {"Rationals", "PrimeField",
+                                              "CyclotomicField"}
+    for cls in concrete:
+        assert {"element", "show"} <= set(vars(cls)), cls.__name__
+    field_names = {c.__name__ for c in concrete} | {"Field", "QQ"}
+    assert not _names(Mat.__init__.__code__) & (
+        {"kind", "Fraction"} | field_names)
+    assert "element" in _names(Mat.__init__.__code__)
+    for fn in (adhm._eigenvalues, adhm.joint_spectrum):
+        names = _names(fn.__code__)
+        assert not names & {"coeffs", "Fraction", "kind"}, fn.__name__
+        assert "show" in names, fn.__name__
 
 
 def test_rational_kernels_build_no_fraction_on_ints(monkeypatch):
