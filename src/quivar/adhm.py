@@ -17,7 +17,9 @@ is reported as unsupported rather than as "does not split". The search
 clears the polynomial to integers once and tests each candidate exactly
 in ints (mod p over F_p) by the integer steps of :mod:`quivar.poly`, with
 the multiplicity from the first Hasse derivative that does not vanish; Q
-is the case m = 1 of Q(zeta_m).
+is the case m = 1 of Q(zeta_m). Over Q a candidate p / q is tested only
+when p - q divides f(1) and p + q divides f(-1) for the cleared f, as
+every rational root does by Gauss's lemma.
 
 The pairs of a joint spectrum come from three characteristic polynomials:
 those of x and of y give the eigenvalues, and for the least positive
@@ -42,7 +44,8 @@ from . import MathFailure
 from .fields import CyclotomicField, Field, FieldError, PrimeField, QQ
 # subspace_contains is unused here: perfbench's tracer test reads it here
 from .linalg import Echelon, Mat, col_span, subspace_contains
-from .poly import cleared, hasse, roots_mod, scaled
+from .poly import (at_plus_minus_one, cleared, hasse, may_be_root,
+                   roots_mod, scaled)
 
 
 class AdhmError(MathFailure):
@@ -213,7 +216,10 @@ def _root_candidates(poly, f):
     """(ints, candidates) for poly with poly[0] != 0: its coefficients
     cleared to integers once, and the pairs (p, q) of the rational numbers
     p / q that may be roots, or roots up to a power of zeta over Q(zeta_m),
-    in search order. None when a coefficient is not rational."""
+    in search order. None when a coefficient is not rational. Over Q the
+    divisor quotients are sieved lazily by ``may_be_root`` on f(1) and
+    f(-1) of the cleared f; over Q(zeta_m) they are not, since c stands
+    for every c zeta^k and the sieve holds only for c itself."""
     if f.kind == "prime":
         if f.p > FP_ROOT_SEARCH_CAP:
             raise FieldError(f"root search over F_{f.p} would try every "
@@ -240,7 +246,12 @@ def _root_candidates(poly, f):
     for c in sorted(keys):
         g = gcd(c, lead)  # lead // q for the p / q in lowest terms
         cand.append((c // g, lead // g))
-    return ints, cand
+    if f.kind == "cyclotomic":
+        return ints, cand
+    # over Q, the rational roots among them, sieved as the search reaches
+    # each one
+    values = at_plus_minus_one(ints)
+    return ints, (pq for pq in cand if may_be_root(*pq, values))
 
 
 def _multiplicity(s, vanishes):

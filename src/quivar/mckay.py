@@ -5,9 +5,10 @@ standard formulas; the three exceptional groups (orders 24, 48, 120) ship
 as embedded exact cyclotomic data. Every table self-verifies at
 construction: class sizes, orthogonality, degree sums, the reality and
 degree of the distinguished 2-dimensional character, and the McKay matrix,
-which the check builds and keeps on the table as ``mckay_matrix``. The
-shape comes first (k rows of k values, chi_E of k values, a trivial
-index below k, int class sizes), so nothing is truncated. Every pairing
+which the check builds and keeps on the table as ``mckay_matrix``, beside
+the integer degrees chi(1) as ``int_degrees``. The shape comes first (k
+rows of k values, chi_E of k values, a trivial index below k, int class
+sizes), so nothing is truncated. Every pairing
 is then an integer residue modulo N = Phi_m(2^B)
 (``CyclotomicField.class_residues``, which sends zeta to 2^B and packs
 each distinct value once, each row over its common denominator D): for
@@ -57,23 +58,22 @@ class CharacterTable:
     chars: tuple    # rows of cyclotomic scalars, one per irreducible
     trivial_index: int
     chi_e: tuple    # distinguished 2-dimensional character (may be reducible)
-    # a[i][j] = multiplicity of L_i in L_j (x) E, checked at construction
+    # chi(1) of each irreducible, and a[i][j] = multiplicity of L_i in
+    # L_j (x) E, both checked at construction
+    int_degrees: tuple = dataclasses.field(init=False, repr=False,
+                                           compare=False)
     mckay_matrix: tuple = dataclasses.field(init=False, repr=False,
                                             compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "mckay_matrix", self.validate())
+        degrees, matrix = self.validate()
+        object.__setattr__(self, "int_degrees", degrees)
+        object.__setattr__(self, "mckay_matrix", matrix)
 
     @property
     def degrees(self):
-        """chi(1) of each irreducible as an int; McKayError if one is not."""
-        try:
-            degs = [self.field.rational_ints(row[0]) for row in self.chars]
-        except FieldError:  # not rational, so not an integer either
-            degs = [(0, 0)]
-        if any(den != 1 for _, den in degs):
-            raise McKayError("a character degree is not an integer")
-        return [num for num, _ in degs]
+        """chi(1) of each irreducible, as a list of ints."""
+        return list(self.int_degrees)
 
     def inner(self, u, v) -> Fraction:
         """Class-weighted Hermitian pairing of two class functions (rows of
@@ -85,8 +85,9 @@ class CharacterTable:
         return Fraction(num, res.dens[0] * res.dens[1] * self.order)
 
     def validate(self):
-        """Check the table and return its McKay matrix a, as a tuple of
-        row tuples of nonnegative ints."""
+        """Check the table and return its degrees chi(1), as a tuple of
+        ints, and its McKay matrix a, as a tuple of row tuples of
+        nonnegative ints."""
         if sum(s for _, s in self.classes) != self.order:
             raise McKayError("class sizes do not sum to the group order")
         k = len(self.classes)
@@ -121,7 +122,14 @@ class CharacterTable:
                 if r:
                     raise McKayError(f"orthogonality fails at ({i},{j})")
             twisted.append(res.pairings(i, res.twisted))
-        if sum(d * d for d in self.degrees) != self.order:
+        try:
+            degs = [f.rational_ints(row[0]) for row in self.chars]
+        except FieldError:  # not rational, so not an integer either
+            degs = [(0, 0)]
+        if any(den != 1 for _, den in degs):
+            raise McKayError("a character degree is not an integer")
+        degrees = tuple(num for num, _ in degs)
+        if sum(d * d for d in degrees) != self.order:
             raise McKayError("degree squares do not sum to the group order")
         if any(row != f.one() for row in self.chars[t]):
             raise McKayError("trivial character is not identically 1")
@@ -151,7 +159,7 @@ class CharacterTable:
                 if a[i][j] is None:
                     raise McKayError(f"multiplicity a[{i}][{j}] is not a "
                                      "nonnegative integer")
-        return tuple(map(tuple, a))
+        return degrees, tuple(map(tuple, a))
 
 
 # Cap on the pairing work k^3 phi(m)^2 of a table with k classes over
@@ -347,7 +355,7 @@ def mckay_quiver(t: CharacterTable):
 
 
 def delta_vector(t: CharacterTable) -> dict:
-    return {str(i): d for i, d in enumerate(t.degrees)}
+    return {str(i): d for i, d in enumerate(t.int_degrees)}
 
 
 def mckay_graph_quiver(t: CharacterTable) -> Quiver:

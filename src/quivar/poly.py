@@ -36,6 +36,22 @@ def roots_mod(ints, p):
             yield r
 
 
+def at_plus_minus_one(ints):
+    """(f(1), f(-1)) of f = ints."""
+    return sum(ints), sum(ints[::2]) - sum(ints[1::2])
+
+
+def may_be_root(p, q, values):
+    """False when p / q, in lowest terms, is not a root of an f in Z[t]
+    with values = (f(1), f(-1)). By Gauss's lemma a root gives
+    f = (q t - p) g with g in Z[t], so p - q divides f(1) and p + q
+    divides f(-1); a zero divisor asks for a zero value."""
+    at_one, at_minus_one = values
+    d, e = p - q, p + q
+    return not (at_one % d if d else at_one) and \
+        not (at_minus_one % e if e else at_minus_one)
+
+
 def scaled(ints, p, q):
     """The coefficients a_e p^e q^(n-e) of q^n f(p t / q), f = ints of degree
     n: z is a root of it of the multiplicity of (p / q) z in f."""

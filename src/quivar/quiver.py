@@ -315,10 +315,20 @@ def _provenance(prov, vertices, edges) -> dict:
     return prov
 
 
+def _label(x, what) -> str:
+    """x when it is a string, else QuiverError naming the entry."""
+    if not isinstance(x, str):
+        raise QuiverError(f"{what} {x!r} is not a string")
+    return x
+
+
 def quiver_from_json(d: dict) -> Quiver:
-    """The quiver of a JSON object; its provenance is checked against its
-    vertices and edges, and kept as given."""
-    vertices = tuple(d["vertices"])
-    edges = tuple(Edge(e["name"], e["tail"], e["head"]) for e in d["edges"])
+    """The quiver of a JSON object, whose vertex labels, edge names, tails
+    and heads are strings; its provenance is checked against its vertices
+    and edges, and kept as given."""
+    vertices = tuple(_label(v, "vertex label") for v in d["vertices"])
+    edges = tuple(Edge(*(_label(e[k], f"edge {k}")
+                         for k in ("name", "tail", "head")))
+                  for e in d["edges"])
     return Quiver(vertices, edges,
                   _provenance(d.get("provenance", {}), vertices, edges))

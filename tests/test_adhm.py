@@ -367,12 +367,25 @@ def fraction_sorted_candidates(ints, f):
     return [(c.numerator, c.denominator) for c in cand]
 
 
+def ends_divide(ints, p, q):
+    """Whether p - q divides f(1) and p + q divides f(-1) for f = ints,
+    where a zero divisor divides only a zero value."""
+    for at, d in ((1, p - q), (-1, p + q)):
+        value = sum(a * at ** e for e, a in enumerate(ints))
+        if (value != 0 if d == 0 else value % d != 0):
+            return False
+    return True
+
+
 @pytest.mark.parametrize("f", [QQ, CyclotomicField(3), CyclotomicField(4)],
                          ids=["Q", "Q(zeta3)", "Q(zeta4)"])
 def test_integer_root_candidates_match_the_fraction_order(f):
     # the candidates are sorted by the ints p (|lead| // q); non-monic
     # polynomials with composite end coefficients, some negative, give
-    # many equal quotients p / q and leads with many divisors
+    # many equal quotients p / q and leads with many divisors. Over Q the
+    # candidates that fail the test of f(1) and f(-1) are left out, in
+    # the same order; over Q(zeta_m) a candidate c stands for every
+    # c zeta^k, and none is left out
     rng = random.Random(f"candidates over {f.spec()}")
     for _ in range(200):
         deg = rng.randint(2, 6)
@@ -384,7 +397,83 @@ def test_integer_root_candidates_match_the_fraction_order(f):
                                rng.choice([1, 3, 5])))
         poly = [f.from_fraction(c) for c in coeffs]
         ints, cand = _root_candidates(poly, f)
-        assert cand == fraction_sorted_candidates(ints, f), (f, coeffs)
+        want = fraction_sorted_candidates(ints, f)
+        if f.kind == "rational":
+            want = [(p, q) for p, q in want if ends_divide(ints, p, q)]
+        assert list(cand) == want, (f, coeffs)
+
+
+def wide_split_polys(rng, count):
+    """(roots, poly): ``count`` polynomials c prod (t - r) over Q with
+    their roots r, as in the benchmark's wide spectra: two roots of
+    numerator 11 to 150 and up to four small ones, so that the product of
+    the nonzero numerators is at least 4 * 10^4, some roots repeated,
+    some zero, and non-integral roots and leads c."""
+    for _ in range(count):
+        while True:
+            roots = [Fraction(rng.choice([-1, 1]) * rng.randint(11, 150),
+                              rng.choice([1, 1, 1, 2, 3]))
+                     for _ in range(2)]
+            roots += [Fraction(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]),
+                               rng.choice([1, 1, 1, 2, 5]))
+                      for _ in range(rng.randint(0, 4))]
+            numerators = 1
+            for r in roots:
+                numerators *= r.numerator
+            if abs(numerators) >= 40000:
+                break
+        if rng.random() < 0.4:
+            roots += [rng.choice(roots)] * rng.randint(1, 2)
+        if rng.random() < 0.3:
+            roots += [Fraction(0)] * rng.randint(1, 2)
+        rng.shuffle(roots)
+        lead = Fraction(rng.choice([1, -1, 2, -3, 6]), rng.choice([1, 1, 7]))
+        poly = [QQ.from_fraction(lead)]
+        for r in roots:
+            poly = poly_mul(QQ, poly, [QQ.from_fraction(-r), QQ.one()])
+        yield roots, poly
+
+
+def test_root_sieve_keeps_every_root_and_skips_the_scaled_test(monkeypatch):
+    # by Gauss's lemma a root p / q of f in Z[t] gives f = (q t - p) g with
+    # g in Z[t], so p - q divides f(1) and p + q divides f(-1): every root
+    # passes, and the search finds the same list in the same order as the
+    # deflating reference. Each candidate the search reaches is tested
+    # once, in the order of the unsieved list, and only one that passes
+    # reaches ``scaled``, once
+    from quivar import adhm, poly as poly_mod
+    reached, scaled_at = [], []
+
+    def counted_test(p, q, values):
+        reached.append(((p, q), poly_mod.may_be_root(p, q, values)))
+        return reached[-1][1]
+
+    def counted_scaled(ints, p, q):
+        scaled_at.append((p, q))
+        return poly_mod.scaled(ints, p, q)
+
+    monkeypatch.setattr(adhm, "may_be_root", counted_test)
+    monkeypatch.setattr(adhm, "scaled", counted_scaled)
+    rng = random.Random("sieve over Q")
+    totals = [0, 0]  # candidates reached, and passed (each scaled once)
+    for roots, poly in wide_split_polys(rng, 60):
+        ints, _ = poly_mod.cleared(poly)
+        values = poly_mod.at_plus_minus_one(ints)
+        for r in roots:
+            assert poly_mod.may_be_root(r.numerator, r.denominator, values), \
+                (roots, r)
+        reached.clear()
+        scaled_at.clear()
+        assert _poly_roots(poly, QQ) == reference_poly_roots(poly, QQ), roots
+        nonzero = poly[next(e for e, c in enumerate(poly) if c):]
+        full = fraction_sorted_candidates(poly_mod.cleared(nonzero)[0], QQ)
+        tried = [pq for pq, _ in reached]
+        assert tried == full[:len(tried)], roots
+        passed = [pq for pq, ok in reached if ok]
+        assert scaled_at == passed, roots
+        totals = [t + len(x) for t, x in zip(totals, (tried, passed))]
+    # without the sieve, each of the 12580 candidates reached was scaled
+    assert totals == [12580, 1169]
 
 
 def test_power_traces_newton_identities():

@@ -899,6 +899,8 @@ KERNEL = {"source": ["a"], "target": ["a"], "entries": [["1"]]}
 # a one-loop quiver whose star pairs name an edge it does not have
 LOOP_Y = {"vertices": ["0"], "edges": [{"name": "x", "tail": "0", "head": "0"}],
           "provenance": {"star_pairs": {"x": "y"}}}
+INT_LABELS = {"vertices": [0, 1],
+              "edges": [{"name": 5, "tail": 0, "head": 1}]}
 REFUSED_INPUTS = {
     **{f"rep field {spec}": (["rep", "check", "--rep", "in.json"],
                              {**BRUTE_REP, "field": spec},
@@ -948,6 +950,19 @@ REFUSED_INPUTS = {
                                "v": {"0": 1}, "mats": {"x": [["1"]]}},
                               "provenance 'star_pairs' is not an object "
                               "mapping edges to reversed edges: {'x': 'y'}"),
+    # a label that is not a string was kept, to fail later as a traceback
+    # (double, frame) or to pass as an edge (dims)
+    **{f"quiver {act} int labels": (["quiver", act, "--quiver", "in.json"],
+                                    INT_LABELS, "bad quiver JSON in "
+                                    "'in.json': vertex label 0 is not a "
+                                    "string")
+       for act in ("double", "frame")},
+    "dims int edge name": (["dims", "--quiver", "in.json",
+                            "--v", '{"0": 1, "1": 1}'],
+                           {"vertices": ["0", "1"], "edges": [
+                               {"name": 5, "tail": "0", "head": "1"}]},
+                           "bad quiver JSON in 'in.json': edge name 5 is "
+                           "not a string"),
 }
 
 

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from quivar.poly import cleared, divmod_monic, hasse, q_binomial, roots_mod, \
-    scaled
+from quivar.poly import at_plus_minus_one, cleared, divmod_monic, hasse, \
+    may_be_root, q_binomial, roots_mod, scaled
 
 
 def mul(a, b):
@@ -57,6 +57,22 @@ def test_scaled_moves_the_root_p_over_q_to_one():
     f = mul(mul([-2, 3], [-2, 3]), [5, 1])
     s = scaled(f, 2, 3)
     assert value(s, 1) == 0 and value(s, Fraction(-15, 2)) == 0
+
+
+def test_at_plus_minus_one_and_the_root_sieve():
+    # f = (2t - 3)(t - 1)(t + 1) t vanishes at 1 and -1, so the zero
+    # divisors p - q of 1 and p + q of -1 pass; g = (2t - 3)(t - 5) has
+    # g(1) = 4, which 5 - 2 = 3 does not divide, so 5/2 fails, as do the
+    # zero divisors of 1 and -1 at g(1), g(-1) != 0
+    f = mul(mul(mul([-3, 2], [-1, 1]), [1, 1]), [0, 1])
+    assert at_plus_minus_one(f) == (value(f, 1), value(f, -1)) == (0, 0)
+    assert all(may_be_root(p, q, at_plus_minus_one(f))
+               for p, q in [(3, 2), (1, 1), (-1, 1), (0, 1)])
+    g = mul([-3, 2], [-5, 1])
+    assert at_plus_minus_one(g) == (4, 30)
+    assert may_be_root(3, 2, (4, 30)) and may_be_root(5, 1, (4, 30))
+    assert not may_be_root(5, 2, (4, 30))
+    assert not may_be_root(1, 1, (4, 30)) and not may_be_root(-1, 1, (4, 30))
 
 
 def test_hasse_derivatives_read_the_multiplicity():

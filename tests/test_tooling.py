@@ -512,7 +512,8 @@ def test_polynomial_steps_live_in_poly():
     uses = [(fields.cyclotomic_coeffs, {"divmod_monic"}),
             (fields._zeta_table, {"divmod_monic"}),
             (fields.CyclotomicField.from_coeffs, {"cleared"}),
-            (adhm._root_candidates, {"cleared", "roots_mod"}),
+            (adhm._root_candidates, {"cleared", "roots_mod",
+                                     "at_plus_minus_one", "may_be_root"}),
             (adhm._poly_roots, {"scaled"}),
             (adhm._multiplicity, {"hasse"}),
             (linalg.gaussian_binomial_total.__wrapped__, {"q_binomial"}),
