@@ -7,19 +7,20 @@ staircase extracted from a triple is deterministic. One deglex spin of the
 cyclic vector, the vectors m(x, y) i added to one :class:`linalg.Echelon`,
 both decides whether a triple is a Hilbert point and reads off its staircase.
 
-Joint spectra take characteristic polynomials by Berkowitz's
-division-free algorithm and find eigenvalues by a search that depends on
-the field: rational roots among the divisor quotients of the end
-coefficients over Q, every element of F_p for p up to
-``FP_ROOT_SEARCH_CAP`` (a larger p is refused with ``FieldError``), and
-rational multiples of roots of unity over Q(zeta_m), where a failed search
-is reported as unsupported rather than as "does not split". The search
-clears the polynomial to integers once and tests each candidate exactly
-in ints (mod p over F_p) by the integer steps of :mod:`quivar.poly`, with
-the multiplicity from the first Hasse derivative that does not vanish; Q
-is the case m = 1 of Q(zeta_m). Over Q a candidate p / q is tested only
-when p - q divides f(1) and p + q divides f(-1) for the cleared f, as
-every rational root does by Gauss's lemma.
+Joint spectra take characteristic polynomials from ``Mat.char_poly``,
+Berkowitz's division-free pass in :mod:`quivar.linalg`, and find
+eigenvalues by a search that depends on the field: rational roots among
+the divisor quotients of the end coefficients over Q, every element of
+F_p for p up to ``FP_ROOT_SEARCH_CAP`` (a larger p is refused with
+``FieldError``), and rational multiples of roots of unity over
+Q(zeta_m), where a failed search is reported as unsupported rather than
+as "does not split". The search clears the polynomial to integers once
+and tests each candidate exactly in ints (mod p over F_p) by the integer
+steps of :mod:`quivar.poly`, with the multiplicity from the first Hasse
+derivative that does not vanish; Q is the case m = 1 of Q(zeta_m). Over
+Q a candidate p / q is tested only when p - q divides f(1) and p + q
+divides f(-1) for the cleared f, as every rational root does by Gauss's
+lemma.
 
 The pairs of a joint spectrum come from three characteristic polynomials:
 those of x and of y give the eigenvalues, and for the least positive
@@ -175,29 +176,6 @@ def triple_from_staircase(staircase, fieldobj: Field = QQ) -> AdhmData:
 
 # -- spectra and traces ------------------------------------------------
 
-def _char_poly(m: Mat):
-    """Characteristic polynomial det(t I - m), low degree first, by
-    Berkowitz's division-free algorithm (Inf. Process. Lett. 18, 1984).
-
-    For each leading principal block [[M, c], [r, a]] of m, the
-    coefficient vector of det(t I - M), high degree first, is multiplied
-    by the lower-triangular Toeplitz matrix with first column 1, -a, -r c,
-    -r M c, ..., -r M^(k-1) c, where M is k x k. O(n^4) field operations.
-    """
-    f = m.field
-    dot, neg = f.dot, f.neg
-    poly = [f.one()]
-    for k, row in enumerate(m.data):
-        block = [r[:k] for r in m.data[:k]]
-        toeplitz = [f.one(), neg(row[k])]
-        v = [r[k] for r in m.data[:k]]
-        for _ in range(k):
-            toeplitz.append(neg(dot(row, v)))
-            v = [dot(r, v) for r in block]
-        poly = [dot(poly, toeplitz[i::-1]) for i in range(k + 2)]
-    return poly[::-1]
-
-
 # p beyond which the exhaustive root search over F_p is refused: p
 # integer evaluations of a polynomial of degree n <= 12 take about 0.2 s on
 # CPython 3.11 (2-core x86-64 VM)
@@ -326,7 +304,7 @@ def _eigenvalues(m: Mat):
     """Eigenvalues of m with algebraic multiplicity. Raises when the
     characteristic polynomial does not split over Q or F_p, and over
     Q(zeta_m) when the eigenvalue search finds no root."""
-    poly = _char_poly(m)
+    poly = m.char_poly()
     roots = _poly_roots(poly, m.field)
     if roots is None:
         shown = list(map(m.field.show, poly))
@@ -407,7 +385,7 @@ def _pairs(x: Mat, y: Mat):
     """The pairs of ``joint_spectrum``, in no particular order."""
     f = x.field
     xs = _eigenvalues(x)
-    y_poly = _char_poly(y)
+    y_poly = y.char_poly()
     try:
         ys = _poly_roots(y_poly, f)
     except FieldError:
@@ -424,9 +402,9 @@ def _pairs(x: Mat, y: Mat):
         return _kernel_pairs(x, y, xs)
     t, points = separated
     minus_t = f.neg(t)
-    poly = _char_poly(Mat._of(f, tuple(
+    poly = Mat._of(f, tuple(
         tuple(f.row_sub(rx, minus_t, ry)) for rx, ry in zip(x.data, y.data)),
-        x.rows, x.cols))
+        x.rows, x.cols).char_poly()
     # the pairs of r sum to k and the pairs of s to its multiplicity l_s:
     # the last eigenvalue of x takes what each s has left, and the last s
     # that r can still pair with takes what r has left

@@ -161,10 +161,10 @@ def load_rep(path) -> tuple:
                                 **_object(d, "w")})
         di, dj = _object(d, "i"), _object(d, "j")
         i = {k: parse_matrix(fieldobj, di.get(k, []), v[k], w[k])
-             if w[k] or di.get(k) else Mat.zeros(fieldobj, v[k], w[k])
+             if w[k] or k in di else Mat.zeros(fieldobj, v[k], w[k])
              for k in q.vertices}
         j = {k: parse_matrix(fieldobj, dj.get(k, []), w[k], v[k])
-             if w[k] and dj.get(k) else Mat.zeros(fieldobj, w[k], v[k])
+             if w[k] or k in dj else Mat.zeros(fieldobj, w[k], v[k])
              for k in q.vertices}
         return FramedRep(rep, w, i, j)
     except (KeyError, TypeError, ValueError) as err:

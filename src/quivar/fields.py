@@ -195,9 +195,9 @@ class Field:
     # spans the same line, and a row with entry 1 at its pivot is stored
     # as it is on every field.
     def clear_row(self, vec):
-        """(u, s): a new vector as a list u = s vec of entries in the stored
-        form, s a positive int; here the entries themselves and s = 1."""
-        return list(vec), 1
+        """A new vector as a list of entries in the stored form, a positive
+        int multiple of vec; here the entries themselves."""
+        return list(vec)
 
     def primitive_row(self, u, pivot):
         """The stored form of the reduced row u, nonzero at ``pivot``: here
@@ -370,8 +370,8 @@ class Rationals(Field):
     # the integer paths of row_sub and row_scale
     def clear_row(self, vec):
         if {int}.issuperset(map(type, vec)):
-            return list(vec), 1
-        return cleared(vec)
+            return list(vec)
+        return cleared(vec)[0]
 
     def primitive_row(self, u, pivot):
         g = gcd(*u)

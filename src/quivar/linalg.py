@@ -5,12 +5,16 @@ desk-scale, and dense Gauss-Jordan over an exact field is auditable.
 Matrices are immutable after construction; all operations return new ones.
 The product ``@`` has one code path, the field's product kernel
 ``Field.matmul`` on the rows of the left factor and the columns of the right.
-Elimination lives in :class:`Echelon`, under RREF, determinants, column
-spans, the spin of :mod:`quivar.reps` and the staircase of :mod:`quivar.adhm`;
-the brute-force oracle's packed F_p code needs none. Over Q it runs on
-primitive integer rows (fraction-free Gauss-Jordan with the content divided
-out, as in Bareiss, Math. Comp. 22, 1968), so every row update is an integer
-one, and a row is normalised to pivot 1 only when read.
+Elimination lives in :class:`Echelon`, which answers span questions only:
+RREF, column spans, the spin of :mod:`quivar.reps` and the staircase of
+:mod:`quivar.adhm`; the brute-force oracle's packed F_p code needs none.
+Over Q it runs on primitive integer rows (fraction-free Gauss-Jordan with
+the content divided out, as in Bareiss, Math. Comp. 22, 1968), so every row
+update is an integer one, and a row is normalised to pivot 1 only when read.
+Determinants have their own one home, ``Mat._berkowitz``: one
+division-free pass over the leading principal blocks gives the
+characteristic polynomial, the leading principal minors and the
+determinant.
 """
 
 from __future__ import annotations
@@ -186,25 +190,49 @@ class Mat:
                 sol[pc][j] = red.data[r][self.cols + j]
         return Mat._of(f, tuple(map(tuple, sol)), self.cols, b.cols)
 
-    def det(self):
-        """The rows added to an :class:`Echelon` in order are row operations
-        that end at a permutation matrix, so the determinant is the product
-        of the leading entries times the sign of row -> pivot, or 0."""
+    def _berkowitz(self):
+        """det(t I - M_k), high degree first, for each leading principal
+        block M_1, ..., M_n in turn, by Berkowitz's division-free algorithm
+        (Inf. Process. Lett. 18, 1984).
+
+        With M_(k+1) = [[M_k, c], [r, a]], the coefficients of
+        det(t I - M_(k+1)) are those of det(t I - M_k) times the
+        lower-triangular Toeplitz matrix with first column 1, -a, -r c,
+        -r M_k c, ..., -r M_k^(k-1) c. O(n^4) field operations, and no
+        inverse."""
         if self.rows != self.cols:
             raise FieldError("determinant of non-square matrix")
-        f = self.field
-        ech = Echelon(f, self.cols)
-        det = f.one()
-        pivots = []
-        for row in self.data:
-            added = ech.add(row)
-            if added is None:
-                return f.zero()
-            pivot, lead = added
-            det = f.mul(det, lead)
-            pivots.append(pivot)
-        inversions = sum(a > b for a, b in combinations(pivots, 2))
-        return f.neg(det) if inversions % 2 else det
+        f, data = self.field, self.data
+        dot, neg = f.dot, f.neg
+        poly = [f.one()]
+        for k, row in enumerate(data):
+            block = [r[:k] for r in data[:k]]
+            toeplitz = [f.one(), neg(row[k])]
+            v = [r[k] for r in data[:k]]
+            for _ in range(k):
+                toeplitz.append(neg(dot(row, v)))
+                v = [dot(r, v) for r in block]
+            poly = [dot(poly, toeplitz[i::-1]) for i in range(k + 2)]
+            yield poly
+
+    def char_poly(self):
+        """det(t I - self), low degree first."""
+        poly = [self.field.one()]
+        for poly in self._berkowitz():
+            pass
+        return poly[::-1]
+
+    def leading_minors(self):
+        """det M_1, ..., det M_n of the leading principal blocks M_k: the
+        constant term of det(t I - M_k) is (-1)^k det M_k."""
+        neg = self.field.neg
+        return [neg(poly[-1]) if k % 2 else poly[-1]
+                for k, poly in enumerate(self._berkowitz(), 1)]
+
+    def det(self):
+        """The last leading principal minor, 1 for a 0 x 0 matrix."""
+        minors = self.leading_minors()
+        return minors[-1] if minors else self.field.one()
 
 
 class Echelon:
@@ -220,15 +248,14 @@ class Echelon:
     per entry) and kept until the next ``add``."""
 
     __slots__ = ("field", "n", "stored", "_view", "_one", "_is_zero",
-                 "_row_sub", "_row_scale", "_clear", "_primitive", "_div")
+                 "_row_sub", "_row_scale", "_clear", "_primitive")
 
     def __init__(self, field: Field, n: int):
         self.field, self.n, self.stored, self._view = field, n, {}, None
         self._one = field.one()
         self._is_zero, self._row_sub, self._row_scale = (
             field.is_zero, field.row_sub, field.row_scale)
-        self._clear, self._primitive, self._div = (
-            field.clear_row, field.primitive_row, field.div)
+        self._clear, self._primitive = field.clear_row, field.primitive_row
 
     @classmethod
     def of(cls, field: Field, n: int, vectors):
@@ -253,27 +280,24 @@ class Echelon:
     def add(self, vec):
         """Reduce ``vec`` once against the rows. Return None if it lies in
         their span; else store it, clear its pivot from the other rows and
-        return (pivot, leading entry before normalising)."""
+        return its pivot."""
         is_zero, row_sub, row_scale, one = (
             self._is_zero, self._row_sub, self._row_scale, self._one)
         primitive, rows = self._primitive, self.stored
-        vec, scale = self._clear(vec)  # vec is the int scale times the input
+        vec = self._clear(vec)
         for pc, row in rows.items():
             c = vec[pc]
             if not is_zero(c):
                 lead = row[pc]
                 if lead != one:  # only over Q, where both are ints
                     vec = row_scale(lead, vec)
-                    scale *= lead
                 vec = row_sub(vec, c, row)
         for pivot, lead in enumerate(vec):
             if not is_zero(lead):
                 break
         else:
             return None
-        if scale != 1:
-            lead = self._div(lead, scale)
-        if vec[pivot] != one:
+        if lead != one:
             vec = primitive(vec, pivot)
         new = vec[pivot]
         for pc, row in rows.items():
@@ -286,7 +310,7 @@ class Echelon:
                 rows[pc] = row if row[pc] == one else primitive(row, pc)
         rows[pivot] = vec
         self._view = None
-        return pivot, lead
+        return pivot
 
     def column_basis(self) -> Mat:
         """The rows in pivot order as columns, as :func:`col_span` gives."""

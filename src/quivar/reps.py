@@ -230,9 +230,8 @@ def trace_of_cycle(rep: Rep, cycle):
     for a, b in zip(cycle, cycle[1:] + [cycle[0]]):
         if a.head != b.tail:
             raise RepError("edge sequence is not a cycle")
-    f = rep.field
-    op = Mat.identity(f, rep.v[cycle[0].tail])
-    for e in cycle:
+    op = rep.mats[cycle[0].name]
+    for e in cycle[1:]:
         op = rep.mats[e.name] @ op
     return op.trace()
 
@@ -274,12 +273,12 @@ def _spin(f, dims: dict, arrows: dict, seeds):
     pending = list(seeds)
     while pending and missing:
         k, vec = pending.pop()
-        added = bases[k].add(vec)
-        if added is None:
+        pivot = bases[k].add(vec)
+        if pivot is None:
             continue
         missing -= 1
         # the row as stored, a nonzero multiple of the vector's reduction
-        vec = bases[k].stored[added[0]]
+        vec = bases[k].stored[pivot]
         for head, m in arrows[k]:
             pending.append((head, [dot(row, vec) for row in m]))
     return bases, missing == 0

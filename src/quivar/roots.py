@@ -10,7 +10,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from operator import mul, sub
 
 from . import MathFailure
@@ -26,7 +26,10 @@ class RootsError(MathFailure):
 def _ints(xs, what: str, n: int = None) -> tuple:
     """The entries of xs as ints, n of them if n is given, or RootsError."""
     xs = tuple(xs)
-    ints = tuple(map(int, xs))
+    try:
+        ints = tuple(map(int, xs))
+    except (TypeError, ValueError, OverflowError):  # None, nan, inf
+        ints = None
     if ints != xs or bool in map(type, xs):  # int(True) == True
         raise RootsError(f"{what} entries must be integers: {list(xs)}")
     if n is not None and len(ints) != n:
@@ -100,21 +103,19 @@ def _datum(c: tuple) -> _Datum:
         raise RootsError("diagonal entries must be <= 2")
     m = Mat.from_ints(QQ, c)
 
-    def minor(idx):
-        return m.submatrix(idx, idx).det()
+    def definite(minors):  # Sylvester: the leading principal minors are > 0
+        return all(x > 0 for x in minors)
 
-    def definite(idx):  # Sylvester: the leading principal minors are > 0
-        return all(minor(idx[:k]) > 0 for k in range(1, len(idx) + 1))
-
-    det = minor(list(range(n)))
-    if det > 0 and definite(list(range(n - 1))):
+    minors = m.leading_minors()
+    det = minors[-1] if minors else 1
+    if definite(minors):
         adj = m.solve(Mat.identity(QQ, n)).scale(det).data  # integral
         pos = tuple(positive_roots(c))
         return _Datum("finite", det, tuple(map(tuple, adj)), pos,
                       tuple(tuple(sum(map(mul, row, r)) for row in c)
                             for r in pos))
-    if det == 0 and all(definite([j for j in range(n) if j != i])
-                        for i in range(n)):
+    if det == 0 and all(definite(m.submatrix(rest, rest).leading_minors())
+                        for rest in combinations(range(n), n - 1)):
         return _Datum("affine")
     return _Datum("indefinite")
 
@@ -227,24 +228,25 @@ def is_dominant(weight: dict) -> bool:
 # -- Freudenthal recursion (finite type oracle) ------------------------
 
 def positive_roots(c):
-    """Positive roots of a finite-type symmetric Cartan matrix, in
-    simple-root coordinates, generated by simple reflections."""
+    """Positive roots of a finite-type symmetric Cartan matrix (C_ii = 2),
+    in simple-root coordinates, by height. A positive root beta that is not
+    simple has (beta, alpha_i) = 1 for some i with beta_i > 0, and then
+    beta - alpha_i = s_i(beta) is a positive root; so each one is reached
+    from a simple root by adding alpha_i where (beta, alpha_i) = -1."""
     n = len(c)
-    simple = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    roots = set(simple)
-    frontier = set(simple)
-    while frontier:
-        new = set()
-        for beta in frontier:
-            for j in range(n):
-                pairing = sum(beta[i] * c[i][j] for i in range(n))
-                refl = tuple(beta[i] - (pairing if i == j else 0)
-                             for i in range(n))
-                if refl not in roots:
-                    new.add(refl)
-        roots |= new
-        frontier = new
-    return sorted(r for r in roots if all(x >= 0 for x in r))
+    level = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    roots = set(level)
+    while level:
+        above = []
+        for beta in level:
+            for i, row in enumerate(c):
+                if sum(map(mul, beta, row)) == -1:
+                    up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                    if up not in roots:
+                        roots.add(up)
+                        above.append(up)
+        level = above
+    return sorted(roots)
 
 
 def freudenthal_mult(c, lam, mu) -> int:

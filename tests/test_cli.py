@@ -901,6 +901,11 @@ LOOP_Y = {"vertices": ["0"], "edges": [{"name": "x", "tail": "0", "head": "0"}],
           "provenance": {"star_pairs": {"x": "y"}}}
 INT_LABELS = {"vertices": [0, 1],
               "edges": [{"name": 5, "tail": 0, "head": 1}]}
+# a framed Jordan rep with w = 1, its framing maps given as 1 x 1 matrices
+FRAMED_JORDAN = {"quiver": "double:jordan", "field": {"kind": "rational"},
+                 "v": {"0": 1}, "w": {"0": 1},
+                 "mats": {"x": [["0"]], "x*": [["0"]]},
+                 "i": {"0": [["0"]]}, "j": {"0": [["0"]]}}
 REFUSED_INPUTS = {
     **{f"rep field {spec}": (["rep", "check", "--rep", "in.json"],
                              {**BRUTE_REP, "field": spec},
@@ -914,6 +919,19 @@ REFUSED_INPUTS = {
                              {**BRUTE_REP, key: list(BRUTE_REP[key].values())},
                              f"{key!r} is not an object")
        for key in ("i", "j")},
+    # i and j are read by one rule: whenever w > 0 or the key is given. A
+    # missing j under w = 1 was read as 0, and a j entry under w = 0 was
+    # never parsed, where the same i was refused
+    **{f"framed rep no {key}": (["rep", "moment", "--rep", "in.json"],
+                                {**FRAMED_JORDAN, key: {}},
+                                "matrix must be 1 x 1")
+       for key in ("i", "j")},
+    **{f"framed rep w = 0 bad {key}": (
+        ["rep", "moment", "--rep", "in.json"],
+        {**FRAMED_JORDAN, "w": {"0": 0}, "i": {}, "j": {},
+         key: {"0": "garbage"}}, shape)
+       for key, shape in (("i", "matrix must be 1 x 0"),
+                          ("j", "matrix must be 0 x 1"))},
     "kernel []": (["conv", "mul", "--k1", "in.json", "--k2", "k.json"], [],
                   "bad kernel JSON in 'in.json': not an object"),
     "no --table": (["conv", "group"], None, "conv group requires --table"),

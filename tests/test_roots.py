@@ -276,6 +276,74 @@ def test_positive_roots_counts():
     assert len(positive_roots(cartan(type_a_quiver(3)))) == 6
 
 
+def reflection_roots(c):
+    """The positive roots as they were found before the generation by
+    height: the simple roots closed under the simple reflections, then the
+    vectors with no negative coordinate."""
+    n = len(c)
+    simple = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    roots = set(simple)
+    frontier = set(simple)
+    while frontier:
+        new = set()
+        for beta in frontier:
+            for j in range(n):
+                pairing = sum(beta[i] * c[i][j] for i in range(n))
+                refl = tuple(beta[i] - (pairing if i == j else 0)
+                             for i in range(n))
+                if refl not in roots:
+                    new.add(refl)
+        roots |= new
+        frontier = new
+    return sorted(r for r in roots if all(x >= 0 for x in r))
+
+
+def dynkin_cartan(n, edges):
+    return cartan(make_quiver(range(n), [(f"e{k}", t, h)
+                                         for k, (t, h) in enumerate(edges)]))
+
+
+def ade_cartans():
+    """(name, C, number of positive roots) for A1-A8, D4-D8 and E6-E8."""
+    def path(n):
+        return [(k, k + 1) for k in range(n - 1)]
+    out = [(f"A{n}", dynkin_cartan(n, path(n)), n * (n + 1) // 2)
+           for n in range(1, 9)]
+    out += [(f"D{n}", dynkin_cartan(n, path(n - 1) + [(n - 3, n - 1)]),
+             n * (n - 1)) for n in range(4, 9)]
+    out += [(f"E{n}", dynkin_cartan(n, path(n - 1) + [(2, n - 1)]), count)
+            for n, count in ((6, 36), (7, 63), (8, 120))]
+    return out
+
+
+def test_positive_roots_by_height_match_the_reflection_closure():
+    # ADE of rank <= 8, and every positive definite symmetric C with n <= 4
+    # (C_ii <= 2 leaves C_ii in {1, 2} and the other entries in
+    # {-1, 0, 1}). Where C_ii = 1 the reflection s_i takes alpha_i to the
+    # zero vector, which the closure kept as a root; the generation by
+    # height adds only simple roots, so it never has it
+    for name, c, count in ade_cartans():
+        assert positive_roots(c) == reflection_roots(c), name
+        assert len(positive_roots(c)) == count, name
+    definite = 0
+    for n in range(1, 5):
+        pairs = [(a, b) for a in range(n) for b in range(a)]
+        for diag in product((1, 2), repeat=n):
+            for off in product((-1, 0, 1), repeat=len(pairs)):
+                c = [[0] * n for _ in range(n)]
+                for a in range(n):
+                    c[a][a] = diag[a]
+                for (a, b), x in zip(pairs, off):
+                    c[a][b] = c[b][a] = x
+                if any(x <= 0 for x in
+                       Mat.from_ints(QQ, c).leading_minors()):
+                    continue
+                definite += 1
+                assert positive_roots(c) == [
+                    r for r in reflection_roots(c) if any(r)], c
+    assert definite == 1608
+
+
 def test_freudenthal_sl2_strings():
     c = [[2]]
     for r in range(6):
@@ -355,6 +423,17 @@ def test_non_integral_theta_refused(theta):
     with pytest.raises(RootsError, match="integers"):
         HKParam.make({"1": 0}, {"1": theta})
     assert HKParam.make({"1": 0}, {"1": 2.0}).theta == {"1": 2}
+
+
+# each leaked a raw ValueError, OverflowError or TypeError from int()
+@pytest.mark.parametrize("call", [
+    lambda: freudenthal_mult([[2]], [float("nan")], [0]),
+    lambda: freudenthal_mult([[2]], [float("inf")], [0]),
+    lambda: classify_cartan([[None]]),
+], ids=["nan", "inf", "None"])
+def test_nan_inf_and_none_refused(call):
+    with pytest.raises(RootsError, match="entries must be integers"):
+        call()
 
 
 def test_bool_weights_and_theta_refused():

@@ -254,7 +254,7 @@ def test_inner_products_use_the_field_kernel():
     from quivar import adhm, fields, linalg, mckay, reps
     for cls in (fields.Rationals, fields.PrimeField, fields.CyclotomicField):
         assert "dot" in vars(cls), cls.__name__
-    for fn in (adhm._char_poly, adhm.power_traces):
+    for fn in (linalg.Mat._berkowitz, adhm.power_traces):
         names = _names(fn.__code__)
         assert "dot" in names and not names & {"add", "mul"}, fn.__qualname__
     # the product kernel is dot per entry, and the McKay pairings over
@@ -387,15 +387,36 @@ def test_row_updates_and_root_tests_stay_in_ints():
 
 
 def test_every_elimination_is_one_echelon():
-    # RREF, the determinant, column spans, the stability spin, the
-    # Hilbert staircase and the flags over F_q all add vectors to an
-    # Echelon; none of them runs its own Gauss-Jordan step, which would
-    # name the field inverse
+    # RREF, column spans, the stability spin, the Hilbert staircase and
+    # the flags over F_q all add vectors to an Echelon; none of them runs
+    # its own Gauss-Jordan step, which would name the field inverse
     from quivar import adhm, convolution, linalg, reps
-    for fn in (linalg.Mat.rref, linalg.Mat.det, linalg.col_span, reps._spin,
+    for fn in (linalg.Mat.rref, linalg.col_span, reps._spin,
                adhm._staircase, convolution.complete_flags):
         names = _names(fn.__code__)
         assert "Echelon" in names and "inv" not in names, fn.__qualname__
+
+
+def test_every_determinant_is_one_berkowitz_pass():
+    # the characteristic polynomial, the leading principal minors and the
+    # determinant all read Mat._berkowitz, which divides by nothing; an
+    # Echelon reports no leading entry, so adds need no field division
+    import ast
+    from quivar import linalg
+    mat = linalg.Mat
+    for fn in (mat._berkowitz, mat.char_poly, mat.leading_minors, mat.det):
+        names = _names(fn.__code__)
+        assert not names & {"Echelon", "inv"}, fn.__qualname__
+    assert "_berkowitz" in _names(mat.char_poly.__code__)
+    assert "_berkowitz" in _names(mat.leading_minors.__code__)
+    assert "leading_minors" in _names(mat.det.__code__)
+    assert "_div" not in _names(linalg.Echelon.add.__code__)
+    for path in sorted((ROOT / "src" / "quivar").glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        defined = {n.name for n in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        assert "_char_poly" not in defined, path.name
 
 
 def test_convolution_inverts_nothing_mod_q():
