@@ -220,10 +220,8 @@ def _root_candidates(poly, f):
         # -zeta^k = zeta^(k + m/2): the negative c, first in the sorted
         # order, already give every c zeta^k
         keys = [c for c in keys if c < 0]
-    cand = []
-    for c in sorted(keys):
-        g = gcd(c, lead)  # lead // q for the p / q in lowest terms
-        cand.append((c // g, lead // g))
+    # g = gcd(c, lead) is lead // q for the p / q in lowest terms
+    cand = ((c // g, lead // g) for c in sorted(keys) for g in [gcd(c, lead)])
     if f.kind == "cyclotomic":
         return ints, cand
     # over Q, the rational roots among them, sieved as the search reaches

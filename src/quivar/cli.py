@@ -109,16 +109,23 @@ def parse_dimvector(q: Quiver, text, default=None) -> dict:
 
 def parse_rational_vector(q: Quiver, text) -> dict:
     """A rational at each vertex, from a JSON object or one number for
-    every vertex; 0 at every vertex when ``--lambda`` is not given."""
+    every vertex; 0 at every vertex when ``--lambda`` is not given, and at
+    each vertex the object leaves out. A key that is not a vertex is
+    refused."""
     if text is None:
         return dict.fromkeys(q.vertices, Fraction(0))
     try:  # Fraction(str(x)) refuses every JSON value but a number or ratio
         val = json.loads(text)
         if not isinstance(val, dict):
             val = dict.fromkeys(q.vertices, val)
-        return {str(k): Fraction(str(x)) for k, x in val.items()}
+        lam = {str(k): Fraction(str(x)) for k, x in val.items()}
     except (ValueError, ZeroDivisionError):
         raise InputError(f"bad rational vector {text!r}")
+    stray = sorted(set(lam) - set(q.vertices))
+    if stray:
+        raise InputError(f"--lambda keys {stray} are not vertices of the "
+                         f"quiver")
+    return lam
 
 
 def _parse_entry(fieldobj, x):

@@ -2,7 +2,9 @@
 hyper-Kaehler parameters, moment-fiber flatness/component analysis, Cartan
 classification, and weight bookkeeping with a Freudenthal oracle. Each
 Cartan matrix is decided once, into a cached datum, and the decompositions
-of v into roots are counted by a memo instead of listed."""
+of v into roots are counted by a memo instead of listed. The Freudenthal
+recursion runs on the dimension vector beta of mu = lam - beta, as the
+lectures index a weight space of L(w) by v."""
 
 from __future__ import annotations
 
@@ -254,66 +256,53 @@ def freudenthal_mult(c, lam, mu) -> int:
     weight lam (both in fundamental-weight coordinates), via the
     Freudenthal recursion over the finite positive-root list.
 
-    C^-1 is cleared once to adj(C) / det(C), so the recursion runs in ints:
-    ``inner`` is det(C) times the form, which cancels from the quotient of
-    the recursion, and the root coordinates C^-1 (lam - m) are a divmod by
-    det(C) > 0. Both, and the positive roots, come from the datum of C."""
-    kind, det, adj, _, pos_w = _datum_of(c)
+    The recursion runs on dimension vectors: mu = lam - beta with
+    beta = C^-1 (lam - mu) = adj(C) (lam - mu) / det(C), read from the
+    datum of C once, and 0 unless beta is a vector of ints >= 0. Since
+    (omega_i, alpha_j) = delta_ij and (alpha_i, alpha_j) = C_ij, a term
+    lam - gamma with gamma = beta - k alpha >= 0 pairs with alpha as
+    lam . alpha - gamma . C alpha, C gamma steps by C alpha from
+    C beta = lam - mu, and (lam + rho, lam + rho) - (mu + rho, mu + rho)
+    is 2 (lam + rho) . beta - beta . C beta, all in ints."""
+    kind, det, adj, pos, pos_w = _datum_of(c)
     if kind != "finite":
         raise RootsError("Freudenthal recursion requires finite type")
     n = len(adj)
+    if any(c[i][i] != 2 for i in range(n)):
+        raise RootsError("Freudenthal recursion requires diagonal entries 2")
     lam, mu = _ints(lam, "highest weight", n), _ints(mu, "weight", n)
     if any(x < 0 for x in lam):
         raise RootsError("highest weight must be dominant")
-
-    def inner(a, b):  # det(C) (a, b), both in fundamental-weight coords
-        return sum(a[i] * adj[i][j] * b[j] for i in range(n) for j in range(n))
-
-    def root_gap(m):
-        # coefficients k with lam - m = sum k_i alpha_i, or None
-        diff = [lam[i] - m[i] for i in range(n)]
-        ks = []
-        for row in adj:
-            k, r = divmod(sum(x * y for x, y in zip(row, diff)), det)
-            if r or k < 0:
-                return None
-            ks.append(k)
-        return tuple(ks)
-
-    rho = (1,) * n
-    lr = tuple(lam[i] + rho[i] for i in range(n))
-    top = inner(lr, lr)
+    c_beta = tuple(map(sub, lam, mu))
+    divs = [divmod(sum(map(mul, row, c_beta)), det) for row in adj]
+    if any(r or k < 0 for k, r in divs):
+        return 0
+    lr = tuple(x + 1 for x in lam)  # lam + rho
+    # each positive root alpha with C alpha and lam . alpha
+    steps = [(a, aw, sum(map(mul, lam, a))) for a, aw in zip(pos, pos_w)]
     memo = {}
 
-    def mult(m):
-        if m in memo:
-            return memo[m]
-        gap = root_gap(m)
-        if gap is None:
-            return 0
-        if all(k == 0 for k in gap):
-            memo[m] = 1
+    def mult(g, cg):  # the multiplicity of lam - g, for g >= 0 and cg = C g
+        if g in memo:
+            return memo[g]
+        if not any(g):
             return 1
         num = 0
-        for aw in pos_w:
-            k = 1
-            while True:
-                nu = tuple(m[i] + k * aw[i] for i in range(n))
-                if root_gap(nu) is None:
-                    break
-                mv = mult(nu)
+        for a, aw, la in steps:
+            h, ch = tuple(map(sub, g, a)), tuple(map(sub, cg, aw))
+            while min(h) >= 0:
+                mv = mult(h, ch)
                 if mv:
-                    num += mv * inner(nu, aw)
-                k += 1
-        mr = tuple(m[i] + rho[i] for i in range(n))
-        denom = top - inner(mr, mr)
+                    num += mv * (la - sum(map(mul, h, aw)))
+                h, ch = tuple(map(sub, h, a)), tuple(map(sub, ch, aw))
+        denom = 2 * sum(map(mul, lr, g)) - sum(map(mul, g, cg))
         if denom <= 0:
-            memo[m] = 0
+            memo[g] = 0
             return 0
         val, rest = divmod(2 * num, denom)
         if rest or val < 0:
             raise RootsError("Freudenthal recursion produced a non-integer")
-        memo[m] = val
+        memo[g] = val
         return val
 
-    return mult(mu)
+    return mult(tuple(k for k, _ in divs), c_beta)

@@ -981,6 +981,13 @@ REFUSED_INPUTS = {
                                {"name": 5, "tail": "0", "head": "1"}]},
                            "bad quiver JSON in 'in.json': edge name 5 is "
                            "not a string"),
+    # a --lambda key that is not a vertex was dropped, and the answer was
+    # for lambda = 0 there; a stray --v, --w or --theta key was refused
+    **{f"roots {act} stray lambda": (["roots", act, "--quiver", "a2", "--v",
+                                      '{"1":1,"2":1}', "--lambda",
+                                      '{"3": 1}'], None,
+                                     "--lambda keys ['3'] are not vertices")
+       for act in ("gg", "regular")},
 }
 
 

@@ -2,6 +2,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 
@@ -9,7 +10,8 @@ from quivar.fields import QQ
 from quivar.linalg import Mat
 from quivar.quiver import (aq_form, cartan, dot, jordan_quiver, make_quiver,
                            type_a_quiver)
-from quivar.roots import (HKParam, RootsError, classify_cartan,
+from quivar.roots import (HKParam, RootsError, _datum_of, _ints,
+                          classify_cartan,
                           freudenthal_mult, gg_analysis, is_dominant,
                           is_v_regular, p_defect, positive_roots,
                           rprime_below, weight_of)
@@ -381,6 +383,163 @@ def test_freudenthal_gates():
         freudenthal_mult([[2, -2], [-2, 2]], (1, 0), (1, 0))
     with pytest.raises(RootsError):
         freudenthal_mult([[2]], (-1,), (1,))
+    # C_ii = 1 passes as positive definite, and was read as a Cartan matrix
+    with pytest.raises(RootsError, match="diagonal entries 2"):
+        freudenthal_mult([[1]], [1], [1])
+    with pytest.raises(RootsError, match="diagonal entries 2"):
+        freudenthal_mult([[2, -1], [-1, 1]], [1, 0], [1, 0])
+
+
+# the recursion as it ran on weights before it ran on dimension vectors,
+# verbatim: weights converted back to root coordinates at every step and
+# each pairing an n^2 sum scaled by det C
+def reference_freudenthal(c, lam, mu) -> int:
+    """Weight multiplicity of mu in the irreducible module with highest
+    weight lam (both in fundamental-weight coordinates), via the
+    Freudenthal recursion over the finite positive-root list.
+
+    C^-1 is cleared once to adj(C) / det(C), so the recursion runs in ints:
+    ``inner`` is det(C) times the form, which cancels from the quotient of
+    the recursion, and the root coordinates C^-1 (lam - m) are a divmod by
+    det(C) > 0. Both, and the positive roots, come from the datum of C."""
+    kind, det, adj, _, pos_w = _datum_of(c)
+    if kind != "finite":
+        raise RootsError("Freudenthal recursion requires finite type")
+    n = len(adj)
+    lam, mu = _ints(lam, "highest weight", n), _ints(mu, "weight", n)
+    if any(x < 0 for x in lam):
+        raise RootsError("highest weight must be dominant")
+
+    def inner(a, b):  # det(C) (a, b), both in fundamental-weight coords
+        return sum(a[i] * adj[i][j] * b[j] for i in range(n) for j in range(n))
+
+    def root_gap(m):
+        # coefficients k with lam - m = sum k_i alpha_i, or None
+        diff = [lam[i] - m[i] for i in range(n)]
+        ks = []
+        for row in adj:
+            k, r = divmod(sum(x * y for x, y in zip(row, diff)), det)
+            if r or k < 0:
+                return None
+            ks.append(k)
+        return tuple(ks)
+
+    rho = (1,) * n
+    lr = tuple(lam[i] + rho[i] for i in range(n))
+    top = inner(lr, lr)
+    memo = {}
+
+    def mult(m):
+        if m in memo:
+            return memo[m]
+        gap = root_gap(m)
+        if gap is None:
+            return 0
+        if all(k == 0 for k in gap):
+            memo[m] = 1
+            return 1
+        num = 0
+        for aw in pos_w:
+            k = 1
+            while True:
+                nu = tuple(m[i] + k * aw[i] for i in range(n))
+                if root_gap(nu) is None:
+                    break
+                mv = mult(nu)
+                if mv:
+                    num += mv * inner(nu, aw)
+                k += 1
+        mr = tuple(m[i] + rho[i] for i in range(n))
+        denom = top - inner(mr, mr)
+        if denom <= 0:
+            memo[m] = 0
+            return 0
+        val, rest = divmod(2 * num, denom)
+        if rest or val < 0:
+            raise RootsError("Freudenthal recursion produced a non-integer")
+        memo[m] = val
+        return val
+
+    return mult(mu)
+
+
+ADE = {name: c for name, c, _ in ade_cartans()}
+
+
+def _outcome(fn, c, lam, mu):
+    try:
+        return fn(c, lam, mu)
+    except RootsError as err:
+        return type(err)
+
+
+def test_freudenthal_matches_the_weight_coordinate_reference():
+    # seeded (C, lam, mu) over A1-A5, D4, D5 and E6: mu = lam - C beta for
+    # a small beta >= 0 (mostly not dominant), mu above lam (beta < 0), mu
+    # off the root lattice coset of lam, and bad weights
+    rng = random.Random("freudenthal on dimension vectors")
+    nonzero = 0
+    for name in ("A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"):
+        c = ADE[name]
+        n = len(c)
+        pos = positive_roots(c)
+        for _ in range(20):
+            lam = [0] * n
+            for _ in range(rng.randint(1, 3 if n <= 3 else 2)):
+                lam[rng.randrange(n)] += 1
+            beta = [sum(col) for col in zip(*rng.choices(
+                pos, k=rng.randint(1, 3 if n <= 4 else 2)))]
+            below = [x - sum(map(mul, row, beta)) for x, row in zip(lam, c)]
+            alpha = rng.choice(pos)
+            above = [x + sum(map(mul, row, alpha)) for x, row in zip(lam, c)]
+            off = below[:]
+            off[0] -= 1  # omega_0 is not in the root lattice of any of them
+            bad = lam[:]
+            bad[rng.randrange(n)] = -1
+            for lam_, mu in ((lam, below), (lam, above), (lam, off),
+                             (bad, lam), (lam, lam[:-1])):
+                want = _outcome(reference_freudenthal, c, lam_, mu)
+                assert _outcome(freudenthal_mult, c, lam_, mu) == want, \
+                    (name, lam_, mu)
+                nonzero += want not in (0, RootsError)
+    assert nonzero >= 80
+
+
+def test_freudenthal_sums_to_weyls_dimension():
+    # the weights of L(lam) are saturated, so walking beta up from 0 by
+    # simple roots while the multiplicity of lam - C beta stays positive
+    # reaches all of them; their multiplicities add up to Weyl's
+    # prod (lam + rho, alpha) / (rho, alpha) over the positive roots alpha
+    cases = [("A1", (3,)), ("A3", (1, 0, 1)), ("A3", (0, 2, 0)),
+             ("A4", (1, 0, 0, 1)), ("D4", (0, 1, 0, 0)), ("D4", (1, 0, 0, 1)),
+             ("D5", (1, 0, 0, 0, 0)), ("D5", (0, 0, 0, 1, 0))]
+    for name, lam in cases:
+        c = ADE[name]
+        n = len(c)
+        seen, level, total = set(), [(0,) * n], 0
+        while level:
+            above = []
+            for beta in level:
+                mu = [x - sum(map(mul, row, beta)) for x, row in zip(lam, c)]
+                m = freudenthal_mult(c, lam, mu)
+                if m:
+                    total += m
+                    for i in range(n):
+                        up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                        if up not in seen:
+                            seen.add(up)
+                            above.append(up)
+            level = above
+        num = den = 1
+        for alpha in positive_roots(c):
+            num *= sum((x + 1) * a for x, a in zip(lam, alpha))
+            den *= sum(alpha)
+        assert total * den == num, (name, lam, total)
+
+
+def test_freudenthal_e6_adjoint_zero_weight():
+    # the zero weight of the adjoint module is its Cartan subalgebra
+    assert freudenthal_mult(ADE["E6"], (0, 0, 0, 0, 0, 1), (0,) * 6) == 6
 
 
 # each bad input was accepted or failed with IndexError before: a wrong

@@ -215,8 +215,11 @@ def test_no_module_defines_a_retired_membership_test():
 
 def test_root_layer_reads_one_datum_and_lists_no_decomposition():
     # the Freudenthal recursion reads det C, adj C and the positive roots
-    # from the cached datum of C instead of redoing them per call, and the
-    # fiber analysis counts decompositions instead of listing them
+    # from the cached datum of C instead of redoing them per call, uses
+    # det C and adj C once to turn mu into the dimension vector beta and
+    # runs on beta, with no weight converted back or pairing scaled by
+    # det C, and the fiber analysis counts decompositions instead of
+    # listing them
     import ast
     import time
     from quivar import roots
@@ -226,8 +229,13 @@ def test_root_layer_reads_one_datum_and_lists_no_decomposition():
         assert "_decompositions" not in {
             n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)
         }, path.name
-    names = _names(roots.freudenthal_mult.__code__)
+    code = roots.freudenthal_mult.__code__
+    names = _names(code)
     assert not names & {"classify_cartan", "positive_roots", "solve", "Mat"}
+    nested = {const.co_name: const for const in code.co_consts
+              if hasattr(const, "co_freevars")}
+    assert not {"adj", "det"} & set(nested["mult"].co_freevars)
+    assert not {"root_gap", "inner"} & (set(nested) | set(code.co_varnames))
     # v = 60 on the Jordan quiver has 966,467 decompositions, one of them a
     # component (p(v) = 1); listing them all took 23 s
     t0 = time.perf_counter()
